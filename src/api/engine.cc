@@ -681,6 +681,11 @@ Status Engine::IngestBatch(const std::string& table, const Table& batch) {
   return Status::OK();
 }
 
+Result<int64_t> Engine::Ingest(const std::string& table, const Table& batch) {
+  SCIBORQ_RETURN_NOT_OK(IngestBatch(table, batch));
+  return batch.num_rows();
+}
+
 Status Engine::DropTable(const std::string& table) {
   WriterMutexLock catalog_lock(&catalog_mu_);
   const auto it = tables_.find(table);
@@ -1116,15 +1121,6 @@ Result<QueryOutcome> Engine::Query(const BoundedQuery& bounded,
   return outcome;
 }
 
-/// One cached statement template. Immutable after registration — Execute
-/// clones it with parameters substituted, never mutates it — so concurrent
-/// Executes of one handle need no per-statement lock.
-struct Engine::PreparedStatement {
-  StatementHandle handle;
-  PreparedQuery prepared;
-  std::string sql;  ///< normalized template (prepared.ToString())
-};
-
 Result<StatementHandle> Engine::Prepare(std::string_view sql) {
   SCIBORQ_ASSIGN_OR_RETURN(PreparedQuery prepared,
                            ParsePreparedQuery(std::string(sql)));
@@ -1144,66 +1140,26 @@ Result<StatementHandle> Engine::Prepare(PreparedQuery prepared) {
   // (entries are never erased, so the check stays true for the handle's
   // whole life).
   SCIBORQ_RETURN_NOT_OK(FindTable(prepared.query.table).status());
-  auto statement = std::make_shared<PreparedStatement>();
-  statement->sql = prepared.ToString();
-  statement->prepared = std::move(prepared);
-  MutexLock lock(&statements_mu_);
-  statement->handle.id = next_statement_id_++;
-  statements_.emplace(statement->handle.id, statement);
-  return statement->handle;
-}
-
-Result<std::shared_ptr<const Engine::PreparedStatement>>
-Engine::FindStatement(StatementHandle handle) const {
-  MutexLock lock(&statements_mu_);
-  const auto it = statements_.find(handle.id);
-  if (it == statements_.end()) {
-    return Status::NotFound(StrFormat(
-        "unknown statement handle %lld (never prepared, or already closed)",
-        static_cast<long long>(handle.id)));
-  }
-  return it->second;
+  return statements_.Add(std::move(prepared));
 }
 
 Result<QueryOutcome> Engine::Execute(StatementHandle handle,
                                      const std::vector<Value>& params) {
-  SCIBORQ_ASSIGN_OR_RETURN(
-      const std::shared_ptr<const PreparedStatement> statement,
-      FindStatement(handle));
   // The whole hot path: substitute constants into a deep clone of the cached
   // template — no lexing or parsing — then execute like any parsed query.
   // Query() records the *bound* statement into the log/interest tracker, so
   // workload-biased sampling sees the true focal points.
   SCIBORQ_ASSIGN_OR_RETURN(BoundedQuery bound,
-                           BindParams(statement->prepared, params));
+                           statements_.Bind(handle, params));
   return Query(bound);
 }
 
 Status Engine::CloseStatement(StatementHandle handle) {
-  MutexLock lock(&statements_mu_);
-  if (statements_.erase(handle.id) == 0) {
-    return Status::NotFound(StrFormat(
-        "unknown statement handle %lld (never prepared, or already closed)",
-        static_cast<long long>(handle.id)));
-  }
-  return Status::OK();
+  return statements_.Close(handle);
 }
 
 Result<StatementInfo> Engine::GetStatement(StatementHandle handle) const {
-  SCIBORQ_ASSIGN_OR_RETURN(
-      const std::shared_ptr<const PreparedStatement> statement,
-      FindStatement(handle));
-  StatementInfo info;
-  info.handle = statement->handle;
-  info.table = statement->prepared.query.table;
-  info.sql = statement->sql;
-  info.num_params = statement->prepared.num_params();
-  return info;
-}
-
-int64_t Engine::open_statements() const {
-  MutexLock lock(&statements_mu_);
-  return static_cast<int64_t>(statements_.size());
+  return statements_.Info(handle);
 }
 
 std::string StatementInfo::ToString() const {
@@ -1244,7 +1200,7 @@ std::vector<std::string> Engine::TableNames() const {
   return names;
 }
 
-std::vector<TableInfo> Engine::ListTables() const {
+Result<std::vector<TableInfo>> Engine::ListTables() const {
   std::vector<TableInfo> out;
   for (const std::string& name : TableNames()) {
     Result<TableInfo> info = GetTableInfo(name);

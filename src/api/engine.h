@@ -7,16 +7,10 @@
 #include <unordered_map>
 #include <vector>
 
-#include "core/bounded_executor.h"
-#include "core/hierarchy.h"
-#include "exec/query.h"
-#include "obs/slowlog.h"
-#include "obs/trace.h"
-#include "retention/policy.h"
-#include "util/result.h"
+#include "api/backend.h"
+#include "api/statements.h"
 #include "util/thread_annotations.h"
 #include "util/thread_pool.h"
-#include "workload/interest_tracker.h"
 #include "workload/query_log.h"
 
 namespace sciborq {
@@ -24,32 +18,6 @@ namespace sciborq {
 class TableStore;
 struct RecoveredTable;
 struct TableSnapshot;
-
-/// Per-table configuration supplied at registration time. The defaults give
-/// a three-layer uniform hierarchy; naming attributes of interest switches
-/// the table to workload-biased sampling steered by a per-table
-/// InterestTracker (every answered query feeds it — the adaptive loop of
-/// §3.1 closes without any caller involvement).
-struct TableOptions {
-  /// Impression layers, largest first with strictly decreasing capacities.
-  /// Empty = the default geometry {64Ki, 8Ki, 1Ki}.
-  std::vector<ImpressionHierarchy::LayerSpec> layers;
-  /// Attributes tracked by the interest histograms (column + bin geometry).
-  /// Non-empty enables biased sampling; empty keeps uniform reservoirs.
-  std::vector<InterestTracker::AttributeSpec> tracked_attributes;
-  /// Seed for all of the table's samplers (deterministic per table).
-  uint64_t seed = 42;
-  /// Derived layers refresh after this many ingested tuples (0 = every
-  /// batch); see HierarchyOptions::refresh_interval.
-  int64_t refresh_interval = 0;
-  /// Sliding-window retention (retention/policy.h). Naming a time column
-  /// turns the table into a windowed one: ingest is stratified by time
-  /// bucket, whole buckets age out of the base data and every sample once
-  /// the window slides past them, and `LAST(col) BY key` queries are
-  /// answered natively (from a standalone last-seen impression under
-  /// bounds, from the base data under EXACT). Disabled by default.
-  RetentionPolicy retention;
-};
 
 /// Engine-wide knobs.
 struct EngineOptions {
@@ -73,135 +41,6 @@ struct EngineOptions {
   int64_t wal_segment_bytes = 0;
 };
 
-/// The answer to one SQL query — the union of what BoundedExecutor::Answer
-/// and RunExact used to return through different types: point estimates in
-/// result-row shape, per-aggregate confidence intervals (degenerate when
-/// exact), the escalation trace, and timing.
-struct QueryOutcome {
-  std::string table;  ///< catalog table that answered
-  std::string sql;    ///< normalized SQL (parse -> ToString round trip)
-  std::vector<QueryResultRow> rows;
-  /// One AggregateEstimate per row per aggregate. Exact answers carry
-  /// zero-width intervals with exact=true.
-  std::vector<std::vector<AggregateEstimate>> estimates;
-  std::string answered_by;  ///< layer name or "base" ("mixed" when merged
-                            ///< shards disagree)
-  bool exact = false;       ///< answered from the base data (zero error)
-  bool error_bound_met = false;
-  bool deadline_exceeded = false;
-  double elapsed_seconds = 0.0;
-  std::vector<LayerAttempt> attempts;  ///< the escalation trace
-
-  // -- Distributed execution (coordinator) fields. Single-node answers keep
-  // the defaults: shards_total == 0 means "not a fan-out answer". --
-  bool partial = false;      ///< degraded: not every shard contributed
-  int shards_responded = 0;  ///< shards whose answer made it into the merge
-  int shards_total = 0;      ///< shards the query fanned out to
-  /// Mergeable per-row per-aggregate Welford state; filled only when the
-  /// caller asked for a mergeable answer (QueryExecOptions::mergeable — the
-  /// shard side of a coordinator fan-out).
-  std::vector<std::vector<AggregateMoments>> partials;
-
-  // -- Trace fields. Identity and timing, not answer content: like
-  // elapsed_seconds they are ignored by EquivalentAnswers. --
-  /// Engine-assigned unless the caller propagated one
-  /// (QueryExecOptions::query_id — how a coordinator stitches shard traces).
-  std::string query_id;
-  /// Phase spans (parse, plan, execute, workload; a coordinator adds
-  /// fan-out/merge and the shards' spans under `shardN/` prefixes).
-  std::vector<PhaseSpan> spans;
-
-  std::string ToString() const;
-};
-
-/// Renders an outcome's escalation attempts and phase spans as text, one
-/// line each — the trace field of slow-query ring entries (engine and
-/// coordinator alike).
-std::string RenderTrace(const QueryOutcome& outcome);
-
-/// Per-call execution knobs beyond the SQL's own bounds clause.
-struct QueryExecOptions {
-  /// Produce a shard-mergeable answer: exact evaluation also returns the
-  /// Welford partial state per aggregate (QueryOutcome::partials), and
-  /// degenerate aggregates on an empty slice (AVG over zero rows) yield NaN
-  /// instead of failing, so a coordinator can merge sibling states into the
-  /// global answer.
-  bool mergeable = false;
-  /// Query id to carry through the outcome (trace stitching). Empty = the
-  /// engine assigns one.
-  std::string query_id;
-};
-
-/// One impression layer as seen through the catalog: its geometry plus how
-/// full it currently is.
-struct LayerSummary {
-  std::string name;
-  int64_t capacity = 0;
-  int64_t rows = 0;     ///< rows currently sampled into the layer
-  std::string policy;   ///< "uniform", "last-seen", or "biased"
-};
-
-/// Physical-storage summary for one base-table column: which encoding its
-/// morsels predominantly carry and how the encoded footprint compares to the
-/// raw one (column/encoding/encoding.h).
-struct ColumnStorageInfo {
-  std::string column;
-  std::string encoding;       ///< dominant morsel encoding: plain/rle/for/dict
-  int64_t plain_bytes = 0;    ///< raw data bytes (8/row numeric, 4+len string)
-  int64_t encoded_bytes = 0;  ///< data bytes with per-morsel encodings applied
-};
-
-/// Structured metadata for one registered table — what the network catalog
-/// opcode ships to remote clients and `sciborq_cli \tables` renders.
-struct TableInfo {
-  std::string name;
-  int64_t rows = 0;  ///< base-data rows
-  Schema schema;
-  std::vector<LayerSummary> layers;  ///< largest first
-  int64_t population_seen = 0;  ///< tuples streamed past the top sampler
-  bool biased = false;          ///< interest-tracked (workload-biased) sampling
-  int64_t logged_queries = 0;   ///< log entries currently held in the window
-  int shards = 0;  ///< shard servers behind a coordinator (0 = local table)
-  /// Per-column physical storage, one entry per schema field (v5 catalog;
-  /// empty when reported by a pre-v5 peer).
-  std::vector<ColumnStorageInfo> storage;
-
-  std::string ToString() const;
-};
-
-/// Opaque handle to a statement prepared on an Engine (parse once, execute
-/// many). Handles are engine-wide ids; Session scopes them per client.
-struct StatementHandle {
-  int64_t id = -1;
-  bool valid() const { return id >= 0; }
-};
-
-/// Introspection for one prepared statement: the normalized `?` template,
-/// the table it targets, and how many parameters an Execute must bind.
-struct StatementInfo {
-  StatementHandle handle;
-  std::string table;
-  std::string sql;  ///< template SQL with `?` placeholders (normalized)
-  size_t num_params = 0;
-
-  std::string ToString() const;
-};
-
-/// True when two outcomes carry the same *answer*: identical rows, estimates,
-/// answered_by, contract flags, and escalation shape. Timing fields
-/// (elapsed_seconds, per-attempt elapsed) are ignored — they legitimately
-/// differ between runs. Doubles compare bit-for-bit: execution is
-/// deterministic for a fixed table state, so any drift is a bug (this is what
-/// lets tests assert that a remote query equals the in-process one).
-bool EquivalentAnswers(const QueryOutcome& a, const QueryOutcome& b);
-
-/// The answer-only core of EquivalentAnswers: rows, estimates, and the
-/// contract flags — but not answered_by or the escalation trace. This is the
-/// equivalence a coordinator's merged answer can promise against a
-/// single-node run: the values agree bit-for-bit while the merged trace
-/// necessarily lists per-shard attempts instead of one escalation walk.
-bool EquivalentAnswerData(const QueryOutcome& a, const QueryOutcome& b);
-
 /// The one thread-safe front door to SciBORQ (§1: the user states a
 /// runtime/quality contract, the system does the rest). An Engine owns a
 /// catalog of named tables, each with its base columns, an auto-managed
@@ -222,10 +61,12 @@ bool EquivalentAnswerData(const QueryOutcome& a, const QueryOutcome& b);
 /// query_threads = 1 a query's execution is fully deterministic: concurrent
 /// and serial runs of the same SQL against the same table state produce
 /// bit-identical answers (tested in tests/engine_test.cc).
-class Engine {
+///
+/// An Engine is the single-node Backend: SciborqServer serves it directly.
+class Engine : public Backend {
  public:
   explicit Engine(EngineOptions options = EngineOptions());
-  ~Engine();
+  ~Engine() override;
 
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
@@ -254,10 +95,10 @@ class Engine {
   /// Writes `table`'s snapshot atomically (temp file + rename + dir fsync)
   /// and truncates its WAL. Ingest on that table waits for the duration;
   /// queries keep flowing. FailedPrecondition on an ephemeral engine.
-  Status Checkpoint(const std::string& table);
+  Status Checkpoint(const std::string& table) override;
 
   /// Checkpoints every registered table; returns how many.
-  Result<int64_t> CheckpointAll();
+  Result<int64_t> CheckpointAll() override;
 
   /// True when this engine persists to a db directory.
   bool persistent() const { return store_ != nullptr; }
@@ -276,7 +117,7 @@ class Engine {
   /// InvalidArgument on bad layer/tracker geometry (and, on a persistent
   /// engine, on names that cannot become file names).
   Status CreateTable(const std::string& name, const Schema& schema,
-                     TableOptions options = TableOptions());
+                     TableOptions options = TableOptions()) override;
 
   /// Reads a CSV (column/csv.h format) and registers it as `name`, ingesting
   /// every row. Returns the number of rows loaded. Registration is atomic:
@@ -296,12 +137,15 @@ class Engine {
   /// deleted and disk usage stays bounded by the live window.
   Status IngestBatch(const std::string& table, const Table& batch);
 
+  /// IngestBatch, answering with the rows appended (the wire's ingest reply).
+  Result<int64_t> Ingest(const std::string& table, const Table& batch) override;
+
   /// Unregisters `table` and, on a persistent engine, permanently deletes
   /// its snapshot and WAL segments (tombstone-protected: a crash mid-drop is
   /// finished by the next recovery, never resurrected). NotFound when the
   /// table does not exist. In-flight queries holding the entry finish
   /// against its final state; new lookups fail.
-  Status DropTable(const std::string& table);
+  Status DropTable(const std::string& table) override;
 
   /// Parses and answers one SQL statement. The FROM clause names the table;
   /// the optional bounds clause (WITHIN/ERROR/CONFIDENCE/EXACT) overrides
@@ -315,7 +159,7 @@ class Engine {
   /// Same, with per-call execution options (the shard side of a coordinator
   /// fan-out asks for a mergeable answer here).
   Result<QueryOutcome> Query(const BoundedQuery& query,
-                             const QueryExecOptions& exec);
+                             const QueryExecOptions& exec) override;
 
   // -- Prepared statements ---------------------------------------------------
   //
@@ -334,24 +178,24 @@ class Engine {
 
   /// Registers an already-parsed template (the Session path, which fills in
   /// per-client defaults before registering).
-  Result<StatementHandle> Prepare(PreparedQuery prepared);
+  Result<StatementHandle> Prepare(PreparedQuery prepared) override;
 
   /// Binds `params` (one Value per `?`, in text order) and answers the
   /// statement. InvalidArgument on arity or type mismatch; NotFound for
   /// unknown/closed handles. The outcome is EquivalentAnswers-equal to
   /// Query() of the equivalent fully-bound SQL.
   Result<QueryOutcome> Execute(StatementHandle handle,
-                               const std::vector<Value>& params);
+                               const std::vector<Value>& params) override;
 
   /// Frees the cached template. NotFound when the handle is unknown or
   /// already closed.
-  Status CloseStatement(StatementHandle handle);
+  Status CloseStatement(StatementHandle handle) override;
 
   /// Template SQL, target table, and parameter count for a live handle.
-  Result<StatementInfo> GetStatement(StatementHandle handle) const;
+  Result<StatementInfo> GetStatement(StatementHandle handle) const override;
 
   /// Statements currently held in the registry (for leak checks).
-  int64_t open_statements() const;
+  int64_t open_statements() const { return statements_.size(); }
 
   /// Folds a query into `table`'s log and interest tracker *without*
   /// executing it — replaying a historical workload trace so the next ingest
@@ -371,14 +215,14 @@ class Engine {
 
   /// Structured metadata for every registered table, sorted by name — the
   /// catalog listing served to remote clients.
-  std::vector<TableInfo> ListTables() const;
+  Result<std::vector<TableInfo>> ListTables() const override;
 
   /// Structured metadata for one table: row count, schema, per-layer
   /// impression summary, workload-log depth.
   Result<TableInfo> GetTableInfo(const std::string& table) const;
 
   /// Rows in the table's base data.
-  Result<int64_t> TableRows(const std::string& table) const;
+  Result<int64_t> TableRows(const std::string& table) const override;
 
   /// Human-readable description: schema, row count, hierarchy layers.
   Result<std::string> DescribeTable(const std::string& table) const;
@@ -395,7 +239,7 @@ class Engine {
   /// The bound-miss / slow-query ring: every query whose quality or time
   /// contract was not met, oldest first. Capacity is
   /// EngineOptions::slow_log_capacity.
-  std::vector<obs::SlowQueryEntry> SlowQueries() const {
+  std::vector<obs::SlowQueryEntry> SlowQueries() const override {
     return slow_log_.Snapshot();
   }
 
@@ -403,7 +247,6 @@ class Engine {
 
  private:
   struct TableEntry;
-  struct PreparedStatement;
 
   // Lock protocol (machine-checked by Clang Thread Safety Analysis; the
   // per-entry annotations live on TableEntry in engine.cc, where the struct
@@ -419,8 +262,8 @@ class Engine {
   //                    introspection, exclusive for ingest.
   //   entry->workload_mu  serializes log/tracker mutation by concurrent
   //                    queries; always acquired AFTER data_mu.
-  //   statements_mu_   guards the prepared-statement registry; leaf lock,
-  //                    never held while acquiring any other.
+  //   statements_      the prepared-statement registry's own mutex; a leaf
+  //                    lock, never held while acquiring any other.
   //
   // Ordering: checkpoint_mu -> data_mu -> workload_mu; catalog_mu_ is only
   // ever held alone or before a fresh (unpublished) entry's locks.
@@ -463,11 +306,6 @@ class Engine {
   /// cut under workload_mu inside.
   TableSnapshot BuildSnapshot(const TableEntry& entry) const;
 
-  /// Registry lookup; the shared_ptr keeps the statement alive across a
-  /// concurrent CloseStatement.
-  Result<std::shared_ptr<const PreparedStatement>> FindStatement(
-      StatementHandle handle) const EXCLUDES(statements_mu_);
-
   EngineOptions options_;
   /// Bound-miss ring (internally synchronized).
   obs::SlowQueryLog slow_log_;
@@ -485,13 +323,8 @@ class Engine {
   /// same never-erased guarantee the catalog map used to provide alone.
   std::vector<std::unique_ptr<TableEntry>> dropped_ GUARDED_BY(catalog_mu_);
 
-  /// Prepared-statement registry: id-keyed, mutex-guarded. Statements are
-  /// immutable after registration, so Execute only holds the mutex for the
-  /// lookup.
-  mutable Mutex statements_mu_;
-  int64_t next_statement_id_ GUARDED_BY(statements_mu_) = 1;
-  std::unordered_map<int64_t, std::shared_ptr<const PreparedStatement>>
-      statements_ GUARDED_BY(statements_mu_);
+  /// Prepared-statement registry (internally synchronized).
+  StatementRegistry statements_;
 };
 
 }  // namespace sciborq

@@ -8,8 +8,8 @@
 
 namespace sciborq {
 
-Session::Session(Engine* engine) : engine_(engine) {
-  SCIBORQ_CHECK(engine_ != nullptr);
+Session::Session(Backend* backend) : backend_(backend) {
+  SCIBORQ_CHECK(backend_ != nullptr);
 #ifndef NDEBUG
   owner_thread_ = std::this_thread::get_id();
 #endif
@@ -17,15 +17,15 @@ Session::Session(Engine* engine) : engine_(engine) {
 
 Session::~Session() {
   for (const StatementHandle handle : statements_) {
-    // Best-effort: the registry entry can only be missing if the engine is
+    // Best-effort: the registry entry can only be missing if the backend is
     // being torn down around us, which the lifetime contract forbids anyway.
-    (void)engine_->CloseStatement(handle);
+    (void)backend_->CloseStatement(handle);
   }
 }
 
 Status Session::Use(const std::string& table) {
   CheckOwningThread();
-  SCIBORQ_ASSIGN_OR_RETURN(const int64_t rows, engine_->TableRows(table));
+  SCIBORQ_ASSIGN_OR_RETURN(const int64_t rows, backend_->TableRows(table));
   (void)rows;  // existence check only
   table_ = table;
   return Status::OK();
@@ -49,7 +49,8 @@ Result<QueryOutcome> Session::Query(std::string_view sql,
     bounded.query.table = table_;
   }
   if (!bounded.bounds.any()) bounded.bounds = bounds_;
-  SCIBORQ_ASSIGN_OR_RETURN(QueryOutcome outcome, engine_->Query(bounded, exec));
+  SCIBORQ_ASSIGN_OR_RETURN(QueryOutcome outcome,
+                           backend_->Query(bounded, exec));
   ++queries_run_;
   total_seconds_ += outcome.elapsed_seconds;
   return outcome;
@@ -81,9 +82,9 @@ Result<StatementInfo> Session::Prepare(std::string_view sql) {
                           prepared.error_slot >= 0;
   if (!has_bounds) prepared.bounds = bounds_;
   SCIBORQ_ASSIGN_OR_RETURN(const StatementHandle handle,
-                           engine_->Prepare(std::move(prepared)));
+                           backend_->Prepare(std::move(prepared)));
   statements_.push_back(handle);
-  return engine_->GetStatement(handle);
+  return backend_->GetStatement(handle);
 }
 
 Result<QueryOutcome> Session::Execute(StatementHandle handle,
@@ -95,7 +96,7 @@ Result<QueryOutcome> Session::Execute(StatementHandle handle,
         static_cast<long long>(handle.id)));
   }
   SCIBORQ_ASSIGN_OR_RETURN(QueryOutcome outcome,
-                           engine_->Execute(handle, params));
+                           backend_->Execute(handle, params));
   ++queries_run_;
   total_seconds_ += outcome.elapsed_seconds;
   return outcome;
@@ -112,7 +113,7 @@ Status Session::CloseStatement(StatementHandle handle) {
       std::remove_if(statements_.begin(), statements_.end(),
                      [handle](StatementHandle h) { return h.id == handle.id; }),
       statements_.end());
-  return engine_->CloseStatement(handle);
+  return backend_->CloseStatement(handle);
 }
 
 }  // namespace sciborq

@@ -6,29 +6,31 @@
 #include <thread>
 #include <vector>
 
-#include "api/engine.h"
+#include "api/backend.h"
 #include "util/check.h"
 #include "util/result.h"
 
 namespace sciborq {
 
-/// A lightweight per-client handle over the Engine: carries the client's
-/// default table (Use) and default bounds, so interactive SQL can stay bare
-/// — "SELECT COUNT(*) WHERE ..." instead of repeating the FROM clause and
-/// the contract on every statement — and keeps per-session statistics.
+/// A lightweight per-client handle over a Backend (an Engine or a
+/// coordinator): carries the client's default table (Use) and default
+/// bounds, so interactive SQL can stay bare — "SELECT COUNT(*) WHERE ..."
+/// instead of repeating the FROM clause and the contract on every statement
+/// — scopes prepared-statement handles to this client, and keeps
+/// per-session statistics.
 ///
 /// Sessions are intentionally NOT thread-safe: a session is owned by the
 /// thread that constructed it, and debug builds abort (SCIBORQ_DCHECK) if
 /// any other thread calls a mutating method. Create one session per client
-/// thread — the Engine underneath is the thread-safe front door, and any
-/// number of sessions can run concurrently against it. The network server
-/// satisfies this by construction: each connection's session lives entirely
-/// on that connection's handler thread.
+/// thread — the Backend underneath is thread-safe, and any number of
+/// sessions can run concurrently against it. The network server satisfies
+/// this by construction: each connection's session lives entirely on that
+/// connection's handler thread.
 class Session {
  public:
-  /// `engine` is non-owning and must outlive the session. The constructing
+  /// `backend` is non-owning and must outlive the session. The constructing
   /// thread becomes the owner.
-  explicit Session(Engine* engine);
+  explicit Session(Backend* backend);
 
   /// Closes every statement still prepared on this session, so a departing
   /// client (e.g. a dropped server connection) never leaks registry entries.
@@ -61,7 +63,7 @@ class Session {
 
   // -- Prepared statements ---------------------------------------------------
 
-  /// Parses a `?` template and registers it with the engine, filling in the
+  /// Parses a `?` template and registers it with the backend, filling in the
   /// session's default table (when the SQL has no FROM clause) and default
   /// bounds (when it carries no bounds clause, literal or placeholder) at
   /// prepare time. The handle is scoped to this session: only this session
@@ -99,7 +101,7 @@ class Session {
   /// True when `handle` was prepared on this session.
   bool OwnsStatement(StatementHandle handle) const;
 
-  Engine* engine_;
+  Backend* backend_;
   std::string table_;
   QueryBounds bounds_;
   std::vector<StatementHandle> statements_;  ///< handles prepared here

@@ -16,15 +16,13 @@ Result<SciborqClient> SciborqClient::Connect(const std::string& host, int port,
   return SciborqClient(std::move(conn), options);
 }
 
-Result<std::string> SciborqClient::RoundTrip(Opcode op,
-                                             std::string_view payload,
-                                             uint8_t version,
+Result<std::string> SciborqClient::RoundTrip(const Request& request,
                                              uint8_t* response_version) {
+  const Opcode op = request.opcode;
   if (!conn_.valid()) {
     return Status::FailedPrecondition("client is not connected");
   }
-  if (Status st = conn_.SendFrame(EncodeRequest(op, payload, version));
-      !st.ok()) {
+  if (Status st = conn_.SendFrame(EncodeRequest(request)); !st.ok()) {
     conn_.Close();
     return st;
   }
@@ -65,165 +63,145 @@ Result<std::string> SciborqClient::RoundTrip(Opcode op,
   return std::move(response.payload);
 }
 
-Result<QueryOutcome> SciborqClient::QueryWithFlags(std::string_view sql,
-                                                   uint8_t flags,
-                                                   std::string_view query_id) {
-  WireWriter w;
-  w.PutString(sql);
-  w.PutU8(flags);
-  w.PutString(query_id);
-  uint8_t version = kWireVersionV1;
-  SCIBORQ_ASSIGN_OR_RETURN(
-      const std::string payload,
-      RoundTrip(Opcode::kQuery, w.buffer(), kWireVersionV4, &version));
+template <typename T, typename Decode>
+Result<T> SciborqClient::Call(const Request& request, Decode decode) {
+  uint8_t version = kWireVersion;
+  SCIBORQ_ASSIGN_OR_RETURN(const std::string payload,
+                           RoundTrip(request, &version));
   WireReader r(payload);
-  SCIBORQ_ASSIGN_OR_RETURN(QueryOutcome outcome, DecodeOutcome(&r, version));
+  SCIBORQ_ASSIGN_OR_RETURN(T value, decode(&r, version));
   SCIBORQ_RETURN_NOT_OK(r.ExpectEnd());
-  return outcome;
+  return value;
 }
 
+namespace {
+
+Result<uint32_t> DecodeU32(WireReader* r, uint8_t /*version*/) {
+  return r->ReadU32();
+}
+
+Result<int64_t> DecodeI64(WireReader* r, uint8_t /*version*/) {
+  return r->ReadI64();
+}
+
+Result<std::vector<TableInfo>> DecodeCatalog(WireReader* r, uint8_t version) {
+  SCIBORQ_ASSIGN_OR_RETURN(const uint32_t n, r->ReadU32());
+  std::vector<TableInfo> tables;
+  tables.reserve(n);
+  for (uint32_t i = 0; i < n; ++i) {
+    SCIBORQ_ASSIGN_OR_RETURN(TableInfo info, DecodeTableInfo(r, version));
+    tables.push_back(std::move(info));
+  }
+  return tables;
+}
+
+}  // namespace
+
 Result<QueryOutcome> SciborqClient::Query(std::string_view sql) {
-  return QueryWithFlags(sql, 0, {});
+  Request request(Opcode::kQuery);
+  request.sql = std::string(sql);
+  return Call<QueryOutcome>(request, DecodeOutcome);
 }
 
 Result<QueryOutcome> SciborqClient::QueryMergeable(std::string_view sql,
                                                    std::string_view query_id) {
-  return QueryWithFlags(sql, 0x1, query_id);
+  Request request(Opcode::kQuery);
+  request.sql = std::string(sql);
+  request.mergeable = true;
+  request.query_id = std::string(query_id);
+  return Call<QueryOutcome>(request, DecodeOutcome);
 }
 
 Result<StatementInfo> SciborqClient::Prepare(std::string_view sql) {
-  WireWriter w;
-  w.PutString(sql);
-  SCIBORQ_ASSIGN_OR_RETURN(const std::string payload,
-                           RoundTrip(Opcode::kPrepare, w.buffer()));
-  WireReader r(payload);
-  SCIBORQ_ASSIGN_OR_RETURN(StatementInfo info, DecodeStatementInfo(&r));
-  SCIBORQ_RETURN_NOT_OK(r.ExpectEnd());
-  return info;
+  Request request(Opcode::kPrepare);
+  request.sql = std::string(sql);
+  return Call<StatementInfo>(
+      request, [](WireReader* r, uint8_t) { return DecodeStatementInfo(r); });
 }
 
 Result<QueryOutcome> SciborqClient::Execute(StatementHandle handle,
                                             const std::vector<Value>& params) {
-  WireWriter w;
-  w.PutI64(handle.id);
-  EncodeParams(params, &w);
-  uint8_t version = kWireVersionV1;
-  SCIBORQ_ASSIGN_OR_RETURN(
-      const std::string payload,
-      RoundTrip(Opcode::kExecute, w.buffer(), kWireVersionV3, &version));
-  WireReader r(payload);
-  SCIBORQ_ASSIGN_OR_RETURN(QueryOutcome outcome, DecodeOutcome(&r, version));
-  SCIBORQ_RETURN_NOT_OK(r.ExpectEnd());
-  return outcome;
+  Request request(Opcode::kExecute);
+  request.handle = handle;
+  request.params = params;
+  return Call<QueryOutcome>(request, DecodeOutcome);
 }
 
 Status SciborqClient::CloseStatement(StatementHandle handle) {
-  WireWriter w;
-  w.PutI64(handle.id);
-  return RoundTrip(Opcode::kCloseStmt, w.buffer()).status();
+  Request request(Opcode::kCloseStmt);
+  request.handle = handle;
+  return RoundTrip(request).status();
 }
 
 Status SciborqClient::Use(const std::string& table) {
-  WireWriter w;
-  w.PutString(table);
-  return RoundTrip(Opcode::kUse, w.buffer()).status();
+  Request request(Opcode::kUse);
+  request.table = table;
+  return RoundTrip(request).status();
 }
 
 Status SciborqClient::SetDefaultBounds(const QueryBounds& bounds) {
-  WireWriter w;
-  EncodeBounds(bounds, &w);
-  return RoundTrip(Opcode::kSetBounds, w.buffer()).status();
+  Request request(Opcode::kSetBounds);
+  request.bounds = bounds;
+  return RoundTrip(request).status();
 }
 
 Result<std::vector<TableInfo>> SciborqClient::ListTables() {
-  uint8_t version = kWireVersionV1;
-  SCIBORQ_ASSIGN_OR_RETURN(
-      const std::string payload,
-      RoundTrip(Opcode::kCatalog, "", kWireVersionV5, &version));
-  WireReader r(payload);
-  SCIBORQ_ASSIGN_OR_RETURN(const uint32_t n, r.ReadU32());
-  std::vector<TableInfo> tables;
-  tables.reserve(n);
-  for (uint32_t i = 0; i < n; ++i) {
-    SCIBORQ_ASSIGN_OR_RETURN(TableInfo info, DecodeTableInfo(&r, version));
-    tables.push_back(std::move(info));
-  }
-  SCIBORQ_RETURN_NOT_OK(r.ExpectEnd());
-  return tables;
+  return Call<std::vector<TableInfo>>(Request(Opcode::kCatalog),
+                                      DecodeCatalog);
 }
 
 Status SciborqClient::CreateTable(const std::string& name, const Schema& schema,
                                   uint64_t seed) {
-  WireWriter w;
-  w.PutString(name);
-  EncodeSchema(schema, &w);
-  w.PutU64(seed);
-  return RoundTrip(Opcode::kCreateTable, w.buffer()).status();
+  return CreateTable(name, schema, RetentionPolicy(), seed);
 }
 
 Status SciborqClient::CreateTable(const std::string& name, const Schema& schema,
                                   const RetentionPolicy& retention,
                                   uint64_t seed) {
-  WireWriter w;
-  w.PutString(name);
-  EncodeSchema(schema, &w);
-  w.PutU64(seed);
-  EncodeRetentionPolicy(retention, &w);
-  // Stamped v6 so the server reads the retention block; the plain overload
-  // keeps its default (v3) stamp and pre-retention byte layout.
-  return RoundTrip(Opcode::kCreateTable, w.buffer(), kWireVersionV6).status();
+  Request request(Opcode::kCreateTable);
+  request.table = name;
+  request.schema = schema;
+  request.seed = seed;
+  request.retention = retention;
+  return RoundTrip(request).status();
 }
 
 Status SciborqClient::DropTable(const std::string& table) {
-  WireWriter w;
-  w.PutString(table);
-  return RoundTrip(Opcode::kDropTable, w.buffer()).status();
+  Request request(Opcode::kDropTable);
+  request.table = table;
+  return RoundTrip(request).status();
 }
 
 Result<int64_t> SciborqClient::Ingest(const std::string& table,
                                       const Table& batch) {
-  WireWriter w;
-  w.PutString(table);
-  EncodeTable(batch, &w);
-  SCIBORQ_ASSIGN_OR_RETURN(const std::string payload,
-                           RoundTrip(Opcode::kIngest, w.buffer()));
-  WireReader r(payload);
-  SCIBORQ_ASSIGN_OR_RETURN(const int64_t rows, r.ReadI64());
-  SCIBORQ_RETURN_NOT_OK(r.ExpectEnd());
-  return rows;
+  Request request(Opcode::kIngest);
+  request.table = table;
+  request.batch = batch;
+  return Call<int64_t>(request, DecodeI64);
 }
 
 Result<int64_t> SciborqClient::Checkpoint(const std::string& table) {
-  WireWriter w;
-  w.PutString(table);
-  SCIBORQ_ASSIGN_OR_RETURN(const std::string payload,
-                           RoundTrip(Opcode::kCheckpoint, w.buffer()));
-  WireReader r(payload);
-  SCIBORQ_ASSIGN_OR_RETURN(const uint32_t count, r.ReadU32());
-  SCIBORQ_RETURN_NOT_OK(r.ExpectEnd());
+  Request request(Opcode::kCheckpoint);
+  request.table = table;
+  SCIBORQ_ASSIGN_OR_RETURN(const uint32_t count,
+                           Call<uint32_t>(request, DecodeU32));
   return static_cast<int64_t>(count);
 }
 
-Status SciborqClient::Ping() { return RoundTrip(Opcode::kPing, "").status(); }
+Status SciborqClient::Ping() {
+  return RoundTrip(Request(Opcode::kPing)).status();
+}
 
 Result<std::vector<obs::StatSample>> SciborqClient::ServerStats() {
-  SCIBORQ_ASSIGN_OR_RETURN(const std::string payload,
-                           RoundTrip(Opcode::kStats, ""));
-  WireReader r(payload);
-  SCIBORQ_ASSIGN_OR_RETURN(std::vector<obs::StatSample> samples,
-                           DecodeStatSamples(&r));
-  SCIBORQ_RETURN_NOT_OK(r.ExpectEnd());
-  return samples;
+  return Call<std::vector<obs::StatSample>>(
+      Request(Opcode::kStats),
+      [](WireReader* r, uint8_t) { return DecodeStatSamples(r); });
 }
 
 Result<std::vector<obs::SlowQueryEntry>> SciborqClient::SlowQueries() {
-  SCIBORQ_ASSIGN_OR_RETURN(const std::string payload,
-                           RoundTrip(Opcode::kSlowLog, ""));
-  WireReader r(payload);
-  SCIBORQ_ASSIGN_OR_RETURN(std::vector<obs::SlowQueryEntry> entries,
-                           DecodeSlowQueries(&r));
-  SCIBORQ_RETURN_NOT_OK(r.ExpectEnd());
-  return entries;
+  return Call<std::vector<obs::SlowQueryEntry>>(
+      Request(Opcode::kSlowLog),
+      [](WireReader* r, uint8_t) { return DecodeSlowQueries(r); });
 }
 
 }  // namespace sciborq

@@ -24,8 +24,10 @@ struct ClientOptions {
   int recv_timeout_ms = 0;
 };
 
-/// Synchronous client for a SciborqServer: one TCP connection, one
-/// request/response in flight. The server pairs the connection with a
+/// Synchronous client for a SciborqServer (in front of an Engine or a
+/// coordinator): one TCP connection, one request/response in flight. Every
+/// request is encoded through wire.h's typed Request codec, stamped with
+/// this build's protocol version. The server pairs the connection with a
 /// Session, so Use() and SetDefaultBounds() persist for subsequent bare SQL
 /// exactly as they would with a local api/Session. Query() returns the full
 /// QueryOutcome — estimates with confidence intervals, the escalation
@@ -94,8 +96,7 @@ class SciborqClient {
   /// Registers a *windowed* table: the retention policy travels in the v6
   /// kCreateTable block, so the server builds time-bucket strata, ages rows
   /// out behind the sliding window, and answers LAST(...) BY ... natively.
-  /// A disabled policy behaves exactly like the plain overload (minus the
-  /// wire stamp). Requires a v6 server.
+  /// A disabled policy behaves exactly like the plain overload.
   Status CreateTable(const std::string& name, const Schema& schema,
                      const RetentionPolicy& retention, uint64_t seed = 42);
 
@@ -131,19 +132,17 @@ class SciborqClient {
   SciborqClient(TcpConn conn, ClientOptions options)
       : conn_(std::move(conn)), options_(options) {}
 
-  /// Sends one request frame and decodes the response envelope: checks the
+  /// Sends one request and decodes the response envelope: checks the
   /// version, the echoed opcode, and the embedded status; returns the
-  /// payload bytes on success. `version` 0 = the opcode's default stamp;
-  /// `response_version`, when non-null, receives the version the server
-  /// stamped (drives version-gated payload decoding).
-  Result<std::string> RoundTrip(Opcode op, std::string_view payload,
-                                uint8_t version = 0,
+  /// payload bytes on success. `response_version`, when non-null, receives
+  /// the version the server stamped (drives version-gated payload decoding).
+  Result<std::string> RoundTrip(const Request& request,
                                 uint8_t* response_version = nullptr);
 
-  /// Query with an explicit v3 flags byte (bit 0 = mergeable) and a v4
-  /// query id (empty = server assigns).
-  Result<QueryOutcome> QueryWithFlags(std::string_view sql, uint8_t flags,
-                                      std::string_view query_id);
+  /// One round trip whose response payload `decode(reader, version)` must
+  /// consume exactly.
+  template <typename T, typename Decode>
+  Result<T> Call(const Request& request, Decode decode);
 
   TcpConn conn_;
   ClientOptions options_;

@@ -1,12 +1,12 @@
 #include "coord/coordinator.h"
 
 #include <algorithm>
-#include <chrono>
-#include <cmath>
+#include <atomic>
+#include <optional>
 #include <utility>
 
+#include "api/session.h"
 #include "column/csv.h"
-#include "exec/parser.h"
 #include "obs/trace.h"
 #include "util/rng.h"
 #include "util/stopwatch.h"
@@ -37,7 +37,9 @@ std::string NextCoordQueryId() {
 
 SciborqCoordinator::SciborqCoordinator(ShardMap shards,
                                        CoordinatorOptions options)
-    : shards_(std::move(shards)), options_(options) {
+    : shards_(std::move(shards)),
+      options_(std::move(options)),
+      server_(this, options_) {
   // Size the fan-out pool to the widest shard list so every round trip of
   // one query runs concurrently (waiting serially would burn the budget
   // margin shard by shard).
@@ -51,15 +53,9 @@ SciborqCoordinator::SciborqCoordinator(ShardMap shards,
   obs::Registry* reg = obs::DefaultRegistry();
   const std::string instance = NextCoordInstance();
   const obs::Labels by_instance = {{"instance", instance}};
-  metrics_.connections_accepted =
-      reg->GetCounter("sciborq_coord_connections_total",
-                      "TCP connections accepted.", by_instance);
   metrics_.queries_served =
       reg->GetCounter("sciborq_coord_queries_total",
                       "Distributed queries merged and answered.", by_instance);
-  metrics_.protocol_errors =
-      reg->GetCounter("sciborq_coord_protocol_errors_total",
-                      "Undecodable or misframed requests.", by_instance);
   metrics_.partial_answers = reg->GetCounter(
       "sciborq_coord_partial_answers_total",
       "Merged answers missing at least one shard (PARTIAL).", by_instance);
@@ -73,96 +69,14 @@ SciborqCoordinator::SciborqCoordinator(ShardMap shards,
       "sciborq_coord_query_seconds",
       "Distributed query wall clock (fan-out + merge).",
       obs::DefaultLatencyBounds(), by_instance);
-  // The shard set is fixed at construction, so per-shard series pre-register
-  // here and fan-out tasks read the map without locks.
   for (const ShardEndpoint& endpoint : shards_.AllEndpoints()) {
     const std::string key = endpoint.ToString();
-    metrics_.shard_rtt.emplace(
-        key, reg->GetHistogram("sciborq_coord_shard_rtt_seconds",
-                               "Per-shard query round-trip latency.",
-                               obs::DefaultLatencyBounds(),
-                               {{"instance", instance}, {"shard", key}}));
-  }
-}
-
-SciborqCoordinator::~SciborqCoordinator() { Stop(); }
-
-Status SciborqCoordinator::Start() {
-  if (started_.load()) {
-    return Status::FailedPrecondition("coordinator already started");
-  }
-  SCIBORQ_ASSIGN_OR_RETURN(TcpListener listener,
-                           TcpListener::Bind(options_.port));
-  port_ = listener.port();
-  listener_.emplace(std::move(listener));
-  handler_pool_ =
-      std::make_unique<ThreadPool>(std::max(1, options_.max_connections));
-  started_.store(true);
-  accept_thread_ = std::thread([this] { AcceptLoop(); });
-  return Status::OK();
-}
-
-void SciborqCoordinator::Stop() {
-  if (!started_.load() || stopping_.exchange(true)) return;
-  listener_->Shutdown();
-  if (accept_thread_.joinable()) accept_thread_.join();
-  {
-    MutexLock lock(&conns_mu_);
-    for (auto& [id, conn] : active_conns_) conn->ShutdownRead();
-  }
-  if (handler_pool_) {
-    handler_pool_->Wait();
-    handler_pool_.reset();
-  }
-  listener_->Close();
-}
-
-void SciborqCoordinator::AcceptLoop() {
-  while (!stopping_.load(std::memory_order_relaxed)) {
-    Result<TcpConn> accepted = listener_->Accept();
-    if (!accepted.ok()) {
-      if (stopping_.load(std::memory_order_relaxed)) break;
-      std::this_thread::sleep_for(std::chrono::milliseconds(10));
-      continue;
-    }
-    metrics_.connections_accepted->Inc();
-    auto conn = std::make_shared<TcpConn>(std::move(accepted).value());
-    int64_t id;
-    {
-      MutexLock lock(&conns_mu_);
-      id = next_conn_id_++;
-      active_conns_.emplace(id, conn.get());
-    }
-    handler_pool_->Submit([this, id, conn]() mutable {
-      HandleConnection(conn);
-      MutexLock lock(&conns_mu_);
-      active_conns_.erase(id);
-    });
-  }
-}
-
-void SciborqCoordinator::HandleConnection(std::shared_ptr<TcpConn> conn) {
-  CoordSession session;
-  session.bounds = QueryBounds();
-  for (;;) {
-    Result<std::optional<std::string>> frame =
-        conn->RecvFrame(options_.max_frame_bytes);
-    if (!frame.ok()) {
-      metrics_.protocol_errors->Inc();
-      (void)conn->SendFrame(
-          EncodeResponse(Opcode::kInvalid, frame.status(), ""));
-      break;
-    }
-    if (!frame->has_value()) break;
-    Result<RequestFrame> request = DecodeRequest(**frame);
-    if (!request.ok()) {
-      metrics_.protocol_errors->Inc();
-      (void)conn->SendFrame(
-          EncodeResponse(Opcode::kInvalid, request.status(), ""));
-      break;
-    }
-    const std::string response = HandleRequest(*request, &session);
-    if (!conn->SendFrame(response).ok()) break;
+    auto shard = std::make_unique<Shard>();
+    shard->rtt = reg->GetHistogram("sciborq_coord_shard_rtt_seconds",
+                                   "Per-shard query round-trip latency.",
+                                   obs::DefaultLatencyBounds(),
+                                   {{"instance", instance}, {"shard", key}});
+    by_endpoint_.emplace(key, std::move(shard));
   }
 }
 
@@ -186,58 +100,72 @@ SciborqCoordinator::BudgetSplit SciborqCoordinator::SplitBudget(
   return split;
 }
 
-SciborqCoordinator::ClientSlot* SciborqCoordinator::SlotFor(
-    CoordSession* session, const ShardEndpoint& endpoint) {
-  const std::string key = endpoint.ToString();
-  auto it = session->clients.find(key);
-  if (it == session->clients.end()) {
-    it = session->clients.emplace(key, std::make_unique<ClientSlot>()).first;
+Result<std::vector<ShardEndpoint>> SciborqCoordinator::ShardsFor(
+    const std::string& table) const {
+  const std::vector<ShardEndpoint>& endpoints = shards_.ShardsFor(table);
+  if (endpoints.empty()) {
+    return Status::FailedPrecondition(
+        StrFormat("no shards mapped for table '%s'", table.c_str()));
   }
-  return it->second.get();
+  return endpoints;
 }
 
-Status SciborqCoordinator::EnsureConnected(ClientSlot* slot,
-                                           const ShardEndpoint& endpoint,
-                                           int recv_timeout_ms) {
-  if (!slot->client.has_value() || !slot->client->connected()) {
+template <typename Call>
+auto SciborqCoordinator::WithShard(const ShardEndpoint& endpoint,
+                                   int recv_timeout_ms, Call call) const {
+  using Returned = decltype(call(std::declval<SciborqClient*>()));
+  Shard& shard = *by_endpoint_.at(endpoint.ToString());
+  std::optional<SciborqClient> client;
+  {
+    MutexLock lock(&shard.mu);
+    if (!shard.idle.empty()) {
+      client.emplace(std::move(shard.idle.back()));
+      shard.idle.pop_back();
+    }
+  }
+  if (client.has_value()) {
+    if (Status st = client->SetRecvTimeout(recv_timeout_ms); !st.ok()) {
+      return Returned(st);
+    }
+  } else {
     ClientOptions client_options;
     client_options.max_frame_bytes = options_.max_frame_bytes;
     client_options.connect_timeout_ms = options_.connect_timeout_ms;
     client_options.recv_timeout_ms = recv_timeout_ms;
-    SCIBORQ_ASSIGN_OR_RETURN(
-        SciborqClient client,
-        SciborqClient::Connect(endpoint.host, endpoint.port, client_options));
-    slot->client.emplace(std::move(client));
-    return Status::OK();
+    Result<SciborqClient> connected =
+        SciborqClient::Connect(endpoint.host, endpoint.port, client_options);
+    if (!connected.ok()) return Returned(connected.status());
+    client.emplace(std::move(connected).value());
   }
-  return slot->client->SetRecvTimeout(recv_timeout_ms);
+  Returned result = call(&*client);
+  if (result.ok()) {
+    MutexLock lock(&shard.mu);
+    shard.idle.push_back(std::move(*client));
+  }
+  return result;
 }
 
-Status SciborqCoordinator::FillSessionDefaults(const CoordSession& session,
-                                               BoundedQuery* bounded) const {
-  if (bounded->query.table.empty()) {
-    if (session.table.empty()) {
-      return Status::InvalidArgument(
-          "SQL has no FROM clause and the session has no default table: "
-          "call Use() first");
-    }
-    bounded->query.table = session.table;
+template <typename Call>
+Status SciborqCoordinator::OnEachShard(
+    const std::vector<ShardEndpoint>& endpoints, Call call) const {
+  for (const ShardEndpoint& endpoint : endpoints) {
+    SCIBORQ_RETURN_NOT_OK(
+        WithShard(endpoint, options_.default_shard_timeout_ms, call));
   }
-  if (!bounded->bounds.any()) bounded->bounds = session.bounds;
   return Status::OK();
 }
 
-Result<QueryOutcome> SciborqCoordinator::DistributedQuery(
-    CoordSession* session, const BoundedQuery& bounded,
-    std::string query_id) {
-  const std::vector<ShardEndpoint>& endpoints =
-      shards_.ShardsFor(bounded.query.table);
-  if (endpoints.empty()) {
-    return Status::FailedPrecondition(StrFormat(
-        "no shards mapped for table '%s'", bounded.query.table.c_str()));
+Result<QueryOutcome> SciborqCoordinator::Query(const BoundedQuery& bounded,
+                                               const QueryExecOptions& exec) {
+  if (bounded.query.table.empty()) {
+    return Status::InvalidArgument(
+        "query names no table: add a FROM clause (or route through a Session "
+        "with a default table)");
   }
-
-  if (query_id.empty()) query_id = NextCoordQueryId();
+  SCIBORQ_ASSIGN_OR_RETURN(const std::vector<ShardEndpoint> endpoints,
+                           ShardsFor(bounded.query.table));
+  const std::string query_id =
+      exec.query_id.empty() ? NextCoordQueryId() : exec.query_id;
   // The wall clock starts before the tracer's origin, so every span's end
   // stays <= the reported elapsed_seconds.
   Stopwatch wall;
@@ -250,14 +178,6 @@ Result<QueryOutcome> SciborqCoordinator::DistributedQuery(
   }
   const std::string shard_sql = RenderSql(bounded.query, shard_bounds);
 
-  // Pre-create every slot serially: the fan-out tasks then touch disjoint
-  // slots and never mutate the session map concurrently.
-  std::vector<ClientSlot*> slots;
-  slots.reserve(endpoints.size());
-  for (const ShardEndpoint& endpoint : endpoints) {
-    slots.push_back(SlotFor(session, endpoint));
-  }
-
   tracer.Begin("fanout");
   const double fanout_start = tracer.ElapsedSeconds();
   std::vector<ShardAnswer> answers(endpoints.size());
@@ -267,31 +187,20 @@ Result<QueryOutcome> SciborqCoordinator::DistributedQuery(
                 ShardAnswer& answer = answers[s];
                 answer.label = StrFormat("shard%d", static_cast<int>(s));
                 Stopwatch timer;
-                Status st = EnsureConnected(slots[s], endpoints[s],
-                                            split.recv_timeout_ms);
-                if (st.ok()) {
-                  Result<QueryOutcome> outcome =
-                      slots[s]->client->QueryMergeable(shard_sql, query_id);
-                  if (outcome.ok()) {
-                    answer.outcome = std::move(outcome).value();
-                  } else {
-                    st = outcome.status();
-                  }
-                }
-                if (!st.ok()) {
-                  answer.status = std::move(st);
+                Result<QueryOutcome> outcome = WithShard(
+                    endpoints[s], split.recv_timeout_ms,
+                    [&](SciborqClient* client) {
+                      return client->QueryMergeable(shard_sql, query_id);
+                    });
+                if (outcome.ok()) {
+                  answer.outcome = std::move(outcome).value();
+                } else {
+                  answer.status = outcome.status();
                   metrics_.shard_errors->Inc();
-                  // A timed-out or broken connection cannot be reused — the
-                  // late response would desync the stream. Reconnect lazily
-                  // on the next query.
-                  slots[s]->client.reset();
                 }
                 answer.elapsed_seconds = timer.ElapsedSeconds();
-                const auto rtt =
-                    metrics_.shard_rtt.find(endpoints[s].ToString());
-                if (rtt != metrics_.shard_rtt.end()) {
-                  rtt->second->Observe(answer.elapsed_seconds);
-                }
+                by_endpoint_.at(endpoints[s].ToString())
+                    ->rtt->Observe(answer.elapsed_seconds);
               });
 
   tracer.Begin("merge");
@@ -345,36 +254,23 @@ Result<QueryOutcome> SciborqCoordinator::DistributedQuery(
   return merged;
 }
 
-Result<std::vector<TableInfo>> SciborqCoordinator::FanOutCatalog(
-    CoordSession* session) {
+Result<std::vector<TableInfo>> SciborqCoordinator::ListTables() const {
   const std::vector<ShardEndpoint> endpoints = shards_.AllEndpoints();
   if (endpoints.empty()) {
     return Status::FailedPrecondition("coordinator has no shards configured");
-  }
-  std::vector<ClientSlot*> slots;
-  slots.reserve(endpoints.size());
-  for (const ShardEndpoint& endpoint : endpoints) {
-    slots.push_back(SlotFor(session, endpoint));
   }
   std::vector<std::vector<TableInfo>> per_shard(endpoints.size());
   std::vector<Status> statuses(endpoints.size(), Status::OK());
   ParallelFor(fanout_pool_.get(), static_cast<int64_t>(endpoints.size()), 1,
               [&](int64_t i, int64_t, int64_t) {
                 const size_t s = static_cast<size_t>(i);
-                Status st = EnsureConnected(slots[s], endpoints[s],
-                                            options_.default_shard_timeout_ms);
-                if (st.ok()) {
-                  Result<std::vector<TableInfo>> tables =
-                      slots[s]->client->ListTables();
-                  if (tables.ok()) {
-                    per_shard[s] = std::move(tables).value();
-                  } else {
-                    st = tables.status();
-                  }
-                }
-                if (!st.ok()) {
-                  statuses[s] = std::move(st);
-                  slots[s]->client.reset();
+                Result<std::vector<TableInfo>> tables = WithShard(
+                    endpoints[s], options_.default_shard_timeout_ms,
+                    [](SciborqClient* client) { return client->ListTables(); });
+                if (tables.ok()) {
+                  per_shard[s] = std::move(tables).value();
+                } else {
+                  statuses[s] = tables.status();
                 }
               });
   // Catalog listing tolerates down shards (their tables just report fewer
@@ -388,39 +284,76 @@ Result<std::vector<TableInfo>> SciborqCoordinator::FanOutCatalog(
   return MergeTableInfos(per_shard);
 }
 
-Status SciborqCoordinator::CreateTableOn(CoordSession* session,
-                                         const std::string& name,
-                                         const Schema& schema, uint64_t seed) {
-  const std::vector<ShardEndpoint>& endpoints = shards_.ShardsFor(name);
-  if (endpoints.empty()) {
-    return Status::FailedPrecondition(
-        StrFormat("no shards mapped for table '%s'", name.c_str()));
+Result<int64_t> SciborqCoordinator::TableRows(const std::string& table) const {
+  SCIBORQ_ASSIGN_OR_RETURN(const std::vector<TableInfo> tables, ListTables());
+  for (const TableInfo& info : tables) {
+    if (info.name == table) return info.rows;
   }
+  return Status::NotFound(
+      StrFormat("table '%s' is not registered on any shard", table.c_str()));
+}
+
+Result<StatementHandle> SciborqCoordinator::Prepare(PreparedQuery prepared) {
+  // Like Engine::Prepare: fail now, not on the Nth execute.
+  SCIBORQ_RETURN_NOT_OK(TableRows(prepared.query.table).status());
+  return statements_.Add(std::move(prepared));
+}
+
+Result<QueryOutcome> SciborqCoordinator::Execute(
+    StatementHandle handle, const std::vector<Value>& params) {
+  SCIBORQ_ASSIGN_OR_RETURN(const BoundedQuery bound,
+                           statements_.Bind(handle, params));
+  return Query(bound, QueryExecOptions());
+}
+
+Status SciborqCoordinator::CloseStatement(StatementHandle handle) {
+  return statements_.Close(handle);
+}
+
+Result<StatementInfo> SciborqCoordinator::GetStatement(
+    StatementHandle handle) const {
+  return statements_.Info(handle);
+}
+
+Status SciborqCoordinator::Checkpoint(const std::string& table) {
+  SCIBORQ_ASSIGN_OR_RETURN(const std::vector<ShardEndpoint> endpoints,
+                           ShardsFor(table));
+  return OnEachShard(endpoints, [&](SciborqClient* client) {
+    return client->Checkpoint(table).status();
+  });
+}
+
+Result<int64_t> SciborqCoordinator::CheckpointAll() {
+  // The sum of every shard's checkpointed tables.
+  int64_t count = 0;
+  SCIBORQ_RETURN_NOT_OK(OnEachShard(
+      shards_.AllEndpoints(), [&count](SciborqClient* client) -> Status {
+        SCIBORQ_ASSIGN_OR_RETURN(const int64_t n, client->Checkpoint());
+        count += n;
+        return Status::OK();
+      }));
+  return count;
+}
+
+Status SciborqCoordinator::CreateTable(const std::string& name,
+                                       const Schema& schema,
+                                       TableOptions options) {
+  SCIBORQ_ASSIGN_OR_RETURN(const std::vector<ShardEndpoint> endpoints,
+                           ShardsFor(name));
   // Derived per-shard seeds, like ShardedImpressionBuilder: one seeder
   // stream, one draw per shard, so shard samples are mutually independent
   // yet fully reproducible from the table seed.
-  Rng seeder(seed);
-  for (const ShardEndpoint& endpoint : endpoints) {
-    const uint64_t shard_seed = seeder.NextUint64();
-    ClientSlot* slot = SlotFor(session, endpoint);
-    SCIBORQ_RETURN_NOT_OK(EnsureConnected(slot, endpoint,
-                                          options_.default_shard_timeout_ms));
-    if (Status st = slot->client->CreateTable(name, schema, shard_seed);
-        !st.ok()) {
-      return st;
-    }
-  }
-  return Status::OK();
+  Rng seeder(options.seed);
+  return OnEachShard(endpoints, [&](SciborqClient* client) {
+    return client->CreateTable(name, schema, options.retention,
+                               seeder.NextUint64());
+  });
 }
 
-Result<int64_t> SciborqCoordinator::IngestOn(CoordSession* session,
-                                             const std::string& table,
-                                             const Table& batch) {
-  const std::vector<ShardEndpoint>& endpoints = shards_.ShardsFor(table);
-  if (endpoints.empty()) {
-    return Status::FailedPrecondition(
-        StrFormat("no shards mapped for table '%s'", table.c_str()));
-  }
+Result<int64_t> SciborqCoordinator::Ingest(const std::string& table,
+                                           const Table& batch) {
+  SCIBORQ_ASSIGN_OR_RETURN(const std::vector<ShardEndpoint> endpoints,
+                           ShardsFor(table));
   // Contiguous routing: shard s gets rows [offset, offset + per (+1)), the
   // same deterministic split ShardedImpressionBuilder uses, so a sharded
   // load concatenates back to the single-node row order.
@@ -439,379 +372,46 @@ Result<int64_t> SciborqCoordinator::IngestOn(CoordSession* session,
     }
     offset += rows;
     if (rows == 0) continue;
-    ClientSlot* slot = SlotFor(session, endpoints[static_cast<size_t>(s)]);
-    SCIBORQ_RETURN_NOT_OK(EnsureConnected(
-        slot, endpoints[static_cast<size_t>(s)],
-        options_.default_shard_timeout_ms));
-    Result<int64_t> ingested =
-        slot->client->Ingest(table, slice);
-    if (!ingested.ok()) {
-      slot->client.reset();
-      return ingested.status();
-    }
-    total += *ingested;
+    SCIBORQ_ASSIGN_OR_RETURN(
+        const int64_t ingested,
+        WithShard(endpoints[static_cast<size_t>(s)],
+                  options_.default_shard_timeout_ms,
+                  [&](SciborqClient* client) {
+                    return client->Ingest(table, slice);
+                  }));
+    total += ingested;
   }
   return total;
 }
 
-// -- In-process admin face ---------------------------------------------------
+Status SciborqCoordinator::DropTable(const std::string& table) {
+  SCIBORQ_ASSIGN_OR_RETURN(const std::vector<ShardEndpoint> endpoints,
+                           ShardsFor(table));
+  return OnEachShard(endpoints, [&](SciborqClient* client) {
+    return client->DropTable(table);
+  });
+}
+
+// -- In-process conveniences -------------------------------------------------
 
 Result<QueryOutcome> SciborqCoordinator::Query(std::string_view sql) {
-  SCIBORQ_ASSIGN_OR_RETURN(BoundedQuery bounded,
-                           ParseBoundedQuery(std::string(sql)));
-  MutexLock lock(&admin_mu_);
-  SCIBORQ_RETURN_NOT_OK(FillSessionDefaults(admin_session_, &bounded));
-  return DistributedQuery(&admin_session_, bounded);
+  Session session(this);
+  return session.Query(sql);
 }
 
 Result<int64_t> SciborqCoordinator::RegisterCsv(const std::string& name,
                                                 const std::string& path,
                                                 uint64_t seed) {
   SCIBORQ_ASSIGN_OR_RETURN(const Table table, ReadCsv(path));
-  MutexLock lock(&admin_mu_);
-  SCIBORQ_RETURN_NOT_OK(
-      CreateTableOn(&admin_session_, name, table.schema(), seed));
-  return IngestOn(&admin_session_, name, table);
+  SCIBORQ_RETURN_NOT_OK(CreateTable(name, table.schema(), seed));
+  return Ingest(name, table);
 }
 
 Status SciborqCoordinator::CreateTable(const std::string& name,
                                        const Schema& schema, uint64_t seed) {
-  MutexLock lock(&admin_mu_);
-  return CreateTableOn(&admin_session_, name, schema, seed);
-}
-
-Result<int64_t> SciborqCoordinator::IngestBatch(const std::string& table,
-                                                const Table& batch) {
-  MutexLock lock(&admin_mu_);
-  return IngestOn(&admin_session_, table, batch);
-}
-
-Result<std::vector<TableInfo>> SciborqCoordinator::ListTables() {
-  MutexLock lock(&admin_mu_);
-  return FanOutCatalog(&admin_session_);
-}
-
-// -- Wire face ---------------------------------------------------------------
-
-std::string SciborqCoordinator::HandleRequest(const RequestFrame& request,
-                                              CoordSession* session) {
-  WireReader payload(request.payload);
-  const uint8_t version = request.version;
-  switch (request.opcode) {
-    case Opcode::kQuery: {
-      Result<std::string> sql = payload.ReadString();
-      if (!sql.ok()) {
-        return EncodeResponse(request.opcode, sql.status(), "", version);
-      }
-      if (version >= kWireVersionV3) {
-        // The coordinator merges for itself; a client's mergeable flag is
-        // accepted and ignored (re-sharding a merged answer is not
-        // supported).
-        Result<uint8_t> flags = payload.ReadU8();
-        if (!flags.ok()) {
-          return EncodeResponse(request.opcode, flags.status(), "", version);
-        }
-      }
-      std::string query_id;
-      if (version >= kWireVersionV4) {
-        Result<std::string> id = payload.ReadString();
-        if (!id.ok()) {
-          return EncodeResponse(request.opcode, id.status(), "", version);
-        }
-        query_id = std::move(*id);
-      }
-      if (Status st = payload.ExpectEnd(); !st.ok()) {
-        return EncodeResponse(request.opcode, st, "", version);
-      }
-      Result<BoundedQuery> bounded = ParseBoundedQuery(*sql);
-      if (!bounded.ok()) {
-        return EncodeResponse(request.opcode, bounded.status(), "", version);
-      }
-      if (Status st = FillSessionDefaults(*session, &*bounded); !st.ok()) {
-        return EncodeResponse(request.opcode, st, "", version);
-      }
-      Result<QueryOutcome> outcome =
-          DistributedQuery(session, *bounded, std::move(query_id));
-      if (!outcome.ok()) {
-        return EncodeResponse(request.opcode, outcome.status(), "", version);
-      }
-      WireWriter w;
-      EncodeOutcome(*outcome, &w, version);
-      return EncodeResponse(request.opcode, Status::OK(), w.buffer(), version);
-    }
-    case Opcode::kUse: {
-      Result<std::string> table = payload.ReadString();
-      if (!table.ok()) {
-        return EncodeResponse(request.opcode, table.status(), "", version);
-      }
-      if (Status st = payload.ExpectEnd(); !st.ok()) {
-        return EncodeResponse(request.opcode, st, "", version);
-      }
-      // USE validates existence like api/Session: the merged catalog must
-      // list the table.
-      Result<std::vector<TableInfo>> tables = FanOutCatalog(session);
-      if (!tables.ok()) {
-        return EncodeResponse(request.opcode, tables.status(), "", version);
-      }
-      const bool known =
-          std::any_of(tables->begin(), tables->end(),
-                      [&](const TableInfo& t) { return t.name == *table; });
-      if (!known) {
-        return EncodeResponse(
-            request.opcode,
-            Status::NotFound(StrFormat("table '%s' is not registered on any "
-                                       "shard",
-                                       table->c_str())),
-            "", version);
-      }
-      session->table = *table;
-      return EncodeResponse(request.opcode, Status::OK(), "", version);
-    }
-    case Opcode::kSetBounds: {
-      Result<QueryBounds> bounds = DecodeBounds(&payload);
-      if (!bounds.ok()) {
-        return EncodeResponse(request.opcode, bounds.status(), "", version);
-      }
-      if (Status st = payload.ExpectEnd(); !st.ok()) {
-        return EncodeResponse(request.opcode, st, "", version);
-      }
-      session->bounds = *bounds;
-      return EncodeResponse(request.opcode, Status::OK(), "", version);
-    }
-    case Opcode::kCatalog: {
-      if (Status st = payload.ExpectEnd(); !st.ok()) {
-        return EncodeResponse(request.opcode, st, "", version);
-      }
-      Result<std::vector<TableInfo>> tables = FanOutCatalog(session);
-      if (!tables.ok()) {
-        return EncodeResponse(request.opcode, tables.status(), "", version);
-      }
-      WireWriter w;
-      w.PutU32(static_cast<uint32_t>(tables->size()));
-      for (const TableInfo& info : *tables) EncodeTableInfo(info, &w, version);
-      return EncodeResponse(request.opcode, Status::OK(), w.buffer(), version);
-    }
-    case Opcode::kPing: {
-      if (Status st = payload.ExpectEnd(); !st.ok()) {
-        return EncodeResponse(request.opcode, st, "", version);
-      }
-      return EncodeResponse(request.opcode, Status::OK(), "", version);
-    }
-    case Opcode::kPrepare: {
-      Result<std::string> sql = payload.ReadString();
-      if (!sql.ok()) {
-        return EncodeResponse(request.opcode, sql.status(), "", version);
-      }
-      if (Status st = payload.ExpectEnd(); !st.ok()) {
-        return EncodeResponse(request.opcode, st, "", version);
-      }
-      // Parse-once happens on the coordinator; Execute binds locally and
-      // fans the bound SQL out, so shards stay stateless for statements.
-      Result<PreparedQuery> prepared = ParsePreparedQuery(*sql);
-      if (!prepared.ok()) {
-        return EncodeResponse(request.opcode, prepared.status(), "", version);
-      }
-      if (prepared->query.table.empty()) {
-        if (session->table.empty()) {
-          return EncodeResponse(
-              request.opcode,
-              Status::InvalidArgument(
-                  "SQL has no FROM clause and the session has no default "
-                  "table: call Use() first"),
-              "", version);
-        }
-        prepared->query.table = session->table;
-      }
-      const bool has_bounds = prepared->bounds.any() ||
-                              prepared->time_budget_slot >= 0 ||
-                              prepared->error_slot >= 0;
-      if (!has_bounds) prepared->bounds = session->bounds;
-      StatementInfo info;
-      info.handle = StatementHandle{session->next_stmt++};
-      info.table = prepared->query.table;
-      info.sql = prepared->ToString();
-      info.num_params = prepared->num_params();
-      session->statements.emplace(info.handle.id, std::move(*prepared));
-      WireWriter w;
-      EncodeStatementInfo(info, &w);
-      return EncodeResponse(request.opcode, Status::OK(), w.buffer(), version);
-    }
-    case Opcode::kExecute: {
-      Result<int64_t> id = payload.ReadI64();
-      if (!id.ok()) {
-        return EncodeResponse(request.opcode, id.status(), "", version);
-      }
-      Result<std::vector<Value>> params = DecodeParams(&payload);
-      if (!params.ok()) {
-        return EncodeResponse(request.opcode, params.status(), "", version);
-      }
-      if (Status st = payload.ExpectEnd(); !st.ok()) {
-        return EncodeResponse(request.opcode, st, "", version);
-      }
-      const auto it = session->statements.find(*id);
-      if (it == session->statements.end()) {
-        return EncodeResponse(
-            request.opcode,
-            Status::NotFound(StrFormat(
-                "statement handle %lld was not prepared on this session",
-                static_cast<long long>(*id))),
-            "", version);
-      }
-      Result<BoundedQuery> bound = BindParams(it->second, *params);
-      if (!bound.ok()) {
-        return EncodeResponse(request.opcode, bound.status(), "", version);
-      }
-      Result<QueryOutcome> outcome = DistributedQuery(session, *bound);
-      if (!outcome.ok()) {
-        return EncodeResponse(request.opcode, outcome.status(), "", version);
-      }
-      WireWriter w;
-      EncodeOutcome(*outcome, &w, version);
-      return EncodeResponse(request.opcode, Status::OK(), w.buffer(), version);
-    }
-    case Opcode::kCloseStmt: {
-      Result<int64_t> id = payload.ReadI64();
-      if (!id.ok()) {
-        return EncodeResponse(request.opcode, id.status(), "", version);
-      }
-      if (Status st = payload.ExpectEnd(); !st.ok()) {
-        return EncodeResponse(request.opcode, st, "", version);
-      }
-      if (session->statements.erase(*id) == 0) {
-        return EncodeResponse(
-            request.opcode,
-            Status::NotFound(StrFormat(
-                "statement handle %lld was not prepared on this session",
-                static_cast<long long>(*id))),
-            "", version);
-      }
-      return EncodeResponse(request.opcode, Status::OK(), "", version);
-    }
-    case Opcode::kCheckpoint: {
-      Result<std::string> table = payload.ReadString();
-      if (!table.ok()) {
-        return EncodeResponse(request.opcode, table.status(), "", version);
-      }
-      if (Status st = payload.ExpectEnd(); !st.ok()) {
-        return EncodeResponse(request.opcode, st, "", version);
-      }
-      // Fan the checkpoint to every shard and sum how many tables were
-      // written; any shard failing fails the call (durability is all or
-      // nothing per request).
-      int64_t count = 0;
-      for (const ShardEndpoint& endpoint : shards_.AllEndpoints()) {
-        ClientSlot* slot = SlotFor(session, endpoint);
-        if (Status st = EnsureConnected(slot, endpoint,
-                                       options_.default_shard_timeout_ms);
-            !st.ok()) {
-          return EncodeResponse(request.opcode, st, "", version);
-        }
-        Result<int64_t> n = slot->client->Checkpoint(*table);
-        if (!n.ok()) {
-          return EncodeResponse(request.opcode, n.status(), "", version);
-        }
-        count += *n;
-      }
-      WireWriter w;
-      w.PutU32(static_cast<uint32_t>(count));
-      return EncodeResponse(request.opcode, Status::OK(), w.buffer(), version);
-    }
-    case Opcode::kCreateTable: {
-      Result<std::string> name = payload.ReadString();
-      if (!name.ok()) {
-        return EncodeResponse(request.opcode, name.status(), "", version);
-      }
-      Result<Schema> schema = DecodeSchema(&payload);
-      if (!schema.ok()) {
-        return EncodeResponse(request.opcode, schema.status(), "", version);
-      }
-      Result<uint64_t> seed = payload.ReadU64();
-      if (!seed.ok()) {
-        return EncodeResponse(request.opcode, seed.status(), "", version);
-      }
-      if (Status st = payload.ExpectEnd(); !st.ok()) {
-        return EncodeResponse(request.opcode, st, "", version);
-      }
-      return EncodeResponse(request.opcode,
-                            CreateTableOn(session, *name, *schema, *seed), "",
-                            version);
-    }
-    case Opcode::kIngest: {
-      Result<std::string> table = payload.ReadString();
-      if (!table.ok()) {
-        return EncodeResponse(request.opcode, table.status(), "", version);
-      }
-      Result<Table> batch = DecodeTable(&payload);
-      if (!batch.ok()) {
-        return EncodeResponse(request.opcode, batch.status(), "", version);
-      }
-      if (Status st = payload.ExpectEnd(); !st.ok()) {
-        return EncodeResponse(request.opcode, st, "", version);
-      }
-      Result<int64_t> rows = IngestOn(session, *table, *batch);
-      if (!rows.ok()) {
-        return EncodeResponse(request.opcode, rows.status(), "", version);
-      }
-      WireWriter w;
-      w.PutI64(*rows);
-      return EncodeResponse(request.opcode, Status::OK(), w.buffer(), version);
-    }
-    case Opcode::kStats: {
-      if (Status st = payload.ExpectEnd(); !st.ok()) {
-        return EncodeResponse(request.opcode, st, "", version);
-      }
-      // The whole process registry: this coordinator's own series plus any
-      // in-process shard engines' (the test topology).
-      WireWriter w;
-      EncodeStatSamples(obs::DefaultRegistry()->Samples(), &w);
-      return EncodeResponse(request.opcode, Status::OK(), w.buffer(), version);
-    }
-    case Opcode::kSlowLog: {
-      if (Status st = payload.ExpectEnd(); !st.ok()) {
-        return EncodeResponse(request.opcode, st, "", version);
-      }
-      WireWriter w;
-      EncodeSlowQueries(SlowQueries(), &w);
-      return EncodeResponse(request.opcode, Status::OK(), w.buffer(), version);
-    }
-    case Opcode::kDropTable: {
-      // v6: fan the drop out to every shard the table maps to. Like
-      // checkpointing, removal is all-or-nothing per request — the first
-      // failing shard fails the call (a retry is idempotent: an
-      // already-dropped shard answers NotFound, which the client surfaces).
-      Result<std::string> table = payload.ReadString();
-      if (!table.ok()) {
-        return EncodeResponse(request.opcode, table.status(), "", version);
-      }
-      if (Status st = payload.ExpectEnd(); !st.ok()) {
-        return EncodeResponse(request.opcode, st, "", version);
-      }
-      const std::vector<ShardEndpoint>& endpoints = shards_.ShardsFor(*table);
-      if (endpoints.empty()) {
-        return EncodeResponse(
-            request.opcode,
-            Status::FailedPrecondition(StrFormat(
-                "no shards mapped for table '%s'", table->c_str())),
-            "", version);
-      }
-      for (const ShardEndpoint& endpoint : endpoints) {
-        ClientSlot* slot = SlotFor(session, endpoint);
-        if (Status st = EnsureConnected(slot, endpoint,
-                                        options_.default_shard_timeout_ms);
-            !st.ok()) {
-          return EncodeResponse(request.opcode, st, "", version);
-        }
-        if (Status st = slot->client->DropTable(*table); !st.ok()) {
-          return EncodeResponse(request.opcode, st, "", version);
-        }
-      }
-      return EncodeResponse(request.opcode, Status::OK(), "", version);
-    }
-    case Opcode::kInvalid:
-      break;
-  }
-  return EncodeResponse(Opcode::kInvalid,
-                        Status::Internal("unhandled opcode"), "");
+  TableOptions options;
+  options.seed = seed;
+  return CreateTable(name, schema, std::move(options));
 }
 
 }  // namespace sciborq

@@ -1,35 +1,29 @@
 #ifndef SCIBORQ_COORD_COORDINATOR_H_
 #define SCIBORQ_COORD_COORDINATOR_H_
 
-#include <atomic>
 #include <cstdint>
-#include <map>
 #include <memory>
-#include <optional>
 #include <string>
-#include <thread>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
+#include "api/backend.h"
+#include "api/statements.h"
 #include "client/client.h"
 #include "coord/merge.h"
 #include "coord/shard_map.h"
-#include "exec/query.h"
 #include "obs/metrics.h"
 #include "obs/slowlog.h"
-#include "server/socket.h"
-#include "server/wire.h"
+#include "server/server.h"
 #include "util/thread_annotations.h"
 #include "util/thread_pool.h"
 
 namespace sciborq {
 
-struct CoordinatorOptions {
-  /// TCP port the coordinator itself listens on; 0 picks a free one.
-  int port = 0;
-  /// Concurrent client connections (one blocking handler each).
-  int max_connections = 8;
-  int64_t max_frame_bytes = kMaxFrameBytes;
+/// The front-end knobs (port, max_connections, max_frame_bytes) come from
+/// ServerOptions: the coordinator serves through a SciborqServer.
+struct CoordinatorOptions : ServerOptions {
   /// Fan-out budget split: a query's WITHIN budget is passed to shards minus
   /// a margin covering network + merge overhead — margin =
   /// max(min_margin_ms, budget_margin_fraction * budget).
@@ -45,10 +39,11 @@ struct CoordinatorOptions {
   QualityBound default_bound;
 };
 
-/// The distributed front door: speaks the sciborq wire protocol to clients
-/// — sciborq_cli / SciborqClient work against it unchanged — and fans every
-/// query out over the shard servers of a ShardMap, merging the partial
-/// answers with composed bounds (coord/merge.h).
+/// The distributed Backend: fans every call out over the shard servers of a
+/// ShardMap and merges the partial answers with composed bounds
+/// (coord/merge.h). Clients reach it through the same SciborqServer front
+/// end a single node uses — sciborq_cli / SciborqClient work against it
+/// unchanged, with the same session rules and status codes.
 ///
 /// Fan-out is concurrent (one shard round trip per ThreadPool task) with a
 /// split time budget, so a bounded query's wall clock stays within the
@@ -57,34 +52,32 @@ struct CoordinatorOptions {
 /// instead of failing or hanging it. Ingest routes rows contiguously across
 /// a table's shards with per-shard derived sampler seeds.
 ///
-/// The same operations are callable in-process (Query, RegisterCsv, ...) —
-/// the admin face the coordinator tool and benches use. These are
-/// serialized internally; wire connections each get their own state.
-class SciborqCoordinator {
+/// Thread-safe: every connection shares one coordinator. Shard connections
+/// come from a per-endpoint pool of idle clients — a round trip takes one
+/// out (connecting when none is idle), puts it back on success, and drops
+/// it on error, since a timed-out or broken stream cannot be reused.
+class SciborqCoordinator : public Backend {
  public:
   SciborqCoordinator(ShardMap shards,
                      CoordinatorOptions options = CoordinatorOptions());
-  ~SciborqCoordinator();
 
   SciborqCoordinator(const SciborqCoordinator&) = delete;
   SciborqCoordinator& operator=(const SciborqCoordinator&) = delete;
 
-  /// Binds the listener and starts accepting clients. FailedPrecondition if
-  /// already started. A coordinator is usable in-process without Start().
-  Status Start();
-
-  /// Graceful shutdown, mirroring SciborqServer::Stop(). Idempotent.
-  void Stop();
-
-  int port() const { return port_; }
-  bool running() const { return started_.load() && !stopping_.load(); }
+  /// Starts/stops the wire front end (SciborqServer::Start/Stop). A
+  /// coordinator is usable in-process without Start().
+  Status Start() { return server_.Start(); }
+  void Stop() { server_.Stop(); }
+  int port() const { return server_.port(); }
+  bool running() const { return server_.running(); }
+  /// The front end, for its connection/protocol/byte counters.
+  const SciborqServer& server() const { return server_; }
 
   const ShardMap& shard_map() const { return shards_; }
 
-  // -- In-process admin face -------------------------------------------------
+  // -- In-process conveniences -----------------------------------------------
 
-  /// Parses and answers one SQL statement by fanning out over the table's
-  /// shards and merging.
+  /// Parses and answers one SQL statement (which must name its table).
   Result<QueryOutcome> Query(std::string_view sql);
 
   /// Loads a CSV and distributes it: the table is created on every shard
@@ -93,51 +86,62 @@ class SciborqCoordinator {
   Result<int64_t> RegisterCsv(const std::string& name, const std::string& path,
                               uint64_t seed = 42);
 
-  /// Creates an empty table on every shard of the table's shard list.
+  /// CreateTable with only a sampler seed.
   Status CreateTable(const std::string& name, const Schema& schema,
                      uint64_t seed = 42);
 
-  /// Routes one batch across the table's shards in contiguous slices.
-  Result<int64_t> IngestBatch(const std::string& table, const Table& batch);
+  /// Ingest under the Engine's name.
+  Result<int64_t> IngestBatch(const std::string& table, const Table& batch) {
+    return Ingest(table, batch);
+  }
 
-  /// Merged catalog: per-table totals with the shard count.
-  Result<std::vector<TableInfo>> ListTables();
+  // -- Backend ---------------------------------------------------------------
+
+  /// Fans `query` out over its table's shards and merges. `exec.query_id`
+  /// (empty = the coordinator assigns one) is propagated to every shard and
+  /// stamped on the merged outcome, whose spans stitch the coordinator's own
+  /// phases (plan/fanout/merge) with each shard's spans under `shardN/`
+  /// prefixes. `exec.mergeable` is ignored: a merged answer is final.
+  Result<QueryOutcome> Query(const BoundedQuery& query,
+                             const QueryExecOptions& exec) override;
+  /// From the merged catalog; NotFound when no shard holds `table`.
+  Result<int64_t> TableRows(const std::string& table) const override;
+  /// Parsing happens here, once; Execute binds locally and fans the bound
+  /// SQL out, so shards stay stateless for statements.
+  Result<StatementHandle> Prepare(PreparedQuery prepared) override;
+  Result<QueryOutcome> Execute(StatementHandle handle,
+                               const std::vector<Value>& params) override;
+  Status CloseStatement(StatementHandle handle) override;
+  Result<StatementInfo> GetStatement(StatementHandle handle) const override;
+  /// Merged catalog: per-table totals with the shard count. Down shards only
+  /// lower a table's shard count; no reachable shard is an IOError.
+  Result<std::vector<TableInfo>> ListTables() const override;
+  /// Checkpointing and dropping are all-or-nothing per call: the first
+  /// failing shard fails it (a retry is idempotent).
+  Status Checkpoint(const std::string& table) override;
+  Result<int64_t> CheckpointAll() override;
+  /// Creates the table on every shard of its list, forwarding the retention
+  /// policy; shard s gets the s-th seed drawn from `options.seed`.
+  Status CreateTable(const std::string& name, const Schema& schema,
+                     TableOptions options) override;
+  /// Routes one batch across the table's shards in contiguous slices.
+  Result<int64_t> Ingest(const std::string& table, const Table& batch) override;
+  Status DropTable(const std::string& table) override;
+  /// The coordinator's own ring of merged outcomes that missed a bound or
+  /// degraded (PARTIAL / deadline), oldest first.
+  std::vector<obs::SlowQueryEntry> SlowQueries() const override {
+    return slow_log_.Snapshot();
+  }
 
   // Thin reads of this instance's registry counters (each coordinator gets
   // its own `instance`-labeled series; see obs/metrics.h).
-  int64_t connections_accepted() const {
-    return metrics_.connections_accepted->Value();
-  }
   int64_t queries_served() const { return metrics_.queries_served->Value(); }
-  int64_t protocol_errors() const { return metrics_.protocol_errors->Value(); }
   int64_t partial_answers() const { return metrics_.partial_answers->Value(); }
   int64_t deadlines_exceeded() const {
     return metrics_.deadline_exceeded->Value();
   }
 
-  /// The coordinator's own bound-miss/degraded-answer ring (merged
-  /// outcomes), oldest first — served over the wire via the slow_log opcode.
-  std::vector<obs::SlowQueryEntry> SlowQueries() const {
-    return slow_log_.Snapshot();
-  }
-
  private:
-  /// One shard client slot; owned by a session, touched by exactly one
-  /// fan-out task at a time.
-  struct ClientSlot {
-    std::optional<SciborqClient> client;
-  };
-
-  /// Per-connection (or admin) state: default table/bounds, lazily
-  /// connected per-shard clients, locally prepared statements.
-  struct CoordSession {
-    std::string table;
-    QueryBounds bounds;
-    std::unordered_map<std::string, std::unique_ptr<ClientSlot>> clients;
-    std::map<int64_t, PreparedQuery> statements;
-    int64_t next_stmt = 1;
-  };
-
   /// The split budget for one fan-out.
   struct BudgetSplit {
     double shard_budget_ms = 0.0;  ///< <= 0: unlimited (WITHIN not given)
@@ -145,81 +149,59 @@ class SciborqCoordinator {
   };
   BudgetSplit SplitBudget(double client_budget_ms) const;
 
-  void AcceptLoop();
-  void HandleConnection(std::shared_ptr<TcpConn> conn);
-  std::string HandleRequest(const RequestFrame& request,
-                            CoordSession* session);
+  /// The table's shard list; FailedPrecondition when none is mapped.
+  Result<std::vector<ShardEndpoint>> ShardsFor(const std::string& table) const;
 
-  /// The session's client slot for `endpoint`, created (disconnected) on
-  /// first use.
-  ClientSlot* SlotFor(CoordSession* session, const ShardEndpoint& endpoint);
+  /// Runs `call(SciborqClient*)` on a pooled connection to `endpoint` whose
+  /// response deadline is `recv_timeout_ms`, and returns its Status/Result.
+  template <typename Call>
+  auto WithShard(const ShardEndpoint& endpoint, int recv_timeout_ms,
+                 Call call) const;
 
-  /// Connects the slot if needed and re-arms its response deadline.
-  Status EnsureConnected(ClientSlot* slot, const ShardEndpoint& endpoint,
-                         int recv_timeout_ms);
-
-  /// Fans `bounded` out over its table's shards and merges. The session
-  /// provides the per-shard connections. `query_id` (empty = the
-  /// coordinator assigns one) is propagated to every shard and stamped on
-  /// the merged outcome, whose spans stitch the coordinator's own phases
-  /// (plan/fanout/merge) with each shard's spans under `shardN/` prefixes.
-  Result<QueryOutcome> DistributedQuery(CoordSession* session,
-                                        const BoundedQuery& bounded,
-                                        std::string query_id = {});
-
-  /// Fills the session's default table/bounds into a parsed query, exactly
-  /// like api/Session does for a single node.
-  Status FillSessionDefaults(const CoordSession& session,
-                             BoundedQuery* bounded) const;
-
-  /// Fans ListTables over every endpoint the session can reach.
-  Result<std::vector<TableInfo>> FanOutCatalog(CoordSession* session);
-
-  Status CreateTableOn(CoordSession* session, const std::string& name,
-                       const Schema& schema, uint64_t seed);
-  Result<int64_t> IngestOn(CoordSession* session, const std::string& table,
-                           const Table& batch);
+  /// `call` on every endpoint in order, with the default shard deadline;
+  /// stops at the first error.
+  template <typename Call>
+  Status OnEachShard(const std::vector<ShardEndpoint>& endpoints,
+                     Call call) const;
 
   ShardMap shards_;
   CoordinatorOptions options_;
-  int port_ = -1;
 
   /// Fan-out workers: sized to the widest shard list so one query's round
   /// trips all run concurrently.
   std::unique_ptr<ThreadPool> fanout_pool_;
 
-  /// The admin face's session (in-process Query/ingest calls), serialized.
-  Mutex admin_mu_;
-  CoordSession admin_session_ GUARDED_BY(admin_mu_);
+  StatementRegistry statements_;
 
-  std::optional<TcpListener> listener_;
-  std::unique_ptr<ThreadPool> handler_pool_;
-  std::thread accept_thread_;
-  std::atomic<bool> started_{false};
-  std::atomic<bool> stopping_{false};
-
-  Mutex conns_mu_;
-  std::unordered_map<int64_t, TcpConn*> active_conns_ GUARDED_BY(conns_mu_);
-  int64_t next_conn_id_ GUARDED_BY(conns_mu_) = 0;
+  /// One shard endpoint's idle connections and round-trip histogram. Each
+  /// endpoint has its own lock, so one query's fan-out tasks never contend.
+  struct Shard {
+    obs::Histogram* rtt = nullptr;
+    Mutex mu;
+    std::vector<SciborqClient> idle GUARDED_BY(mu);
+  };
+  /// Keyed by endpoint ("host:port"). The shard set is fixed, so the map is
+  /// filled in the constructor and read without a lock afterwards.
+  std::unordered_map<std::string, std::unique_ptr<Shard>> by_endpoint_;
 
   /// This instance's series in the process registry (obs/metrics.h),
-  /// resolved once in the constructor. Pointees are internally atomic;
-  /// shard_rtt is keyed by endpoint ("host:port") and immutable after
-  /// construction, so fan-out tasks read it lock-free.
+  /// resolved once in the constructor. Pointees are internally atomic.
   struct Metrics {
-    obs::Counter* connections_accepted = nullptr;
     obs::Counter* queries_served = nullptr;
-    obs::Counter* protocol_errors = nullptr;
     obs::Counter* partial_answers = nullptr;
     obs::Counter* deadline_exceeded = nullptr;
     obs::Counter* shard_errors = nullptr;
     obs::Histogram* query_seconds = nullptr;
-    std::unordered_map<std::string, obs::Histogram*> shard_rtt;
   };
   Metrics metrics_;
 
   /// Merged outcomes that missed a bound or degraded (PARTIAL / deadline).
   obs::SlowQueryLog slow_log_;
+
+  /// The wire front end, serving this backend. Declared last so it is
+  /// destroyed — and its connections drained — before anything its
+  /// handlers call into.
+  SciborqServer server_;
 };
 
 }  // namespace sciborq

@@ -22,9 +22,9 @@ std::string NextServerInstance() {
 
 }  // namespace
 
-SciborqServer::SciborqServer(Engine* engine, ServerOptions options)
-    : engine_(engine), options_(options) {
-  SCIBORQ_CHECK(engine_ != nullptr);
+SciborqServer::SciborqServer(Backend* backend, ServerOptions options)
+    : backend_(backend), options_(options) {
+  SCIBORQ_CHECK(backend_ != nullptr);
   obs::Registry* reg = obs::DefaultRegistry();
   const obs::Labels by_instance = {{"instance", NextServerInstance()}};
   metrics_.connections_accepted =
@@ -124,7 +124,7 @@ void SciborqServer::AcceptLoop() {
 void SciborqServer::HandleConnection(std::shared_ptr<TcpConn> conn) {
   // The connection's whole life runs on this one pool worker, so the
   // session's single-thread ownership contract holds by construction.
-  Session session(engine_);
+  Session session(backend_);
   for (;;) {
     Result<std::optional<std::string>> frame =
         conn->RecvFrame(options_.max_frame_bytes);
@@ -156,252 +156,97 @@ void SciborqServer::HandleConnection(std::shared_ptr<TcpConn> conn) {
   }
 }
 
-std::string SciborqServer::HandleRequest(const RequestFrame& request,
+std::string SciborqServer::HandleRequest(const RequestFrame& frame,
                                          Session* session) {
-  WireReader payload(request.payload);
-  // Version negotiation: the response is stamped (and its payload encoded)
-  // with the version the peer's request carried, so v1/v2 peers keep
-  // byte-identical responses while v3 peers get the distributed fields.
-  const uint8_t version = request.version;
+  WireWriter out;
+  Result<Request> request = DecodeRequest(frame);
+  const Status status = request.ok() ? Dispatch(*request, session, &out)
+                                     : request.status();
+  return EncodeResponse(frame.opcode, status, out.buffer(), frame.version);
+}
+
+Status SciborqServer::Dispatch(const Request& request, Session* session,
+                               WireWriter* out) {
   switch (request.opcode) {
-    case Opcode::kQuery: {
-      Result<std::string> sql = payload.ReadString();
-      if (!sql.ok()) {
-        return EncodeResponse(request.opcode, sql.status(), "", version);
-      }
-      QueryExecOptions exec;
-      if (version >= kWireVersionV3) {
-        // v3 kQuery appends a flags byte: bit 0 = mergeable (ship the
-        // Welford partials behind an exact answer).
-        Result<uint8_t> flags = payload.ReadU8();
-        if (!flags.ok()) {
-          return EncodeResponse(request.opcode, flags.status(), "", version);
-        }
-        exec.mergeable = (*flags & 0x1) != 0;
-      }
-      if (version >= kWireVersionV4) {
-        // v4 kQuery appends the caller's query id ("" = assign one) — how a
-        // coordinator threads one id through every shard's trace.
-        Result<std::string> query_id = payload.ReadString();
-        if (!query_id.ok()) {
-          return EncodeResponse(request.opcode, query_id.status(), "",
-                                version);
-        }
-        exec.query_id = std::move(*query_id);
-      }
-      if (Status st = payload.ExpectEnd(); !st.ok()) {
-        return EncodeResponse(request.opcode, st, "", version);
-      }
-      metrics_.queries_served->Inc();
-      Result<QueryOutcome> outcome = session->Query(*sql, exec);
-      if (!outcome.ok()) {
-        return EncodeResponse(request.opcode, outcome.status(), "", version);
-      }
-      WireWriter w;
-      EncodeOutcome(*outcome, &w, version);
-      return EncodeResponse(request.opcode, Status::OK(), w.buffer(), version);
-    }
-    case Opcode::kUse: {
-      Result<std::string> table = payload.ReadString();
-      if (!table.ok()) {
-        return EncodeResponse(request.opcode, table.status(), "");
-      }
-      if (Status st = payload.ExpectEnd(); !st.ok()) {
-        return EncodeResponse(request.opcode, st, "");
-      }
-      return EncodeResponse(request.opcode, session->Use(*table), "");
-    }
-    case Opcode::kSetBounds: {
-      Result<QueryBounds> bounds = DecodeBounds(&payload);
-      if (!bounds.ok()) {
-        return EncodeResponse(request.opcode, bounds.status(), "");
-      }
-      if (Status st = payload.ExpectEnd(); !st.ok()) {
-        return EncodeResponse(request.opcode, st, "");
-      }
-      session->set_default_bounds(*bounds);
-      return EncodeResponse(request.opcode, Status::OK(), "");
-    }
-    case Opcode::kCatalog: {
-      if (Status st = payload.ExpectEnd(); !st.ok()) {
-        return EncodeResponse(request.opcode, st, "");
-      }
-      const std::vector<TableInfo> tables = engine_->ListTables();
-      WireWriter w;
-      w.PutU32(static_cast<uint32_t>(tables.size()));
-      for (const TableInfo& info : tables) EncodeTableInfo(info, &w, version);
-      return EncodeResponse(request.opcode, Status::OK(), w.buffer(), version);
-    }
-    case Opcode::kPing: {
-      if (Status st = payload.ExpectEnd(); !st.ok()) {
-        return EncodeResponse(request.opcode, st, "");
-      }
-      return EncodeResponse(request.opcode, Status::OK(), "");
-    }
-    case Opcode::kPrepare: {
-      Result<std::string> sql = payload.ReadString();
-      if (!sql.ok()) return EncodeResponse(request.opcode, sql.status(), "");
-      if (Status st = payload.ExpectEnd(); !st.ok()) {
-        return EncodeResponse(request.opcode, st, "");
-      }
-      Result<StatementInfo> info = session->Prepare(*sql);
-      if (!info.ok()) {
-        return EncodeResponse(request.opcode, info.status(), "");
-      }
-      metrics_.statements_prepared->Inc();
-      WireWriter w;
-      EncodeStatementInfo(*info, &w);
-      return EncodeResponse(request.opcode, Status::OK(), w.buffer());
-    }
+    case Opcode::kQuery:
     case Opcode::kExecute: {
-      Result<int64_t> id = payload.ReadI64();
-      if (!id.ok()) return EncodeResponse(request.opcode, id.status(), "");
-      Result<std::vector<Value>> params = DecodeParams(&payload);
-      if (!params.ok()) {
-        return EncodeResponse(request.opcode, params.status(), "");
-      }
-      if (Status st = payload.ExpectEnd(); !st.ok()) {
-        return EncodeResponse(request.opcode, st, "");
-      }
       metrics_.queries_served->Inc();
-      Result<QueryOutcome> outcome =
-          session->Execute(StatementHandle{*id}, *params);
-      if (!outcome.ok()) {
-        return EncodeResponse(request.opcode, outcome.status(), "", version);
-      }
-      WireWriter w;
-      EncodeOutcome(*outcome, &w, version);
-      return EncodeResponse(request.opcode, Status::OK(), w.buffer(), version);
+      QueryExecOptions exec;
+      exec.mergeable = request.mergeable;
+      exec.query_id = request.query_id;
+      SCIBORQ_ASSIGN_OR_RETURN(
+          const QueryOutcome outcome,
+          request.opcode == Opcode::kQuery
+              ? session->Query(request.sql, exec)
+              : session->Execute(request.handle, request.params));
+      EncodeOutcome(outcome, out, request.version);
+      return Status::OK();
     }
-    case Opcode::kCloseStmt: {
-      Result<int64_t> id = payload.ReadI64();
-      if (!id.ok()) return EncodeResponse(request.opcode, id.status(), "");
-      if (Status st = payload.ExpectEnd(); !st.ok()) {
-        return EncodeResponse(request.opcode, st, "");
+    case Opcode::kUse:
+      return session->Use(request.table);
+    case Opcode::kSetBounds:
+      session->set_default_bounds(request.bounds);
+      return Status::OK();
+    case Opcode::kCatalog: {
+      SCIBORQ_ASSIGN_OR_RETURN(const std::vector<TableInfo> tables,
+                               backend_->ListTables());
+      out->PutU32(static_cast<uint32_t>(tables.size()));
+      for (const TableInfo& info : tables) {
+        EncodeTableInfo(info, out, request.version);
       }
-      return EncodeResponse(request.opcode,
-                            session->CloseStatement(StatementHandle{*id}), "");
+      return Status::OK();
     }
+    case Opcode::kPing:
+      return Status::OK();
+    case Opcode::kPrepare: {
+      SCIBORQ_ASSIGN_OR_RETURN(const StatementInfo info,
+                               session->Prepare(request.sql));
+      metrics_.statements_prepared->Inc();
+      EncodeStatementInfo(info, out);
+      return Status::OK();
+    }
+    case Opcode::kCloseStmt:
+      return session->CloseStatement(request.handle);
     case Opcode::kCheckpoint: {
-      // "" = checkpoint every table. Engine-wide state, not session state,
-      // so this goes straight to the engine; FailedPrecondition travels back
-      // code-intact when the server runs without --db-dir.
-      Result<std::string> table = payload.ReadString();
-      if (!table.ok()) {
-        return EncodeResponse(request.opcode, table.status(), "");
-      }
-      if (Status st = payload.ExpectEnd(); !st.ok()) {
-        return EncodeResponse(request.opcode, st, "");
-      }
-      int64_t count = 0;
-      if (table->empty()) {
-        Result<int64_t> all = engine_->CheckpointAll();
-        if (!all.ok()) return EncodeResponse(request.opcode, all.status(), "");
-        count = *all;
+      // "" = every table. FailedPrecondition travels back code-intact when
+      // the backend has nowhere to write (an engine without --db-dir).
+      int64_t count = 1;
+      if (request.table.empty()) {
+        SCIBORQ_ASSIGN_OR_RETURN(count, backend_->CheckpointAll());
       } else {
-        if (Status st = engine_->Checkpoint(*table); !st.ok()) {
-          return EncodeResponse(request.opcode, st, "");
-        }
-        count = 1;
+        SCIBORQ_RETURN_NOT_OK(backend_->Checkpoint(request.table));
       }
       metrics_.checkpoints_taken->Inc(count);
-      WireWriter w;
-      w.PutU32(static_cast<uint32_t>(count));
-      return EncodeResponse(request.opcode, Status::OK(), w.buffer());
+      out->PutU32(static_cast<uint32_t>(count));
+      return Status::OK();
     }
     case Opcode::kCreateTable: {
-      // v3, coordinator ingest routing: register an empty table so a
-      // subsequent kIngest stream has somewhere to land. The seed travels
-      // explicitly so a coordinator can hand each shard a distinct sampler
-      // stream (derived like ShardedImpressionBuilder's).
-      Result<std::string> name = payload.ReadString();
-      if (!name.ok()) {
-        return EncodeResponse(request.opcode, name.status(), "", version);
-      }
-      Result<Schema> schema = DecodeSchema(&payload);
-      if (!schema.ok()) {
-        return EncodeResponse(request.opcode, schema.status(), "", version);
-      }
-      Result<uint64_t> seed = payload.ReadU64();
-      if (!seed.ok()) {
-        return EncodeResponse(request.opcode, seed.status(), "", version);
-      }
-      TableOptions table_options;
-      table_options.seed = *seed;
-      if (version >= kWireVersionV6) {
-        // v6 kCreateTable appends the retention block — how a windowed
-        // (time-series) table is registered over the wire.
-        Result<RetentionPolicy> retention = DecodeRetentionPolicy(&payload);
-        if (!retention.ok()) {
-          return EncodeResponse(request.opcode, retention.status(), "",
-                                version);
-        }
-        table_options.retention = std::move(*retention);
-      }
-      if (Status st = payload.ExpectEnd(); !st.ok()) {
-        return EncodeResponse(request.opcode, st, "", version);
-      }
-      return EncodeResponse(request.opcode,
-                            engine_->CreateTable(*name, *schema, table_options),
-                            "", version);
+      TableOptions options;
+      options.seed = request.seed;
+      options.retention = request.retention;
+      return backend_->CreateTable(request.table, request.schema,
+                                   std::move(options));
     }
     case Opcode::kIngest: {
-      Result<std::string> table = payload.ReadString();
-      if (!table.ok()) {
-        return EncodeResponse(request.opcode, table.status(), "", version);
-      }
-      Result<Table> batch = DecodeTable(&payload);
-      if (!batch.ok()) {
-        return EncodeResponse(request.opcode, batch.status(), "", version);
-      }
-      if (Status st = payload.ExpectEnd(); !st.ok()) {
-        return EncodeResponse(request.opcode, st, "", version);
-      }
-      const int64_t rows = batch->num_rows();
-      if (Status st = engine_->IngestBatch(*table, *batch); !st.ok()) {
-        return EncodeResponse(request.opcode, st, "", version);
-      }
-      WireWriter w;
-      w.PutI64(rows);
-      return EncodeResponse(request.opcode, Status::OK(), w.buffer(), version);
+      SCIBORQ_ASSIGN_OR_RETURN(const int64_t rows,
+                               backend_->Ingest(request.table, request.batch));
+      out->PutI64(rows);
+      return Status::OK();
     }
-    case Opcode::kStats: {
-      // v4: the whole process registry, flattened — engine-, WAL-, and
-      // server-level series alike (one process, one scrape).
-      if (Status st = payload.ExpectEnd(); !st.ok()) {
-        return EncodeResponse(request.opcode, st, "", version);
-      }
-      WireWriter w;
-      EncodeStatSamples(obs::DefaultRegistry()->Samples(), &w);
-      return EncodeResponse(request.opcode, Status::OK(), w.buffer(), version);
-    }
-    case Opcode::kSlowLog: {
-      if (Status st = payload.ExpectEnd(); !st.ok()) {
-        return EncodeResponse(request.opcode, st, "", version);
-      }
-      WireWriter w;
-      EncodeSlowQueries(engine_->SlowQueries(), &w);
-      return EncodeResponse(request.opcode, Status::OK(), w.buffer(), version);
-    }
-    case Opcode::kDropTable: {
-      // v6: permanent removal — catalog entry plus every on-disk file. The
-      // engine serializes against in-flight queries and checkpoints under
-      // the table's own locks, so this is safe to issue at any time.
-      Result<std::string> name = payload.ReadString();
-      if (!name.ok()) {
-        return EncodeResponse(request.opcode, name.status(), "", version);
-      }
-      if (Status st = payload.ExpectEnd(); !st.ok()) {
-        return EncodeResponse(request.opcode, st, "", version);
-      }
-      return EncodeResponse(request.opcode, engine_->DropTable(*name), "",
-                            version);
-    }
+    case Opcode::kStats:
+      // The whole process registry, flattened: engine-, WAL-, server- and
+      // coordinator-level series alike (one process, one scrape).
+      EncodeStatSamples(obs::DefaultRegistry()->Samples(), out);
+      return Status::OK();
+    case Opcode::kSlowLog:
+      EncodeSlowQueries(backend_->SlowQueries(), out);
+      return Status::OK();
+    case Opcode::kDropTable:
+      return backend_->DropTable(request.table);
     case Opcode::kInvalid:
       break;  // DecodeRequest never produces it
   }
-  return EncodeResponse(Opcode::kInvalid,
-                        Status::Internal("unhandled opcode"), "");
+  return Status::Internal("unhandled opcode");
 }
 
 }  // namespace sciborq

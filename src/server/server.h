@@ -8,7 +8,7 @@
 #include <thread>
 #include <unordered_map>
 
-#include "api/engine.h"
+#include "api/backend.h"
 #include "obs/metrics.h"
 #include "server/socket.h"
 #include "server/wire.h"
@@ -31,12 +31,14 @@ struct ServerOptions {
   int64_t max_frame_bytes = kMaxFrameBytes;
 };
 
-/// The network face of an Engine: a blocking-socket TCP server speaking the
+/// The one network front end: a blocking-socket TCP server speaking the
 /// length-prefixed protocol of server/wire.h, thread-per-connection over the
-/// library's ThreadPool. Each connection owns one api/Session, so `USE` and
-/// default bounds persist per client while every query still flows through
-/// the one thread-safe Engine — N connections are just N concurrent callers
-/// of Engine::Query, the shape engine_test already proves deterministic.
+/// library's ThreadPool, in front of a Backend — an Engine (sciborq_server)
+/// or a SciborqCoordinator (sciborq_coord). Each connection owns one
+/// api/Session, so `USE`, default bounds and prepared-statement handles
+/// persist per client while every call flows through the one thread-safe
+/// backend — N connections are just N concurrent callers of it. Every
+/// response is stamped with the version its request carried.
 ///
 /// Lifecycle: Start() binds and returns; Stop() is graceful — it stops
 /// accepting, half-closes every connection's read side so handlers finish
@@ -44,8 +46,8 @@ struct ServerOptions {
 /// calls Stop().
 class SciborqServer {
  public:
-  /// `engine` is non-owning and must outlive the server.
-  SciborqServer(Engine* engine, ServerOptions options = ServerOptions());
+  /// `backend` is non-owning and must outlive the server.
+  SciborqServer(Backend* backend, ServerOptions options = ServerOptions());
   ~SciborqServer();
 
   SciborqServer(const SciborqServer&) = delete;
@@ -83,11 +85,14 @@ class SciborqServer {
  private:
   void AcceptLoop();
   void HandleConnection(std::shared_ptr<TcpConn> conn);
-  /// Dispatches one decoded request to the connection's session; returns the
-  /// response body to send.
-  std::string HandleRequest(const RequestFrame& request, Session* session);
+  /// Decodes one request's payload and dispatches it; returns the response
+  /// body to send.
+  std::string HandleRequest(const RequestFrame& frame, Session* session);
+  /// Runs one decoded request against the session/backend, writing the
+  /// response payload (kept only when the returned status is OK).
+  Status Dispatch(const Request& request, Session* session, WireWriter* out);
 
-  Engine* engine_;
+  Backend* backend_;
   ServerOptions options_;
   int port_ = -1;
 

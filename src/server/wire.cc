@@ -663,4 +663,116 @@ Result<ResponseFrame> DecodeResponse(std::string_view body) {
   return frame;
 }
 
+// -- Typed requests ---------------------------------------------------------
+
+std::string EncodeRequest(const Request& request) {
+  WireWriter w;
+  switch (request.opcode) {
+    case Opcode::kQuery:
+      w.PutString(request.sql);
+      w.PutU8(request.mergeable ? 0x1 : 0x0);
+      w.PutString(request.query_id);
+      break;
+    case Opcode::kPrepare:
+      w.PutString(request.sql);
+      break;
+    case Opcode::kUse:
+    case Opcode::kCheckpoint:
+    case Opcode::kDropTable:
+      w.PutString(request.table);
+      break;
+    case Opcode::kSetBounds:
+      EncodeBounds(request.bounds, &w);
+      break;
+    case Opcode::kExecute:
+      w.PutI64(request.handle.id);
+      EncodeParams(request.params, &w);
+      break;
+    case Opcode::kCloseStmt:
+      w.PutI64(request.handle.id);
+      break;
+    case Opcode::kCreateTable:
+      w.PutString(request.table);
+      EncodeSchema(request.schema, &w);
+      w.PutU64(request.seed);
+      EncodeRetentionPolicy(request.retention, &w);
+      break;
+    case Opcode::kIngest:
+      w.PutString(request.table);
+      EncodeTable(request.batch, &w);
+      break;
+    case Opcode::kInvalid:
+    case Opcode::kCatalog:
+    case Opcode::kPing:
+    case Opcode::kStats:
+    case Opcode::kSlowLog:
+      break;
+  }
+  return EncodeRequest(request.opcode, w.buffer(), kWireVersion);
+}
+
+Result<Request> DecodeRequest(const RequestFrame& frame) {
+  WireReader r(frame.payload);
+  Request request(frame.opcode);
+  request.version = frame.version;
+  switch (frame.opcode) {
+    case Opcode::kQuery: {
+      SCIBORQ_ASSIGN_OR_RETURN(request.sql, r.ReadString());
+      if (frame.version >= kWireVersionV3) {
+        SCIBORQ_ASSIGN_OR_RETURN(const uint8_t flags, r.ReadU8());
+        request.mergeable = (flags & 0x1) != 0;
+      }
+      if (frame.version >= kWireVersionV4) {
+        SCIBORQ_ASSIGN_OR_RETURN(request.query_id, r.ReadString());
+      }
+      break;
+    }
+    case Opcode::kPrepare: {
+      SCIBORQ_ASSIGN_OR_RETURN(request.sql, r.ReadString());
+      break;
+    }
+    case Opcode::kUse:
+    case Opcode::kCheckpoint:
+    case Opcode::kDropTable: {
+      SCIBORQ_ASSIGN_OR_RETURN(request.table, r.ReadString());
+      break;
+    }
+    case Opcode::kSetBounds: {
+      SCIBORQ_ASSIGN_OR_RETURN(request.bounds, DecodeBounds(&r));
+      break;
+    }
+    case Opcode::kExecute: {
+      SCIBORQ_ASSIGN_OR_RETURN(request.handle.id, r.ReadI64());
+      SCIBORQ_ASSIGN_OR_RETURN(request.params, DecodeParams(&r));
+      break;
+    }
+    case Opcode::kCloseStmt: {
+      SCIBORQ_ASSIGN_OR_RETURN(request.handle.id, r.ReadI64());
+      break;
+    }
+    case Opcode::kCreateTable: {
+      SCIBORQ_ASSIGN_OR_RETURN(request.table, r.ReadString());
+      SCIBORQ_ASSIGN_OR_RETURN(request.schema, DecodeSchema(&r));
+      SCIBORQ_ASSIGN_OR_RETURN(request.seed, r.ReadU64());
+      if (frame.version >= kWireVersionV6) {
+        SCIBORQ_ASSIGN_OR_RETURN(request.retention, DecodeRetentionPolicy(&r));
+      }
+      break;
+    }
+    case Opcode::kIngest: {
+      SCIBORQ_ASSIGN_OR_RETURN(request.table, r.ReadString());
+      SCIBORQ_ASSIGN_OR_RETURN(request.batch, DecodeTable(&r));
+      break;
+    }
+    case Opcode::kInvalid:
+    case Opcode::kCatalog:
+    case Opcode::kPing:
+    case Opcode::kStats:
+    case Opcode::kSlowLog:
+      break;
+  }
+  SCIBORQ_RETURN_NOT_OK(r.ExpectEnd());
+  return request;
+}
+
 }  // namespace sciborq

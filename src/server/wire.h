@@ -6,7 +6,7 @@
 #include <string_view>
 #include <vector>
 
-#include "api/engine.h"
+#include "api/backend.h"
 #include "column/serde.h"
 #include "column/value.h"
 #include "exec/query.h"
@@ -27,64 +27,35 @@ namespace sciborq {
 // where body = u8 version | u8 opcode | payload. Frames larger than the
 // receiver's max_frame_bytes are rejected without being read.
 //
-// v1 requests (client -> server), encoded with version byte 1 — byte
-// identical to every older build:
-//   kQuery     payload = string sql         (session table/bounds fill gaps)
-//   kUse       payload = string table       (sets the session default table)
-//   kSetBounds payload = QueryBounds        (session defaults for bare SQL)
-//   kCatalog   payload = (empty)            (list tables + metadata)
-//   kPing      payload = (empty)
+// Versions add opcodes and version-gated fields; the request payload
+// layouts are listed once, at `Request` below.
+//   v1  kQuery, kUse, kSetBounds, kCatalog, kPing — byte-identical to every
+//       older build.
+//   v2  prepared statements (kPrepare, kExecute, kCloseStmt) and
+//       kCheckpoint.
+//   v3  the distributed protocol: kCreateTable and kIngest; a kQuery flags
+//       byte (bit 0 = mergeable: the shard also ships its Welford partials);
+//       distributed QueryOutcome/TableInfo fields (partial flag, shard
+//       counts, partials matrix; shard count).
+//   v4  observability: kStats (flattened registry scrape) and kSlowLog (the
+//       bound-miss ring); the kQuery query id a coordinator propagates so
+//       shard traces stitch into one; QueryOutcome trace fields (query id,
+//       phase spans).
+//   v5  the per-column storage block in kCatalog's TableInfo.
+//   v6  retention: kDropTable and the kCreateTable retention block
+//       (EncodeRetentionPolicy).
 //
-// v2 adds prepared statements (parse once, bind, execute many), encoded
-// with version byte 2; a peer that only speaks v1 rejects them cleanly:
-//   kPrepare   payload = string sql          (`?` placeholder template)
-//   kExecute   payload = i64 id | params     (params = u32 n + n Value)
-//   kCloseStmt payload = i64 id
-//   kCheckpoint payload = string table       ("" = checkpoint every table;
-//                                             response payload = u32 count)
-//
-// v3 is the distributed protocol (coordinator <-> shard). Two new opcodes:
-//   kCreateTable payload = string name | Schema | u64 seed
-//   kIngest      payload = string table | Table   (column/serde.h encoding;
-//                                                  response payload = i64 rows)
-// and version negotiation on existing opcodes: a request *stamped* v3 gets a
-// v3-encoded response. A v3 kQuery request appends `u8 flags` after the SQL
-// (bit 0 = mergeable: the shard also ships its Welford partials); v3
-// QueryOutcome/TableInfo encodings append the distributed fields (partial
-// flag, shard counts, partials matrix; shard count). Requests stamped v1/v2
-// get byte-identical v1/v2 responses, so every older peer is untouched.
-//
-// v4 is the observability protocol. Two new opcodes:
-//   kStats    payload = (empty)        (response = u32 n + n StatSample:
-//                                       flattened metrics registry scrape)
-//   kSlowLog  payload = (empty)        (response = u32 n + n SlowQueryEntry:
-//                                       the bound-miss ring, oldest first)
-// and, under the same negotiation rule as v3: a v4 kQuery request appends
-// `string query_id` after the flags byte (the coordinator propagates its id
-// so shard traces stitch into one); v4 QueryOutcome encodings append the
-// trace fields (query id, phase spans). Requests stamped v1-v3 get
-// byte-identical v1-v3 responses.
-//
-// v5 adds no opcodes: it extends the kCatalog response's TableInfo with the
-// per-column storage block (dominant encoding, plain/encoded footprints).
-//
-// v6 is the retention protocol. One new opcode:
-//   kDropTable payload = string name     (catalog + disk removal; response
-//                                         payload empty)
-// and, under the usual negotiation rule: a kCreateTable request *stamped* v6
-// appends a retention block after the seed —
-//   u8 has_retention | [string time_column | i64 bucket_width |
-//   i64 window_buckets | u8 checkpoint_on_evict | i64 last_seen_capacity |
-//   i64 last_seen_expected_ingest]
-// (bracketed fields present only when has_retention = 1). Requests stamped
-// v3 stay byte-identical, so pre-retention peers are untouched.
+// Negotiation is per request: a response is encoded and stamped with the
+// version its request carried, so an older peer gets byte-identical older
+// encodings. SciborqClient stamps every request with this build's version.
 //
 // Responses (server -> client) echo the request opcode and carry
 //   u8 status_code | string status_message | payload-if-OK
 // with payload: kQuery/kExecute -> QueryOutcome, kCatalog -> u32 n +
-// n TableInfo, kPrepare -> StatementInfo, others empty. Frame-level
-// failures (oversized/undecodable request) are reported with opcode
-// kInvalid and the connection is closed.
+// n TableInfo, kPrepare -> StatementInfo, kCheckpoint -> u32 count,
+// kIngest -> i64 rows, kStats/kSlowLog -> their lists, others empty.
+// Frame-level failures (oversized/undecodable request) are reported with
+// opcode kInvalid and the connection is closed.
 //
 // All integers are little-endian and fixed-width; doubles are IEEE-754 bit
 // patterns (NaN/Inf round-trip exactly); strings are u32 length + raw bytes.
@@ -218,7 +189,9 @@ void EncodeSlowQueries(const std::vector<obs::SlowQueryEntry>& entries,
 Result<std::vector<obs::SlowQueryEntry>> DecodeSlowQueries(WireReader* r);
 
 /// The v6 kCreateTable retention block: u8 has_retention, then (when set)
-/// the policy fields. An empty/disabled policy encodes as the single 0 byte.
+/// string time_column | i64 bucket_width | i64 window_buckets |
+/// u8 checkpoint_on_evict | i64 last_seen_capacity |
+/// i64 last_seen_expected_ingest. A disabled policy is the single 0 byte.
 /// Decode validates that an enabled policy carries positive bucket_width and
 /// window_buckets — a malformed policy is refused at the wire, not at table
 /// build time.
@@ -227,10 +200,10 @@ Result<RetentionPolicy> DecodeRetentionPolicy(WireReader* r);
 
 // -- Message envelopes ------------------------------------------------------
 
-/// A decoded request: opcode plus its payload reader (positioned after the
-/// envelope; the handler decodes the op-specific payload). The version the
-/// peer stamped drives version negotiation: the response is encoded with the
-/// same version, so v1/v2 peers keep byte-identical responses.
+/// A request envelope: opcode, stamped version, and the still-encoded
+/// payload (DecodeRequest(const RequestFrame&) below reads it). The
+/// response is encoded with the same version, so v1/v2 peers keep
+/// byte-identical responses.
 struct RequestFrame {
   Opcode opcode = Opcode::kInvalid;
   uint8_t version = kWireVersionV1;  ///< version byte the peer stamped
@@ -257,6 +230,53 @@ struct ResponseFrame {
   std::string payload;  ///< empty unless status.ok()
 };
 Result<ResponseFrame> DecodeResponse(std::string_view body);
+
+// -- Typed requests ---------------------------------------------------------
+
+/// One client request: the opcode plus the fields its payload carries (the
+/// fields other opcodes use keep their defaults). This is the one place the
+/// request payload layouts are written, for both directions:
+///
+///   kQuery       string sql | u8 flags (v3+; bit 0 = mergeable) |
+///                string query_id (v4+; "" = the server assigns one)
+///   kUse         string table
+///   kSetBounds   QueryBounds
+///   kPrepare     string sql
+///   kExecute     i64 handle | params
+///   kCloseStmt   i64 handle
+///   kCheckpoint  string table               ("" = every table)
+///   kCreateTable string table | Schema | u64 seed | retention block (v6+)
+///   kIngest      string table | Table
+///   kDropTable   string table
+///   kCatalog, kPing, kStats, kSlowLog: empty
+struct Request {
+  Request() = default;
+  explicit Request(Opcode op) : opcode(op) {}
+
+  Opcode opcode = Opcode::kInvalid;
+  /// The stamp a decoded request carried (responses echo it).
+  uint8_t version = kWireVersion;
+  std::string sql;
+  std::string table;
+  bool mergeable = false;
+  std::string query_id;
+  QueryBounds bounds;
+  StatementHandle handle;
+  std::vector<Value> params;
+  Schema schema;
+  uint64_t seed = 42;
+  RetentionPolicy retention;
+  Table batch;
+};
+
+/// Envelope plus payload, always stamped with this build's version
+/// (kWireVersion), so every version-gated field travels and the response
+/// comes back with the newest encodings.
+std::string EncodeRequest(const Request& request);
+
+/// Decodes a request frame's payload per its opcode, reading the fields its
+/// stamped version carries. InvalidArgument on truncation or trailing bytes.
+Result<Request> DecodeRequest(const RequestFrame& frame);
 
 }  // namespace sciborq
 

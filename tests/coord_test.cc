@@ -22,6 +22,7 @@
 #include "server/server.h"
 #include "server/socket.h"
 #include "skyserver/catalog.h"
+#include "workload/telemetry.h"
 
 namespace sciborq {
 namespace {
@@ -283,6 +284,107 @@ TEST_F(CoordTest, SilentShardHitsDeadlineNotHang) {
   EXPECT_EQ(1, merged->shards_responded);
   // Bounded by the shard deadline plus slack, nowhere near a hang.
   EXPECT_LT(wall, 5.0);
+}
+
+TEST_F(CoordTest, ConcurrentClientsShareOneCoordinator) {
+  // Every connection shares the coordinator and its pool of shard
+  // connections; concurrent clients must still each get the exact answer.
+  SciborqCoordinator coordinator(BothShards());
+  Distribute(&coordinator);
+  ASSERT_TRUE(coordinator.Start().ok());
+  const std::string sql =
+      "SELECT COUNT(*), AVG(r) FROM photo_obj_all WHERE ra > 180 EXACT";
+  Result<QueryOutcome> expected = coordinator.Query(sql);
+  ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+
+  std::atomic<int> failures{0};
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> clients;
+  for (int t = 0; t < 4; ++t) {
+    clients.emplace_back([&] {
+      Result<SciborqClient> client =
+          SciborqClient::Connect("127.0.0.1", coordinator.port());
+      if (!client.ok()) {
+        ++failures;
+        return;
+      }
+      for (int i = 0; i < 8; ++i) {
+        Result<QueryOutcome> merged = client->Query(sql);
+        if (!merged.ok()) {
+          ++failures;
+        } else if (!EquivalentAnswerData(*merged, *expected)) {
+          ++mismatches;
+        }
+      }
+    });
+  }
+  for (std::thread& client : clients) client.join();
+  EXPECT_EQ(0, failures.load());
+  EXPECT_EQ(0, mismatches.load());
+  coordinator.Stop();
+}
+
+TEST_F(CoordTest, WindowedTableThroughTheWireFace) {
+  // A windowed CreateTable sent to the coordinator's port reaches every
+  // shard with its retention policy, so each shard ages out old buckets as
+  // later batches slide its window.
+  SciborqCoordinator coordinator(BothShards());
+  ASSERT_TRUE(coordinator.Start().ok());
+  Result<SciborqClient> client =
+      SciborqClient::Connect("127.0.0.1", coordinator.port());
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+
+  RetentionPolicy policy;
+  policy.time_column = "ts";
+  policy.bucket_width = 100;
+  policy.window_buckets = 3;
+  policy.checkpoint_on_evict = false;
+  policy.last_seen_capacity = 64;
+  const Schema schema = TelemetryGenerator::TableSchema();
+  const Status created = client->CreateTable("telemetry", schema, policy, 7);
+  ASSERT_TRUE(created.ok()) << created.ToString();
+
+  TableOptions reference_options;
+  reference_options.retention = policy;
+  Engine reference;
+  ASSERT_TRUE(reference.CreateTable("telemetry", schema, reference_options)
+                  .ok());
+
+  // Batch 1 fills bucket 0; batch 2 lands in bucket 3 on both shards (each
+  // gets a contiguous half), sliding every window past bucket 0.
+  Table old_rows(schema);
+  Table new_rows(schema);
+  for (int i = 0; i < 4; ++i) {
+    old_rows.AppendNumericRow({1.0 + i, 10.0 + 10 * i, 1.5 + i});
+    new_rows.AppendNumericRow({1.0 + i, 350.0 + 10 * i, 5.5 + i});
+  }
+  for (const Table* batch : {&old_rows, &new_rows}) {
+    Result<int64_t> ingested = client->Ingest("telemetry", *batch);
+    ASSERT_TRUE(ingested.ok()) << ingested.status().ToString();
+    EXPECT_EQ(4, *ingested);
+    ASSERT_TRUE(reference.IngestBatch("telemetry", *batch).ok());
+  }
+
+  for (int s = 0; s < 2; ++s) {
+    // Two rows per batch reached this shard; the bucket-0 pair is gone.
+    EXPECT_EQ(2, shard_engines_[s]->TableRows("telemetry").value())
+        << "shard " << s;
+    // Only a windowed table answers bounded LAST natively, from its
+    // last-seen sample.
+    Result<QueryOutcome> last = shard_engines_[s]->Query(
+        "SELECT LAST(value) FROM telemetry BY station_id WITHIN 50 MS");
+    ASSERT_TRUE(last.ok()) << last.status().ToString();
+    EXPECT_EQ("last-seen", last->answered_by) << "shard " << s;
+  }
+
+  const std::string count_sql = "SELECT COUNT(*) FROM telemetry EXACT";
+  Result<QueryOutcome> merged = client->Query(count_sql);
+  ASSERT_TRUE(merged.ok()) << merged.status().ToString();
+  Result<QueryOutcome> local = reference.Query(count_sql);
+  ASSERT_TRUE(local.ok());
+  EXPECT_EQ(4.0, local->rows[0].values[0]);
+  EXPECT_EQ(local->rows[0].values[0], merged->rows[0].values[0]);
+  coordinator.Stop();
 }
 
 TEST(ClientDeadlineTest, RecvTimeoutSurfacesAsDeadlineExceeded) {

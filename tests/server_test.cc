@@ -311,6 +311,27 @@ TEST_F(ServerTest, PreparedRoundTripMatchesInProcess) {
   EXPECT_EQ(0, server_->protocol_errors());
 }
 
+TEST_F(ServerTest, ExecuteAnswerCarriesTraceLikeQuery) {
+  // A prepared answer is as traceable as a plain one: an engine-assigned
+  // query id plus the phase spans, not just the answer fields.
+  Result<SciborqClient> client = Connect();
+  ASSERT_TRUE(client.ok());
+  const Result<StatementInfo> stmt = client->Prepare(kBoxTemplate);
+  ASSERT_TRUE(stmt.ok()) << stmt.status().ToString();
+
+  const Result<QueryOutcome> executed =
+      client->Execute(stmt->handle, BoxParams(0));
+  ASSERT_TRUE(executed.ok()) << executed.status().ToString();
+  EXPECT_FALSE(executed->query_id.empty());
+  EXPECT_FALSE(executed->spans.empty());
+
+  const Result<QueryOutcome> queried = client->Query(BoxSql(0));
+  ASSERT_TRUE(queried.ok()) << queried.status().ToString();
+  EXPECT_FALSE(queried->query_id.empty());
+  EXPECT_FALSE(queried->spans.empty());
+  EXPECT_NE(queried->query_id, executed->query_id);
+}
+
 TEST_F(ServerTest, RemoteBindErrorsComeBackCodeIntact) {
   Result<SciborqClient> client = Connect();
   ASSERT_TRUE(client.ok());

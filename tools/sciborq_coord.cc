@@ -5,10 +5,11 @@
 //                 [--register name=path.csv ...] [--seed N]
 //                 [--max-connections N] [--metrics-port N]
 //
-// Speaks the same wire protocol as sciborq_server, so sciborq_cli and
-// SciborqClient work against it unchanged — but every query fans out over
-// the shard servers and the partial answers merge with composed bounds
-// (COUNT/SUM add, AVG/VAR merge Welford partials; see src/coord/). A shard
+// Serves through the same wire front end as sciborq_server (SciborqServer
+// over a coordinator Backend), so sciborq_cli and SciborqClient work
+// against it unchanged — but every query fans out over the shard servers
+// and the partial answers merge with composed bounds (COUNT/SUM add,
+// AVG/VAR merge Welford partials; see src/coord/). A shard
 // that is down or blows its share of the time budget degrades the answer
 // (PARTIAL flag + widened bounds) instead of hanging the client.
 //
@@ -198,11 +199,14 @@ int main(int argc, char** argv) {
   LogInfo("shutting down: draining in-flight queries...");
   if (metrics_server.has_value()) metrics_server->Stop();
   coordinator.Stop();
+  const SciborqServer& front_end = coordinator.server();
   LogInfo(
-      "served %lld queries over %lld connections (%lld protocol errors); "
-      "bye",
+      "served %lld distributed queries over %lld connections (%lld protocol "
+      "errors, %lld bytes in, %lld bytes out); bye",
       static_cast<long long>(coordinator.queries_served()),
-      static_cast<long long>(coordinator.connections_accepted()),
-      static_cast<long long>(coordinator.protocol_errors()));
+      static_cast<long long>(front_end.connections_accepted()),
+      static_cast<long long>(front_end.protocol_errors()),
+      static_cast<long long>(front_end.bytes_received()),
+      static_cast<long long>(front_end.bytes_sent()));
   return 0;
 }
