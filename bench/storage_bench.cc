@@ -10,7 +10,8 @@
 //                  bytes, plus WAL append throughput for the ingest path.
 //
 // Exits non-zero if the snapshot-booted engine answers differently from the
-// CSV-booted one (the equivalence gate), or if the speedup bar is missed.
+// CSV-booted one (the equivalence gate), if the speedup bar is missed, or if
+// the WAL throughput reads zero (no segment bytes were found).
 // BENCH_JSON lines are grep-able from CI logs.
 
 #include <algorithm>
@@ -69,6 +70,16 @@ int64_t FileBytes(const std::string& path) {
   std::error_code ec;
   const auto size = std::filesystem::file_size(path, ec);
   return ec ? 0 : static_cast<int64_t>(size);
+}
+
+/// Bytes of the contiguous `<table>.wal.0 … .wal.K` segment run.
+int64_t WalSegmentBytes(const std::string& db_dir, const std::string& table) {
+  int64_t total = 0;
+  for (int i = 0;; ++i) {
+    const std::string path = db_dir + "/" + table + ".wal." + std::to_string(i);
+    if (!PathExists(path)) return total;
+    total += FileBytes(path);
+  }
 }
 
 }  // namespace
@@ -167,6 +178,7 @@ int main() {
       .Emit();
 
   // WAL append throughput: the per-batch durability cost on the ingest path.
+  double wal_mb_per_s = 0.0;
   {
     const std::string wal_db = dir + "/wal_db";
     std::unique_ptr<Engine> wal_engine = Unwrap(Engine::Open(wal_db));
@@ -191,14 +203,15 @@ int main() {
       }
     }
     const double seconds = watch.ElapsedSeconds();
-    const int64_t wal_bytes = FileBytes(wal_db + "/sky.wal");
+    const int64_t wal_bytes = WalSegmentBytes(wal_db, "sky");
+    wal_mb_per_s =
+        (static_cast<double>(wal_bytes) / (1024.0 * 1024.0)) / seconds;
     JsonLine("storage_wal_ingest")
         .Int("batches", kBatches)
         .Int("rows", per * kBatches)
         .Num("seconds", seconds)
         .Num("rows_per_s", static_cast<double>(per * kBatches) / seconds)
-        .Num("wal_mb_per_s",
-             (static_cast<double>(wal_bytes) / (1024.0 * 1024.0)) / seconds)
+        .Num("wal_mb_per_s", wal_mb_per_s)
         .Emit();
     std::printf("wal ingest:    %lld rows in %.3fs (%.0f rows/s, fsync per "
                 "batch)\n",
@@ -217,6 +230,11 @@ int main() {
     std::fprintf(stderr,
                  "FAILED: snapshot boot speedup %.1fx below the 5x bar\n",
                  speedup);
+    return 1;
+  }
+  if (!(wal_mb_per_s > 0.0)) {
+    std::fprintf(stderr, "FAILED: wal_mb_per_s %.3f is not positive (no WAL "
+                 "segment bytes found)\n", wal_mb_per_s);
     return 1;
   }
   std::printf("storage bench OK\n");

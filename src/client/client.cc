@@ -16,8 +16,7 @@ Result<SciborqClient> SciborqClient::Connect(const std::string& host, int port,
   return SciborqClient(std::move(conn), options);
 }
 
-Result<std::string> SciborqClient::RoundTrip(const Request& request,
-                                             uint8_t* response_version) {
+Result<std::string> SciborqClient::RoundTrip(const Request& request) {
   const Opcode op = request.opcode;
   if (!conn_.valid()) {
     return Status::FailedPrecondition("client is not connected");
@@ -59,37 +58,36 @@ Result<std::string> SciborqClient::RoundTrip(const Request& request,
         static_cast<unsigned>(response.opcode), static_cast<unsigned>(op)));
   }
   if (!response.status.ok()) return response.status;
-  if (response_version != nullptr) *response_version = response.version;
   return std::move(response.payload);
 }
 
 template <typename T, typename Decode>
 Result<T> SciborqClient::Call(const Request& request, Decode decode) {
-  uint8_t version = kWireVersion;
-  SCIBORQ_ASSIGN_OR_RETURN(const std::string payload,
-                           RoundTrip(request, &version));
+  SCIBORQ_ASSIGN_OR_RETURN(const std::string payload, RoundTrip(request));
   WireReader r(payload);
-  SCIBORQ_ASSIGN_OR_RETURN(T value, decode(&r, version));
+  SCIBORQ_ASSIGN_OR_RETURN(T value, decode(&r));
   SCIBORQ_RETURN_NOT_OK(r.ExpectEnd());
   return value;
 }
 
 namespace {
 
-Result<uint32_t> DecodeU32(WireReader* r, uint8_t /*version*/) {
-  return r->ReadU32();
+Result<uint32_t> DecodeU32(WireReader* r) { return r->ReadU32(); }
+
+Result<int64_t> DecodeI64(WireReader* r) { return r->ReadI64(); }
+
+Result<QueryOutcome> DecodeQueryOutcome(WireReader* r) {
+  return DecodeOutcome(r);
 }
 
-Result<int64_t> DecodeI64(WireReader* r, uint8_t /*version*/) {
-  return r->ReadI64();
-}
-
-Result<std::vector<TableInfo>> DecodeCatalog(WireReader* r, uint8_t version) {
+Result<std::vector<TableInfo>> DecodeCatalog(WireReader* r) {
   SCIBORQ_ASSIGN_OR_RETURN(const uint32_t n, r->ReadU32());
+  // A TableInfo is at least 45 bytes (its fixed fields and empty lists).
+  SCIBORQ_RETURN_NOT_OK(CheckDecodeCount(n, 45, *r, "catalog table"));
   std::vector<TableInfo> tables;
   tables.reserve(n);
   for (uint32_t i = 0; i < n; ++i) {
-    SCIBORQ_ASSIGN_OR_RETURN(TableInfo info, DecodeTableInfo(r, version));
+    SCIBORQ_ASSIGN_OR_RETURN(TableInfo info, DecodeTableInfo(r));
     tables.push_back(std::move(info));
   }
   return tables;
@@ -100,7 +98,7 @@ Result<std::vector<TableInfo>> DecodeCatalog(WireReader* r, uint8_t version) {
 Result<QueryOutcome> SciborqClient::Query(std::string_view sql) {
   Request request(Opcode::kQuery);
   request.sql = std::string(sql);
-  return Call<QueryOutcome>(request, DecodeOutcome);
+  return Call<QueryOutcome>(request, DecodeQueryOutcome);
 }
 
 Result<QueryOutcome> SciborqClient::QueryMergeable(std::string_view sql,
@@ -109,14 +107,13 @@ Result<QueryOutcome> SciborqClient::QueryMergeable(std::string_view sql,
   request.sql = std::string(sql);
   request.mergeable = true;
   request.query_id = std::string(query_id);
-  return Call<QueryOutcome>(request, DecodeOutcome);
+  return Call<QueryOutcome>(request, DecodeQueryOutcome);
 }
 
 Result<StatementInfo> SciborqClient::Prepare(std::string_view sql) {
   Request request(Opcode::kPrepare);
   request.sql = std::string(sql);
-  return Call<StatementInfo>(
-      request, [](WireReader* r, uint8_t) { return DecodeStatementInfo(r); });
+  return Call<StatementInfo>(request, DecodeStatementInfo);
 }
 
 Result<QueryOutcome> SciborqClient::Execute(StatementHandle handle,
@@ -124,7 +121,7 @@ Result<QueryOutcome> SciborqClient::Execute(StatementHandle handle,
   Request request(Opcode::kExecute);
   request.handle = handle;
   request.params = params;
-  return Call<QueryOutcome>(request, DecodeOutcome);
+  return Call<QueryOutcome>(request, DecodeQueryOutcome);
 }
 
 Status SciborqClient::CloseStatement(StatementHandle handle) {
@@ -193,15 +190,13 @@ Status SciborqClient::Ping() {
 }
 
 Result<std::vector<obs::StatSample>> SciborqClient::ServerStats() {
-  return Call<std::vector<obs::StatSample>>(
-      Request(Opcode::kStats),
-      [](WireReader* r, uint8_t) { return DecodeStatSamples(r); });
+  return Call<std::vector<obs::StatSample>>(Request(Opcode::kStats),
+                                            DecodeStatSamples);
 }
 
 Result<std::vector<obs::SlowQueryEntry>> SciborqClient::SlowQueries() {
-  return Call<std::vector<obs::SlowQueryEntry>>(
-      Request(Opcode::kSlowLog),
-      [](WireReader* r, uint8_t) { return DecodeSlowQueries(r); });
+  return Call<std::vector<obs::SlowQueryEntry>>(Request(Opcode::kSlowLog),
+                                                DecodeSlowQueries);
 }
 
 }  // namespace sciborq

@@ -27,7 +27,7 @@ struct ClientOptions {
 /// Synchronous client for a SciborqServer (in front of an Engine or a
 /// coordinator): one TCP connection, one request/response in flight. Every
 /// request is encoded through wire.h's typed Request codec, stamped with
-/// this build's protocol version. The server pairs the connection with a
+/// the one protocol version (kWireVersion). The server pairs the connection with a
 /// Session, so Use() and SetDefaultBounds() persist for subsequent bare SQL
 /// exactly as they would with a local api/Session. Query() returns the full
 /// QueryOutcome — estimates with confidence intervals, the escalation
@@ -51,9 +51,9 @@ class SciborqClient {
   Result<QueryOutcome> Query(std::string_view sql);
 
   /// Like Query, but asks the server to ship the Welford partials behind an
-  /// exact answer (v3 mergeable flag) so the caller can compose this
+  /// exact answer (the mergeable flag) so the caller can compose this
   /// shard's outcome with others bit-exactly. Coordinator fan-out path.
-  /// `query_id`, when given, is carried into the shard's outcome (v4) so a
+  /// `query_id`, when given, is carried into the shard's outcome so a
   /// coordinator can stitch per-shard traces under one id.
   Result<QueryOutcome> QueryMergeable(std::string_view sql,
                                       std::string_view query_id = {});
@@ -89,34 +89,34 @@ class SciborqClient {
   Result<int64_t> Checkpoint(const std::string& table = "");
 
   /// Registers an empty table on the server with the given sampler seed
-  /// (v3; the coordinator derives a distinct seed per shard).
+  /// (the coordinator derives a distinct seed per shard).
   Status CreateTable(const std::string& name, const Schema& schema,
                      uint64_t seed = 42);
 
-  /// Registers a *windowed* table: the retention policy travels in the v6
-  /// kCreateTable block, so the server builds time-bucket strata, ages rows
+  /// Registers a *windowed* table: the retention policy travels in the
+  /// kCreateTable retention block, so the server builds time-bucket strata, ages rows
   /// out behind the sliding window, and answers LAST(...) BY ... natively.
   /// A disabled policy behaves exactly like the plain overload.
   Status CreateTable(const std::string& name, const Schema& schema,
                      const RetentionPolicy& retention, uint64_t seed = 42);
 
   /// Permanently removes `table` from the server: catalog entry, snapshot,
-  /// and WAL segments (v6). NotFound when no such table exists.
+  /// and WAL segments. NotFound when no such table exists.
   Status DropTable(const std::string& table);
 
-  /// Ships one batch into `table` (v3); returns the rows the server
+  /// Ships one batch into `table`; returns the rows the server
   /// ingested.
   Result<int64_t> Ingest(const std::string& table, const Table& batch);
 
   /// Round-trip liveness check.
   Status Ping();
 
-  /// Snapshot of the server's metrics registry (v4 stats opcode): every
+  /// Snapshot of the server's metrics registry (the stats opcode): every
   /// counter/gauge/histogram series flattened into named samples — what
   /// `sciborq_cli \stats` renders.
   Result<std::vector<obs::StatSample>> ServerStats();
 
-  /// The server's bound-miss/slow-query ring buffer, oldest first (v4
+  /// The server's bound-miss/slow-query ring buffer, oldest first (the
   /// slow_log opcode) — what `sciborq_cli \slow` renders.
   Result<std::vector<obs::SlowQueryEntry>> SlowQueries();
 
@@ -134,13 +134,11 @@ class SciborqClient {
 
   /// Sends one request and decodes the response envelope: checks the
   /// version, the echoed opcode, and the embedded status; returns the
-  /// payload bytes on success. `response_version`, when non-null, receives
-  /// the version the server stamped (drives version-gated payload decoding).
-  Result<std::string> RoundTrip(const Request& request,
-                                uint8_t* response_version = nullptr);
+  /// payload bytes on success.
+  Result<std::string> RoundTrip(const Request& request);
 
-  /// One round trip whose response payload `decode(reader, version)` must
-  /// consume exactly.
+  /// One round trip whose response payload `decode(reader)` must consume
+  /// exactly.
   template <typename T, typename Decode>
   Result<T> Call(const Request& request, Decode decode);
 

@@ -142,6 +142,41 @@ Result<Schema> DecodeSchema(BinaryReader* r) {
   return Schema(std::move(fields));
 }
 
+// -- RetentionPolicy --------------------------------------------------------
+
+void EncodeRetentionPolicy(const RetentionPolicy& policy, BinaryWriter* w) {
+  w->PutBool(policy.enabled());
+  if (!policy.enabled()) return;
+  w->PutString(policy.time_column);
+  w->PutI64(policy.bucket_width);
+  w->PutI64(policy.window_buckets);
+  w->PutBool(policy.checkpoint_on_evict);
+  w->PutI64(policy.last_seen_capacity);
+  w->PutI64(policy.last_seen_expected_ingest);
+}
+
+Result<RetentionPolicy> DecodeRetentionPolicy(BinaryReader* r) {
+  RetentionPolicy policy;
+  SCIBORQ_ASSIGN_OR_RETURN(const bool has_retention, r->ReadBool());
+  if (!has_retention) return policy;
+  SCIBORQ_ASSIGN_OR_RETURN(policy.time_column, r->ReadString());
+  SCIBORQ_ASSIGN_OR_RETURN(policy.bucket_width, r->ReadI64());
+  SCIBORQ_ASSIGN_OR_RETURN(policy.window_buckets, r->ReadI64());
+  SCIBORQ_ASSIGN_OR_RETURN(policy.checkpoint_on_evict, r->ReadBool());
+  SCIBORQ_ASSIGN_OR_RETURN(policy.last_seen_capacity, r->ReadI64());
+  SCIBORQ_ASSIGN_OR_RETURN(policy.last_seen_expected_ingest, r->ReadI64());
+  if (policy.time_column.empty()) {
+    return Status::InvalidArgument(
+        "serde: retention block claims a policy but names no time column");
+  }
+  if (policy.bucket_width <= 0 || policy.window_buckets <= 0 ||
+      policy.last_seen_capacity <= 0 || policy.last_seen_expected_ingest < 0) {
+    return Status::InvalidArgument(
+        "serde: retention block carries non-positive bucket/window/capacity");
+  }
+  return policy;
+}
+
 // -- Column -----------------------------------------------------------------
 
 void EncodeColumn(const Column& col, BinaryWriter* w) {
@@ -242,7 +277,7 @@ Result<Column> DecodeColumn(BinaryReader* r) {
   return col;
 }
 
-// -- Column, v2 encoded pages -----------------------------------------------
+// -- Column, encoded pages --------------------------------------------------
 
 namespace {
 

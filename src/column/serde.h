@@ -4,6 +4,7 @@
 #include "column/schema.h"
 #include "column/table.h"
 #include "column/value.h"
+#include "retention/policy.h"
 #include "util/binio.h"
 #include "util/result.h"
 
@@ -34,6 +35,15 @@ Result<Value> DecodeValue(BinaryReader* r);
 void EncodeSchema(const Schema& schema, BinaryWriter* w);
 Result<Schema> DecodeSchema(BinaryReader* r);
 
+/// RetentionPolicy: u8 enabled, then (when set) string time_column |
+/// i64 bucket_width | i64 window_buckets | u8 checkpoint_on_evict |
+/// i64 last_seen_capacity | i64 last_seen_expected_ingest. A disabled policy
+/// is the single 0 byte. Shared by kCreateTable, the snapshot config and the
+/// WAL create-table record. Decode refuses an enabled policy without a time
+/// column or with a non-positive bucket width, window or capacity.
+void EncodeRetentionPolicy(const RetentionPolicy& policy, BinaryWriter* w);
+Result<RetentionPolicy> DecodeRetentionPolicy(BinaryReader* r);
+
 /// Column: u8 type | i64 size | bool has_nulls | [validity bytes] | non-null
 /// values in row order (int64/double as fixed 8 bytes, strings u32-prefixed).
 /// Null slots are materialized back through Column::AppendNull, so a decoded
@@ -47,17 +57,19 @@ void EncodeTable(const Table& table, BinaryWriter* w);
 Result<Table> DecodeTable(BinaryReader* r);
 
 // ---------------------------------------------------------------------------
-// v2 "encoded page" codecs — the compressed snapshot format. Columns are
+// "Encoded page" codecs — the snapshot's column pages. Columns are
 // written in kEncodingMorselRows-row chunks, each chunk carrying the payload
 // the per-morsel cost model picked (column/encoding/encoding.h): RLE or
 // frame-of-reference bit-packing for int64, a dictionary for strings, raw
 // values otherwise. Null slots are written with their storage defaults and
 // restored through the validity prefix, so a decoded column is
-// value-identical to the source (doubles bit-for-bit), exactly like v1.
+// value-identical to the source (doubles bit-for-bit), exactly like
+// EncodeColumn.
 //
 // Layout: u8 type | i64 size | bool has_nulls | [validity bools] |
 // u32 chunk count | chunks, where each chunk is u8 encoding tag + payload
-// (see serde.cc). Decoding is hostile-input safe on the same terms as v1.
+// (see serde.cc). Decoding is hostile-input safe on the same terms as
+// DecodeColumn.
 // ---------------------------------------------------------------------------
 
 void EncodeColumnEncoded(const Column& col, BinaryWriter* w);

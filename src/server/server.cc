@@ -162,7 +162,7 @@ std::string SciborqServer::HandleRequest(const RequestFrame& frame,
   Result<Request> request = DecodeRequest(frame);
   const Status status = request.ok() ? Dispatch(*request, session, &out)
                                      : request.status();
-  return EncodeResponse(frame.opcode, status, out.buffer(), frame.version);
+  return EncodeResponse(frame.opcode, status, out.buffer());
 }
 
 Status SciborqServer::Dispatch(const Request& request, Session* session,
@@ -179,7 +179,7 @@ Status SciborqServer::Dispatch(const Request& request, Session* session,
           request.opcode == Opcode::kQuery
               ? session->Query(request.sql, exec)
               : session->Execute(request.handle, request.params));
-      EncodeOutcome(outcome, out, request.version);
+      EncodeOutcome(outcome, out);
       return Status::OK();
     }
     case Opcode::kUse:
@@ -192,7 +192,7 @@ Status SciborqServer::Dispatch(const Request& request, Session* session,
                                backend_->ListTables());
       out->PutU32(static_cast<uint32_t>(tables.size()));
       for (const TableInfo& info : tables) {
-        EncodeTableInfo(info, out, request.version);
+        EncodeTableInfo(info, out);
       }
       return Status::OK();
     }

@@ -37,8 +37,9 @@ struct ServerOptions {
 /// or a SciborqCoordinator (sciborq_coord). Each connection owns one
 /// api/Session, so `USE`, default bounds and prepared-statement handles
 /// persist per client while every call flows through the one thread-safe
-/// backend — N connections are just N concurrent callers of it. Every
-/// response is stamped with the version its request carried.
+/// backend — N connections are just N concurrent callers of it. A frame
+/// stamped with any version but kWireVersion is answered with kInvalid and
+/// the connection closes.
 ///
 /// Lifecycle: Start() binds and returns; Stop() is graceful — it stops
 /// accepting, half-closes every connection's read side so handlers finish

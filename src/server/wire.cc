@@ -13,48 +13,31 @@ namespace {
 /// with util/status.h (the enum is append-only).
 constexpr uint8_t kMaxStatusCode = static_cast<uint8_t>(StatusCode::kDataLoss);
 
-/// Validates an opcode against the envelope's version: v1 frames may only
-/// carry the original opcode set, v2 frames also the prepared-statement
-/// ones, v3 frames also the distributed ingest ones, v4/v5 frames also the
-/// observability ones, v6 frames also the retention ones.
-Result<Opcode> OpcodeFromWire(uint8_t op, uint8_t version) {
-  uint8_t max_op = static_cast<uint8_t>(Opcode::kPing);
-  if (version >= kWireVersionV6) {
-    max_op = static_cast<uint8_t>(Opcode::kDropTable);
-  } else if (version >= kWireVersionV4) {
-    max_op = static_cast<uint8_t>(Opcode::kSlowLog);
-  } else if (version == kWireVersionV3) {
-    max_op = static_cast<uint8_t>(Opcode::kIngest);
-  } else if (version == kWireVersionV2) {
-    max_op = static_cast<uint8_t>(Opcode::kCheckpoint);
-  }
-  if (op < static_cast<uint8_t>(Opcode::kQuery) || op > max_op) {
-    if (op > max_op && op <= static_cast<uint8_t>(Opcode::kDropTable)) {
-      uint8_t required = kWireVersionV2;
-      if (op > static_cast<uint8_t>(Opcode::kSlowLog)) {
-        required = kWireVersionV6;
-      } else if (op > static_cast<uint8_t>(Opcode::kIngest)) {
-        required = kWireVersionV4;
-      } else if (op > static_cast<uint8_t>(Opcode::kCheckpoint)) {
-        required = kWireVersionV3;
-      }
-      return Status::InvalidArgument(StrFormat(
-          "wire: opcode %u requires protocol v%u, frame is v%u", op,
-          required, version));
-    }
+Result<Opcode> OpcodeFromWire(uint8_t op) {
+  if (op < static_cast<uint8_t>(Opcode::kQuery) ||
+      op > static_cast<uint8_t>(Opcode::kDropTable)) {
     return Status::InvalidArgument(StrFormat("wire: unknown opcode %u", op));
   }
   return static_cast<Opcode>(op);
 }
 
 Status CheckVersion(uint8_t version) {
-  if (version < kWireVersionV1 || version > kWireVersion) {
+  if (version != kWireVersion) {
     return Status::InvalidArgument(
-        StrFormat("wire: protocol version %u not supported (this side speaks "
-                  "v%u..v%u)",
-                  version, kWireVersionV1, kWireVersion));
+        StrFormat("protocol version %u not supported (this side speaks v%u)",
+                  version, kWireVersion));
   }
   return Status::OK();
+}
+
+/// Reads a u32 element count and refuses one the remaining bytes cannot
+/// back (each element needs at least `min_bytes_each`), before any
+/// allocation sized by it.
+Result<uint32_t> ReadCount(WireReader* r, int64_t min_bytes_each,
+                           const char* what) {
+  SCIBORQ_ASSIGN_OR_RETURN(const uint32_t n, r->ReadU32());
+  SCIBORQ_RETURN_NOT_OK(CheckDecodeCount(n, min_bytes_each, *r, what));
+  return n;
 }
 
 }  // namespace
@@ -93,26 +76,6 @@ std::string_view OpcodeToString(Opcode op) {
       return "drop_table";
   }
   return "unknown";
-}
-
-uint8_t WireVersionFor(Opcode op) {
-  switch (op) {
-    case Opcode::kPrepare:
-    case Opcode::kExecute:
-    case Opcode::kCloseStmt:
-    case Opcode::kCheckpoint:
-      return kWireVersionV2;
-    case Opcode::kCreateTable:
-    case Opcode::kIngest:
-      return kWireVersionV3;
-    case Opcode::kStats:
-    case Opcode::kSlowLog:
-      return kWireVersionV4;
-    case Opcode::kDropTable:
-      return kWireVersionV6;
-    default:
-      return kWireVersionV1;
-  }
 }
 
 // -- QueryBounds ------------------------------------------------------------
@@ -214,7 +177,7 @@ void EncodeResultRow(const QueryResultRow& row, WireWriter* w) {
 Result<QueryResultRow> DecodeResultRow(WireReader* r) {
   QueryResultRow row;
   SCIBORQ_ASSIGN_OR_RETURN(row.group_key, DecodeValue(r));
-  SCIBORQ_ASSIGN_OR_RETURN(const uint32_t n, r->ReadU32());
+  SCIBORQ_ASSIGN_OR_RETURN(const uint32_t n, ReadCount(r, 8, "row value"));
   row.values.reserve(n);
   for (uint32_t i = 0; i < n; ++i) {
     SCIBORQ_ASSIGN_OR_RETURN(const double v, r->ReadF64());
@@ -249,8 +212,7 @@ Result<AggregateMoments> DecodeMoments(WireReader* r) {
 
 // -- QueryOutcome -----------------------------------------------------------
 
-void EncodeOutcome(const QueryOutcome& outcome, WireWriter* w,
-                   uint8_t version) {
+void EncodeOutcome(const QueryOutcome& outcome, WireWriter* w, uint8_t) {
   w->PutString(outcome.table);
   w->PutString(outcome.sql);
   w->PutString(outcome.answered_by);
@@ -267,7 +229,6 @@ void EncodeOutcome(const QueryOutcome& outcome, WireWriter* w,
   }
   w->PutU32(static_cast<uint32_t>(outcome.attempts.size()));
   for (const LayerAttempt& attempt : outcome.attempts) EncodeAttempt(attempt, w);
-  if (version < kWireVersionV3) return;  // v1/v2 stay byte-identical
   w->PutBool(outcome.partial);
   w->PutU32(static_cast<uint32_t>(outcome.shards_responded));
   w->PutU32(static_cast<uint32_t>(outcome.shards_total));
@@ -276,13 +237,15 @@ void EncodeOutcome(const QueryOutcome& outcome, WireWriter* w,
     w->PutU32(static_cast<uint32_t>(row_moments.size()));
     for (const AggregateMoments& m : row_moments) EncodeMoments(m, w);
   }
-  if (version < kWireVersionV4) return;  // v3 stays byte-identical
   w->PutString(outcome.query_id);
   w->PutU32(static_cast<uint32_t>(outcome.spans.size()));
   for (const PhaseSpan& span : outcome.spans) EncodeSpan(span, w);
 }
 
-Result<QueryOutcome> DecodeOutcome(WireReader* r, uint8_t version) {
+Result<QueryOutcome> DecodeOutcome(WireReader* r, uint8_t) {
+  // The minimum encoded sizes below bound each count: a result row is at
+  // least tag + u32 + i64, an estimate 49 bytes, an attempt 38, moments 48,
+  // a span 20.
   QueryOutcome outcome;
   SCIBORQ_ASSIGN_OR_RETURN(outcome.table, r->ReadString());
   SCIBORQ_ASSIGN_OR_RETURN(outcome.sql, r->ReadString());
@@ -291,16 +254,18 @@ Result<QueryOutcome> DecodeOutcome(WireReader* r, uint8_t version) {
   SCIBORQ_ASSIGN_OR_RETURN(outcome.error_bound_met, r->ReadBool());
   SCIBORQ_ASSIGN_OR_RETURN(outcome.deadline_exceeded, r->ReadBool());
   SCIBORQ_ASSIGN_OR_RETURN(outcome.elapsed_seconds, r->ReadF64());
-  SCIBORQ_ASSIGN_OR_RETURN(const uint32_t num_rows, r->ReadU32());
+  SCIBORQ_ASSIGN_OR_RETURN(const uint32_t num_rows,
+                           ReadCount(r, 13, "result row"));
   outcome.rows.reserve(num_rows);
   for (uint32_t i = 0; i < num_rows; ++i) {
     SCIBORQ_ASSIGN_OR_RETURN(QueryResultRow row, DecodeResultRow(r));
     outcome.rows.push_back(std::move(row));
   }
-  SCIBORQ_ASSIGN_OR_RETURN(const uint32_t num_est_rows, r->ReadU32());
+  SCIBORQ_ASSIGN_OR_RETURN(const uint32_t num_est_rows,
+                           ReadCount(r, 4, "estimate row"));
   outcome.estimates.reserve(num_est_rows);
   for (uint32_t i = 0; i < num_est_rows; ++i) {
-    SCIBORQ_ASSIGN_OR_RETURN(const uint32_t n, r->ReadU32());
+    SCIBORQ_ASSIGN_OR_RETURN(const uint32_t n, ReadCount(r, 49, "estimate"));
     std::vector<AggregateEstimate> row_ests;
     row_ests.reserve(n);
     for (uint32_t j = 0; j < n; ++j) {
@@ -309,35 +274,23 @@ Result<QueryOutcome> DecodeOutcome(WireReader* r, uint8_t version) {
     }
     outcome.estimates.push_back(std::move(row_ests));
   }
-  SCIBORQ_ASSIGN_OR_RETURN(const uint32_t num_attempts, r->ReadU32());
+  SCIBORQ_ASSIGN_OR_RETURN(const uint32_t num_attempts,
+                           ReadCount(r, 38, "layer attempt"));
   outcome.attempts.reserve(num_attempts);
   for (uint32_t i = 0; i < num_attempts; ++i) {
     SCIBORQ_ASSIGN_OR_RETURN(LayerAttempt attempt, DecodeAttempt(r));
     outcome.attempts.push_back(std::move(attempt));
   }
-  if (version < kWireVersionV3) return outcome;
   SCIBORQ_ASSIGN_OR_RETURN(outcome.partial, r->ReadBool());
   SCIBORQ_ASSIGN_OR_RETURN(const uint32_t responded, r->ReadU32());
   outcome.shards_responded = static_cast<int>(responded);
   SCIBORQ_ASSIGN_OR_RETURN(const uint32_t total, r->ReadU32());
   outcome.shards_total = static_cast<int>(total);
-  SCIBORQ_ASSIGN_OR_RETURN(const uint32_t num_partial_rows, r->ReadU32());
-  // Every row is at least its u32 count; reject hostile lengths before
-  // allocating, like DecodeParams.
-  if (static_cast<int64_t>(num_partial_rows) > r->remaining()) {
-    return Status::InvalidArgument(
-        StrFormat("wire: partials row count %u exceeds the %lld remaining "
-                  "bytes",
-                  num_partial_rows, static_cast<long long>(r->remaining())));
-  }
+  SCIBORQ_ASSIGN_OR_RETURN(const uint32_t num_partial_rows,
+                           ReadCount(r, 4, "partials row"));
   outcome.partials.reserve(num_partial_rows);
   for (uint32_t i = 0; i < num_partial_rows; ++i) {
-    SCIBORQ_ASSIGN_OR_RETURN(const uint32_t n, r->ReadU32());
-    if (static_cast<int64_t>(n) > r->remaining()) {
-      return Status::InvalidArgument(
-          StrFormat("wire: partials count %u exceeds the %lld remaining bytes",
-                    n, static_cast<long long>(r->remaining())));
-    }
+    SCIBORQ_ASSIGN_OR_RETURN(const uint32_t n, ReadCount(r, 48, "partial"));
     std::vector<AggregateMoments> row_moments;
     row_moments.reserve(n);
     for (uint32_t j = 0; j < n; ++j) {
@@ -346,16 +299,8 @@ Result<QueryOutcome> DecodeOutcome(WireReader* r, uint8_t version) {
     }
     outcome.partials.push_back(std::move(row_moments));
   }
-  if (version < kWireVersionV4) return outcome;
   SCIBORQ_ASSIGN_OR_RETURN(outcome.query_id, r->ReadString());
-  SCIBORQ_ASSIGN_OR_RETURN(const uint32_t num_spans, r->ReadU32());
-  // Every span is at least its name's u32 length; reject hostile counts
-  // before allocating, like DecodeParams.
-  if (static_cast<int64_t>(num_spans) > r->remaining()) {
-    return Status::InvalidArgument(
-        StrFormat("wire: span count %u exceeds the %lld remaining bytes",
-                  num_spans, static_cast<long long>(r->remaining())));
-  }
+  SCIBORQ_ASSIGN_OR_RETURN(const uint32_t num_spans, ReadCount(r, 20, "span"));
   outcome.spans.reserve(num_spans);
   for (uint32_t i = 0; i < num_spans; ++i) {
     SCIBORQ_ASSIGN_OR_RETURN(PhaseSpan span, DecodeSpan(r));
@@ -366,7 +311,7 @@ Result<QueryOutcome> DecodeOutcome(WireReader* r, uint8_t version) {
 
 // -- TableInfo --------------------------------------------------------------
 
-void EncodeTableInfo(const TableInfo& info, WireWriter* w, uint8_t version) {
+void EncodeTableInfo(const TableInfo& info, WireWriter* w) {
   w->PutString(info.name);
   w->PutI64(info.rows);
   EncodeSchema(info.schema, w);
@@ -380,26 +325,24 @@ void EncodeTableInfo(const TableInfo& info, WireWriter* w, uint8_t version) {
   w->PutI64(info.population_seen);
   w->PutBool(info.biased);
   w->PutI64(info.logged_queries);
-  if (version >= kWireVersionV3) {
-    w->PutU32(static_cast<uint32_t>(info.shards));
-  }
-  if (version >= kWireVersionV5) {
-    w->PutU32(static_cast<uint32_t>(info.storage.size()));
-    for (const ColumnStorageInfo& col : info.storage) {
-      w->PutString(col.column);
-      w->PutString(col.encoding);
-      w->PutI64(col.plain_bytes);
-      w->PutI64(col.encoded_bytes);
-    }
+  w->PutU32(static_cast<uint32_t>(info.shards));
+  w->PutU32(static_cast<uint32_t>(info.storage.size()));
+  for (const ColumnStorageInfo& col : info.storage) {
+    w->PutString(col.column);
+    w->PutString(col.encoding);
+    w->PutI64(col.plain_bytes);
+    w->PutI64(col.encoded_bytes);
   }
 }
 
-Result<TableInfo> DecodeTableInfo(WireReader* r, uint8_t version) {
+Result<TableInfo> DecodeTableInfo(WireReader* r) {
   TableInfo info;
   SCIBORQ_ASSIGN_OR_RETURN(info.name, r->ReadString());
   SCIBORQ_ASSIGN_OR_RETURN(info.rows, r->ReadI64());
   SCIBORQ_ASSIGN_OR_RETURN(info.schema, DecodeSchema(r));
-  SCIBORQ_ASSIGN_OR_RETURN(const uint32_t num_layers, r->ReadU32());
+  // A layer is at least two string lengths and two i64s.
+  SCIBORQ_ASSIGN_OR_RETURN(const uint32_t num_layers,
+                           ReadCount(r, 24, "layer"));
   info.layers.reserve(num_layers);
   for (uint32_t i = 0; i < num_layers; ++i) {
     LayerSummary layer;
@@ -412,20 +355,18 @@ Result<TableInfo> DecodeTableInfo(WireReader* r, uint8_t version) {
   SCIBORQ_ASSIGN_OR_RETURN(info.population_seen, r->ReadI64());
   SCIBORQ_ASSIGN_OR_RETURN(info.biased, r->ReadBool());
   SCIBORQ_ASSIGN_OR_RETURN(info.logged_queries, r->ReadI64());
-  if (version >= kWireVersionV3) {
-    SCIBORQ_ASSIGN_OR_RETURN(const uint32_t shards, r->ReadU32());
-    info.shards = static_cast<int>(shards);
-  }
-  if (version >= kWireVersionV5) {
-    SCIBORQ_ASSIGN_OR_RETURN(const uint32_t num_columns, r->ReadU32());
-    for (uint32_t i = 0; i < num_columns; ++i) {
-      ColumnStorageInfo col;
-      SCIBORQ_ASSIGN_OR_RETURN(col.column, r->ReadString());
-      SCIBORQ_ASSIGN_OR_RETURN(col.encoding, r->ReadString());
-      SCIBORQ_ASSIGN_OR_RETURN(col.plain_bytes, r->ReadI64());
-      SCIBORQ_ASSIGN_OR_RETURN(col.encoded_bytes, r->ReadI64());
-      info.storage.push_back(std::move(col));
-    }
+  SCIBORQ_ASSIGN_OR_RETURN(const uint32_t shards, r->ReadU32());
+  info.shards = static_cast<int>(shards);
+  SCIBORQ_ASSIGN_OR_RETURN(const uint32_t num_columns,
+                           ReadCount(r, 24, "storage column"));
+  info.storage.reserve(num_columns);
+  for (uint32_t i = 0; i < num_columns; ++i) {
+    ColumnStorageInfo col;
+    SCIBORQ_ASSIGN_OR_RETURN(col.column, r->ReadString());
+    SCIBORQ_ASSIGN_OR_RETURN(col.encoding, r->ReadString());
+    SCIBORQ_ASSIGN_OR_RETURN(col.plain_bytes, r->ReadI64());
+    SCIBORQ_ASSIGN_OR_RETURN(col.encoded_bytes, r->ReadI64());
+    info.storage.push_back(std::move(col));
   }
   return info;
 }
@@ -438,14 +379,8 @@ void EncodeParams(const std::vector<Value>& params, WireWriter* w) {
 }
 
 Result<std::vector<Value>> DecodeParams(WireReader* r) {
-  SCIBORQ_ASSIGN_OR_RETURN(const uint32_t n, r->ReadU32());
-  // Every encoded Value is at least its 1-byte tag, so a count beyond the
-  // remaining bytes is a hostile length — reject before allocating.
-  if (static_cast<int64_t>(n) > r->remaining()) {
-    return Status::InvalidArgument(
-        StrFormat("wire: parameter count %u exceeds the %lld remaining bytes",
-                  n, static_cast<long long>(r->remaining())));
-  }
+  // Every encoded Value is at least its 1-byte tag.
+  SCIBORQ_ASSIGN_OR_RETURN(const uint32_t n, ReadCount(r, 1, "parameter"));
   std::vector<Value> params;
   params.reserve(n);
   for (uint32_t i = 0; i < n; ++i) {
@@ -503,14 +438,8 @@ void EncodeStatSamples(const std::vector<obs::StatSample>& samples,
 }
 
 Result<std::vector<obs::StatSample>> DecodeStatSamples(WireReader* r) {
-  SCIBORQ_ASSIGN_OR_RETURN(const uint32_t n, r->ReadU32());
-  // Every sample is at least its name's u32 length; reject hostile counts
-  // before allocating, like DecodeParams.
-  if (static_cast<int64_t>(n) > r->remaining()) {
-    return Status::InvalidArgument(
-        StrFormat("wire: sample count %u exceeds the %lld remaining bytes", n,
-                  static_cast<long long>(r->remaining())));
-  }
+  // A sample is at least two string lengths and an f64.
+  SCIBORQ_ASSIGN_OR_RETURN(const uint32_t n, ReadCount(r, 16, "stat sample"));
   std::vector<obs::StatSample> samples;
   samples.reserve(n);
   for (uint32_t i = 0; i < n; ++i) {
@@ -545,12 +474,9 @@ void EncodeSlowQueries(const std::vector<obs::SlowQueryEntry>& entries,
 }
 
 Result<std::vector<obs::SlowQueryEntry>> DecodeSlowQueries(WireReader* r) {
-  SCIBORQ_ASSIGN_OR_RETURN(const uint32_t n, r->ReadU32());
-  if (static_cast<int64_t>(n) > r->remaining()) {
-    return Status::InvalidArgument(
-        StrFormat("wire: slow-log count %u exceeds the %lld remaining bytes",
-                  n, static_cast<long long>(r->remaining())));
-  }
+  // An entry is at least five string lengths, four f64s and three bools.
+  SCIBORQ_ASSIGN_OR_RETURN(const uint32_t n,
+                           ReadCount(r, 55, "slow-log entry"));
   std::vector<obs::SlowQueryEntry> entries;
   entries.reserve(n);
   for (uint32_t i = 0; i < n; ++i) {
@@ -572,47 +498,11 @@ Result<std::vector<obs::SlowQueryEntry>> DecodeSlowQueries(WireReader* r) {
   return entries;
 }
 
-// -- RetentionPolicy (v6 kCreateTable block) --------------------------------
-
-void EncodeRetentionPolicy(const RetentionPolicy& policy, WireWriter* w) {
-  w->PutBool(policy.enabled());
-  if (!policy.enabled()) return;
-  w->PutString(policy.time_column);
-  w->PutI64(policy.bucket_width);
-  w->PutI64(policy.window_buckets);
-  w->PutBool(policy.checkpoint_on_evict);
-  w->PutI64(policy.last_seen_capacity);
-  w->PutI64(policy.last_seen_expected_ingest);
-}
-
-Result<RetentionPolicy> DecodeRetentionPolicy(WireReader* r) {
-  RetentionPolicy policy;
-  SCIBORQ_ASSIGN_OR_RETURN(const bool has_retention, r->ReadBool());
-  if (!has_retention) return policy;
-  SCIBORQ_ASSIGN_OR_RETURN(policy.time_column, r->ReadString());
-  SCIBORQ_ASSIGN_OR_RETURN(policy.bucket_width, r->ReadI64());
-  SCIBORQ_ASSIGN_OR_RETURN(policy.window_buckets, r->ReadI64());
-  SCIBORQ_ASSIGN_OR_RETURN(policy.checkpoint_on_evict, r->ReadBool());
-  SCIBORQ_ASSIGN_OR_RETURN(policy.last_seen_capacity, r->ReadI64());
-  SCIBORQ_ASSIGN_OR_RETURN(policy.last_seen_expected_ingest, r->ReadI64());
-  if (policy.time_column.empty()) {
-    return Status::InvalidArgument(
-        "wire: retention block claims a policy but names no time column");
-  }
-  if (policy.bucket_width <= 0 || policy.window_buckets <= 0 ||
-      policy.last_seen_capacity <= 0 || policy.last_seen_expected_ingest < 0) {
-    return Status::InvalidArgument(
-        "wire: retention block carries non-positive bucket/window/capacity");
-  }
-  return policy;
-}
-
 // -- Envelopes --------------------------------------------------------------
 
-std::string EncodeRequest(Opcode op, std::string_view payload,
-                          uint8_t version) {
+std::string EncodeRequest(Opcode op, std::string_view payload) {
   WireWriter w;
-  w.PutU8(version == 0 ? WireVersionFor(op) : version);
+  w.PutU8(kWireVersion);
   w.PutU8(static_cast<uint8_t>(op));
   std::string body = w.Take();
   body.append(payload.data(), payload.size());
@@ -625,16 +515,15 @@ Result<RequestFrame> DecodeRequest(std::string_view body) {
   SCIBORQ_RETURN_NOT_OK(CheckVersion(version));
   SCIBORQ_ASSIGN_OR_RETURN(const uint8_t op, r.ReadU8());
   RequestFrame frame;
-  frame.version = version;
-  SCIBORQ_ASSIGN_OR_RETURN(frame.opcode, OpcodeFromWire(op, version));
+  SCIBORQ_ASSIGN_OR_RETURN(frame.opcode, OpcodeFromWire(op));
   frame.payload = std::string(body.substr(2));
   return frame;
 }
 
 std::string EncodeResponse(Opcode op, const Status& status,
-                           std::string_view payload, uint8_t version) {
+                           std::string_view payload) {
   WireWriter w;
-  w.PutU8(version == 0 ? WireVersionFor(op) : version);
+  w.PutU8(kWireVersion);
   w.PutU8(static_cast<uint8_t>(op));
   EncodeStatus(status, &w);
   std::string body = w.Take();
@@ -648,9 +537,8 @@ Result<ResponseFrame> DecodeResponse(std::string_view body) {
   SCIBORQ_RETURN_NOT_OK(CheckVersion(version));
   SCIBORQ_ASSIGN_OR_RETURN(const uint8_t op, r.ReadU8());
   ResponseFrame frame;
-  frame.version = version;
   if (op != static_cast<uint8_t>(Opcode::kInvalid)) {
-    SCIBORQ_ASSIGN_OR_RETURN(frame.opcode, OpcodeFromWire(op, version));
+    SCIBORQ_ASSIGN_OR_RETURN(frame.opcode, OpcodeFromWire(op));
   }
   SCIBORQ_RETURN_NOT_OK(DecodeStatus(&r, &frame.status));
   const size_t consumed = body.size() - static_cast<size_t>(r.remaining());
@@ -708,23 +596,18 @@ std::string EncodeRequest(const Request& request) {
     case Opcode::kSlowLog:
       break;
   }
-  return EncodeRequest(request.opcode, w.buffer(), kWireVersion);
+  return EncodeRequest(request.opcode, w.buffer());
 }
 
 Result<Request> DecodeRequest(const RequestFrame& frame) {
   WireReader r(frame.payload);
   Request request(frame.opcode);
-  request.version = frame.version;
   switch (frame.opcode) {
     case Opcode::kQuery: {
       SCIBORQ_ASSIGN_OR_RETURN(request.sql, r.ReadString());
-      if (frame.version >= kWireVersionV3) {
-        SCIBORQ_ASSIGN_OR_RETURN(const uint8_t flags, r.ReadU8());
-        request.mergeable = (flags & 0x1) != 0;
-      }
-      if (frame.version >= kWireVersionV4) {
-        SCIBORQ_ASSIGN_OR_RETURN(request.query_id, r.ReadString());
-      }
+      SCIBORQ_ASSIGN_OR_RETURN(const uint8_t flags, r.ReadU8());
+      request.mergeable = (flags & 0x1) != 0;
+      SCIBORQ_ASSIGN_OR_RETURN(request.query_id, r.ReadString());
       break;
     }
     case Opcode::kPrepare: {
@@ -754,9 +637,7 @@ Result<Request> DecodeRequest(const RequestFrame& frame) {
       SCIBORQ_ASSIGN_OR_RETURN(request.table, r.ReadString());
       SCIBORQ_ASSIGN_OR_RETURN(request.schema, DecodeSchema(&r));
       SCIBORQ_ASSIGN_OR_RETURN(request.seed, r.ReadU64());
-      if (frame.version >= kWireVersionV6) {
-        SCIBORQ_ASSIGN_OR_RETURN(request.retention, DecodeRetentionPolicy(&r));
-      }
+      SCIBORQ_ASSIGN_OR_RETURN(request.retention, DecodeRetentionPolicy(&r));
       break;
     }
     case Opcode::kIngest: {

@@ -109,26 +109,11 @@ Result<SamplingPolicy> PolicyFromTag(uint8_t tag) {
   }
 }
 
-/// Page-format dispatch: v2 snapshots store tables as encoded pages.
-void EncodeTableVersioned(const Table& t, BinaryWriter* w, uint32_t version) {
-  if (version >= 2) {
-    EncodeTableEncoded(t, w);
-  } else {
-    EncodeTable(t, w);
-  }
-}
-
-Result<Table> DecodeTableVersioned(BinaryReader* r, uint32_t version) {
-  if (version >= 2) return DecodeTableEncoded(r);
-  return DecodeTable(r);
-}
-
-void EncodeImpressionState(const ImpressionState& s, BinaryWriter* w,
-                           uint32_t version) {
+void EncodeImpressionState(const ImpressionState& s, BinaryWriter* w) {
   w->PutString(s.name);
   w->PutI64(s.capacity);
   w->PutU8(static_cast<uint8_t>(s.policy));
-  EncodeTableVersioned(s.rows, w, version);
+  EncodeTableEncoded(s.rows, w);
   EncodeF64Vector(s.weights, w);
   EncodeI64Vector(s.source_ids, w);
   EncodeF64Vector(s.explicit_probs, w);
@@ -141,14 +126,13 @@ void EncodeImpressionState(const ImpressionState& s, BinaryWriter* w,
   w->PutI64(s.total_accepted);
 }
 
-Result<ImpressionState> DecodeImpressionState(BinaryReader* r,
-                                              uint32_t version) {
+Result<ImpressionState> DecodeImpressionState(BinaryReader* r) {
   ImpressionState s;
   SCIBORQ_ASSIGN_OR_RETURN(s.name, r->ReadString());
   SCIBORQ_ASSIGN_OR_RETURN(s.capacity, r->ReadI64());
   SCIBORQ_ASSIGN_OR_RETURN(const uint8_t policy_tag, r->ReadU8());
   SCIBORQ_ASSIGN_OR_RETURN(s.policy, PolicyFromTag(policy_tag));
-  SCIBORQ_ASSIGN_OR_RETURN(s.rows, DecodeTableVersioned(r, version));
+  SCIBORQ_ASSIGN_OR_RETURN(s.rows, DecodeTableEncoded(r));
   SCIBORQ_ASSIGN_OR_RETURN(s.weights, DecodeF64Vector(r, "weight"));
   SCIBORQ_ASSIGN_OR_RETURN(s.source_ids, DecodeI64Vector(r, "source id"));
   SCIBORQ_ASSIGN_OR_RETURN(s.explicit_probs,
@@ -169,9 +153,8 @@ constexpr uint8_t kSamplerUniform = 0;
 constexpr uint8_t kSamplerLastSeen = 1;
 constexpr uint8_t kSamplerBiased = 2;
 
-void EncodeBuilderState(const ImpressionBuilderState& s, BinaryWriter* w,
-                        uint32_t version) {
-  EncodeImpressionState(s.impression, w, version);
+void EncodeBuilderState(const ImpressionBuilderState& s, BinaryWriter* w) {
+  EncodeImpressionState(s.impression, w);
   if (s.uniform) {
     w->PutU8(kSamplerUniform);
     w->PutI64(s.uniform->seen);
@@ -196,10 +179,9 @@ void EncodeBuilderState(const ImpressionBuilderState& s, BinaryWriter* w,
   }
 }
 
-Result<ImpressionBuilderState> DecodeBuilderState(BinaryReader* r,
-                                                  uint32_t version) {
+Result<ImpressionBuilderState> DecodeBuilderState(BinaryReader* r) {
   ImpressionBuilderState s;
-  SCIBORQ_ASSIGN_OR_RETURN(s.impression, DecodeImpressionState(r, version));
+  SCIBORQ_ASSIGN_OR_RETURN(s.impression, DecodeImpressionState(r));
   SCIBORQ_ASSIGN_OR_RETURN(const uint8_t tag, r->ReadU8());
   switch (tag) {
     case kSamplerUniform: {
@@ -235,23 +217,21 @@ Result<ImpressionBuilderState> DecodeBuilderState(BinaryReader* r,
   return s;
 }
 
-void EncodeHierarchyState(const HierarchyState& s, BinaryWriter* w,
-                          uint32_t version) {
+void EncodeHierarchyState(const HierarchyState& s, BinaryWriter* w) {
   EncodeRng(s.derive_rng, w);
   w->PutI64(s.ingested_since_refresh);
   w->PutI64(s.refresh_interval);
   w->PutU32(static_cast<uint32_t>(s.top.size()));
-  for (const auto& shard : s.top) EncodeBuilderState(shard, w, version);
+  for (const auto& shard : s.top) EncodeBuilderState(shard, w);
   w->PutBool(s.merged_top.has_value());
-  if (s.merged_top) EncodeImpressionState(*s.merged_top, w, version);
+  if (s.merged_top) EncodeImpressionState(*s.merged_top, w);
   w->PutU32(static_cast<uint32_t>(s.derived.size()));
   for (const auto& layer : s.derived) {
-    EncodeImpressionState(layer, w, version);
+    EncodeImpressionState(layer, w);
   }
 }
 
-Result<HierarchyState> DecodeHierarchyState(BinaryReader* r,
-                                            uint32_t version) {
+Result<HierarchyState> DecodeHierarchyState(BinaryReader* r) {
   HierarchyState s;
   SCIBORQ_ASSIGN_OR_RETURN(s.derive_rng, DecodeRng(r));
   SCIBORQ_ASSIGN_OR_RETURN(s.ingested_since_refresh, r->ReadI64());
@@ -263,13 +243,13 @@ Result<HierarchyState> DecodeHierarchyState(BinaryReader* r,
   s.top.reserve(shards);
   for (uint32_t i = 0; i < shards; ++i) {
     SCIBORQ_ASSIGN_OR_RETURN(ImpressionBuilderState shard,
-                             DecodeBuilderState(r, version));
+                             DecodeBuilderState(r));
     s.top.push_back(std::move(shard));
   }
   SCIBORQ_ASSIGN_OR_RETURN(const bool has_merged, r->ReadBool());
   if (has_merged) {
     SCIBORQ_ASSIGN_OR_RETURN(ImpressionState merged,
-                             DecodeImpressionState(r, version));
+                             DecodeImpressionState(r));
     s.merged_top = std::move(merged);
   }
   SCIBORQ_ASSIGN_OR_RETURN(const uint32_t derived, r->ReadU32());
@@ -277,7 +257,7 @@ Result<HierarchyState> DecodeHierarchyState(BinaryReader* r,
   s.derived.reserve(derived);
   for (uint32_t i = 0; i < derived; ++i) {
     SCIBORQ_ASSIGN_OR_RETURN(ImpressionState layer,
-                             DecodeImpressionState(r, version));
+                             DecodeImpressionState(r));
     s.derived.push_back(std::move(layer));
   }
   return s;
@@ -351,8 +331,7 @@ Result<InterestTrackerState> DecodeTrackerState(BinaryReader* r) {
 
 }  // namespace
 
-void EncodePersistedConfig(const PersistedTableConfig& c, BinaryWriter* w,
-                           bool with_retention) {
+void EncodePersistedConfig(const PersistedTableConfig& c, BinaryWriter* w) {
   w->PutU32(static_cast<uint32_t>(c.layers.size()));
   for (const auto& layer : c.layers) {
     w->PutString(layer.name);
@@ -367,21 +346,10 @@ void EncodePersistedConfig(const PersistedTableConfig& c, BinaryWriter* w,
   }
   w->PutU64(c.seed);
   w->PutI64(c.refresh_interval);
-  if (with_retention) {
-    w->PutBool(c.retention.enabled());
-    if (c.retention.enabled()) {
-      w->PutString(c.retention.time_column);
-      w->PutI64(c.retention.bucket_width);
-      w->PutI64(c.retention.window_buckets);
-      w->PutBool(c.retention.checkpoint_on_evict);
-      w->PutI64(c.retention.last_seen_capacity);
-      w->PutI64(c.retention.last_seen_expected_ingest);
-    }
-  }
+  EncodeRetentionPolicy(c.retention, w);
 }
 
-Result<PersistedTableConfig> DecodePersistedConfig(BinaryReader* r,
-                                                   bool with_retention) {
+Result<PersistedTableConfig> DecodePersistedConfig(BinaryReader* r) {
   PersistedTableConfig c;
   SCIBORQ_ASSIGN_OR_RETURN(const uint32_t layers, r->ReadU32());
   SCIBORQ_RETURN_NOT_OK(CheckDecodeCount(layers, 12, *r, "layer spec"));
@@ -406,42 +374,16 @@ Result<PersistedTableConfig> DecodePersistedConfig(BinaryReader* r,
   }
   SCIBORQ_ASSIGN_OR_RETURN(c.seed, r->ReadU64());
   SCIBORQ_ASSIGN_OR_RETURN(c.refresh_interval, r->ReadI64());
-  if (with_retention) {
-    SCIBORQ_ASSIGN_OR_RETURN(const bool has_retention, r->ReadBool());
-    if (has_retention) {
-      SCIBORQ_ASSIGN_OR_RETURN(c.retention.time_column, r->ReadString());
-      SCIBORQ_ASSIGN_OR_RETURN(c.retention.bucket_width, r->ReadI64());
-      SCIBORQ_ASSIGN_OR_RETURN(c.retention.window_buckets, r->ReadI64());
-      SCIBORQ_ASSIGN_OR_RETURN(c.retention.checkpoint_on_evict, r->ReadBool());
-      SCIBORQ_ASSIGN_OR_RETURN(c.retention.last_seen_capacity, r->ReadI64());
-      SCIBORQ_ASSIGN_OR_RETURN(c.retention.last_seen_expected_ingest,
-                               r->ReadI64());
-      if (c.retention.time_column.empty()) {
-        return Status::InvalidArgument(
-            "snapshot: retention block without a time column");
-      }
-    }
-  }
+  SCIBORQ_ASSIGN_OR_RETURN(c.retention, DecodeRetentionPolicy(r));
   return c;
 }
 
-void EncodeImpressionBuilderState(const ImpressionBuilderState& state,
-                                  BinaryWriter* w, uint32_t version) {
-  EncodeBuilderState(state, w, version);
-}
-
-Result<ImpressionBuilderState> DecodeImpressionBuilderState(BinaryReader* r,
-                                                            uint32_t version) {
-  return DecodeBuilderState(r, version);
-}
-
-void EncodeTableSnapshot(const TableSnapshot& snap, BinaryWriter* w,
-                         uint32_t version) {
+void EncodeTableSnapshot(const TableSnapshot& snap, BinaryWriter* w) {
   w->PutString(snap.table);
-  EncodePersistedConfig(snap.config, w, /*with_retention=*/version >= 3);
+  EncodePersistedConfig(snap.config, w);
   w->PutI64(snap.last_seq);
-  EncodeTableVersioned(snap.base, w, version);
-  EncodeHierarchyState(snap.hierarchy, w, version);
+  EncodeTableEncoded(snap.base, w);
+  EncodeHierarchyState(snap.hierarchy, w);
   w->PutBool(snap.tracker.has_value());
   if (snap.tracker) EncodeTrackerState(*snap.tracker, w);
   w->PutI64(snap.log.total_recorded);
@@ -450,21 +392,17 @@ void EncodeTableSnapshot(const TableSnapshot& snap, BinaryWriter* w,
     w->PutI64(entry.sequence);
     w->PutString(entry.sql);
   }
-  if (version >= 3) {
-    w->PutBool(snap.last_seen.has_value());
-    if (snap.last_seen) EncodeBuilderState(*snap.last_seen, w, version);
-  }
+  w->PutBool(snap.last_seen.has_value());
+  if (snap.last_seen) EncodeBuilderState(*snap.last_seen, w);
 }
 
-Result<TableSnapshot> DecodeTableSnapshot(BinaryReader* r,
-                                          uint32_t version) {
+Result<TableSnapshot> DecodeTableSnapshot(BinaryReader* r) {
   TableSnapshot snap;
   SCIBORQ_ASSIGN_OR_RETURN(snap.table, r->ReadString());
-  SCIBORQ_ASSIGN_OR_RETURN(
-      snap.config, DecodePersistedConfig(r, /*with_retention=*/version >= 3));
+  SCIBORQ_ASSIGN_OR_RETURN(snap.config, DecodePersistedConfig(r));
   SCIBORQ_ASSIGN_OR_RETURN(snap.last_seq, r->ReadI64());
-  SCIBORQ_ASSIGN_OR_RETURN(snap.base, DecodeTableVersioned(r, version));
-  SCIBORQ_ASSIGN_OR_RETURN(snap.hierarchy, DecodeHierarchyState(r, version));
+  SCIBORQ_ASSIGN_OR_RETURN(snap.base, DecodeTableEncoded(r));
+  SCIBORQ_ASSIGN_OR_RETURN(snap.hierarchy, DecodeHierarchyState(r));
   SCIBORQ_ASSIGN_OR_RETURN(const bool has_tracker, r->ReadBool());
   if (has_tracker) {
     SCIBORQ_ASSIGN_OR_RETURN(InterestTrackerState tracker,
@@ -481,32 +419,23 @@ Result<TableSnapshot> DecodeTableSnapshot(BinaryReader* r,
     SCIBORQ_ASSIGN_OR_RETURN(entry.sql, r->ReadString());
     snap.log.entries.push_back(std::move(entry));
   }
-  if (version >= 3) {
-    SCIBORQ_ASSIGN_OR_RETURN(const bool has_last_seen, r->ReadBool());
-    if (has_last_seen) {
-      SCIBORQ_ASSIGN_OR_RETURN(ImpressionBuilderState state,
-                               DecodeBuilderState(r, version));
-      snap.last_seen = std::move(state);
-    }
+  SCIBORQ_ASSIGN_OR_RETURN(const bool has_last_seen, r->ReadBool());
+  if (has_last_seen) {
+    SCIBORQ_ASSIGN_OR_RETURN(ImpressionBuilderState state,
+                             DecodeBuilderState(r));
+    snap.last_seen = std::move(state);
   }
   SCIBORQ_RETURN_NOT_OK(r->ExpectEnd());
   return snap;
 }
 
-Status WriteTableSnapshot(const TableSnapshot& snap, const std::string& path,
-                          uint32_t version) {
-  if (version < kMinSnapshotFormatVersion ||
-      version > kSnapshotFormatVersion) {
-    return Status::InvalidArgument(StrFormat(
-        "snapshot: cannot write format version %u (this build writes v%u-v%u)",
-        version, kMinSnapshotFormatVersion, kSnapshotFormatVersion));
-  }
+Status WriteTableSnapshot(const TableSnapshot& snap, const std::string& path) {
   BinaryWriter body;
-  EncodeTableSnapshot(snap, &body, version);
+  EncodeTableSnapshot(snap, &body);
 
   BinaryWriter header;
   header.PutU32(kSnapshotMagic);
-  header.PutU32(version);
+  header.PutU32(kSnapshotFormatVersion);
   header.PutU64(body.buffer().size());
   BinaryWriter footer;
   footer.PutU32(Crc32c(body.buffer()));
@@ -536,16 +465,17 @@ Result<TableSnapshot> ReadTableSnapshot(const std::string& path) {
         StrFormat("snapshot %s: bad magic 0x%08x", path.c_str(), magic));
   }
   SCIBORQ_ASSIGN_OR_RETURN(const uint32_t version, header.ReadU32());
-  if (version < kMinSnapshotFormatVersion ||
-      version > kSnapshotFormatVersion) {
-    // The file may be perfectly intact — just written by a build with a
-    // newer (or ancient) page format. DataLoss, not a crash or a silent
-    // skip, so the operator knows to upgrade instead of re-ingesting.
+  if (version != kSnapshotFormatVersion) {
+    // The file may be perfectly intact — just written by another build.
+    // DataLoss, not a crash or a silent skip, so the operator knows to use
+    // the matching binary instead of re-ingesting.
     return Status::DataLoss(StrFormat(
-        "snapshot %s: page-format version %u not supported (this build reads "
-        "v%u-v%u); upgrade the binary to read this file",
-        path.c_str(), version, kMinSnapshotFormatVersion,
-        kSnapshotFormatVersion));
+        version < kSnapshotFormatVersion
+            ? "snapshot %s: format version %u was written by an older build "
+              "(this build reads only v%u)"
+            : "snapshot %s: format version %u needs a newer build (this build "
+              "reads only v%u); upgrade the binary to read this file",
+        path.c_str(), version, kSnapshotFormatVersion));
   }
   SCIBORQ_ASSIGN_OR_RETURN(const uint64_t body_len, header.ReadU64());
   if (header.remaining() < 4 ||
@@ -567,7 +497,7 @@ Result<TableSnapshot> ReadTableSnapshot(const std::string& path) {
         path.c_str(), expected_crc, actual_crc));
   }
   BinaryReader reader(body);
-  Result<TableSnapshot> snap = DecodeTableSnapshot(&reader, version);
+  Result<TableSnapshot> snap = DecodeTableSnapshot(&reader);
   if (!snap.ok()) {
     return Status::InvalidArgument(StrFormat(
         "snapshot %s: %s", path.c_str(), snap.status().message().c_str()));

@@ -32,7 +32,7 @@ namespace sciborq {
 // File layout (all integers little-endian):
 //
 //   u32  magic   "SBSN" (0x4E534253)
-//   u32  format version (1)
+//   u32  format version (kSnapshotFormatVersion)
 //   u64  body length
 //   ...  body  (BinaryWriter encoding, see snapshot.cc)
 //   u32  CRC-32C of the body
@@ -43,20 +43,19 @@ namespace sciborq {
 // version, length, and checksum before decoding; the decoder additionally
 // bounds every element count against the remaining bytes, so truncated or
 // tampered files fail with InvalidArgument, never UB.
+//
+// Version policy: one format. A layout change bumps kSnapshotFormatVersion
+// and refuses every other version with DataLoss instead of branching on it;
+// this holds until a deployed data directory of another build exists.
 // ---------------------------------------------------------------------------
 
 inline constexpr uint32_t kSnapshotMagic = 0x4E534253u;  // "SBSN"
-/// Current format: v2 writes every table (base data and impression rows)
+/// The one format: every table (base data and impression rows) is written
 /// through the encoded-page codec (column/serde.h, EncodeTableEncoded) —
-/// RLE / frame-of-reference / dictionary chunks chosen per morsel. v3 keeps
-/// the v2 pages and appends the retention fields: the config carries the
-/// RetentionPolicy and the snapshot trailer carries the standalone last-seen
-/// builder state (written only for windowed tables; tables without retention
-/// keep being written as byte-identical v2 files). v1 files (plain pages)
-/// remain fully readable; versions outside
-/// [kMinSnapshotFormatVersion, kSnapshotFormatVersion] fail with DataLoss.
+/// RLE / frame-of-reference / dictionary chunks chosen per morsel; the
+/// config carries the RetentionPolicy and the trailer the optional
+/// standalone last-seen builder state.
 inline constexpr uint32_t kSnapshotFormatVersion = 3;
-inline constexpr uint32_t kMinSnapshotFormatVersion = 1;
 
 /// The table-creation parameters that must survive a restart (the persisted
 /// mirror of api TableOptions, minus runtime-only wiring).
@@ -65,8 +64,7 @@ struct PersistedTableConfig {
   std::vector<InterestTracker::AttributeSpec> tracked_attributes;
   uint64_t seed = 42;
   int64_t refresh_interval = 0;
-  /// Sliding-window retention (v3 config encodings only; disabled when the
-  /// encoding carries no retention block).
+  /// Sliding-window retention (disabled for plain tables).
   RetentionPolicy retention;
 };
 
@@ -93,47 +91,31 @@ struct TableSnapshot {
   HierarchyState hierarchy;
   std::optional<InterestTrackerState> tracker;
   PersistedQueryLog log;
-  /// Standalone last-seen builder answering bounded LAST queries (v3,
-  /// windowed tables only). Persisted bit-exactly — re-feeding the surviving
+  /// Standalone last-seen builder answering bounded LAST queries (windowed
+  /// tables only). Persisted bit-exactly — re-feeding the surviving
   /// base rows could not reproduce the sampler's full acceptance history.
   std::optional<ImpressionBuilderState> last_seen;
 };
 
 /// Body codec, exposed for tests (byte-level round-trip and fuzzing).
-/// `version` selects the page format (1 = plain pages, 2+ = encoded pages)
-/// and whether the retention fields travel (3).
-void EncodeTableSnapshot(const TableSnapshot& snap, BinaryWriter* w,
-                         uint32_t version = kSnapshotFormatVersion);
-Result<TableSnapshot> DecodeTableSnapshot(
-    BinaryReader* r, uint32_t version = kSnapshotFormatVersion);
+void EncodeTableSnapshot(const TableSnapshot& snap, BinaryWriter* w);
+Result<TableSnapshot> DecodeTableSnapshot(BinaryReader* r);
 
-/// Config codec, shared with the WAL's create-table records. The retention
-/// block travels only when `with_retention` is set (v3 snapshots and
-/// create-with-retention WAL records); the default encoding stays
-/// byte-identical to every pre-retention build.
-void EncodePersistedConfig(const PersistedTableConfig& config, BinaryWriter* w,
-                           bool with_retention = false);
-Result<PersistedTableConfig> DecodePersistedConfig(BinaryReader* r,
-                                                   bool with_retention = false);
-
-/// Builder-state codec (one impression + its sampler position), exposed for
-/// the standalone last-seen sample and its tests.
-void EncodeImpressionBuilderState(const ImpressionBuilderState& state,
-                                  BinaryWriter* w,
-                                  uint32_t version = kSnapshotFormatVersion);
-Result<ImpressionBuilderState> DecodeImpressionBuilderState(
-    BinaryReader* r, uint32_t version = kSnapshotFormatVersion);
+/// Config codec, shared with the WAL's create-table record. The config
+/// always ends with the RetentionPolicy block (column/serde.h); a disabled
+/// policy is one zero byte.
+void EncodePersistedConfig(const PersistedTableConfig& config, BinaryWriter* w);
+Result<PersistedTableConfig> DecodePersistedConfig(BinaryReader* r);
 
 /// Writes `snap` to `path` atomically (temp file + fsync + rename + dir
-/// fsync). IOError on filesystem failure; InvalidArgument for a `version`
-/// this build does not write (only v1-v3 exist).
-Status WriteTableSnapshot(const TableSnapshot& snap, const std::string& path,
-                          uint32_t version = kSnapshotFormatVersion);
+/// fsync). IOError on filesystem failure.
+Status WriteTableSnapshot(const TableSnapshot& snap, const std::string& path);
 
 /// Reads and fully validates a snapshot file. IOError on filesystem
 /// failure; InvalidArgument on a corrupt, truncated, or tampered file;
-/// DataLoss when the header carries a page-format version this build cannot
-/// read (the data is intact but needs a newer build).
+/// DataLoss when the header carries any version but kSnapshotFormatVersion
+/// (the data may be intact, but was written by an older build or needs a
+/// newer one).
 Result<TableSnapshot> ReadTableSnapshot(const std::string& path);
 
 }  // namespace sciborq

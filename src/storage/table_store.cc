@@ -21,7 +21,6 @@ namespace {
 
 constexpr uint8_t kRecordCreateTable = 1;
 constexpr uint8_t kRecordIngestBatch = 2;
-constexpr uint8_t kRecordCreateTableRetention = 3;
 
 constexpr char kSnapshotSuffix[] = ".snapshot";
 constexpr char kWalSuffix[] = ".wal";
@@ -112,10 +111,6 @@ std::string TableStore::TombstonePath(const std::string& table) const {
   return dir_ + "/" + table + kTombstoneSuffix;
 }
 
-std::string TableStore::LegacyWalPath(const std::string& table) const {
-  return dir_ + "/" + table + kWalSuffix;
-}
-
 bool TableStore::HasSnapshot(const std::string& table) const {
   return PathExists(SnapshotPath(table));
 }
@@ -131,7 +126,6 @@ void TableStore::UpdateSegmentsGauge(const std::string& name, int64_t count) {
 void TableStore::UnlinkTableFiles(const std::string& name) {
   ::unlink(SnapshotPath(name).c_str());
   ::unlink((SnapshotPath(name) + ".tmp").c_str());
-  ::unlink(LegacyWalPath(name).c_str());
   std::error_code ec;
   for (const auto& entry : std::filesystem::directory_iterator(dir_, ec)) {
     if (!entry.is_regular_file()) continue;
@@ -170,7 +164,6 @@ Result<std::vector<RecoveredTable>> TableStore::Recover() {
   // Pass 2: discover every table's files.
   struct FoundFiles {
     bool snapshot = false;
-    bool legacy_wal = false;
     std::vector<int64_t> segments;
   };
   std::map<std::string, FoundFiles> found;
@@ -185,7 +178,13 @@ Result<std::vector<RecoveredTable>> TableStore::Recover() {
     } else if (HasSuffix(filename, kSnapshotSuffix)) {
       found[StripSuffix(filename, kSnapshotSuffix)].snapshot = true;
     } else if (HasSuffix(filename, kWalSuffix)) {
-      found[StripSuffix(filename, kWalSuffix)].legacy_wal = true;
+      // The single-file layout of older builds. Refuse before any table is
+      // touched; the file itself is left exactly as found.
+      return Status::DataLoss(StrFormat(
+          "%s is a single-file WAL written by an older build; this build "
+          "reads only segmented <table>.wal.N logs — recover it with the "
+          "build that wrote it",
+          entry.path().c_str()));
     }
   }
   if (ec) {
@@ -196,25 +195,6 @@ Result<std::vector<RecoveredTable>> TableStore::Recover() {
   std::vector<RecoveredTable> out;
   for (auto& [name, files] : found) {
     SCIBORQ_RETURN_NOT_OK(ValidateTableName(name));
-
-    // Migrate a pre-segmentation WAL: it becomes segment 0. Coexistence of
-    // both forms cannot arise from any crash of this code (the rename is
-    // the only writer of the legacy name) — refuse rather than guess which
-    // file holds the truth.
-    if (files.legacy_wal) {
-      if (!files.segments.empty()) {
-        return Status::InvalidArgument(StrFormat(
-            "table '%s' has both a legacy WAL and numbered segments — the "
-            "db directory is damaged",
-            name.c_str()));
-      }
-      if (::rename(LegacyWalPath(name).c_str(),
-                   SegmentPath(name, 0).c_str()) != 0) {
-        return ErrnoStatus("rename", LegacyWalPath(name));
-      }
-      SCIBORQ_RETURN_NOT_OK(SyncParentDir(SegmentPath(name, 0)));
-      files.segments.push_back(0);
-    }
 
     RecoveredTable recovered;
     recovered.name = name;
@@ -493,7 +473,6 @@ void TableStore::DropWal(const std::string& name) {
     MutexLock lock(&mu_);
     wals_.erase(name);  // closes the fd
   }
-  ::unlink(LegacyWalPath(name).c_str());
   std::error_code ec;
   for (const auto& entry : std::filesystem::directory_iterator(dir_, ec)) {
     if (!entry.is_regular_file()) continue;
@@ -529,9 +508,7 @@ Status TableStore::DropTable(const std::string& name) {
 
 Status TableStore::WriteCheckpoint(const TableSnapshot& snap) {
   SCIBORQ_ASSIGN_OR_RETURN(TableWal * wal, FindWal(snap.table));
-  const uint32_t version = snap.config.retention.enabled() ? 3u : 2u;
-  SCIBORQ_RETURN_NOT_OK(
-      WriteTableSnapshot(snap, SnapshotPath(snap.table), version));
+  SCIBORQ_RETURN_NOT_OK(WriteTableSnapshot(snap, SnapshotPath(snap.table)));
   // The snapshot is durable and covers every logged batch (the engine holds
   // ingest off for the build/write window), so the sealed segments can go
   // and the active one resets. A crash anywhere in here is handled by
@@ -558,12 +535,11 @@ Status TableStore::WriteCheckpoint(const TableSnapshot& snap) {
 
 std::string EncodeCreateRecord(const Schema& schema,
                                const PersistedTableConfig& config) {
-  const bool with_retention = config.retention.enabled();
   BinaryWriter w;
-  w.PutU8(with_retention ? kRecordCreateTableRetention : kRecordCreateTable);
+  w.PutU8(kRecordCreateTable);
   w.PutI64(0);
   EncodeSchema(schema, &w);
-  EncodePersistedConfig(config, &w, with_retention);
+  EncodePersistedConfig(config, &w);
   return std::move(w).Take();
 }
 
@@ -581,14 +557,12 @@ Result<WalRecord> DecodeWalRecord(std::string_view payload) {
   SCIBORQ_ASSIGN_OR_RETURN(const uint8_t type, r.ReadU8());
   SCIBORQ_ASSIGN_OR_RETURN(record.seq, r.ReadI64());
   switch (type) {
-    case kRecordCreateTable:
-    case kRecordCreateTableRetention: {
+    case kRecordCreateTable: {
       record.type = WalRecord::Type::kCreateTable;
       SCIBORQ_ASSIGN_OR_RETURN(Schema schema, DecodeSchema(&r));
       record.schema = std::move(schema);
-      SCIBORQ_ASSIGN_OR_RETURN(
-          PersistedTableConfig config,
-          DecodePersistedConfig(&r, type == kRecordCreateTableRetention));
+      SCIBORQ_ASSIGN_OR_RETURN(PersistedTableConfig config,
+                               DecodePersistedConfig(&r));
       record.config = std::move(config);
       break;
     }

@@ -30,19 +30,14 @@ namespace sciborq {
 //                               the decision became durable — recovery
 //                               finishes deleting the table's files
 //
-// Pre-segmentation databases hold a single `<table>.wal`; recovery renames it
-// to `<table>.wal.0` (and refuses a directory carrying both forms — that can
-// only be manual tampering).
+// A single-file `<table>.wal` (the pre-segmentation layout) is refused:
+// recovery fails with a Status naming the file and leaves it untouched.
 //
 // WAL record vocabulary (payload = u8 type | i64 seq | body):
 //
-//   type 1  create-table            seq 0,  body = Schema | config
-//   type 2  ingest-batch            seq 1+, body = Table (column/serde.h)
-//   type 3  create-table+retention  seq 0,  body = Schema | config with the
-//                                   retention block (windowed tables only —
-//                                   plain tables keep writing type 1, so
-//                                   their WAL bytes match pre-retention
-//                                   builds exactly)
+//   type 1  create-table  seq 0,  body = Schema | config (its retention
+//                         block is one zero byte for plain tables)
+//   type 2  ingest-batch  seq 1+, body = Table (column/serde.h)
 //
 // Segmentation exists so that retention can reclaim disk without rewriting
 // history: the active segment rotates (seals) when it reaches the size
@@ -111,9 +106,10 @@ class TableStore {
   static Result<std::unique_ptr<TableStore>> Open(std::string db_dir);
 
   /// Scans the directory and reconstructs the durable state of every table:
-  /// finishes interrupted drops (tombstones), migrates legacy single-file
-  /// WALs, reads each snapshot, scans each segment (truncating a torn tail in
-  /// the highest-numbered one; refusing one anywhere else), deletes sealed
+  /// finishes interrupted drops (tombstones), refuses a single-file
+  /// `<table>.wal` of older builds (leaving it untouched), reads each
+  /// snapshot, scans each segment (truncating a torn tail in the
+  /// highest-numbered one; refusing one anywhere else), deletes sealed
   /// segments the snapshot fully covers, and opens the highest segment for
   /// appending. Sorted by table name. A corrupt snapshot, a bad segment
   /// header, or a gap in the segment run fails recovery — silent data loss
@@ -168,10 +164,7 @@ class TableStore {
   Status DropTable(const std::string& name);
 
   /// Writes the snapshot atomically, then deletes the sealed segments and
-  /// resets the active one (every batch they held is now covered). The
-  /// snapshot format is chosen per table: v3 when the config carries a
-  /// retention policy, v2 otherwise — so plain tables keep producing
-  /// byte-identical pre-retention snapshot files.
+  /// resets the active one (every batch they held is now covered).
   Status WriteCheckpoint(const TableSnapshot& snap);
 
   /// True when a checkpoint exists on disk for `table`.
@@ -192,8 +185,6 @@ class TableStore {
   std::string SnapshotPath(const std::string& table) const;
   std::string SegmentPath(const std::string& table, int64_t index) const;
   std::string TombstonePath(const std::string& table) const;
-  /// Pre-segmentation single-file path, recognized only to migrate it.
-  std::string LegacyWalPath(const std::string& table) const;
 
  private:
   struct SealedSegment {
@@ -229,9 +220,7 @@ class TableStore {
       GUARDED_BY(mu_);
 };
 
-/// WAL payload codecs, exposed for tests. EncodeCreateRecord emits type 3
-/// (create with retention block) when the config carries an enabled
-/// RetentionPolicy and the pre-retention type 1 bytes otherwise.
+/// WAL payload codecs, exposed for tests.
 std::string EncodeCreateRecord(const Schema& schema,
                                const PersistedTableConfig& config);
 std::string EncodeBatchRecord(int64_t seq, const Table& batch);

@@ -14,7 +14,7 @@ namespace sciborq {
 //
 // File layout:
 //
-//   u32 magic "SBWL" (0x4C574253) | u32 format version (1)
+//   u32 magic "SBWL" (0x4C574253) | u32 format version (kWalFormatVersion)
 //   record*
 //
 // where each record is
@@ -41,7 +41,10 @@ namespace sciborq {
 // ---------------------------------------------------------------------------
 
 inline constexpr uint32_t kWalMagic = 0x4C574253u;  // "SBWL"
-inline constexpr uint32_t kWalFormatVersion = 1;
+/// The one WAL format. Version 2 carries the single create-table record
+/// whose config always ends with the retention block; a header with any
+/// other version is refused, never misparsed.
+inline constexpr uint32_t kWalFormatVersion = 2;
 inline constexpr int64_t kWalHeaderBytes = 8;
 /// Per-record ceiling: bounds what a hostile or corrupt length prefix can
 /// make the reader allocate. One ingest batch is one record, so this also

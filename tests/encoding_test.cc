@@ -762,45 +762,62 @@ TableSnapshot SmallSnapshot() {
 }
 
 TEST(SnapshotVersionTest, EveryWritableVersionRoundTrips) {
+  // One format is written: kSnapshotFormatVersion.
   TempDir dir;
   const TableSnapshot snap = SmallSnapshot();
-  for (uint32_t version : {1u, 2u, 3u}) {
-    const std::string path =
-        dir.path + "/v" + std::to_string(version) + ".snapshot";
-    const Status written = WriteTableSnapshot(snap, path, version);
-    ASSERT_TRUE(written.ok()) << written.ToString();
-    const auto read = ReadTableSnapshot(path);
-    ASSERT_TRUE(read.ok()) << read.status().ToString();
-    const TableSnapshot& back = read.value();
-    EXPECT_EQ(back.table, "t");
-    EXPECT_EQ(back.last_seq, 3);
-    ExpectTablesValueIdentical(snap.base, back.base);
-  }
+  const std::string path = dir.path + "/t.snapshot";
+  const Status written = WriteTableSnapshot(snap, path);
+  ASSERT_TRUE(written.ok()) << written.ToString();
+  const std::string bytes = ReadFileToString(path).value();
+  EXPECT_EQ(static_cast<uint8_t>(bytes[4]), kSnapshotFormatVersion);
+  const auto read = ReadTableSnapshot(path);
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  const TableSnapshot& back = read.value();
+  EXPECT_EQ(back.table, "t");
+  EXPECT_EQ(back.last_seq, 3);
+  ExpectTablesValueIdentical(snap.base, back.base);
 }
 
-TEST(SnapshotVersionTest, UnwritableVersionIsInvalidArgument) {
-  TempDir dir;
-  const Status st = WriteTableSnapshot(SmallSnapshot(), dir.path + "/x.snapshot",
-                                       kSnapshotFormatVersion + 1);
-  ASSERT_FALSE(st.ok());
-  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+/// Rewrites the header's format version of a valid snapshot at `path`. The
+/// version lives at header offset 4, outside the CRC'd body, so the result
+/// is exactly the file another build would have stamped.
+void RestampSnapshotVersion(const std::string& path, uint32_t version) {
+  std::string bytes = ReadFileToString(path).value();
+  for (int i = 0; i < 4; ++i) {
+    bytes[4 + static_cast<size_t>(i)] =
+        static_cast<char>((version >> (8 * i)) & 0xff);
+  }
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
 }
 
 TEST(SnapshotVersionTest, UnknownHeaderVersionIsDataLossNotCrash) {
   TempDir dir;
   const std::string path = dir.path + "/t.snapshot";
   ASSERT_TRUE(WriteTableSnapshot(SmallSnapshot(), path).ok());
-  std::string bytes = ReadFileToString(path).value();
-  // The format version lives at header offset 4, outside the CRC'd body, so
-  // a future-version file is exactly this file with a bigger number.
-  bytes[4] = 9;
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  out.close();
+  RestampSnapshotVersion(path, kSnapshotFormatVersion + 1);
   const auto result = ReadTableSnapshot(path);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kDataLoss);
-  EXPECT_NE(result.status().message().find("upgrade"), std::string::npos);
+  EXPECT_NE(result.status().message().find("needs a newer build"),
+            std::string::npos)
+      << result.status().message();
+}
+
+TEST(SnapshotVersionTest, OlderHeaderVersionIsDataLoss) {
+  // Formats 1 and 2 are refused rather than read: one format per boundary.
+  TempDir dir;
+  const std::string path = dir.path + "/t.snapshot";
+  for (const uint32_t version : {1u, 2u}) {
+    ASSERT_TRUE(WriteTableSnapshot(SmallSnapshot(), path).ok());
+    RestampSnapshotVersion(path, version);
+    const auto result = ReadTableSnapshot(path);
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().code(), StatusCode::kDataLoss);
+    EXPECT_NE(result.status().message().find("written by an older build"),
+              std::string::npos)
+        << result.status().message();
+  }
 }
 
 }  // namespace

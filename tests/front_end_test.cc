@@ -3,7 +3,7 @@
 // servers. Both sit behind the one wire front end, so every call must come
 // back with the same status code — including the session rules (USE,
 // default bounds, per-connection statement handles) and the protocol edge
-// cases (version echo, oversized frames).
+// cases (refused version stamps, oversized frames).
 
 #include <chrono>
 #include <memory>
@@ -145,21 +145,37 @@ TEST_P(FrontEndParityTest, CatalogAndPing) {
   EXPECT_EQ(kRows, (*tables)[0].rows);
 }
 
-TEST_P(FrontEndParityTest, ResponseEchoesTheRequestVersion) {
-  Result<TcpConn> conn = TcpConn::Connect("127.0.0.1", front_end().port());
-  ASSERT_TRUE(conn.ok());
-  for (const uint8_t version : {kWireVersionV1, kWireVersionV6}) {
-    ASSERT_TRUE(
-        conn->SendFrame(EncodeRequest(Opcode::kPing, "", version)).ok());
+TEST_P(FrontEndParityTest, OtherProtocolVersionsAreRefused) {
+  // Older stamps (v1, v5) and a future one (v7): each is answered once with
+  // kInvalid, counted as a protocol error, and the connection closes.
+  int64_t refused = 0;
+  for (const uint8_t version : {uint8_t{1}, uint8_t{5}, uint8_t{7}}) {
+    Result<TcpConn> conn = TcpConn::Connect("127.0.0.1", front_end().port());
+    ASSERT_TRUE(conn.ok());
+    std::string body = EncodeRequest(Opcode::kPing, "");
+    body[0] = static_cast<char>(version);
+    ASSERT_TRUE(conn->SendFrame(body).ok());
     Result<std::optional<std::string>> frame = conn->RecvFrame(kMaxFrame);
     ASSERT_TRUE(frame.ok());
     ASSERT_TRUE(frame->has_value());
     Result<ResponseFrame> response = DecodeResponse(**frame);
     ASSERT_TRUE(response.ok()) << response.status().ToString();
-    EXPECT_EQ(Opcode::kPing, response->opcode);
-    EXPECT_TRUE(response->status.ok());
-    EXPECT_EQ(version, response->version);
+    EXPECT_EQ(Opcode::kInvalid, response->opcode);
+    EXPECT_EQ(StatusCode::kInvalidArgument, response->status.code());
+    EXPECT_EQ("protocol version " + std::to_string(version) +
+                  " not supported (this side speaks v6)",
+              response->status.message());
+    Result<std::optional<std::string>> eof = conn->RecvFrame(kMaxFrame);
+    ASSERT_TRUE(eof.ok());
+    EXPECT_FALSE(eof->has_value());  // the front end hung up
+    ++refused;
+    for (int i = 0; i < 100 && front_end().protocol_errors() < refused; ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    EXPECT_EQ(refused, front_end().protocol_errors());
   }
+  // The current version is still served.
+  EXPECT_TRUE(Connect().Ping().ok());
 }
 
 TEST_P(FrontEndParityTest, OversizedFrameIsCountedAndCloses) {

@@ -21,6 +21,7 @@
 #include "server/server.h"
 #include "skyserver/catalog.h"
 #include "storage/file_io.h"
+#include "storage/wal.h"
 
 #include "test_temp_dir.h"
 
@@ -317,18 +318,19 @@ TEST(RecoveryTest, InterruptedCreateTableDoesNotBrickTheDb) {
     ASSERT_TRUE(engine->CreateTable("sky", sky.schema(), SmallUniform()).ok());
     ASSERT_TRUE(engine->IngestBatch("sky", sky).ok());
   }
-  // A crash mid-CreateTable leaves a WAL whose create record never became
-  // durable: header plus a torn frame. Nothing was acknowledged, so the
-  // boot must drop the stray file and carry on with the healthy table.
+  // A crash mid-CreateTable leaves a segment 0 whose create record never
+  // became durable: header plus a torn frame. Nothing was acknowledged, so
+  // the boot must drop the stray file and carry on with the healthy table.
   {
-    std::ofstream out(dir.path + "/doomed.wal", std::ios::binary);
-    const char header[8] = {'S', 'B', 'W', 'L', 1, 0, 0, 0};
+    std::ofstream out(dir.path + "/doomed.wal.0", std::ios::binary);
+    const char header[8] = {'S', 'B', 'W', 'L',
+                            static_cast<char>(kWalFormatVersion), 0, 0, 0};
     out.write(header, 8);
     out.write("\x40\x00\x00", 3);  // torn frame prefix
   }
   std::unique_ptr<Engine> reopened = Engine::Open(dir.path).value();
   EXPECT_EQ(reopened->TableNames(), std::vector<std::string>{"sky"});
-  EXPECT_FALSE(PathExists(dir.path + "/doomed.wal"));
+  EXPECT_FALSE(PathExists(dir.path + "/doomed.wal.0"));
 }
 
 // ------------------------------------------------- atomic registration ----

@@ -433,6 +433,28 @@ TEST(WalTest, BadMagicOrVersionRejected) {
   EXPECT_FALSE(WalWriter::OpenExisting(path, kWalHeaderBytes).ok());
 }
 
+TEST(WalTest, VersionOneHeaderRefused) {
+  // A format-1 segment (its create record had no retention block) is
+  // refused by the header check instead of being misparsed.
+  TempDir dir;
+  const std::string path = dir.path + "/t.wal.0";
+  {
+    WalWriter wal = WalWriter::Create(path).value();
+    ASSERT_TRUE(wal.Append("payload").ok());
+  }
+  std::string bytes = ReadAll(path);
+  bytes[4] = 1;
+  WriteAll(path, bytes);
+  const Result<WalScanResult> scan = ScanWal(path);
+  ASSERT_FALSE(scan.ok());
+  EXPECT_NE(scan.status().message().find("format version 1 not supported"),
+            std::string::npos)
+      << scan.status().message();
+  EXPECT_FALSE(WalWriter::OpenExisting(path, kWalHeaderBytes).ok());
+  std::unique_ptr<TableStore> store = TableStore::Open(dir.path).value();
+  EXPECT_FALSE(store->Recover().ok());
+}
+
 // ------------------------------------------------------ WAL records -------
 
 TEST(WalRecordTest, CreateAndBatchRoundTrip) {
@@ -467,11 +489,23 @@ TEST(WalRecordTest, CreateAndBatchRoundTrip) {
 
   // Non-positive ingest sequences are nonsense.
   EXPECT_FALSE(DecodeWalRecord(EncodeBatchRecord(0, batch)).ok());
-  // Unknown record types are rejected.
-  BinaryWriter w;
-  w.PutU8(77);
-  w.PutI64(1);
-  EXPECT_FALSE(DecodeWalRecord(w.buffer()).ok());
+  // One create-table record carries the retention block for windowed
+  // tables too.
+  config.retention.time_column = "ra";
+  config.retention.bucket_width = 10;
+  config.retention.window_buckets = 4;
+  const WalRecord windowed =
+      DecodeWalRecord(EncodeCreateRecord(schema, config)).value();
+  ASSERT_TRUE(windowed.config.has_value());
+  EXPECT_TRUE(windowed.config->retention == config.retention);
+
+  // Unknown record types are rejected, including the retired type 3.
+  for (const uint8_t type : {uint8_t{3}, uint8_t{77}}) {
+    BinaryWriter w;
+    w.PutU8(type);
+    w.PutI64(1);
+    EXPECT_FALSE(DecodeWalRecord(w.buffer()).ok()) << int{type};
+  }
 }
 
 // ------------------------------------------------------------ snapshot ----
@@ -515,10 +549,8 @@ TEST(SnapshotTest, FileRoundTrips) {
   EXPECT_EQ(snap.log.entries.size(), 1u);
 
   // Re-encoding the decoded snapshot reproduces the body byte-for-byte.
-  // "sky" carries no retention policy, so the engine wrote the v2 format
-  // (plain tables keep producing pre-retention snapshot files).
   BinaryWriter again;
-  EncodeTableSnapshot(snap, &again, /*version=*/2);
+  EncodeTableSnapshot(snap, &again);
   const std::string file = ReadAll(path);
   EXPECT_EQ(file.substr(16, file.size() - 20), again.buffer());
 }
@@ -572,6 +604,23 @@ TEST(SnapshotTest, HostileCountsInsideValidChecksumRejected) {
   const auto snap = ReadTableSnapshot(fuzz);
   ASSERT_FALSE(snap.ok());
   EXPECT_EQ(snap.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(SnapshotTest, NonPositiveRetentionGeometryRefusedOnRead) {
+  // The snapshot config shares the wire's retention codec, so a policy with
+  // bucket_width = 0 is refused on read, not at table build time.
+  TempDir dir;
+  TableSnapshot snap = ReadTableSnapshot(WriteRichSnapshot(dir.path)).value();
+  snap.config.retention.time_column = "objid";
+  snap.config.retention.bucket_width = 0;
+  snap.config.retention.window_buckets = 4;
+  const std::string path = dir.path + "/zero.snapshot";
+  ASSERT_TRUE(WriteTableSnapshot(snap, path).ok());
+  const auto read = ReadTableSnapshot(path);
+  ASSERT_FALSE(read.ok());
+  EXPECT_EQ(read.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(read.status().message().find("non-positive"), std::string::npos)
+      << read.status().message();
 }
 
 TEST(SnapshotTest, TableStoreRejectsHostileNames) {
@@ -700,7 +749,7 @@ TEST(SegmentedWalTest, GcDeletesOnlyTheCoveredPrefixAndIsIdempotent) {
   EXPECT_TRUE(std::filesystem::exists(store->SegmentPath("t", 2)));
 }
 
-TEST(SegmentedWalTest, LegacyWalMigratesToSegmentZero) {
+TEST(SegmentedWalTest, StraySingleFileWalRefusesRecovery) {
   TempDir dir;
   {
     std::unique_ptr<TableStore> store = OpenStore(dir.path);
@@ -708,16 +757,17 @@ TEST(SegmentedWalTest, LegacyWalMigratesToSegmentZero) {
     ASSERT_TRUE(store->LogBatch("t", TinyBatch(7), 1).ok());
   }
   // A pre-segmentation database: the same bytes under the old single-file
-  // name.
+  // name. Recovery names the file and leaves it exactly as found.
+  const std::string legacy = dir.path + "/t.wal";
+  std::filesystem::rename(dir.path + "/t.wal.0", legacy);
+  const std::string before = ReadAll(legacy);
   std::unique_ptr<TableStore> store = OpenStore(dir.path);
-  std::filesystem::rename(store->SegmentPath("t", 0),
-                          store->LegacyWalPath("t"));
-  const std::vector<RecoveredTable> tables = store->Recover().value();
-  ASSERT_EQ(tables.size(), 1u);
-  ASSERT_EQ(tables[0].batches.size(), 1u);
-  EXPECT_EQ(tables[0].batches[0].batch.column(0).GetInt64(0), 7);
-  EXPECT_TRUE(std::filesystem::exists(store->SegmentPath("t", 0)));
-  EXPECT_FALSE(std::filesystem::exists(store->LegacyWalPath("t")));
+  const auto recovered = store->Recover();
+  ASSERT_FALSE(recovered.ok());
+  EXPECT_NE(recovered.status().message().find(legacy), std::string::npos)
+      << recovered.status().message();
+  EXPECT_EQ(ReadAll(legacy), before);
+  EXPECT_FALSE(std::filesystem::exists(store->SegmentPath("t", 0)));
 }
 
 TEST(SegmentedWalTest, LegacyAndSegmentedFormsTogetherRefused) {
@@ -728,9 +778,9 @@ TEST(SegmentedWalTest, LegacyAndSegmentedFormsTogetherRefused) {
     ASSERT_TRUE(store->LogBatch("t", TinyBatch(7), 1).ok());
   }
   std::unique_ptr<TableStore> store = OpenStore(dir.path);
-  std::filesystem::copy_file(store->SegmentPath("t", 0),
-                             store->LegacyWalPath("t"));
+  std::filesystem::copy_file(store->SegmentPath("t", 0), dir.path + "/t.wal");
   EXPECT_FALSE(store->Recover().ok());
+  EXPECT_TRUE(std::filesystem::exists(dir.path + "/t.wal"));
 }
 
 TEST(SegmentedWalTest, MissingMiddleSegmentRefusesRecovery) {

@@ -1,6 +1,6 @@
 // sciborq_telemetry — drives a synthetic telemetry stream into a running
-// sciborq_server over the wire: registers a *windowed* table (v6 kCreateTable
-// with a retention policy) and ingests batches from the deterministic
+// sciborq_server over the wire: registers a *windowed* table (kCreateTable with
+// a retention policy) and ingests batches from the deterministic
 // TelemetryGenerator. The CI time-series smoke uses it to fill a server, then
 // asserts that segment counts and on-disk bytes plateau while LAST(...) BY
 // queries keep answering.
