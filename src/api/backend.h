@@ -31,8 +31,10 @@ struct TableOptions {
   std::vector<InterestTracker::AttributeSpec> tracked_attributes;
   /// Seed for all of the table's samplers (deterministic per table).
   uint64_t seed = 42;
-  /// Derived layers refresh after this many ingested tuples (0 = every
-  /// batch); see HierarchyOptions::refresh_interval.
+  /// Derived layers refresh at the end of an ingest call once this many
+  /// tuples arrived since the last refresh (0 = once per ingest call, even
+  /// when a windowed table splits the call into several time-bucket
+  /// strata); see HierarchyOptions::refresh_interval.
   int64_t refresh_interval = 0;
   /// Sliding-window retention (retention/policy.h). Naming a time column
   /// turns the table into a windowed one: ingest is stratified by time

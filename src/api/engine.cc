@@ -17,6 +17,7 @@
 #include "retention/retention.h"
 #include "storage/table_store.h"
 #include "util/check.h"
+#include "util/log.h"
 #include "util/stopwatch.h"
 #include "util/string_util.h"
 
@@ -103,6 +104,33 @@ SelectionVector AllRows(const Table& t) {
   return rows;
 }
 
+/// Feeds `batch`, split into `strata` (ascending by bucket), to a windowed
+/// table's samplers: the last-seen builder takes one stratum at a time, the
+/// hierarchy takes them all in one ingest call (one derived-layer refresh).
+/// A single stratum is the whole batch and is passed without a copy.
+Status IngestStrata(const Table& batch,
+                    const std::vector<SelectionVector>& strata,
+                    ImpressionHierarchy* hierarchy,
+                    ImpressionBuilder* last_seen) {
+  std::vector<Table> gathered;
+  std::vector<const Table*> parts;
+  if (strata.size() == 1) {
+    parts.push_back(&batch);
+  } else {
+    gathered.reserve(strata.size());
+    parts.reserve(strata.size());
+    for (const SelectionVector& stratum : strata) {
+      gathered.push_back(batch.TakeRows(stratum));
+      parts.push_back(&gathered.back());
+    }
+  }
+  SCIBORQ_RETURN_NOT_OK(hierarchy->IngestParts(parts));
+  for (const Table* part : parts) {
+    SCIBORQ_RETURN_NOT_OK(last_seen->IngestBatch(*part));
+  }
+  return Status::OK();
+}
+
 /// Raw data bytes of rows [begin, end) of a column, the serde v1 accounting:
 /// 8 bytes per numeric row, 4 (length prefix) + payload per string row.
 int64_t PlainBytesInRange(const Column& col, int64_t begin, int64_t end) {
@@ -176,6 +204,7 @@ struct Engine::TableEntry {
     obs::Histogram* budget_utilization = nullptr;
     obs::Histogram* error_margin = nullptr;
     obs::Histogram* checkpoint_seconds = nullptr;
+    obs::Counter* checkpoint_failures = nullptr;
     /// Base-table data bytes by physical encoding, indexed by
     /// ColumnEncoding. Refreshed after every ingest/restore.
     obs::Gauge* table_bytes[kNumEncodings] = {};
@@ -219,6 +248,11 @@ struct Engine::TableEntry {
     metrics.checkpoint_seconds = reg->GetHistogram(
         "sciborq_checkpoint_seconds", "Checkpoint duration, by table.",
         obs::DefaultLatencyBounds(), by_table);
+    metrics.checkpoint_failures = reg->GetCounter(
+        "sciborq_checkpoint_failures_total",
+        "Post-eviction checkpoints that failed after their ingest was "
+        "acknowledged, by table.",
+        by_table);
     for (int e = 0; e < kNumEncodings; ++e) {
       metrics.table_bytes[e] = reg->GetGauge(
           "sciborq_table_bytes", "Base-table data bytes by physical encoding.",
@@ -450,22 +484,21 @@ Status Engine::IngestIntoEntry(TableEntry* entry, const Table& batch)
     // before any in-memory state changes, so a bad batch leaves the entry
     // untouched and the engine's WAL undo can run cleanly.
     SCIBORQ_RETURN_NOT_OK(entry->retention->ObserveBatch(batch));
-    // Stratified ingest: rows route into time-bucket strata and each
-    // stratum streams through the samplers as its own batch, ascending by
-    // bucket — the same feed order the post-eviction rebuild uses, so the
-    // two paths stay bit-compatible.
-    const std::vector<SelectionVector> strata =
-        entry->retention->GroupByBucket(batch, AllRows(batch));
-    if (strata.size() == 1) {
-      SCIBORQ_RETURN_NOT_OK(entry->hierarchy->IngestBatch(batch));
-      SCIBORQ_RETURN_NOT_OK(entry->last_seen->IngestBatch(batch));
-    } else {
-      for (const SelectionVector& stratum : strata) {
-        const Table part = batch.TakeRows(stratum);
-        SCIBORQ_RETURN_NOT_OK(entry->hierarchy->IngestBatch(part));
-        SCIBORQ_RETURN_NOT_OK(entry->last_seen->IngestBatch(part));
-      }
-    }
+    // Stratified ingest: rows route into time-bucket strata, ascending by
+    // bucket, and the top layer and the last-seen sampler take each stratum
+    // as its own batch — the feed order the post-eviction rebuild uses too.
+    // The derived layers then refresh once for the whole call.
+    //  - Bit-identical: replaying the same calls (WAL recovery) reproduces
+    //    every sampler and derived layer, and a call whose rows all fall in
+    //    one bucket is exactly the unstratified ingest.
+    //  - Not bit-identical: the rebuild against the live path. The rebuild
+    //    shares the feed order but draws from a freshly salted seed, in one
+    //    call over every surviving stratum. Nor does a WAL written by a
+    //    build that refreshed per stratum: it replays to the same top layer
+    //    and last-seen sample, with differently drawn derived layers.
+    SCIBORQ_RETURN_NOT_OK(IngestStrata(
+        batch, entry->retention->GroupByBucket(batch, AllRows(batch)),
+        &*entry->hierarchy, entry->last_seen.get()));
   } else {
     SCIBORQ_RETURN_NOT_OK(entry->hierarchy->IngestBatch(batch));
   }
@@ -520,12 +553,9 @@ Result<bool> Engine::ApplyRetention(TableEntry* entry)
       ImpressionBuilder last_seen,
       ImpressionBuilder::Make(new_base.schema(),
                               LastSeenSpec(entry->options.retention, seed)));
-  for (const SelectionVector& stratum :
-       entry->retention->GroupByBucket(new_base, AllRows(new_base))) {
-    const Table part = new_base.TakeRows(stratum);
-    SCIBORQ_RETURN_NOT_OK(hierarchy.IngestBatch(part));
-    SCIBORQ_RETURN_NOT_OK(last_seen.IngestBatch(part));
-  }
+  SCIBORQ_RETURN_NOT_OK(IngestStrata(
+      new_base, entry->retention->GroupByBucket(new_base, AllRows(new_base)),
+      &hierarchy, &last_seen));
   entry->hierarchy.emplace(std::move(hierarchy));
   entry->last_seen = std::make_unique<ImpressionBuilder>(std::move(last_seen));
   entry->base = std::move(new_base);
@@ -548,13 +578,11 @@ Result<bool> Engine::ApplyRetention(TableEntry* entry)
 Status Engine::PublishTable(std::unique_ptr<TableEntry> entry,
                             const Table* initial_batch) {
   TableEntry* raw = entry.get();
-  // The fresh entry's data_mu is taken before catalog_mu_ — the only place
-  // both are ever held at once. The entry is unpublished, so its lock is
-  // uncontended and no path can form a cycle against the usual
-  // catalog-then-data sequence (FindTable releases catalog_mu_ before any
-  // data lock is taken).
-  WriterMutexLock data_lock(&raw->data_mu);
+  // catalog_mu_ first, then the fresh entry's data_mu: the order DropTable
+  // takes them in, so no pair of paths can wait on each other. The entry is
+  // unpublished, so its data lock is uncontended anyway.
   WriterMutexLock catalog_lock(&catalog_mu_);
+  WriterMutexLock data_lock(&raw->data_mu);
   if (tables_.find(raw->name) != tables_.end()) {
     return Status::AlreadyExists(
         StrFormat("table '%s' is already registered", raw->name.c_str()));
@@ -676,7 +704,18 @@ Status Engine::IngestBatch(const std::string& table, const Table& batch) {
     // self-deadlock). The checkpoint folds the post-eviction state into the
     // snapshot and deletes every sealed WAL segment — this is what keeps
     // on-disk bytes bounded by the live window.
-    SCIBORQ_RETURN_NOT_OK(Checkpoint(table));
+    //
+    // The batch is durable and applied by now, so a failed checkpoint must
+    // not fail the ingest: a client that retried would ingest the batch
+    // twice. The failure is logged and counted instead. A failed checkpoint
+    // deletes nothing, so the sealed segments stay and the next eviction's
+    // checkpoint retries and reclaims them.
+    if (Status st = Checkpoint(table); !st.ok()) {
+      entry->metrics.checkpoint_failures->Inc();
+      LogWarn("table '%s': checkpoint after eviction failed (the ingest "
+              "stands; the next eviction retries): %s",
+              table.c_str(), st.ToString().c_str());
+    }
   }
   return Status::OK();
 }
@@ -697,10 +736,8 @@ Status Engine::DropTable(const std::string& table) {
   // Exclude a concurrent checkpoint and any in-flight ingest before the
   // files go: once both locks are held nothing can write the table's files
   // again, so a checkpoint can never resurrect the snapshot afterwards
-  // (its later WriteCheckpoint fails on the closed WAL instead). Holding
-  // catalog_mu_ across these entry locks cannot deadlock against
-  // PublishTable's data->catalog order because PublishTable only ever locks
-  // an *unpublished* (uncontended) entry.
+  // (its later WriteCheckpoint fails on the closed WAL instead). catalog_mu_
+  // is taken before the entry's locks, the order PublishTable uses too.
   MutexLock checkpoint_lock(&entry->checkpoint_mu);
   WriterMutexLock data_lock(&entry->data_mu);
   if (store_) SCIBORQ_RETURN_NOT_OK(store_->DropTable(table));

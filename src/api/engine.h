@@ -134,7 +134,11 @@ class Engine : public Backend {
   /// window forward, evicting whole buckets from the base data and every
   /// sample; with checkpoint_on_evict (the default, persistent engines) the
   /// eviction is followed by a checkpoint so the covered WAL segments are
-  /// deleted and disk usage stays bounded by the live window.
+  /// deleted and disk usage stays bounded by the live window. That
+  /// checkpoint runs after the batch is durable and applied, so its failure
+  /// does not fail the ingest (a retry would apply the batch twice): it is
+  /// logged, counted in sciborq_checkpoint_failures_total, and retried by
+  /// the next eviction's checkpoint.
   Status IngestBatch(const std::string& table, const Table& batch);
 
   /// IngestBatch, answering with the rows appended (the wire's ingest reply).
@@ -265,8 +269,10 @@ class Engine : public Backend {
   //   statements_      the prepared-statement registry's own mutex; a leaf
   //                    lock, never held while acquiring any other.
   //
-  // Ordering: checkpoint_mu -> data_mu -> workload_mu; catalog_mu_ is only
-  // ever held alone or before a fresh (unpublished) entry's locks.
+  // Ordering: catalog_mu_ -> checkpoint_mu -> data_mu -> workload_mu.
+  // catalog_mu_ is held before an entry's locks only by PublishTable (a
+  // fresh, unpublished entry) and DropTable; every other path releases it
+  // before taking any entry lock.
 
   /// Catalog lookup under a shared lock; the returned pointer stays valid
   /// for the engine's lifetime (entries are heap-allocated and never

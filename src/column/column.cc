@@ -162,9 +162,43 @@ Value Column::GetValue(int64_t row) const {
 }
 
 Column Column::Take(const SelectionVector& rows) const {
+  // A typed gather per column; the result is what appending the rows one by
+  // one produces: a null row holds the zero value, and the validity vector
+  // is materialized only when some taken row is null.
   Column out(type_);
-  out.Reserve(static_cast<int64_t>(rows.size()));
-  for (const int64_t row : rows) out.AppendFrom(*this, row);
+  const size_t n = rows.size();
+  out.size_ = static_cast<int64_t>(n);
+  switch (type_) {
+    case DataType::kInt64:
+      out.ints_.resize(n);
+      for (size_t i = 0; i < n; ++i) {
+        out.ints_[i] = ints_[static_cast<size_t>(rows[i])];
+      }
+      break;
+    case DataType::kDouble:
+      out.doubles_.resize(n);
+      for (size_t i = 0; i < n; ++i) {
+        out.doubles_[i] = doubles_[static_cast<size_t>(rows[i])];
+      }
+      break;
+    case DataType::kString:
+      out.strings_.reserve(n);
+      for (const int64_t row : rows) {
+        out.strings_.push_back(IsNull(row) ? std::string()
+                                           : strings_[static_cast<size_t>(row)]);
+      }
+      break;
+  }
+  if (validity_.empty()) return out;
+  bool any_null = false;
+  for (size_t i = 0; i < n; ++i) {
+    if (!IsNull(rows[i])) continue;
+    if (!any_null) out.validity_.assign(n, 1);
+    any_null = true;
+    out.validity_[i] = 0;
+    if (type_ == DataType::kInt64) out.ints_[i] = 0;
+    if (type_ == DataType::kDouble) out.doubles_[i] = 0.0;
+  }
   return out;
 }
 

@@ -148,13 +148,15 @@ Result<ImpressionHierarchy> ImpressionHierarchy::Restore(
   return hierarchy;
 }
 
-Status ImpressionHierarchy::IngestBatch(const Table& batch) {
-  if (sharded_top_) {
-    SCIBORQ_RETURN_NOT_OK(sharded_top_->IngestBatchParallel(batch));
-  } else {
-    SCIBORQ_RETURN_NOT_OK(top_builder_->IngestBatch(batch));
+Status ImpressionHierarchy::IngestParts(const std::vector<const Table*>& parts) {
+  for (const Table* part : parts) {
+    if (sharded_top_) {
+      SCIBORQ_RETURN_NOT_OK(sharded_top_->IngestBatchParallel(*part));
+    } else {
+      SCIBORQ_RETURN_NOT_OK(top_builder_->IngestBatch(*part));
+    }
+    ingested_since_refresh_ += part->num_rows();
   }
-  ingested_since_refresh_ += batch.num_rows();
   if (options_.refresh_interval <= 0 ||
       ingested_since_refresh_ >= options_.refresh_interval) {
     SCIBORQ_RETURN_NOT_OK(RefreshDerivedLayers());
@@ -167,7 +169,7 @@ Result<Impression> ImpressionHierarchy::DeriveLayer(const Impression& parent,
   const int64_t parent_n = parent.size();
   const int64_t child_n = std::min(spec.capacity, parent_n);
   // Partial Fisher-Yates over parent row ids: uniform without replacement.
-  std::vector<int64_t> ids(static_cast<size_t>(parent_n));
+  SelectionVector ids(static_cast<size_t>(parent_n));
   for (int64_t i = 0; i < parent_n; ++i) ids[static_cast<size_t>(i)] = i;
   for (int64_t i = 0; i < child_n; ++i) {
     const int64_t j =
@@ -177,25 +179,30 @@ Result<Impression> ImpressionHierarchy::DeriveLayer(const Impression& parent,
   }
   ids.resize(static_cast<size_t>(child_n));
 
-  Impression child(spec.name, parent.rows().schema(), spec.capacity,
-                   parent.policy());
-  std::vector<double> probs;
-  probs.reserve(static_cast<size_t>(child_n));
+  // Gather the drawn rows column by column, with their per-row bookkeeping
+  // alongside, and build the child in one step.
   const double ratio = parent_n > 0
                            ? static_cast<double>(child_n) /
                                  static_cast<double>(parent_n)
                            : 1.0;
+  ImpressionState child;
+  child.name = spec.name;
+  child.capacity = spec.capacity;
+  child.policy = parent.policy();
+  child.rows = parent.rows().TakeRows(ids);
+  child.weights.reserve(ids.size());
+  child.source_ids.reserve(ids.size());
+  child.explicit_probs.reserve(ids.size());
   for (const int64_t parent_row : ids) {
-    child.AppendSampledRow(parent.rows(), parent_row,
-                           parent.row_weights()[static_cast<size_t>(parent_row)],
-                           parent.source_ids()[static_cast<size_t>(parent_row)]);
-    probs.push_back(
+    const auto row = static_cast<size_t>(parent_row);
+    child.weights.push_back(parent.row_weights()[row]);
+    child.source_ids.push_back(parent.source_ids()[row]);
+    child.explicit_probs.push_back(
         std::min(1.0, parent.InclusionProbability(parent_row) * ratio));
   }
-  child.set_population_seen(parent.population_seen());
-  child.set_population_weight(parent.population_weight());
-  SCIBORQ_RETURN_NOT_OK(child.SetExplicitInclusionProbabilities(std::move(probs)));
-  return child;
+  child.population_seen = parent.population_seen();
+  child.population_weight = parent.population_weight();
+  return Impression::FromState(std::move(child));
 }
 
 Status ImpressionHierarchy::RefreshDerivedLayers() {

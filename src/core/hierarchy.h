@@ -28,8 +28,11 @@ namespace sciborq {
 /// back to the base table when even layer 0 misses the error bound.
 /// Tuning knobs for hierarchy maintenance.
 struct HierarchyOptions {
-  /// Derived layers are refreshed after this many newly ingested tuples
-  /// (small layers need "fast reflexes", §3.1). 0 = refresh on every batch.
+  /// Derived layers are refreshed at the end of an ingest call once this
+  /// many tuples arrived since the last refresh (small layers need "fast
+  /// reflexes", §3.1). 0 = refresh once per ingest call, however many parts
+  /// (time-bucket strata) the call feeds the top layer. The count is checked
+  /// per call, never between the parts of one call.
   int64_t refresh_interval = 0;
   /// Parallel database loads (§1): with more than one shard, the top layer
   /// is maintained by a ShardedImpressionBuilder whose shards each consume a
@@ -41,7 +44,7 @@ struct HierarchyOptions {
   /// Two consequences of merge-at-refresh to plan around:
   ///  - each refresh pays an O(shards · capacity) merge pass on top of layer
   ///    derivation, so for high-frequency small batches set refresh_interval
-  ///    well above the batch size (the default 0 re-merges every batch);
+  ///    well above the batch size (the default 0 re-merges every call);
   ///  - between refreshes layer(0) serves the last merged snapshot (it lags
   ///    live ingest by up to refresh_interval tuples), whereas the serial
   ///    top layer is always live. population_seen() is live in both modes.
@@ -96,9 +99,14 @@ class ImpressionHierarchy {
                                              ImpressionSpec top_spec,
                                              HierarchyState state);
 
-  /// Feeds one daily-ingest batch to the top layer and refreshes derived
-  /// layers when due.
-  Status IngestBatch(const Table& batch);
+  /// One ingest call: feeds every part to the top layer in order (serial
+  /// builder, or the load shards), then refreshes the derived layers once,
+  /// when due. A windowed table passes its time-bucket strata here, so a
+  /// call that spans several buckets still pays one refresh.
+  Status IngestParts(const std::vector<const Table*>& parts);
+
+  /// Feeds one daily-ingest batch: the one-part IngestParts.
+  Status IngestBatch(const Table& batch) { return IngestParts({&batch}); }
 
   /// Rebuilds all derived layers from the layer above (cheap: touches only
   /// impressions).
@@ -132,7 +140,10 @@ class ImpressionHierarchy {
     return sharded_top_ ? *merged_top_ : top_builder_->impression();
   }
 
-  /// Uniform without-replacement subsample of `parent` to `capacity`.
+  /// Uniform without-replacement subsample of `parent` to `capacity`: a
+  /// partial Fisher-Yates draw of parent row ids, then one column-wise
+  /// gather of the rows and their weights, provenance and pinned
+  /// probabilities.
   Result<Impression> DeriveLayer(const Impression& parent,
                                  const LayerSpec& spec);
 

@@ -20,12 +20,16 @@ std::string_view SamplingPolicyToString(SamplingPolicy policy) {
   return "unknown";
 }
 
-Impression::Impression(std::string name, Schema schema, int64_t capacity,
-                       SamplingPolicy policy)
+Impression::Impression(std::string name, int64_t capacity,
+                       SamplingPolicy policy, Table rows)
     : name_(std::move(name)),
       capacity_(capacity),
       policy_(policy),
-      rows_(std::move(schema)) {
+      rows_(std::move(rows)) {}
+
+Impression::Impression(std::string name, Schema schema, int64_t capacity,
+                       SamplingPolicy policy)
+    : Impression(std::move(name), capacity, policy, Table(std::move(schema))) {
   rows_.Reserve(capacity);
   weights_.reserve(static_cast<size_t>(capacity));
   source_ids_.reserve(static_cast<size_t>(capacity));
@@ -177,9 +181,8 @@ Result<Impression> Impression::FromState(ImpressionState state) {
   if (state.capacity <= 0) {
     return Status::InvalidArgument("impression state: non-positive capacity");
   }
-  Impression out(std::move(state.name), state.rows.schema(), state.capacity,
-                 state.policy);
-  out.rows_ = std::move(state.rows);
+  Impression out(std::move(state.name), state.capacity, state.policy,
+                 std::move(state.rows));
   out.weights_ = std::move(state.weights);
   out.source_ids_ = std::move(state.source_ids);
   out.explicit_probs_ = std::move(state.explicit_probs);

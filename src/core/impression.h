@@ -134,6 +134,10 @@ class Impression {
   bool has_acceptance_model() const { return curve_interval_ > 0; }
 
  private:
+  /// Adopts `rows` as-is, reserving nothing: FromState's constructor.
+  Impression(std::string name, int64_t capacity, SamplingPolicy policy,
+             Table rows);
+
   std::string name_;
   int64_t capacity_;
   SamplingPolicy policy_;

@@ -544,6 +544,19 @@ class ConePredicate final : public Predicate {
     SCIBORQ_ASSIGN_OR_RETURN(const Column* colx, table.ColumnByName(cx_));
     SCIBORQ_ASSIGN_OR_RETURN(const Column* coly, table.ColumnByName(cy_));
     const double r2 = r_ * r_;
+    if (colx->type() == DataType::kDouble &&
+        coly->type() == DataType::kDouble && !colx->has_nulls() &&
+        !coly->has_nulls()) {
+      // The branch-free kernel: one unpredictable branch per row made this
+      // loop's speed depend on where the linker happened to place it.
+      out->resize(candidates.size());
+      const int64_t matched = FilterDoubleCone(
+          colx->data_double().data(), coly->data_double().data(),
+          candidates.data(), static_cast<int64_t>(candidates.size()), x0_, y0_,
+          r2, out->data());
+      out->resize(static_cast<size_t>(matched));
+      return Status::OK();
+    }
     for (const int64_t row : candidates) {
       if (colx->IsNull(row) || coly->IsNull(row)) continue;
       const double dx = colx->NumericAt(row) - x0_;

@@ -183,6 +183,20 @@ int64_t FilterDoubleBetween(const double* vals, int64_t begin, int64_t end,
   return k;
 }
 
+int64_t FilterDoubleCone(const double* xs, const double* ys,
+                         const int64_t* rows, int64_t n, double x0, double y0,
+                         double r2, int64_t* out) {
+  int64_t k = 0;
+  for (int64_t i = 0; i < n; ++i) {
+    const int64_t row = rows[i];
+    const double dx = xs[row] - x0;
+    const double dy = ys[row] - y0;
+    out[k] = row;
+    k += (dx * dx + dy * dy <= r2) ? 1 : 0;
+  }
+  return k;
+}
+
 int64_t FilterInt64Between(const int64_t* vals, int64_t begin, int64_t end,
                            double lo, double hi, int64_t* out) {
   int64_t k = 0;

@@ -34,6 +34,15 @@ int64_t FilterDoubleBetween(const double* vals, int64_t begin, int64_t end,
 int64_t FilterInt64Between(const int64_t* vals, int64_t begin, int64_t end,
                            double lo, double hi, int64_t* out);
 
+/// (xs[r] - x0)^2 + (ys[r] - y0)^2 <= r2 for each candidate row r of
+/// rows[0, n): the cone test over null-free double columns, gathered through
+/// a selection. Writes the matching row ids into `out` (room for n entries)
+/// and returns the count. The expression is ConePredicate::Matches's, so
+/// NaN coordinates never match.
+int64_t FilterDoubleCone(const double* xs, const double* ys,
+                         const int64_t* rows, int64_t n, double x0, double y0,
+                         double r2, int64_t* out);
+
 /// True when this process dispatches the double kernels to the AVX2 path
 /// (x86-64 with AVX2 detected at runtime). Exposed for tests and benches.
 bool KernelsUseAvx2();

@@ -13,7 +13,9 @@ namespace sciborq {
 ///
 /// Library code reports failures through Status, not logging — these calls
 /// belong in tools/ (boot, recovery, shutdown narration) where a human or a
-/// smoke-test grep is the consumer.
+/// smoke-test grep is the consumer. The one library exception is a failure
+/// that follows an operation already reported as done (the checkpoint after
+/// an acknowledged ingest), which has no Status left to travel in.
 enum class LogLevel { kInfo = 0, kWarn = 1, kError = 2 };
 
 void SetLogLevel(LogLevel floor);

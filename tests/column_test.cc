@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
+#include <string>
+#include <vector>
 #include <fstream>
 
 #include "column/column.h"
@@ -106,6 +109,68 @@ TEST(ColumnTest, TakePreservesNulls) {
   const Column t = c.Take({1, 0});
   EXPECT_TRUE(t.IsNull(0));
   EXPECT_FALSE(t.IsNull(1));
+}
+
+/// Row-at-a-time reference for Column::Take: one AppendFrom per row.
+Column AppendEach(const Column& src, const SelectionVector& rows) {
+  Column out(src.type());
+  for (const int64_t row : rows) out.AppendFrom(src, row);
+  return out;
+}
+
+void ExpectSameStorage(const Column& a, const Column& b) {
+  ASSERT_EQ(a.size(), b.size());
+  EXPECT_EQ(a.has_nulls(), b.has_nulls());
+  EXPECT_EQ(a.data_int64(), b.data_int64());
+  ASSERT_EQ(a.data_double().size(), b.data_double().size());
+  for (size_t i = 0; i < a.data_double().size(); ++i) {
+    EXPECT_EQ(std::memcmp(&a.data_double()[i], &b.data_double()[i],
+                          sizeof(double)),
+              0)
+        << "row " << i;
+  }
+  EXPECT_EQ(a.data_string(), b.data_string());
+  for (int64_t row = 0; row < a.size(); ++row) {
+    EXPECT_EQ(a.IsNull(row), b.IsNull(row)) << "row " << row;
+  }
+}
+
+TEST(ColumnTest, TakeMatchesRowAtATimeAppend) {
+  // Every type, with and without nulls; a null slot whose stale value was
+  // left behind by SetFrom must still gather as the zero value.
+  Column ints(DataType::kInt64);
+  Column doubles(DataType::kDouble);
+  Column strings(DataType::kString);
+  for (int i = 0; i < 40; ++i) {
+    if (i % 7 == 3) {
+      ints.AppendNull();
+      doubles.AppendNull();
+      strings.AppendNull();
+    } else {
+      ints.AppendInt64(i * 11 - 100);
+      doubles.AppendDouble(i == 5 ? -0.0 : i * 0.25);
+      strings.AppendString("s" + std::to_string(i));
+    }
+  }
+  Column nulls_src(DataType::kInt64);
+  nulls_src.AppendNull();
+  ints.SetFrom(nulls_src, 0, 8);  // row 8 becomes null, value 88-100 stays
+  const std::vector<SelectionVector> selections = {
+      {},
+      {0, 1, 2},              // no null taken: validity stays empty
+      {3, 8, 10, 3, 39, 0},   // nulls, the stale slot, a repeat
+      {39, 38, 37, 17, 24, 31},
+  };
+  for (const Column* col : {&ints, &doubles, &strings}) {
+    for (const SelectionVector& rows : selections) {
+      ExpectSameStorage(col->Take(rows), AppendEach(*col, rows));
+    }
+  }
+  // A column that never had a null keeps no validity vector either way.
+  Column dense(DataType::kDouble);
+  for (int i = 0; i < 10; ++i) dense.AppendDouble(i);
+  ExpectSameStorage(dense.Take({9, 1, 4}), AppendEach(dense, {9, 1, 4}));
+  EXPECT_FALSE(dense.Take({9, 1, 4}).has_nulls());
 }
 
 TEST(ColumnTest, MinMax) {

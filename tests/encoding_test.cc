@@ -750,6 +750,71 @@ TEST(KernelTest, BetweenIsInclusiveAndNanSafe) {
   (void)KernelsUseAvx2();  // either answer is fine; it must simply not crash
 }
 
+TEST(KernelTest, ConeMatchesRowAtATimeOracle) {
+  // The kernel against the cone expression evaluated row by row, over
+  // coordinates with NaN and infinities, through a sparse selection.
+  Rng rng(29);
+  std::vector<double> xs(5'000);
+  std::vector<double> ys(xs.size());
+  for (size_t i = 0; i < xs.size(); ++i) {
+    xs[i] = i % 41 == 3 ? kNan : rng.NextDouble() * 20.0 - 10.0;
+    ys[i] = i % 59 == 4 ? std::numeric_limits<double>::infinity()
+                        : rng.NextDouble() * 20.0 - 10.0;
+  }
+  SelectionVector rows;
+  for (int64_t row = 0; row < static_cast<int64_t>(xs.size()); ++row) {
+    if (rng.NextBounded(3) != 0) rows.push_back(row);
+  }
+  const double x0 = 1.5;
+  const double y0 = -2.0;
+  const double r2 = 16.0;
+  std::vector<int64_t> out(rows.size());
+  const int64_t n = FilterDoubleCone(xs.data(), ys.data(), rows.data(),
+                                     static_cast<int64_t>(rows.size()), x0,
+                                     y0, r2, out.data());
+  SelectionVector expect;
+  for (const int64_t row : rows) {
+    const double dx = xs[static_cast<size_t>(row)] - x0;
+    const double dy = ys[static_cast<size_t>(row)] - y0;
+    if (dx * dx + dy * dy <= r2) expect.push_back(row);
+  }
+  ASSERT_GT(expect.size(), 0u);
+  out.resize(static_cast<size_t>(n));
+  EXPECT_EQ(out, expect);
+}
+
+TEST(KernelTest, ConeSelectMatchesPerRowMatchesWithAndWithoutNulls) {
+  // ConePredicate::Select takes the kernel on null-free double columns and
+  // the row loop otherwise; both must agree with Matches row by row.
+  Schema schema({Field{"x", DataType::kDouble, true},
+                 Field{"y", DataType::kDouble, true}});
+  Rng rng(31);
+  Table dense(schema);
+  Table with_nulls(schema);
+  for (int i = 0; i < 3'000; ++i) {
+    const Value x(rng.NextDouble() * 10.0);
+    const Value y(i % 97 == 1 ? kNan : rng.NextDouble() * 10.0);
+    ASSERT_TRUE(dense.AppendRow({x, y}).ok());
+    ASSERT_TRUE(
+        with_nulls.AppendRow({i % 13 == 2 ? Value::Null() : x, y}).ok());
+  }
+  const PredicatePtr cone = Cone("x", "y", 5.0, 5.0, 2.5);
+  for (const Table* t : {&dense, &with_nulls}) {
+    SelectionVector candidates;
+    for (int64_t row = 0; row < t->num_rows(); row += 2) {
+      candidates.push_back(row);
+    }
+    SelectionVector got;
+    ASSERT_TRUE(cone->Select(*t, candidates, &got).ok());
+    SelectionVector expect;
+    for (const int64_t row : candidates) {
+      if (cone->Matches(*t, row)) expect.push_back(row);
+    }
+    ASSERT_GT(expect.size(), 0u);
+    EXPECT_EQ(got, expect);
+  }
+}
+
 // ------------------------------------------- snapshot format gate ---------
 
 TableSnapshot SmallSnapshot() {

@@ -1,10 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <set>
+#include <string>
+#include <vector>
 
+#include "util/binio.h"
 #include "util/rng.h"
 
+#include "column/serde.h"
 #include "core/hierarchy.h"
 #include "skyserver/catalog.h"
 #include "workload/interest_tracker.h"
@@ -221,6 +227,220 @@ TEST(HierarchyTest, ToStringListsLayers) {
   const std::string s = h.ToString();
   EXPECT_NE(s.find("L0"), std::string::npos);
   EXPECT_NE(s.find("L2"), std::string::npos);
+}
+
+// ----------------------------------------- column-wise derivation oracle --
+
+/// Row-at-a-time reference for one derived layer: the production partial
+/// Fisher-Yates draw, then one AppendSampledRow per drawn row and the
+/// pinned probabilities set afterwards.
+Impression ReferenceDerive(const Impression& parent, const LayerSpec& spec,
+                           Rng* rng) {
+  const int64_t parent_n = parent.size();
+  const int64_t child_n = std::min(spec.capacity, parent_n);
+  std::vector<int64_t> ids(static_cast<size_t>(parent_n));
+  for (int64_t i = 0; i < parent_n; ++i) ids[static_cast<size_t>(i)] = i;
+  for (int64_t i = 0; i < child_n; ++i) {
+    const int64_t j = i + static_cast<int64_t>(rng->NextBounded(
+                              static_cast<uint64_t>(parent_n - i)));
+    std::swap(ids[static_cast<size_t>(i)], ids[static_cast<size_t>(j)]);
+  }
+  ids.resize(static_cast<size_t>(child_n));
+  Impression child(spec.name, parent.rows().schema(), spec.capacity,
+                   parent.policy());
+  const double ratio =
+      static_cast<double>(child_n) / static_cast<double>(parent_n);
+  std::vector<double> probs;
+  for (const int64_t row : ids) {
+    child.AppendSampledRow(parent.rows(), row,
+                           parent.row_weights()[static_cast<size_t>(row)],
+                           parent.source_ids()[static_cast<size_t>(row)]);
+    probs.push_back(std::min(1.0, parent.InclusionProbability(row) * ratio));
+  }
+  child.set_population_seen(parent.population_seen());
+  child.set_population_weight(parent.population_weight());
+  EXPECT_TRUE(child.SetExplicitInclusionProbabilities(std::move(probs)).ok());
+  return child;
+}
+
+/// The derived layers one refresh of `h` must produce from its current top
+/// layer, drawing from `rng`; empty parents yield empty placeholders.
+std::vector<Impression> ReferenceRefresh(const ImpressionHierarchy& h,
+                                         const std::vector<LayerSpec>& specs,
+                                         Rng* rng) {
+  std::vector<Impression> derived;
+  const Impression* parent = &h.layer(0);
+  for (size_t i = 1; i < specs.size(); ++i) {
+    if (parent->size() == 0) {
+      derived.emplace_back(specs[i].name, parent->rows().schema(),
+                           specs[i].capacity, parent->policy());
+    } else {
+      derived.push_back(ReferenceDerive(*parent, specs[i], rng));
+    }
+    parent = &derived.back();
+  }
+  return derived;
+}
+
+std::string TableBytes(const Table& t) {
+  BinaryWriter w;
+  EncodeTable(t, &w);
+  return w.Take();
+}
+
+template <typename T>
+bool SameBits(const std::vector<T>& a, const std::vector<T>& b) {
+  return a.size() == b.size() &&
+         (a.empty() || std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0);
+}
+
+bool SameRng(const Rng::State& a, const Rng::State& b) {
+  return a.s == b.s && a.has_cached_gaussian == b.has_cached_gaussian &&
+         std::memcmp(&a.cached_gaussian, &b.cached_gaussian,
+                     sizeof(double)) == 0;
+}
+
+void ExpectSameImpression(const Impression& got, const Impression& want) {
+  const ImpressionState a = got.SaveState();
+  const ImpressionState b = want.SaveState();
+  EXPECT_EQ(a.name, b.name);
+  EXPECT_EQ(a.capacity, b.capacity);
+  EXPECT_EQ(a.policy, b.policy);
+  EXPECT_EQ(TableBytes(a.rows), TableBytes(b.rows)) << a.name << " rows";
+  EXPECT_TRUE(SameBits(a.weights, b.weights)) << a.name << " weights";
+  EXPECT_EQ(a.source_ids, b.source_ids) << a.name << " source ids";
+  EXPECT_TRUE(SameBits(a.explicit_probs, b.explicit_probs))
+      << a.name << " pinned probabilities";
+  EXPECT_EQ(a.population_seen, b.population_seen);
+  EXPECT_EQ(std::memcmp(&a.population_weight, &b.population_weight,
+                        sizeof(double)),
+            0);
+}
+
+/// Feeds `calls` to `h` one ingest call at a time and checks, after each,
+/// that the derived layers and the derive RNG equal the row-at-a-time
+/// reference of exactly one refresh.
+void ExpectDerivationMatchesReference(
+    ImpressionHierarchy* h, const std::vector<LayerSpec>& specs,
+    const std::vector<std::vector<Table>>& calls) {
+  for (size_t c = 0; c < calls.size(); ++c) {
+    SCOPED_TRACE("ingest call " + std::to_string(c));
+    Rng rng = Rng::FromState(h->SaveState().derive_rng);
+    std::vector<const Table*> parts;
+    parts.reserve(calls[c].size());
+    for (const Table& part : calls[c]) parts.push_back(&part);
+    ASSERT_TRUE(h->IngestParts(parts).ok());
+    const std::vector<Impression> want = ReferenceRefresh(*h, specs, &rng);
+    for (int layer = 1; layer < h->num_layers(); ++layer) {
+      ExpectSameImpression(h->layer(layer),
+                           want[static_cast<size_t>(layer - 1)]);
+    }
+    EXPECT_TRUE(SameRng(h->SaveState().derive_rng, rng.SaveState()))
+        << "the call must advance the derive RNG by exactly one refresh";
+  }
+}
+
+std::vector<std::vector<Table>> OneBatchPerCall(SkyStream* stream,
+                                                std::vector<int64_t> sizes) {
+  std::vector<std::vector<Table>> calls;
+  for (const int64_t rows : sizes) {
+    calls.push_back({});
+    calls.back().push_back(stream->NextBatch(rows));
+  }
+  return calls;
+}
+
+TEST(HierarchyDeriveOracleTest, ColumnWiseMatchesRowWiseOnUniformParent) {
+  SkyStream stream(StreamConfig(), 21);
+  ImpressionSpec spec;
+  spec.seed = 21;
+  auto h = ImpressionHierarchy::Make(stream.schema(), ThreeLayers(), spec)
+               .value();
+  // Partial parents (fill phase) first, then full ones.
+  ExpectDerivationMatchesReference(
+      &h, ThreeLayers(), OneBatchPerCall(&stream, {0, 60, 700, 5'000, 20'000}));
+}
+
+TEST(HierarchyDeriveOracleTest, ColumnWiseMatchesRowWiseOnBiasedParent) {
+  SkyStream stream(StreamConfig(), 22);
+  InterestTracker tracker =
+      InterestTracker::Make({{"ra", 120.0, 3.0, 40}, {"dec", 0.0, 1.5, 40}})
+          .value();
+  Rng rng(22);
+  for (int i = 0; i < 300; ++i) {
+    tracker.ObserveValue("ra", rng.Gaussian(150.0, 2.0));
+    tracker.ObserveValue("dec", rng.Gaussian(12.0, 1.5));
+  }
+  ImpressionSpec spec;
+  spec.policy = SamplingPolicy::kBiased;
+  spec.tracker = &tracker;
+  spec.seed = 22;
+  const std::vector<LayerSpec> layers = {{"L0", 2000}, {"L1", 400}, {"L2", 50}};
+  auto h = ImpressionHierarchy::Make(stream.schema(), layers, spec).value();
+  ExpectDerivationMatchesReference(
+      &h, layers, OneBatchPerCall(&stream, {1'500, 10'000, 10'000}));
+}
+
+TEST(HierarchyDeriveOracleTest, ColumnWiseMatchesRowWiseOnShardedMerge) {
+  SkyStream stream(StreamConfig(), 23);
+  ImpressionSpec spec;
+  spec.seed = 23;
+  HierarchyOptions options;
+  options.load_shards = 3;
+  auto h = ImpressionHierarchy::Make(stream.schema(), ThreeLayers(), spec,
+                                     options)
+               .value();
+  ExpectDerivationMatchesReference(
+      &h, ThreeLayers(), OneBatchPerCall(&stream, {900, 12'000, 12'000}));
+}
+
+TEST(HierarchyTest, MultiPartIngestRefreshesOnce) {
+  // Three parts in one call: the top layer takes them in order, exactly as
+  // three one-part calls would, but the derived layers refresh once.
+  SkyStream stream(StreamConfig(), 24);
+  std::vector<std::vector<Table>> call(1);
+  for (const int64_t rows : {4'000, 7'000, 3'000}) {
+    call[0].push_back(stream.NextBatch(rows));
+  }
+  ImpressionSpec spec;
+  spec.seed = 24;
+  auto multi = ImpressionHierarchy::Make(stream.schema(), ThreeLayers(), spec)
+                   .value();
+  auto per_part =
+      ImpressionHierarchy::Make(stream.schema(), ThreeLayers(), spec).value();
+  ExpectDerivationMatchesReference(&multi, ThreeLayers(), call);
+  for (const Table& part : call[0]) {
+    ASSERT_TRUE(per_part.IngestBatch(part).ok());
+  }
+  ExpectSameImpression(multi.layer(0), per_part.layer(0));
+  EXPECT_FALSE(SameRng(multi.SaveState().derive_rng,
+                       per_part.SaveState().derive_rng))
+      << "three one-part calls refresh three times";
+}
+
+TEST(HierarchyTest, RefreshIntervalCountsPerIngestCall) {
+  SkyStream stream(StreamConfig(), 25);
+  ImpressionSpec spec;
+  spec.seed = 25;
+  HierarchyOptions options;
+  options.refresh_interval = 1'000;
+  auto h = ImpressionHierarchy::Make(stream.schema(), ThreeLayers(), spec,
+                                     options)
+               .value();
+  const Table a = stream.NextBatch(400);
+  const Table b = stream.NextBatch(400);
+  ASSERT_TRUE(h.IngestParts({&a, &b}).ok());  // 800 < 1000: no refresh
+  EXPECT_EQ(h.layer(1).size(), 0);
+  EXPECT_EQ(h.SaveState().ingested_since_refresh, 800);
+  // 800 + 300 crosses the interval inside this call's second part; the
+  // refresh still waits for the end of the call and sees all 1,400 rows.
+  const Table c = stream.NextBatch(300);
+  const Table d = stream.NextBatch(300);
+  ASSERT_TRUE(h.IngestParts({&c, &d}).ok());
+  EXPECT_EQ(h.layer(0).size(), 1'400);
+  EXPECT_EQ(h.layer(1).size(), 1'000);
+  EXPECT_EQ(h.layer(1).population_seen(), 1'400);
+  EXPECT_EQ(h.SaveState().ingested_since_refresh, 0);
 }
 
 // Sweep: derivation keeps probabilities in (0, 1] for any layer shape.

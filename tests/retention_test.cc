@@ -7,14 +7,19 @@
 
 #include <cstdint>
 #include <filesystem>
+#include <algorithm>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "api/engine.h"
+#include "column/serde.h"
+#include "obs/metrics.h"
 #include "retention/retention.h"
 #include "storage/file_io.h"
+#include "util/binio.h"
 #include "workload/telemetry.h"
 
 #include "test_temp_dir.h"
@@ -297,6 +302,211 @@ TEST(RetentionTest, EvictionThenRecoverAnswersLikeNeverCrashed) {
   ASSERT_TRUE(oracle->IngestBatch("t", next).ok());
   ASSERT_TRUE(recovered->IngestBatch("t", next).ok());
   expect_same(recovered.get(), oracle.get());
+}
+
+// ---------------------------------- multi-stratum windowed recovery -----
+
+/// The rows of a telemetry stream whose batches each span two or three
+/// time buckets: late arrivals reach one or two buckets behind the head.
+std::vector<Table> MultiStratumBatches(int count) {
+  TelemetryConfig config;
+  config.num_stations = 8;
+  config.start_ts = 10'000;
+  config.ts_increment_mean = 1;
+  config.late_probability = 0.3;
+  config.max_lateness = 120;
+  TelemetryGenerator generator = TelemetryGenerator::Make(config, 5).value();
+  std::vector<Table> batches;
+  batches.reserve(static_cast<size_t>(count));
+  for (int i = 0; i < count; ++i) batches.push_back(generator.NextBatch(60));
+  return batches;
+}
+
+/// Distinct buckets (width 100) a batch's rows fall in.
+size_t BucketsSpanned(const Table& batch) {
+  std::set<int64_t> buckets;
+  const Column* ts = batch.ColumnByName("ts").value();
+  for (int64_t row = 0; row < batch.num_rows(); ++row) {
+    buckets.insert(ts->GetInt64(row) / 100);
+  }
+  return buckets.size();
+}
+
+/// Three layers, all sampling: a four-bucket window holds ~400 rows.
+TableOptions MultiStratumWindowed(bool checkpoint_on_evict) {
+  TableOptions options;
+  options.layers = {{"L0", 200}, {"L1", 50}, {"L2", 10}};
+  options.seed = 13;
+  options.retention.time_column = "ts";
+  options.retention.bucket_width = 100;
+  options.retention.window_buckets = 4;
+  options.retention.last_seen_capacity = 64;
+  options.retention.checkpoint_on_evict = checkpoint_on_evict;
+  return options;
+}
+
+std::string TableBytes(const Table& t) {
+  BinaryWriter w;
+  EncodeTable(t, &w);
+  return w.Take();
+}
+
+/// EXACT and bounded answers, and every impression layer, bit for bit.
+void ExpectSameWindowedState(Engine* got, Engine* want, int layers) {
+  for (const char* sql :
+       {"SELECT COUNT(*) FROM t EXACT",
+        "SELECT LAST(value) FROM t BY station_id EXACT",
+        "SELECT LAST(value) FROM t BY station_id WITHIN 1000 MS",
+        "SELECT AVG(value) FROM t WITHIN 1000 MS ERROR 40%",
+        "SELECT SUM(value), COUNT(*) FROM t WITHIN 1000 MS ERROR 5%"}) {
+    const Result<QueryOutcome> a = got->Query(sql);
+    const Result<QueryOutcome> b = want->Query(sql);
+    ASSERT_TRUE(a.ok()) << sql << ": " << a.status().ToString();
+    ASSERT_TRUE(b.ok()) << sql << ": " << b.status().ToString();
+    EXPECT_TRUE(EquivalentAnswers(*a, *b))
+        << "answers diverge for: " << sql << "\n got: " << a->ToString()
+        << "\n want: " << b->ToString();
+  }
+  for (int layer = 0; layer < layers; ++layer) {
+    EXPECT_EQ(TableBytes(got->LayerSnapshot("t", layer).value()),
+              TableBytes(want->LayerSnapshot("t", layer).value()))
+        << "layer " << layer;
+  }
+}
+
+/// Feeds the same multi-stratum stream to a never-closed twin and to an
+/// engine that is dropped without a clean shutdown and reopened twice:
+/// once between evictions (recovery replays multi-stratum batches after the
+/// last checkpoint, or from scratch when evictions do not checkpoint), and
+/// once right after an evicting batch.
+void RunMultiStratumRecovery(bool checkpoint_on_evict) {
+  const std::vector<Table> batches = MultiStratumBatches(40);
+  size_t widest = 0;
+  for (size_t i = 1; i < batches.size(); ++i) {
+    EXPECT_GE(BucketsSpanned(batches[i]), 2u) << "batch " << i;
+    EXPECT_LE(BucketsSpanned(batches[i]), 3u) << "batch " << i;
+    widest = std::max(widest, BucketsSpanned(batches[i]));
+  }
+  EXPECT_EQ(widest, 3u);
+
+  const TableOptions options = MultiStratumWindowed(checkpoint_on_evict);
+  const int layers = static_cast<int>(options.layers.size());
+  TempDir crash_dir, twin_dir;
+  std::unique_ptr<Engine> twin = Engine::Open(twin_dir.path).value();
+  std::unique_ptr<Engine> engine = Engine::Open(crash_dir.path).value();
+  ASSERT_TRUE(twin->CreateTable("t", TelemetrySchema(), options).ok());
+  ASSERT_TRUE(engine->CreateTable("t", TelemetrySchema(), options).ok());
+
+  // Ingests batch `i` into both; true when it slid the window.
+  const auto ingest = [&](size_t i) {
+    const int64_t before = ExactCount(twin.get(), "t");
+    EXPECT_TRUE(twin->IngestBatch("t", batches[i]).ok());
+    EXPECT_TRUE(engine->IngestBatch("t", batches[i]).ok());
+    return ExactCount(twin.get(), "t") < before + batches[i].num_rows();
+  };
+  const auto reopen = [&] {
+    engine.reset();  // no checkpoint, no clean shutdown
+    engine = Engine::Open(crash_dir.path).value();
+  };
+
+  size_t next = 0;
+  int evictions = 0;
+  bool last_evicted = false;
+  while (next < batches.size() && (evictions < 3 || last_evicted)) {
+    last_evicted = ingest(next++);
+    evictions += last_evicted ? 1 : 0;
+  }
+  ASSERT_GE(evictions, 3);
+  ASSERT_FALSE(last_evicted) << "stream ran out before a non-evicting batch";
+  {
+    SCOPED_TRACE("reopened between evictions");
+    reopen();
+    ExpectSameWindowedState(engine.get(), twin.get(), layers);
+  }
+
+  while (next < batches.size() && !last_evicted) last_evicted = ingest(next++);
+  ASSERT_TRUE(last_evicted) << "stream ran out before the next eviction";
+  {
+    SCOPED_TRACE("reopened right after an eviction");
+    reopen();
+    ExpectSameWindowedState(engine.get(), twin.get(), layers);
+  }
+
+  // The recovered engine keeps sampling exactly like the twin.
+  for (int i = 0; i < 6 && next < batches.size(); ++i) ingest(next++);
+  SCOPED_TRACE("continued ingest after recovery");
+  ExpectSameWindowedState(engine.get(), twin.get(), layers);
+}
+
+TEST(MultiStratumRecoveryTest, CheckpointingEvictionsMatchNeverClosedTwin) {
+  RunMultiStratumRecovery(/*checkpoint_on_evict=*/true);
+}
+
+TEST(MultiStratumRecoveryTest, WalReplayAcrossEvictionsMatchesNeverClosedTwin) {
+  RunMultiStratumRecovery(/*checkpoint_on_evict=*/false);
+}
+
+// --------------------------------------------- post-ingest checkpoints -----
+
+int WalSegmentCount(const std::string& dir) {
+  int count = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    if (entry.path().filename().string().rfind("t.wal.", 0) == 0) ++count;
+  }
+  return count;
+}
+
+TEST(RetentionTest, FailedCheckpointAfterAcknowledgedIngestStillReportsOk) {
+  // The batch is durable and applied before the post-eviction checkpoint
+  // runs; reporting the checkpoint's failure as the ingest's would make a
+  // retrying client ingest the batch twice.
+  TempDir dir;
+  obs::Counter* failures = obs::DefaultRegistry()->GetCounter(
+      "sciborq_checkpoint_failures_total",
+      "Post-eviction checkpoints that failed after their ingest was "
+      "acknowledged, by table.",
+      {{"table", "t"}});
+  const int64_t failures_before = failures->Value();
+  std::unique_ptr<Engine> engine = Engine::Open(dir.path).value();
+  ASSERT_TRUE(engine->CreateTable("t", TelemetrySchema(), Windowed()).ok());
+  ASSERT_TRUE(engine->IngestBatch("t", Batch({{1, 10, 1.0}, {2, 50, 2.0}}))
+                  .ok());
+  ASSERT_TRUE(engine->IngestBatch("t", Batch({{1, 150, 3.0}})).ok());
+  ASSERT_TRUE(engine->IngestBatch("t", Batch({{2, 250, 4.0}})).ok());
+  EXPECT_EQ(ExactCount(engine.get(), "t"), 4);
+
+  // A directory where the snapshot's temporary file goes: the checkpoint's
+  // open fails.
+  const std::string blocker = dir.path + "/t.snapshot.tmp";
+  ASSERT_TRUE(std::filesystem::create_directory(blocker));
+  // Crosses into bucket 3 (evicting bucket 0's two rows) and bucket 4 is
+  // not reached: one eviction, one failed checkpoint.
+  ASSERT_TRUE(engine->IngestBatch("t", Batch({{1, 280, 5.0}, {2, 350, 6.0}}))
+                  .ok());
+  EXPECT_EQ(failures->Value(), failures_before + 1);
+  EXPECT_EQ(ExactCount(engine.get(), "t"), 4);
+  EXPECT_FALSE(std::filesystem::exists(dir.path + "/t.snapshot"));
+  const int segments_kept = WalSegmentCount(dir.path);
+  EXPECT_GT(segments_kept, 1) << "sealed segments must stay for the retry";
+
+  // What was acknowledged is what recovers.
+  engine.reset();
+  engine = Engine::Open(dir.path).value();
+  EXPECT_EQ(ExactCount(engine.get(), "t"), 4);
+
+  // With the obstacle gone the next eviction's checkpoint succeeds and
+  // reclaims the sealed segments.
+  std::filesystem::remove(blocker);
+  ASSERT_TRUE(engine->IngestBatch("t", Batch({{1, 450, 7.0}})).ok());
+  EXPECT_EQ(failures->Value(), failures_before + 1);
+  EXPECT_EQ(ExactCount(engine.get(), "t"), 4);  // bucket 1's row left
+  EXPECT_TRUE(std::filesystem::exists(dir.path + "/t.snapshot"));
+  EXPECT_EQ(WalSegmentCount(dir.path), 1);
+  engine.reset();
+  engine = Engine::Open(dir.path).value();
+  EXPECT_EQ(ExactCount(engine.get(), "t"), 4);
+  EXPECT_EQ(LastByStation(engine.get(), "t", "EXACT"),
+            (std::map<int64_t, double>{{1, 7.0}, {2, 6.0}}));
 }
 
 // --------------------------------------------------------- DropTable -----

@@ -8,6 +8,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <filesystem>
@@ -50,6 +51,59 @@ TEST(Crc32cTest, KnownVectors) {
   // 32 zero bytes, another published vector.
   const std::string zeros(32, '\0');
   EXPECT_EQ(Crc32c(zeros), 0x8A9136AAu);
+  // The same vectors on the portable path, whichever path dispatch picked.
+  EXPECT_EQ(Crc32cExtendPortable(0, "123456789", 9), 0xE3069283u);
+  EXPECT_EQ(Crc32cExtendPortable(0, "", 0), 0u);
+  EXPECT_EQ(Crc32cExtendPortable(0, zeros.data(), zeros.size()), 0x8A9136AAu);
+}
+
+/// Random bytes from a fixed seed.
+std::string RandomBytes(size_t n, uint64_t seed) {
+  Rng rng(seed);
+  std::string bytes(n, '\0');
+  for (char& b : bytes) b = static_cast<char>(rng.NextBounded(256));
+  return bytes;
+}
+
+TEST(Crc32cTest, DispatchedPathMatchesPortableAtEveryLengthAndOffset) {
+  // Lengths 0..1024 at start offsets 0..7 cover every head/tail split of
+  // the 8-byte instruction loop against the 4-byte table loop. On a host
+  // without the instruction both sides are the portable path.
+  RecordProperty("crc32c_hardware", Crc32cUsesHardware() ? "yes" : "no");
+  const std::string bytes = RandomBytes(1024 + 8, 17);
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t n = 0; n <= 1024; ++n) {
+      const char* p = bytes.data() + offset;
+      ASSERT_EQ(Crc32c(p, n), Crc32cExtendPortable(0, p, n))
+          << "offset " << offset << " length " << n;
+      // A nonzero running CRC exercises the pre/post inversion.
+      ASSERT_EQ(Crc32cExtend(0x12345678u, p, n),
+                Crc32cExtendPortable(0x12345678u, p, n))
+          << "offset " << offset << " length " << n;
+    }
+  }
+}
+
+TEST(Crc32cTest, DispatchedPathMatchesPortableOnFourMiB) {
+  const std::string bytes = RandomBytes(4u << 20, 18);
+  EXPECT_EQ(Crc32c(bytes), Crc32cExtendPortable(0, bytes.data(), bytes.size()));
+}
+
+TEST(Crc32cTest, ExtendChainsAcrossRandomSplitPoints) {
+  const std::string bytes = RandomBytes(64 * 1024 + 13, 19);
+  const uint32_t whole = Crc32cExtendPortable(0, bytes.data(), bytes.size());
+  Rng rng(20);
+  for (int trial = 0; trial < 50; ++trial) {
+    uint32_t crc = 0;
+    size_t at = 0;
+    while (at < bytes.size()) {
+      const size_t step = std::min<size_t>(bytes.size() - at,
+                                           rng.NextBounded(3000));
+      crc = Crc32cExtend(crc, bytes.data() + at, step);
+      at += step;
+    }
+    ASSERT_EQ(crc, whole) << "trial " << trial;
+  }
 }
 
 TEST(Crc32cTest, ExtendComposes) {
