@@ -59,7 +59,7 @@ int main() {
                            table_options));
 
   // Phase 1 — the astronomer's exploration history around (150, 12): each
-  // logged query sharpens the interest histograms before any data loads.
+  // recorded query sharpens the interest histograms before any data loads.
   ConeWorkloadConfig exploration;
   exploration.focal_points = {FocalPoint{150.0, 12.0, 1.0, 2.0}};
   auto generator = OrDie(ConeWorkloadGenerator::Make(exploration, 7));
@@ -67,9 +67,9 @@ int main() {
   for (int i = 0; i < 200; ++i) {
     OrDie(engine.RecordWorkload("photo_obj_all", generator.Next()));
   }
-  const auto logged = OrDie(engine.LoggedSql("photo_obj_all"));
-  std::printf("query log holds %zu replayable statements, e.g.\n  %s\n\n",
-              logged.size(), logged.front().c_str());
+  std::printf("interest tracker has seen %lld queries\n\n",
+              static_cast<long long>(
+                  OrDie(engine.GetTableInfo("photo_obj_all")).recorded_queries));
 
   // Phase 2 — overnight load: impressions are built *during* ingest, biased
   // by the tracked interest.

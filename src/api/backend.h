@@ -132,7 +132,10 @@ struct TableInfo {
   std::vector<LayerSummary> layers;  ///< largest first
   int64_t population_seen = 0;  ///< tuples streamed past the top sampler
   bool biased = false;          ///< interest-tracked (workload-biased) sampling
-  int64_t logged_queries = 0;   ///< log entries currently held in the window
+  /// Queries answered or recorded since the serving process loaded the
+  /// table (not persisted). A coordinator reports the largest shard count:
+  /// every query fans out to every shard of its table.
+  int64_t recorded_queries = 0;
   int shards = 0;  ///< shard servers behind a coordinator (0 = local table)
   /// Per-column physical storage, one entry per schema field.
   std::vector<ColumnStorageInfo> storage;

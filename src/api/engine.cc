@@ -4,7 +4,6 @@
 #include <atomic>
 #include <cmath>
 #include <cstdint>
-#include <deque>
 #include <optional>
 #include <utility>
 
@@ -30,31 +29,6 @@ namespace {
 /// paper's hierarchy experiments.
 std::vector<ImpressionHierarchy::LayerSpec> DefaultLayers() {
   return {{"l0", 64 * 1024}, {"l1", 8 * 1024}, {"l2", 1024}};
-}
-
-/// Degenerate (zero-width, exact=true) intervals for a base-data answer —
-/// the shape BoundedExecutor emits for its own base fallback, so EXACT
-/// queries and escalated ones are indistinguishable downstream.
-std::vector<std::vector<AggregateEstimate>> ExactEstimates(
-    const std::vector<QueryResultRow>& rows, double confidence) {
-  std::vector<std::vector<AggregateEstimate>> out;
-  out.reserve(rows.size());
-  for (const auto& row : rows) {
-    std::vector<AggregateEstimate> ests;
-    ests.reserve(row.values.size());
-    for (const double v : row.values) {
-      AggregateEstimate est;
-      est.estimate = v;
-      est.ci_lo = v;
-      est.ci_hi = v;
-      est.confidence = confidence;
-      est.sample_rows = row.input_rows;
-      est.exact = true;
-      ests.push_back(est);
-    }
-    out.push_back(std::move(ests));
-  }
-  return out;
 }
 
 /// Process-wide query-id source. Monotonic, not random: ids only need to be
@@ -179,16 +153,15 @@ std::string RenderTrace(const QueryOutcome& outcome) {
 /// Locking (annotated — Clang rejects unguarded access at compile time):
 /// data_mu is the data plane (shared for Query/introspection, exclusive for
 /// IngestBatch, which both appends to `base` and reads `tracker` while
-/// re-sampling). workload_mu serializes mutation of `log` and `tracker` by
-/// concurrent queries, which hold only the *shared* data lock; it is always
-/// acquired while holding data_mu (shared), so tracker writers and the
-/// ingest-time tracker reader (which reaches the tracker through the
-/// hierarchy's ImpressionSpec pointer under the *exclusive* data lock —
-/// an aliased path the static analysis cannot see, covered by the TSan CI
-/// job instead) still exclude each other through data_mu.
+/// re-sampling). workload_mu serializes mutation of `tracker` and
+/// `recorded_queries` by concurrent queries, which hold only the *shared*
+/// data lock; it is always acquired while holding data_mu (shared), so
+/// tracker writers and the ingest-time tracker reader (which reaches the
+/// tracker through the hierarchy's ImpressionSpec pointer under the
+/// *exclusive* data lock — an aliased path the static analysis cannot see,
+/// covered by the TSan CI job instead) still exclude each other through
+/// data_mu.
 struct Engine::TableEntry {
-  explicit TableEntry(int64_t log_window) : log(log_window) {}
-
   /// Cached pointers into the process metrics registry (obs/metrics.h) —
   /// resolved once at build time so the query hot path never touches the
   /// registry lock. The pointees are internally atomic; the pointers are
@@ -397,7 +370,10 @@ struct Engine::TableEntry {
   mutable Mutex checkpoint_mu ACQUIRED_BEFORE(data_mu);
   /// Always acquired after data_mu when both are held.
   mutable Mutex workload_mu ACQUIRED_AFTER(data_mu);
-  QueryLog log GUARDED_BY(workload_mu);
+  /// Queries answered or recorded (RecordWorkload) since this process
+  /// loaded the table. Not persisted: like sciborq_queries_total, it lives
+  /// as long as the process.
+  int64_t recorded_queries GUARDED_BY(workload_mu) = 0;
 };
 
 Engine::Engine(EngineOptions options)
@@ -426,7 +402,7 @@ Result<std::unique_ptr<Engine::TableEntry>> Engine::BuildTableEntry(
     // Persisted names become file names; reject the others up front.
     SCIBORQ_RETURN_NOT_OK(TableStore::ValidateTableName(name));
   }
-  auto entry = std::make_unique<TableEntry>(options_.query_log_window);
+  auto entry = std::make_unique<TableEntry>();
   TableEntry* raw = entry.get();
   raw->name = name;
   // The entry is unpublished — no other thread can see it — but the build
@@ -789,7 +765,7 @@ Status Engine::RestoreTable(RecoveredTable recovered) {
   std::unique_ptr<TableEntry> entry;
   if (recovered.snapshot) {
     TableSnapshot& snap = *recovered.snapshot;
-    entry = std::make_unique<TableEntry>(options_.query_log_window);
+    entry = std::make_unique<TableEntry>();
     TableEntry* raw = entry.get();
     raw->name = recovered.name;
     raw->options.layers = snap.config.layers;
@@ -855,26 +831,6 @@ Status Engine::RestoreTable(RecoveredTable recovered) {
           std::make_unique<ImpressionBuilder>(std::move(last_seen));
     }
     raw->next_seq = snap.last_seq + 1;
-    // The log window round-trips as SQL (LoggedQuery::Sql() is
-    // ParseBoundedQuery's inverse, tested in engine_test).
-    std::deque<LoggedQuery> logged;
-    for (auto& persisted : snap.log.entries) {
-      Result<BoundedQuery> parsed = ParseBoundedQuery(persisted.sql);
-      if (!parsed.ok()) {
-        return Status::InvalidArgument(StrFormat(
-            "table '%s': recovered query log entry %lld does not parse: %s",
-            recovered.name.c_str(),
-            static_cast<long long>(persisted.sequence),
-            parsed.status().message().c_str()));
-      }
-      BoundedQuery bounded = std::move(parsed).value();
-      LoggedQuery q;
-      q.sequence = persisted.sequence;
-      q.query = std::move(bounded.query);
-      q.bounds = bounded.bounds;
-      logged.push_back(std::move(q));
-    }
-    raw->log.RestoreState(snap.log.total_recorded, std::move(logged));
   } else {
     // Created after the last checkpoint (or never checkpointed): rebuild
     // from the WAL's create record and replay from scratch.
@@ -925,16 +881,11 @@ TableSnapshot Engine::BuildSnapshot(const TableEntry& entry) const
   snap.hierarchy = entry.hierarchy->SaveState();
   if (entry.last_seen) snap.last_seen = entry.last_seen->SaveState();
   {
-    // Queries mutate the tracker and log under workload_mu while holding
-    // only the shared data lock, so a shared-lock checkpoint must take it
-    // too for a consistent workload cut.
+    // Queries mutate the tracker under workload_mu while holding only the
+    // shared data lock, so a shared-lock checkpoint must take it too for a
+    // consistent workload cut.
     MutexLock workload_lock(&entry.workload_mu);
     if (entry.tracker) snap.tracker = entry.tracker->SaveState();
-    snap.log.total_recorded = entry.log.total_recorded();
-    for (const auto& logged : entry.log.entries()) {
-      snap.log.entries.push_back(
-          PersistedQueryLog::Entry{logged.sequence, logged.Sql()});
-    }
   }
   return snap;
 }
@@ -1041,25 +992,13 @@ Result<QueryOutcome> Engine::Query(const BoundedQuery& bounded,
       const Table& scanned =
           from_base ? entry->base : entry->last_seen->impression().rows();
       SCIBORQ_ASSIGN_OR_RETURN(
-          answer.rows, RunLast(scanned, query, time_col, query_pool_.get()));
-      answer.estimates = ExactEstimates(answer.rows, bound.confidence);
-      answer.answered_by = from_base ? "base" : "last-seen";
-      answer.error_bound_met = true;
-      if (!from_base) {
-        // Point estimates from a sample: same value shape, but not exact.
-        for (auto& row_estimates : answer.estimates) {
-          for (AggregateEstimate& est : row_estimates) est.exact = false;
-        }
-      }
-      LayerAttempt trace;
-      trace.layer_name = answer.answered_by;
-      trace.layer_rows = scanned.num_rows();
-      trace.matching_rows =
-          answer.rows.empty() ? 0 : answer.rows[0].input_rows;
-      trace.elapsed_seconds = last_watch.ElapsedSeconds();
-      trace.met_error_bound = true;
-      trace.is_base = from_base;
-      answer.attempts.push_back(std::move(trace));
+          std::vector<QueryResultRow> rows,
+          RunLast(scanned, query, time_col, query_pool_.get()));
+      // Point estimates from the sample have the same shape, but are not
+      // exact.
+      answer = ScanAnswer(std::move(rows), from_base ? "base" : "last-seen",
+                          scanned.num_rows(), bound.confidence,
+                          last_watch.ElapsedSeconds(), /*exact=*/from_base);
       answer.deadline_exceeded =
           bound.time_budget_seconds > 0.0 &&
           last_watch.ElapsedSeconds() > bound.time_budget_seconds;
@@ -1073,28 +1012,18 @@ Result<QueryOutcome> Engine::Query(const BoundedQuery& bounded,
       run_options.lenient = exec.mergeable;
       run_options.moments = exec.mergeable ? &outcome.partials : nullptr;
       SCIBORQ_ASSIGN_OR_RETURN(
-          answer.rows,
+          std::vector<QueryResultRow> rows,
           RunExact(entry->base, query, query_pool_.get(), run_options));
-      answer.estimates = ExactEstimates(answer.rows, bound.confidence);
-      answer.answered_by = "base";
-      answer.error_bound_met = true;
-      LayerAttempt trace;
-      trace.layer_name = "base";
-      trace.layer_rows = entry->base.num_rows();
-      trace.matching_rows = answer.rows.empty() ? 0 : answer.rows[0].input_rows;
-      trace.elapsed_seconds = base_watch.ElapsedSeconds();
-      trace.met_error_bound = true;
-      trace.is_base = true;
-      answer.attempts.push_back(std::move(trace));
+      answer = ScanAnswer(std::move(rows), "base", entry->base.num_rows(),
+                          bound.confidence, base_watch.ElapsedSeconds(),
+                          /*exact=*/true);
       answer.deadline_exceeded = bound.time_budget_seconds > 0.0 &&
                                  base_watch.ElapsedSeconds() >
                                      bound.time_budget_seconds;
     } else {
       BoundedExecutorOptions exec_options;
-      exec_options.adapt = false;  // the engine owns the feedback loop
       exec_options.shared_pool = query_pool_.get();
       BoundedExecutor executor(&entry->base, &*entry->hierarchy,
-                               /*log=*/nullptr, /*tracker=*/nullptr,
                                exec_options);
       SCIBORQ_ASSIGN_OR_RETURN(answer, executor.Answer(query, bound));
     }
@@ -1106,7 +1035,7 @@ Result<QueryOutcome> Engine::Query(const BoundedQuery& bounded,
     tracer.Begin("workload");
     {
       MutexLock workload_lock(&entry->workload_mu);
-      entry->log.Record(bounded);
+      ++entry->recorded_queries;
       if (entry->tracker) entry->tracker->ObserveQuery(query);
     }
     tracer.End();
@@ -1173,9 +1102,9 @@ Result<StatementHandle> Engine::Prepare(PreparedQuery prepared) {
   if (prepared.query.aggregates.empty()) {
     return Status::InvalidArgument("statement has no aggregates");
   }
-  // Fail at prepare time, not on the Nth execute: the table must exist
-  // (entries are never erased, so the check stays true for the handle's
-  // whole life).
+  // Fail at prepare time, not on the Nth execute: the table must exist now.
+  // A later DropTable does not close the handle; its executes then fail
+  // with NotFound.
   SCIBORQ_RETURN_NOT_OK(FindTable(prepared.query.table).status());
   return statements_.Add(std::move(prepared));
 }
@@ -1184,7 +1113,7 @@ Result<QueryOutcome> Engine::Execute(StatementHandle handle,
                                      const std::vector<Value>& params) {
   // The whole hot path: substitute constants into a deep clone of the cached
   // template — no lexing or parsing — then execute like any parsed query.
-  // Query() records the *bound* statement into the log/interest tracker, so
+  // Query() feeds the *bound* statement to the interest tracker, so
   // workload-biased sampling sees the true focal points.
   SCIBORQ_ASSIGN_OR_RETURN(BoundedQuery bound,
                            statements_.Bind(handle, params));
@@ -1210,7 +1139,7 @@ Status Engine::RecordWorkload(const std::string& table,
   SCIBORQ_ASSIGN_OR_RETURN(TableEntry* entry, FindTable(table));
   ReaderMutexLock data_lock(&entry->data_mu);
   MutexLock workload_lock(&entry->workload_mu);
-  entry->log.Record(query);
+  ++entry->recorded_queries;
   if (entry->tracker) entry->tracker->ObserveQuery(query);
   return Status::OK();
 }
@@ -1241,7 +1170,7 @@ Result<std::vector<TableInfo>> Engine::ListTables() const {
   std::vector<TableInfo> out;
   for (const std::string& name : TableNames()) {
     Result<TableInfo> info = GetTableInfo(name);
-    // Tables are never erased, so the lookup can only succeed.
+    // A table dropped since TableNames() is left out.
     if (info.ok()) out.push_back(std::move(info).value());
   }
   return out;
@@ -1269,7 +1198,7 @@ Result<TableInfo> Engine::GetTableInfo(const std::string& table) const {
   {
     MutexLock workload_lock(&entry->workload_mu);
     info.biased = entry->tracker.has_value();
-    info.logged_queries = entry->log.size();
+    info.recorded_queries = entry->recorded_queries;
   }
   return info;
 }
@@ -1290,9 +1219,8 @@ Result<std::string> Engine::DescribeTable(const std::string& table) const {
       entry->hierarchy->ToString().c_str());
   {
     MutexLock workload_lock(&entry->workload_mu);
-    out += StrFormat("\n  query log: %lld recorded, window of %lld held",
-                     static_cast<long long>(entry->log.total_recorded()),
-                     static_cast<long long>(entry->log.size()));
+    out += StrFormat("\n  queries recorded: %lld",
+                     static_cast<long long>(entry->recorded_queries));
   }
   return out;
 }
@@ -1309,22 +1237,12 @@ Result<Table> Engine::LayerSnapshot(const std::string& table,
   return entry->hierarchy->layer(layer).rows();
 }
 
-Result<std::vector<std::string>> Engine::LoggedSql(
-    const std::string& table) const {
-  SCIBORQ_ASSIGN_OR_RETURN(TableEntry* entry, FindTable(table));
-  MutexLock workload_lock(&entry->workload_mu);
-  std::vector<std::string> out;
-  out.reserve(static_cast<size_t>(entry->log.size()));
-  for (const auto& logged : entry->log.entries()) out.push_back(logged.Sql());
-  return out;
-}
-
 std::string TableInfo::ToString() const {
   std::string out = StrFormat(
-      "%s: %lld rows (%lld seen), schema %s, %s sampling, %lld logged",
+      "%s: %lld rows (%lld seen), schema %s, %s sampling, %lld recorded",
       name.c_str(), static_cast<long long>(rows),
       static_cast<long long>(population_seen), schema.ToString().c_str(),
-      biased ? "biased" : "uniform", static_cast<long long>(logged_queries));
+      biased ? "biased" : "uniform", static_cast<long long>(recorded_queries));
   if (shards > 0) out += StrFormat(", %d shard(s)", shards);
   for (const auto& layer : layers) {
     out += StrFormat("\n  layer %s [%s]: %lld / %lld rows", layer.name.c_str(),

@@ -11,7 +11,6 @@
 #include "api/statements.h"
 #include "util/thread_annotations.h"
 #include "util/thread_pool.h"
-#include "workload/query_log.h"
 
 namespace sciborq {
 
@@ -24,9 +23,6 @@ struct EngineOptions {
   /// Bounds applied to queries whose SQL specifies no bounds clause (and the
   /// fallback for individual unspecified terms).
   QualityBound default_bound;
-  /// Per-table query-log window (<= 0 = unbounded), the paper's "predefined
-  /// number of queries" over which interest is defined (§4).
-  int64_t query_log_window = 0;
   /// Worker threads shared by all queries' scans: 0 = hardware concurrency,
   /// 1 = serial per query (the default — per-query determinism; concurrency
   /// then comes from many client threads, the server shape).
@@ -44,8 +40,8 @@ struct EngineOptions {
 /// The one thread-safe front door to SciBORQ (§1: the user states a
 /// runtime/quality contract, the system does the rest). An Engine owns a
 /// catalog of named tables, each with its base columns, an auto-managed
-/// impression hierarchy, a query log, and (optionally) an interest tracker;
-/// one call answers SQL text whose contract lives in the SQL itself:
+/// impression hierarchy, and (optionally) an interest tracker; one call
+/// answers SQL text whose contract lives in the SQL itself:
 ///
 ///   Engine engine;
 ///   engine.RegisterCsv("photo_obj_all", "sky.csv");
@@ -56,11 +52,12 @@ struct EngineOptions {
 /// Concurrency contract: every public method is safe to call from any
 /// thread. Per table, queries run under a shared lock and ingest under an
 /// exclusive lock, so readers never observe a half-ingested batch; the
-/// workload side-effects of concurrent queries (log + tracker updates) are
-/// serialized separately so they never perturb answers. With the default
-/// query_threads = 1 a query's execution is fully deterministic: concurrent
-/// and serial runs of the same SQL against the same table state produce
-/// bit-identical answers (tested in tests/engine_test.cc).
+/// workload side-effects of concurrent queries (tracker updates and the
+/// recorded-query count) are serialized separately so they never perturb
+/// answers. With the default query_threads = 1 a query's execution is fully
+/// deterministic: concurrent and serial runs of the same SQL against the
+/// same table state produce bit-identical answers (tested in
+/// tests/engine_test.cc).
 ///
 /// An Engine is the single-node Backend: SciborqServer serves it directly.
 class Engine : public Backend {
@@ -172,8 +169,8 @@ class Engine : public Backend {
   // Prepare parses SQL with `?` placeholders into a cached template; Execute
   // binds parameters by deep-cloning the template with constants substituted
   // — no lexing, parsing, or planning on the hot path — and then runs
-  // exactly like Query, so the query log and interest tracker observe the
-  // *bound* statement (workload-biased sampling sees true focal points).
+  // exactly like Query, so the interest tracker observes the *bound*
+  // statement (workload-biased sampling sees true focal points).
 
   /// Parses `sql` (which may contain `?` placeholders) and caches the
   /// template. The FROM table must exist at prepare time (NotFound
@@ -201,10 +198,10 @@ class Engine : public Backend {
   /// Statements currently held in the registry (for leak checks).
   int64_t open_statements() const { return statements_.size(); }
 
-  /// Folds a query into `table`'s log and interest tracker *without*
-  /// executing it — replaying a historical workload trace so the next ingest
-  /// builds impressions biased toward it (the paper's SkyServer log mining,
-  /// §2.1).
+  /// Folds a query into `table`'s interest tracker *without* executing it —
+  /// replaying a historical workload trace so the next ingest builds
+  /// impressions biased toward it (the paper's SkyServer log mining, §2.1).
+  /// Counts in TableInfo::recorded_queries like an answered query.
   Status RecordWorkload(const std::string& table, const AggregateQuery& query);
 
   /// Ages `table`'s interest histograms (counts *= factor) so old focal
@@ -222,7 +219,7 @@ class Engine : public Backend {
   Result<std::vector<TableInfo>> ListTables() const override;
 
   /// Structured metadata for one table: row count, schema, per-layer
-  /// impression summary, workload-log depth.
+  /// impression summary, queries recorded since this process loaded it.
   Result<TableInfo> GetTableInfo(const std::string& table) const;
 
   /// Rows in the table's base data.
@@ -235,10 +232,6 @@ class Engine : public Backend {
   /// for diagnostics and offline analysis; the engine keeps ownership of the
   /// live impression.
   Result<Table> LayerSnapshot(const std::string& table, int layer) const;
-
-  /// The replayable SQL of every logged query on `table` (query + bounds),
-  /// oldest first within the log window.
-  Result<std::vector<std::string>> LoggedSql(const std::string& table) const;
 
   /// The bound-miss / slow-query ring: every query whose quality or time
   /// contract was not met, oldest first. Capacity is
@@ -264,8 +257,9 @@ class Engine : public Backend {
   //                    BEFORE the table's data_mu.
   //   entry->data_mu   the per-table data plane: shared for queries and
   //                    introspection, exclusive for ingest.
-  //   entry->workload_mu  serializes log/tracker mutation by concurrent
-  //                    queries; always acquired AFTER data_mu.
+  //   entry->workload_mu  serializes tracker mutation (and the recorded-query
+  //                    count) by concurrent queries; always acquired AFTER
+  //                    data_mu.
   //   statements_      the prepared-statement registry's own mutex; a leaf
   //                    lock, never held while acquiring any other.
   //
@@ -307,9 +301,9 @@ class Engine : public Backend {
   Status RestoreTable(RecoveredTable recovered);
 
   /// Captures a consistent snapshot of an entry. Caller holds data_mu at
-  /// least shared (excluding ingest); the workload side (tracker + log),
-  /// which concurrent queries mutate under only the shared data lock, is
-  /// cut under workload_mu inside.
+  /// least shared (excluding ingest); the interest tracker, which concurrent
+  /// queries mutate under only the shared data lock, is cut under
+  /// workload_mu inside.
   TableSnapshot BuildSnapshot(const TableEntry& entry) const;
 
   EngineOptions options_;

@@ -270,7 +270,10 @@ std::vector<TableInfo> MergeTableInfos(
       TableInfo& merged = it->second;
       merged.rows += info.rows;
       merged.population_seen += info.population_seen;
-      merged.logged_queries += info.logged_queries;
+      // Every query fans out to every shard, so each shard counts it once:
+      // the sum would count a query once per shard.
+      merged.recorded_queries =
+          std::max(merged.recorded_queries, info.recorded_queries);
       for (size_t i = 0;
            i < merged.layers.size() && i < info.layers.size(); ++i) {
         merged.layers[i].rows += info.layers[i].rows;

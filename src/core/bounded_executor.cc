@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <unordered_map>
+#include <utility>
 
 #include "exec/aggregate.h"
 #include "exec/expr.h"
@@ -248,15 +249,46 @@ std::string BoundedAnswer::ToString() const {
   return out;
 }
 
+BoundedAnswer ScanAnswer(std::vector<QueryResultRow> rows,
+                         const std::string& layer_name, int64_t scanned_rows,
+                         double confidence, double elapsed_seconds,
+                         bool exact) {
+  BoundedAnswer answer;
+  answer.estimates.reserve(rows.size());
+  for (const QueryResultRow& row : rows) {
+    std::vector<AggregateEstimate> ests;
+    ests.reserve(row.values.size());
+    for (const double v : row.values) {
+      AggregateEstimate est;
+      est.estimate = v;
+      est.ci_lo = v;
+      est.ci_hi = v;
+      est.confidence = confidence;
+      est.sample_rows = row.input_rows;
+      est.exact = exact;
+      ests.push_back(est);
+    }
+    answer.estimates.push_back(std::move(ests));
+  }
+  LayerAttempt trace;
+  trace.layer_name = layer_name;
+  trace.layer_rows = scanned_rows;
+  trace.matching_rows = rows.empty() ? 0 : rows[0].input_rows;
+  trace.elapsed_seconds = elapsed_seconds;
+  trace.met_error_bound = true;
+  trace.is_base = exact;
+  answer.rows = std::move(rows);
+  answer.answered_by = layer_name;
+  answer.error_bound_met = true;
+  answer.elapsed_seconds = elapsed_seconds;
+  answer.attempts.push_back(std::move(trace));
+  return answer;
+}
+
 BoundedExecutor::BoundedExecutor(const Table* base,
                                  const ImpressionHierarchy* hierarchy,
-                                 QueryLog* log, InterestTracker* tracker,
                                  Options options)
-    : base_(base),
-      hierarchy_(hierarchy),
-      log_(log),
-      tracker_(tracker),
-      options_(options) {
+    : base_(base), hierarchy_(hierarchy), options_(options) {
   SCIBORQ_CHECK(base_ != nullptr);
   SCIBORQ_CHECK(hierarchy_ != nullptr);
   if (options_.shared_pool != nullptr) {
@@ -277,13 +309,6 @@ Result<BoundedAnswer> BoundedExecutor::Answer(const AggregateQuery& query,
       bound.time_budget_seconds > 0.0
           ? Deadline::AfterSeconds(bound.time_budget_seconds)
           : Deadline::Unlimited();
-
-  // The adaptive feedback loop (§3.1): every answered query sharpens the
-  // focal-point statistics for subsequent impression maintenance.
-  if (options_.adapt) {
-    if (log_ != nullptr) log_->Record(query);
-    if (tracker_ != nullptr) tracker_->ObserveQuery(query);
-  }
 
   BoundedAnswer best;
   bool have_answer = false;
@@ -370,34 +395,11 @@ Result<BoundedAnswer> BoundedExecutor::Answer(const AggregateQuery& query,
     Stopwatch base_watch;
     SCIBORQ_ASSIGN_OR_RETURN(std::vector<QueryResultRow> exact_rows,
                              RunExact(*base_, query, pool_));
-    BoundedAnswer exact;
-    exact.rows = std::move(exact_rows);
-    exact.answered_by = "base";
-    exact.error_bound_met = true;
-    for (const auto& row : exact.rows) {
-      std::vector<AggregateEstimate> ests;
-      ests.reserve(row.values.size());
-      for (const double v : row.values) {
-        AggregateEstimate est;
-        est.estimate = v;
-        est.ci_lo = v;
-        est.ci_hi = v;
-        est.confidence = bound.confidence;
-        est.sample_rows = row.input_rows;
-        est.exact = true;
-        ests.push_back(est);
-      }
-      exact.estimates.push_back(std::move(ests));
-    }
-    LayerAttempt trace;
-    trace.layer_name = "base";
-    trace.layer_rows = base_->num_rows();
-    trace.elapsed_seconds = base_watch.ElapsedSeconds();
-    trace.met_error_bound = true;
-    trace.is_base = true;
-    trace.matching_rows =
-        exact.rows.empty() ? 0 : exact.rows[0].input_rows;
-    attempts.push_back(trace);
+    BoundedAnswer exact =
+        ScanAnswer(std::move(exact_rows), "base", base_->num_rows(),
+                   bound.confidence, base_watch.ElapsedSeconds(),
+                   /*exact=*/true);
+    attempts.push_back(std::move(exact.attempts.back()));
     exact.attempts = std::move(attempts);
     exact.elapsed_seconds = total.ElapsedSeconds();
     exact.deadline_exceeded = deadline.Expired();

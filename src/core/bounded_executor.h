@@ -11,8 +11,6 @@
 #include "stats/estimators.h"
 #include "util/result.h"
 #include "util/thread_pool.h"
-#include "workload/interest_tracker.h"
-#include "workload/query_log.h"
 
 namespace sciborq {
 
@@ -58,16 +56,20 @@ Result<BoundedAnswer> EstimateOnImpression(const Impression& impression,
                                            double confidence,
                                            ThreadPool* pool = nullptr);
 
-/// Multi-layer bounded query processing (§3.2): walk the hierarchy from the
-/// smallest impression upward; accept the first answer within the error
-/// bound; stop early when the time budget would be blown; fall back to the
-/// base columns for a zero error margin.
+/// The answer of one complete scan: the single builder behind every answer
+/// that is not an impression estimate — the executor's base fallback, EXACT
+/// and LAST. Each value becomes a zero-width interval at `confidence` whose
+/// `exact` flag is `exact` (a LAST point estimate read from the last-seen
+/// sample is not exact), and the scan becomes the answer's one LayerAttempt:
+/// `scanned_rows` read, the first row's input rows matched, error bound met,
+/// `is_base` when exact.
+BoundedAnswer ScanAnswer(std::vector<QueryResultRow> rows,
+                         const std::string& layer_name, int64_t scanned_rows,
+                         double confidence, double elapsed_seconds,
+                         bool exact);
+
 /// Tuning knobs for the bounded executor.
 struct BoundedExecutorOptions {
-  /// Record every answered query into the log / interest tracker — the
-  /// adaptive feedback loop of §3.1 ("as a side-effect of query
-  /// processing").
-  bool adapt = true;
   /// Worker threads for the executor's scans (layer estimation and the base
   /// fallback): 0 = hardware concurrency, 1 = serial (the default — callers
   /// that pin exact latencies keep single-threaded determinism; results are
@@ -80,13 +82,18 @@ struct BoundedExecutorOptions {
   ThreadPool* shared_pool = nullptr;
 };
 
+/// Multi-layer bounded query processing (§3.2): walk the hierarchy from the
+/// smallest impression upward; accept the first answer within the error
+/// bound; stop early when the time budget would be blown; fall back to the
+/// base columns for a zero error margin. The executor only answers: the
+/// adaptive feedback loop (§3.1) belongs to its caller, Engine::Query, which
+/// feeds the table's InterestTracker after every answer.
 class BoundedExecutor {
  public:
   using Options = BoundedExecutorOptions;
 
-  /// All pointers non-owning; base/hierarchy required, log/tracker optional.
+  /// Both pointers non-owning and required.
   BoundedExecutor(const Table* base, const ImpressionHierarchy* hierarchy,
-                  QueryLog* log = nullptr, InterestTracker* tracker = nullptr,
                   Options options = BoundedExecutorOptions());
 
   /// Answers `query` under `bound`. Always returns an answer (the best one
@@ -99,8 +106,6 @@ class BoundedExecutor {
  private:
   const Table* base_;
   const ImpressionHierarchy* hierarchy_;
-  QueryLog* log_;
-  InterestTracker* tracker_;
   Options options_;
   /// Owned worker pool; null when a shared pool is configured or
   /// options_.num_threads resolves to 1.

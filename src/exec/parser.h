@@ -10,9 +10,9 @@ namespace sciborq {
 
 /// Parses the SQL-ish aggregate dialect that AggregateQuery::ToString /
 /// BoundedQuery::ToString emit, so textual query logs (the raw material of
-/// the paper's workload mining, §2.1) can be replayed into a QueryLog /
-/// InterestTracker — and, via the bounds clause, re-executed under their
-/// original resource/quality contract:
+/// the paper's workload mining, §2.1) can be replayed into an
+/// InterestTracker (Engine::RecordWorkload) — and, via the bounds clause,
+/// re-executed under their original resource/quality contract:
 ///
 ///   SELECT COUNT(*), AVG(redshift) FROM photo_obj_all
 ///   WHERE (obj_class = 'GALAXY') AND (cone(ra, dec; 185, 0; r=3))

@@ -81,8 +81,8 @@ struct QueryBounds {
 };
 
 /// A query together with its in-SQL contract — what ParseBoundedQuery
-/// produces and what the query log replays, so a logged query re-executes
-/// under the bounds it originally ran with.
+/// produces, so a query's SQL text (QueryOutcome::sql) re-executes under the
+/// bounds it originally ran with.
 struct BoundedQuery {
   AggregateQuery query;
   QueryBounds bounds;
@@ -99,7 +99,7 @@ struct BoundedQuery {
 };
 
 /// The one SQL rendering of a query + bounds pair — BoundedQuery::ToString
-/// and the query log's replayable Sql() both delegate here so the round-trip
+/// and the coordinator's shard SQL both delegate here so the round-trip
 /// guarantee has a single source of truth.
 std::string RenderSql(const AggregateQuery& query, const QueryBounds& bounds);
 

@@ -324,7 +324,7 @@ void EncodeTableInfo(const TableInfo& info, WireWriter* w) {
   }
   w->PutI64(info.population_seen);
   w->PutBool(info.biased);
-  w->PutI64(info.logged_queries);
+  w->PutI64(info.recorded_queries);
   w->PutU32(static_cast<uint32_t>(info.shards));
   w->PutU32(static_cast<uint32_t>(info.storage.size()));
   for (const ColumnStorageInfo& col : info.storage) {
@@ -354,7 +354,7 @@ Result<TableInfo> DecodeTableInfo(WireReader* r) {
   }
   SCIBORQ_ASSIGN_OR_RETURN(info.population_seen, r->ReadI64());
   SCIBORQ_ASSIGN_OR_RETURN(info.biased, r->ReadBool());
-  SCIBORQ_ASSIGN_OR_RETURN(info.logged_queries, r->ReadI64());
+  SCIBORQ_ASSIGN_OR_RETURN(info.recorded_queries, r->ReadI64());
   SCIBORQ_ASSIGN_OR_RETURN(const uint32_t shards, r->ReadU32());
   info.shards = static_cast<int>(shards);
   SCIBORQ_ASSIGN_OR_RETURN(const uint32_t num_columns,

@@ -386,12 +386,6 @@ void EncodeTableSnapshot(const TableSnapshot& snap, BinaryWriter* w) {
   EncodeHierarchyState(snap.hierarchy, w);
   w->PutBool(snap.tracker.has_value());
   if (snap.tracker) EncodeTrackerState(*snap.tracker, w);
-  w->PutI64(snap.log.total_recorded);
-  w->PutU32(static_cast<uint32_t>(snap.log.entries.size()));
-  for (const auto& entry : snap.log.entries) {
-    w->PutI64(entry.sequence);
-    w->PutString(entry.sql);
-  }
   w->PutBool(snap.last_seen.has_value());
   if (snap.last_seen) EncodeBuilderState(*snap.last_seen, w);
 }
@@ -408,16 +402,6 @@ Result<TableSnapshot> DecodeTableSnapshot(BinaryReader* r) {
     SCIBORQ_ASSIGN_OR_RETURN(InterestTrackerState tracker,
                              DecodeTrackerState(r));
     snap.tracker = std::move(tracker);
-  }
-  SCIBORQ_ASSIGN_OR_RETURN(snap.log.total_recorded, r->ReadI64());
-  SCIBORQ_ASSIGN_OR_RETURN(const uint32_t entries, r->ReadU32());
-  SCIBORQ_RETURN_NOT_OK(CheckDecodeCount(entries, 12, *r, "query log entry"));
-  snap.log.entries.reserve(entries);
-  for (uint32_t i = 0; i < entries; ++i) {
-    PersistedQueryLog::Entry entry;
-    SCIBORQ_ASSIGN_OR_RETURN(entry.sequence, r->ReadI64());
-    SCIBORQ_ASSIGN_OR_RETURN(entry.sql, r->ReadString());
-    snap.log.entries.push_back(std::move(entry));
   }
   SCIBORQ_ASSIGN_OR_RETURN(const bool has_last_seen, r->ReadBool());
   if (has_last_seen) {

@@ -21,13 +21,12 @@ namespace sciborq {
 // A snapshot file holds the *complete* durable state of one table: schema and
 // column data, the full impression hierarchy (every layer's sampled rows,
 // weights, provenance, pinned inclusion probabilities, acceptance model, and
-// each sampler's RNG position), the interest tracker, and the query-log
-// window. Impressions are the expensive asset here (deliberately curated,
-// workload-biased samples — the paper treats them as long-lived state), so
-// the snapshot preserves them bit-exactly: a restored engine answers every
-// query, exact or bounded, bit-identically to the engine that wrote the
-// file, and subsequent ingest continues every sampling stream exactly where
-// it stopped.
+// each sampler's RNG position), and the interest tracker. Impressions are
+// the expensive asset here (deliberately curated, workload-biased samples —
+// the paper treats them as long-lived state), so the snapshot preserves them
+// bit-exactly: a restored engine answers every query, exact or bounded,
+// bit-identically to the engine that wrote the file, and subsequent ingest
+// continues every sampling stream exactly where it stopped.
 //
 // File layout (all integers little-endian):
 //
@@ -55,7 +54,7 @@ inline constexpr uint32_t kSnapshotMagic = 0x4E534253u;  // "SBSN"
 /// RLE / frame-of-reference / dictionary chunks chosen per morsel; the
 /// config carries the RetentionPolicy and the trailer the optional
 /// standalone last-seen builder state.
-inline constexpr uint32_t kSnapshotFormatVersion = 3;
+inline constexpr uint32_t kSnapshotFormatVersion = 4;
 
 /// The table-creation parameters that must survive a restart (the persisted
 /// mirror of api TableOptions, minus runtime-only wiring).
@@ -68,18 +67,6 @@ struct PersistedTableConfig {
   RetentionPolicy retention;
 };
 
-/// The query-log window, serialized as replayable SQL (LoggedQuery::Sql()
-/// round-trips through ParseBoundedQuery; the engine re-parses on restore so
-/// the storage layer needs no SQL dependency).
-struct PersistedQueryLog {
-  int64_t total_recorded = 0;
-  struct Entry {
-    int64_t sequence = 0;
-    std::string sql;
-  };
-  std::vector<Entry> entries;
-};
-
 /// Everything a checkpoint persists for one table.
 struct TableSnapshot {
   std::string table;
@@ -90,7 +77,6 @@ struct TableSnapshot {
   Table base;
   HierarchyState hierarchy;
   std::optional<InterestTrackerState> tracker;
-  PersistedQueryLog log;
   /// Standalone last-seen builder answering bounded LAST queries (windowed
   /// tables only). Persisted bit-exactly — re-feeding the surviving
   /// base rows could not reproduce the sampler's full acceptance history.

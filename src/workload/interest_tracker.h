@@ -41,8 +41,8 @@ struct InterestTrackerState {
 /// Tracks the focal points of the exploration: one streaming predicate-set
 /// histogram (Fig. 5) per attribute of interest, each exposing the paper's
 /// constant-time binned density estimate f̆ (§4). Impression builders query
-/// TupleWeight() for each ingested tuple; the bounded executor calls
-/// ObserveQuery() after every execution, closing the adaptive loop of §3.1.
+/// TupleWeight() for each ingested tuple; Engine::Query calls ObserveQuery()
+/// after every answer, closing the adaptive loop of §3.1.
 ///
 /// Not internally synchronized: the tracker carries no mutex of its own.
 /// The engine declares its instance GUARDED_BY the per-table workload_mu;

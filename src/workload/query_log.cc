@@ -1,61 +1,21 @@
 #include "workload/query_log.h"
 
-#include <algorithm>
-#include <set>
+#include <utility>
 
 namespace sciborq {
 
 void QueryLog::Record(const AggregateQuery& query) {
-  LoggedQuery entry;
-  entry.sequence = next_sequence_++;
-  entry.query = query.Clone();
-  entries_.push_back(std::move(entry));
-  if (window_size_ > 0 &&
-      static_cast<int64_t>(entries_.size()) > window_size_) {
-    entries_.pop_front();
+  for (PredicatePoint& point : query.PredicatePoints()) {
+    points_.push_back(std::move(point));
   }
 }
-
-void QueryLog::Record(const BoundedQuery& query) {
-  Record(query.query);
-  entries_.back().bounds = query.bounds;
-}
-
-std::string LoggedQuery::Sql() const { return RenderSql(query, bounds); }
 
 std::vector<double> QueryLog::PredicateSet(const std::string& column) const {
   std::vector<double> out;
-  for (const auto& entry : entries_) {
-    for (const auto& point : entry.query.PredicatePoints()) {
-      if (point.column == column) out.push_back(point.value);
-    }
+  for (const PredicatePoint& point : points_) {
+    if (point.column == column) out.push_back(point.value);
   }
   return out;
-}
-
-std::vector<std::string> QueryLog::PredicateColumns() const {
-  std::set<std::string> names;
-  for (const auto& entry : entries_) {
-    for (const auto& point : entry.query.PredicatePoints()) {
-      names.insert(point.column);
-    }
-  }
-  return {names.begin(), names.end()};
-}
-
-void QueryLog::Clear() {
-  entries_.clear();
-  next_sequence_ = 0;
-}
-
-void QueryLog::RestoreState(int64_t total_recorded,
-                            std::deque<LoggedQuery> entries) {
-  entries_ = std::move(entries);
-  next_sequence_ = total_recorded;
-  while (window_size_ > 0 &&
-         static_cast<int64_t>(entries_.size()) > window_size_) {
-    entries_.pop_front();
-  }
 }
 
 }  // namespace sciborq

@@ -1,74 +1,30 @@
 #ifndef SCIBORQ_WORKLOAD_QUERY_LOG_H_
 #define SCIBORQ_WORKLOAD_QUERY_LOG_H_
 
-#include <cstdint>
-#include <deque>
 #include <string>
 #include <vector>
 
 #include "exec/query.h"
-#include "util/result.h"
 
 namespace sciborq {
 
-/// One executed query with its position in the workload and the bounds it
-/// ran under. The SkyServer query logs the paper mines are modeled by this
-/// in-process log.
-struct LoggedQuery {
-  int64_t sequence = 0;
-  AggregateQuery query;
-  QueryBounds bounds;  ///< default-constructed when recorded without bounds
-
-  /// The replayable SQL text: query + bounds clause. ParseBoundedQuery(Sql())
-  /// reproduces both (round-trip tested in tests/engine_test.cc).
-  std::string Sql() const;
-};
-
-/// A bounded in-memory log of executed queries. The window size bounds both
-/// memory and how far back the "interest" definition reaches — the paper
-/// defines the predicate set "over a period of time or over a predefined
-/// number of queries" (§4); the window is that predefined number.
-///
-/// Not internally synchronized: the log carries no mutex of its own. Every
-/// instance is a guarded member of its owner (Engine::TableEntry::log is
-/// GUARDED_BY(workload_mu)), so the thread-safety analysis enforces the
-/// protocol at the owner's access sites.
+/// The predicate points of a stream of queries, in arrival order — the raw
+/// material of the paper's interest analysis (§4), read by the KDE and
+/// bin-width benches. The engine keeps no such log: its InterestTracker folds
+/// every query into per-attribute histograms instead (Engine::Query and
+/// Engine::RecordWorkload).
 class QueryLog {
  public:
-  /// window_size <= 0 means unbounded.
-  explicit QueryLog(int64_t window_size = 0) : window_size_(window_size) {}
-
-  /// Records a deep copy of the query.
+  /// Records the query's predicate points (copied: the query may go away).
   void Record(const AggregateQuery& query);
 
-  /// Records a deep copy of the query together with its bounds clause, so
-  /// the log replays with the original contract.
-  void Record(const BoundedQuery& query);
-
-  int64_t size() const { return static_cast<int64_t>(entries_.size()); }
-  int64_t total_recorded() const { return next_sequence_; }
-  const std::deque<LoggedQuery>& entries() const { return entries_; }
-
   /// The predicate set of one attribute: every value of `column` requested by
-  /// any predicate of any logged query, in log order. (§4: "the set of all
-  /// values of the interesting attributes that are requested".)
+  /// any predicate of any recorded query, in record order. (§4: "the set of
+  /// all values of the interesting attributes that are requested".)
   std::vector<double> PredicateSet(const std::string& column) const;
 
-  /// Attribute names that appear in at least one predicate, sorted.
-  std::vector<std::string> PredicateColumns() const;
-
-  void Clear();
-
-  /// Replaces the log's contents with recovered entries (persistent
-  /// storage). Entries keep their original sequence numbers;
-  /// `total_recorded` continues the global counter. Entries beyond the
-  /// window are trimmed oldest-first, exactly as Record would have.
-  void RestoreState(int64_t total_recorded, std::deque<LoggedQuery> entries);
-
  private:
-  int64_t window_size_;
-  int64_t next_sequence_ = 0;
-  std::deque<LoggedQuery> entries_;
+  std::vector<PredicatePoint> points_;
 };
 
 }  // namespace sciborq

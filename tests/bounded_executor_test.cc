@@ -191,34 +191,6 @@ TEST_F(BoundedExecutorTest, GenerousBudgetStillMeetsBound) {
   EXPECT_LT(ans.elapsed_seconds, 30.0);
 }
 
-TEST_F(BoundedExecutorTest, AdaptiveFeedbackLoop) {
-  QueryLog log;
-  InterestTracker tracker =
-      InterestTracker::Make({{"ra", 120.0, 3.0, 40}, {"dec", 0.0, 1.5, 40}})
-          .value();
-  BoundedExecutor exec(&catalog_->photo_obj_all, hierarchy_, &log, &tracker);
-  QualityBound bound;
-  bound.max_relative_error = 0.5;
-  AggregateQuery q;
-  q.aggregates = {{AggKind::kCount, ""}};
-  q.filter = FGetNearbyObjEq(150.0, 12.0, 3.0);
-  ASSERT_TRUE(exec.Answer(q, bound).ok());
-  EXPECT_EQ(log.size(), 1);
-  EXPECT_EQ(tracker.observed_points(), 2);
-}
-
-TEST_F(BoundedExecutorTest, AdaptCanBeDisabled) {
-  QueryLog log;
-  BoundedExecutorOptions options;
-  options.adapt = false;
-  BoundedExecutor exec(&catalog_->photo_obj_all, hierarchy_, &log, nullptr,
-                       options);
-  QualityBound bound;
-  bound.max_relative_error = 0.5;
-  ASSERT_TRUE(exec.Answer(WholeSkyAvg(), bound).ok());
-  EXPECT_EQ(log.size(), 0);
-}
-
 TEST_F(BoundedExecutorTest, MalformedQueryFails) {
   BoundedExecutor exec(&catalog_->photo_obj_all, hierarchy_);
   AggregateQuery empty;

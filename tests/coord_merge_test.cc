@@ -321,5 +321,21 @@ TEST(CoordMergeMathTest, TableInfosMerge) {
   EXPECT_EQ(2, merged[1].shards);
 }
 
+// Every query fans out to every shard of its table, so each shard records
+// it once: the merged count is the largest shard count, not the sum.
+TEST(CoordMergeMathTest, TableInfosRecordedQueriesNotDoubleCounted) {
+  TableInfo s0;
+  s0.name = "sky";
+  s0.recorded_queries = 5;
+  TableInfo s1 = s0;
+  const std::vector<TableInfo> merged = MergeTableInfos({{s0}, {s1}});
+  ASSERT_EQ(1u, merged.size());
+  EXPECT_EQ(5, merged[0].recorded_queries);
+  // A shard that restarted (its count began again) does not lower it.
+  s1.recorded_queries = 2;
+  EXPECT_EQ(5, MergeTableInfos({{s0}, {s1}})[0].recorded_queries);
+  EXPECT_EQ(5, MergeTableInfos({{s1}, {s0}})[0].recorded_queries);
+}
+
 }  // namespace
 }  // namespace sciborq

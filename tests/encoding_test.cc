@@ -870,10 +870,11 @@ TEST(SnapshotVersionTest, UnknownHeaderVersionIsDataLossNotCrash) {
 }
 
 TEST(SnapshotVersionTest, OlderHeaderVersionIsDataLoss) {
-  // Formats 1 and 2 are refused rather than read: one format per boundary.
+  // Formats 1 to 3 are refused rather than read: one format per boundary.
+  // Format 3 is the last one that carried the query log.
   TempDir dir;
   const std::string path = dir.path + "/t.snapshot";
-  for (const uint32_t version : {1u, 2u}) {
+  for (const uint32_t version : {1u, 2u, 3u}) {
     ASSERT_TRUE(WriteTableSnapshot(SmallSnapshot(), path).ok());
     RestampSnapshotVersion(path, version);
     const auto result = ReadTableSnapshot(path);

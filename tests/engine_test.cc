@@ -172,7 +172,7 @@ TEST(EngineTest, BoundedQueryEscalatesWithTrace) {
   EXPECT_GE(outcome.estimates[0][0].ci_hi, exact.rows[0].values[0]);
 }
 
-TEST(EngineTest, QueryLogReplaysWithBounds) {
+TEST(EngineTest, OutcomeSqlReplaysWithBounds) {
   Engine engine;
   LoadSky(&engine, "photo_obj_all", 10'000, 6);
 
@@ -181,20 +181,64 @@ TEST(EngineTest, QueryLogReplaysWithBounds) {
       "WHERE cone(ra, dec; 170, 30; r=10) WITHIN 50 MS ERROR 5%";
   const QueryOutcome outcome = engine.Query(sql).value();
   EXPECT_EQ(outcome.sql, sql);  // already normalized
+  EXPECT_EQ(engine.GetTableInfo("photo_obj_all")->recorded_queries, 1);
 
-  const std::vector<std::string> logged =
-      engine.LoggedSql("photo_obj_all").value();
-  ASSERT_EQ(logged.size(), 1u);
-  EXPECT_EQ(logged[0], sql);
-
-  // The replayed SQL parses back to an equal query + bounds.
-  const BoundedQuery replayed = ParseBoundedQuery(logged[0]).value();
+  // The outcome's SQL parses back to an equal query + bounds.
+  const BoundedQuery replayed = ParseBoundedQuery(outcome.sql).value();
   EXPECT_EQ(replayed.ToString(), sql);
   EXPECT_DOUBLE_EQ(replayed.bounds.time_budget_ms, 50.0);
   EXPECT_DOUBLE_EQ(replayed.bounds.max_relative_error, 0.05);
   // ... and re-executes through the parsed-query overload.
   EXPECT_TRUE(engine.Query(replayed).ok());
-  EXPECT_EQ(engine.LoggedSql("photo_obj_all")->size(), 2u);
+  EXPECT_EQ(engine.GetTableInfo("photo_obj_all")->recorded_queries, 2);
+  // RecordWorkload counts too, without answering.
+  ASSERT_TRUE(engine.RecordWorkload("photo_obj_all", replayed.query).ok());
+  EXPECT_EQ(engine.GetTableInfo("photo_obj_all")->recorded_queries, 3);
+  EXPECT_NE(engine.DescribeTable("photo_obj_all")->find("queries recorded: 3"),
+            std::string::npos);
+}
+
+TEST(EngineTest, EscalatedBaseAnswerBitIdenticalToExact) {
+  // MIN carries no sampling error bound, so an ERROR-bounded MIN escalates
+  // through every layer to the base; EXACT goes there directly. Both answers
+  // come from the one scan-answer builder and must agree bit for bit.
+  Engine engine;
+  LoadSky(&engine, "sky", 20'000, 12);
+  const std::string where = " FROM sky WHERE cone(ra, dec; 170, 30; r=10)";
+  const QueryOutcome escalated =
+      engine.Query("SELECT MIN(r), COUNT(*)" + where + " ERROR 5%").value();
+  const QueryOutcome exact =
+      engine.Query("SELECT MIN(r), COUNT(*)" + where + " EXACT").value();
+
+  EXPECT_EQ(escalated.answered_by, "base");
+  EXPECT_EQ(exact.answered_by, "base");
+  EXPECT_TRUE(escalated.exact);
+  EXPECT_TRUE(escalated.error_bound_met);
+  EXPECT_TRUE(exact.error_bound_met);
+  EXPECT_GT(escalated.attempts.size(), 1u);  // the layers were tried first
+  ASSERT_EQ(exact.attempts.size(), 1u);
+  const LayerAttempt& a = escalated.attempts.back();
+  const LayerAttempt& b = exact.attempts.back();
+  EXPECT_EQ(a.layer_name, b.layer_name);
+  EXPECT_EQ(a.layer_rows, b.layer_rows);
+  EXPECT_EQ(a.matching_rows, b.matching_rows);
+  EXPECT_EQ(a.met_error_bound, b.met_error_bound);
+  EXPECT_TRUE(a.is_base);
+  EXPECT_TRUE(b.is_base);
+
+  ASSERT_EQ(escalated.rows.size(), exact.rows.size());
+  for (size_t r = 0; r < exact.rows.size(); ++r) {
+    EXPECT_TRUE(escalated.rows[r] == exact.rows[r]) << "row " << r;
+  }
+  ASSERT_EQ(escalated.estimates.size(), exact.estimates.size());
+  for (size_t r = 0; r < exact.estimates.size(); ++r) {
+    ASSERT_EQ(escalated.estimates[r].size(), exact.estimates[r].size());
+    for (size_t e = 0; e < exact.estimates[r].size(); ++e) {
+      EXPECT_TRUE(escalated.estimates[r][e] == exact.estimates[r][e])
+          << "row " << r << " aggregate " << e;
+      EXPECT_TRUE(exact.estimates[r][e].exact);
+    }
+  }
 }
 
 TEST(EngineTest, SessionDefaultsTableAndBounds) {
@@ -350,9 +394,9 @@ TEST(EngineTest, ConcurrentQueriesBitIdenticalToSerial) {
     }
   }
 
-  // Every query landed in the log exactly once.
-  EXPECT_EQ(engine.LoggedSql("sky")->size(),
-            sqls.size() * (1 + kThreads * kRounds));
+  // Every query was recorded exactly once.
+  EXPECT_EQ(engine.GetTableInfo("sky")->recorded_queries,
+            static_cast<int64_t>(sqls.size() * (1 + kThreads * kRounds)));
 }
 
 TEST(EngineTest, IngestWhileQueryingIsSafe) {
@@ -514,13 +558,12 @@ TEST(PreparedStatementTest, ExecuteFeedsWorkloadLogWithBoundSql) {
   const QueryOutcome outcome =
       engine.Execute(handle, {Value(170.25), Value(int64_t{30})}).value();
 
-  // The log holds the *bound* statement — replayable SQL with true focal
-  // points, not the `?` template (workload-biased sampling depends on it).
-  const std::vector<std::string> logged = engine.LoggedSql("sky").value();
-  ASSERT_FALSE(logged.empty());
-  EXPECT_EQ(logged.back(),
+  // The workload sees the *bound* statement — true focal points, not the
+  // `?` template (workload-biased sampling depends on it) — and counts it
+  // once.
+  EXPECT_EQ(outcome.sql,
             "SELECT COUNT(*) FROM sky WHERE ra > 170.25 ERROR 30%");
-  EXPECT_EQ(outcome.sql, logged.back());
+  EXPECT_EQ(engine.GetTableInfo("sky")->recorded_queries, 1);
 }
 
 TEST(PreparedStatementTest, ConcurrentExecutesBitIdenticalToSerial) {

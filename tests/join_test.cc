@@ -2,7 +2,6 @@
 
 #include "column/table.h"
 #include "exec/join.h"
-#include "exec/sort.h"
 
 namespace sciborq {
 namespace {
@@ -77,51 +76,6 @@ TEST(CountJoinMatchesTest, CountsWithoutMaterializing) {
             3);
   EXPECT_EQ(CountJoinMatches(fact, "fk", {3, 4}, dim, "key").value(), 0);
   EXPECT_EQ(CountJoinMatches(fact, "fk", {0}, dim, "key").value(), 1);
-}
-
-TEST(SortTest, AscendingNumeric) {
-  const Table t = FactTable();
-  const Table sorted = SortTable(t, "x", /*ascending=*/false).value();
-  EXPECT_DOUBLE_EQ(sorted.GetCell(0, "x").value().dbl(), 5.0);
-  EXPECT_DOUBLE_EQ(sorted.GetCell(4, "x").value().dbl(), 1.0);
-}
-
-TEST(SortTest, NullsSortLast) {
-  const Table t = FactTable();
-  const SelectionVector order = SortedOrder(t, "fk").value();
-  EXPECT_EQ(order.back(), 4);  // the null-fk row
-  EXPECT_EQ(order.front(), 0);  // fk 10, first appearance (stable)
-}
-
-TEST(SortTest, StringOrder) {
-  const Table t = DimTable();
-  const SelectionVector order = SortedOrder(t, "label").value();
-  EXPECT_EQ(order, (SelectionVector{0, 2, 1}));  // ten, thirty, twenty
-}
-
-TEST(SortTest, StableForTies) {
-  const Table t = FactTable();
-  const SelectionVector order = SortedOrder(t, "fk").value();
-  // fk values: 10(id0), 20(id1), 10(id2), 99(id3), null(id4).
-  EXPECT_EQ(order, (SelectionVector{0, 2, 1, 3, 4}));
-}
-
-TEST(TopKTest, PartialSort) {
-  const Table t = FactTable();
-  const SelectionVector top2 = TopK(t, "x", 2, /*ascending=*/false).value();
-  ASSERT_EQ(top2.size(), 2u);
-  EXPECT_EQ(top2[0], 4);
-  EXPECT_EQ(top2[1], 3);
-}
-
-TEST(TopKTest, KLargerThanTable) {
-  const Table t = FactTable();
-  EXPECT_EQ(TopK(t, "x", 100).value().size(), 5u);
-  EXPECT_FALSE(TopK(t, "x", -1).ok());
-}
-
-TEST(SortTest, MissingColumn) {
-  EXPECT_FALSE(SortedOrder(FactTable(), "nope").ok());
 }
 
 }  // namespace

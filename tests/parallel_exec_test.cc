@@ -164,12 +164,12 @@ TEST_F(ParallelExecTest, BoundedExecutorParallelMatchesSerial) {
 
   BoundedExecutorOptions serial_opts;
   serial_opts.num_threads = 1;
-  BoundedExecutor serial_exec(&catalog_->photo_obj_all, &hierarchy, nullptr,
-                              nullptr, serial_opts);
+  BoundedExecutor serial_exec(&catalog_->photo_obj_all, &hierarchy,
+                              serial_opts);
   BoundedExecutorOptions parallel_opts;
   parallel_opts.num_threads = 4;
-  BoundedExecutor parallel_exec(&catalog_->photo_obj_all, &hierarchy, nullptr,
-                                nullptr, parallel_opts);
+  BoundedExecutor parallel_exec(&catalog_->photo_obj_all, &hierarchy,
+                                parallel_opts);
   const auto serial = serial_exec.Answer(q.Clone(), bound).value();
   const auto parallel = parallel_exec.Answer(q.Clone(), bound).value();
   EXPECT_EQ(serial.answered_by, parallel.answered_by);

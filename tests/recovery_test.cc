@@ -111,11 +111,10 @@ TEST(RecoveryTest, CheckpointOpenAnswersBitIdentically) {
   ExpectSameAnswers(before, RunBattery(reopened.get(), "sky"));
 }
 
-TEST(RecoveryTest, TableInfoAndLogSurviveRestart) {
+TEST(RecoveryTest, TableInfoSurvivesRestart) {
   TempDir dir;
   const Table sky = SkyRows(3'000, 8);
   TableInfo info_before;
-  std::vector<std::string> log_before;
   {
     std::unique_ptr<Engine> engine = Engine::Open(dir.path).value();
     ASSERT_TRUE(engine->CreateTable("sky", sky.schema(), SmallBiased()).ok());
@@ -123,22 +122,22 @@ TEST(RecoveryTest, TableInfoAndLogSurviveRestart) {
     RunBattery(engine.get(), "sky");
     ASSERT_TRUE(engine->Checkpoint("sky").ok());
     info_before = engine->GetTableInfo("sky").value();
-    log_before = engine->LoggedSql("sky").value();
   }
   std::unique_ptr<Engine> reopened = Engine::Open(dir.path).value();
   const TableInfo info = reopened->GetTableInfo("sky").value();
   EXPECT_EQ(info.rows, info_before.rows);
   EXPECT_EQ(info.population_seen, info_before.population_seen);
   EXPECT_EQ(info.biased, info_before.biased);
-  EXPECT_EQ(info.logged_queries, info_before.logged_queries);
+  // The recorded-query count lives as long as the process, like
+  // sciborq_queries_total: a restart begins it again.
+  EXPECT_GT(info_before.recorded_queries, 0);
+  EXPECT_EQ(info.recorded_queries, 0);
   ASSERT_EQ(info.layers.size(), info_before.layers.size());
   for (size_t i = 0; i < info.layers.size(); ++i) {
     EXPECT_EQ(info.layers[i].name, info_before.layers[i].name);
     EXPECT_EQ(info.layers[i].rows, info_before.layers[i].rows);
     EXPECT_EQ(info.layers[i].policy, info_before.layers[i].policy);
   }
-  // The workload log replays verbatim (sequence order and SQL).
-  EXPECT_EQ(reopened->LoggedSql("sky").value(), log_before);
   // Prepared statements are ephemeral by design: handles die with the
   // process.
   EXPECT_EQ(reopened->open_statements(), 0);

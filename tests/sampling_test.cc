@@ -8,7 +8,6 @@
 #include "sampling/biased_reservoir.h"
 #include "sampling/last_seen.h"
 #include "sampling/reservoir.h"
-#include "sampling/stratified.h"
 #include "sampling/weighted_ares.h"
 
 namespace sciborq {
@@ -340,54 +339,6 @@ TEST(AResTest, SlotReuseStaysDense) {
     }
   }
   EXPECT_EQ(s.size(), 8);
-}
-
-// ------------------------------------------------------------- Stratified --
-
-TEST(StratifiedTest, MakeValidation) {
-  EXPECT_FALSE(StratifiedSampler::Make(10, 0, 1).ok());
-  EXPECT_FALSE(StratifiedSampler::Make(3, 5, 1).ok());
-  EXPECT_TRUE(StratifiedSampler::Make(10, 5, 1).ok());
-}
-
-TEST(StratifiedTest, EqualAllocationAcrossStrata) {
-  StratifiedSampler s = StratifiedSampler::Make(100, 4, 41).value();
-  EXPECT_EQ(s.per_stratum_capacity(), 25);
-  std::vector<int64_t> slots(100, -1);
-  // Stratum 0 has 10x the data of the others; allocation stays equal.
-  for (int64_t i = 0; i < 20'000; ++i) {
-    const int64_t stratum = (i % 13 == 0) ? (i % 4) : 0;
-    const ReservoirDecision d = s.Offer(stratum);
-    if (d.accepted) {
-      EXPECT_LT(d.slot, 100);
-      slots[static_cast<size_t>(d.slot)] = stratum;
-    }
-  }
-  EXPECT_EQ(s.num_active_strata(), 4);
-  // Each stratum's global slot range is its own quarter.
-  for (int64_t slot = 0; slot < 100; ++slot) {
-    if (slots[static_cast<size_t>(slot)] < 0) continue;
-    EXPECT_EQ(slots[static_cast<size_t>(slot)], slot / 25);
-  }
-}
-
-TEST(StratifiedTest, InclusionProbabilityPerStratum) {
-  StratifiedSampler s = StratifiedSampler::Make(20, 2, 43).value();
-  for (int i = 0; i < 1000; ++i) s.Offer(0);
-  for (int i = 0; i < 10; ++i) s.Offer(1);
-  EXPECT_DOUBLE_EQ(s.InclusionProbability(0), 10.0 / 1000.0);
-  EXPECT_DOUBLE_EQ(s.InclusionProbability(1), 1.0);  // still filling
-  EXPECT_DOUBLE_EQ(s.InclusionProbability(99), 1.0);  // unseen stratum
-}
-
-TEST(StratifiedTest, NegativeStrataFoldSafely) {
-  StratifiedSampler s = StratifiedSampler::Make(10, 5, 47).value();
-  for (int64_t i = 0; i < 100; ++i) {
-    const ReservoirDecision d = s.Offer(-i);
-    if (d.accepted) {
-      EXPECT_GE(d.slot, 0);
-    }
-  }
 }
 
 // Capacity sweep: every sampler respects its capacity for any n.

@@ -27,6 +27,7 @@
 #include "util/binio.h"
 #include "util/crc32c.h"
 #include "util/rng.h"
+#include "util/string_util.h"
 
 #include "test_temp_dir.h"
 
@@ -565,8 +566,8 @@ TEST(WalRecordTest, CreateAndBatchRoundTrip) {
 // ------------------------------------------------------------ snapshot ----
 
 /// A persistent engine with one small biased table, checkpointed — the
-/// richest snapshot shape (tracker, acceptance model, query log, derived
-/// layers) at a file size small enough to fuzz exhaustively.
+/// richest snapshot shape (tracker, acceptance model, derived layers) at a
+/// file size small enough to fuzz exhaustively.
 std::string WriteRichSnapshot(const std::string& db_dir) {
   EngineOptions eopts;
   std::unique_ptr<Engine> engine = Engine::Open(db_dir, eopts).value();
@@ -598,15 +599,36 @@ TEST(SnapshotTest, FileRoundTrips) {
   EXPECT_EQ(snap.last_seq, 1);
   ASSERT_TRUE(snap.tracker.has_value());
   EXPECT_EQ(snap.tracker->attributes.size(), 2u);
+  // The one answered cone query fed its (ra, dec) point to the tracker.
+  EXPECT_EQ(snap.tracker->observed_points, 2);
   EXPECT_EQ(snap.hierarchy.top.size(), 1u);
   EXPECT_EQ(snap.hierarchy.derived.size(), 1u);
-  EXPECT_EQ(snap.log.entries.size(), 1u);
 
   // Re-encoding the decoded snapshot reproduces the body byte-for-byte.
   BinaryWriter again;
   EncodeTableSnapshot(snap, &again);
   const std::string file = ReadAll(path);
   EXPECT_EQ(file.substr(16, file.size() - 20), again.buffer());
+}
+
+TEST(SnapshotTest, SizeDoesNotGrowWithWorkload) {
+  // A snapshot holds the table's state, not its query history: 500 bounded
+  // queries between two checkpoints (each folded into the fixed-size
+  // interest histograms) leave the file exactly as large as before.
+  TempDir dir;
+  const std::string path = WriteRichSnapshot(dir.path);
+  const auto before = std::filesystem::file_size(path);
+  std::unique_ptr<Engine> engine = Engine::Open(dir.path).value();
+  for (int i = 0; i < 500; ++i) {
+    const Result<QueryOutcome> outcome = engine->Query(
+        StrFormat("SELECT COUNT(*) FROM sky WHERE cone(ra, dec; %d, 12; r=8) "
+                  "ERROR 50%%",
+                  120 + i % 60));
+    ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+  }
+  ASSERT_TRUE(engine->Checkpoint("sky").ok());
+  EXPECT_EQ(std::filesystem::file_size(path), before);
+  EXPECT_EQ(ReadTableSnapshot(path)->tracker->observed_points, 2 + 2 * 500);
 }
 
 TEST(SnapshotTest, EveryPrefixTruncationFailsCleanly) {

@@ -369,7 +369,7 @@ TEST(WireTableInfoTest, RoundTrip) {
   info.layers = {{"l0", 65536, 65536, "biased"}, {"l1", 8192, 8192, "uniform"}};
   info.population_seen = 600000;
   info.biased = true;
-  info.logged_queries = 17;
+  info.recorded_queries = 17;
   info.shards = 4;
 
   WireWriter w;

@@ -24,28 +24,11 @@ TEST(QueryLogTest, RecordsAndExtractsPredicateSet) {
   QueryLog log;
   log.Record(ConeQuery(185.0, 0.5, 2.0));
   log.Record(ConeQuery(186.0, 1.5, 2.0));
-  EXPECT_EQ(log.size(), 2);
   const auto ra_set = log.PredicateSet("ra");
   EXPECT_EQ(ra_set, (std::vector<double>{185.0, 186.0}));
   const auto dec_set = log.PredicateSet("dec");
   EXPECT_EQ(dec_set, (std::vector<double>{0.5, 1.5}));
   EXPECT_TRUE(log.PredicateSet("z").empty());
-}
-
-TEST(QueryLogTest, WindowEvictsOldest) {
-  QueryLog log(2);
-  log.Record(ConeQuery(1.0, 0, 1));
-  log.Record(ConeQuery(2.0, 0, 1));
-  log.Record(ConeQuery(3.0, 0, 1));
-  EXPECT_EQ(log.size(), 2);
-  EXPECT_EQ(log.total_recorded(), 3);
-  EXPECT_EQ(log.PredicateSet("ra"), (std::vector<double>{2.0, 3.0}));
-}
-
-TEST(QueryLogTest, PredicateColumnsSorted) {
-  QueryLog log;
-  log.Record(ConeQuery(1, 2, 3));
-  EXPECT_EQ(log.PredicateColumns(), (std::vector<std::string>{"dec", "ra"}));
 }
 
 TEST(QueryLogTest, RecordClonesDeeply) {
@@ -55,14 +38,6 @@ TEST(QueryLogTest, RecordClonesDeeply) {
     log.Record(q);
   }  // original destroyed
   EXPECT_EQ(log.PredicateSet("ra"), (std::vector<double>{9.0}));
-}
-
-TEST(QueryLogTest, ClearResets) {
-  QueryLog log;
-  log.Record(ConeQuery(1, 2, 3));
-  log.Clear();
-  EXPECT_EQ(log.size(), 0);
-  EXPECT_EQ(log.total_recorded(), 0);
 }
 
 // ------------------------------------------------------- InterestTracker ---
