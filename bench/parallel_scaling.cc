@@ -1,7 +1,7 @@
-// Parallel scan / ingest scaling: morsel-driven RunExact and the threaded
-// sharded-load driver vs thread count, on the SkyServer synthetic table.
-// Verifies along the way that every parallel result is bit-identical to the
-// serial one — speed must never change answers.
+// Parallel scan scaling: morsel-driven RunExact and EstimateOnImpression vs
+// thread count, on the SkyServer synthetic table. Verifies along the way
+// that every pooled result is bit-identical to the serial one — speed must
+// never change answers — and exits 1 when one is not.
 
 #include <cstdio>
 #include <vector>
@@ -9,7 +9,6 @@
 #include "bench/bench_util.h"
 #include "core/bounded_executor.h"
 #include "core/impression_builder.h"
-#include "core/sharded_builder.h"
 #include "exec/expr.h"
 #include "exec/query.h"
 #include "skyserver/catalog.h"
@@ -42,19 +41,10 @@ double BestOf(int repeats, const std::function<void()>& fn) {
   return best;
 }
 
-bool SameResults(const std::vector<QueryResultRow>& a,
-                 const std::vector<QueryResultRow>& b) {
-  if (a.size() != b.size()) return false;
-  for (size_t r = 0; r < a.size(); ++r) {
-    if (a[r].input_rows != b[r].input_rows) return false;
-    for (size_t v = 0; v < a[r].values.size(); ++v) {
-      if (a[r].values[v] != b[r].values[v]) return false;
-    }
-  }
-  return true;
-}
+const char* Identical(bool same) { return same ? "yes" : "NO (BUG)"; }
 
-void ScanScaling(const Table& table) {
+/// Returns true when every pooled scan equals the serial one bit for bit.
+bool ScanScaling(const Table& table) {
   Header("Morsel-parallel scan: RunExact over PhotoObjAll");
   Expectation(
       "throughput scales with threads (>= 3x at 8 threads on >= 8 cores); "
@@ -66,46 +56,23 @@ void ScanScaling(const Table& table) {
   std::printf("rows=%lld  serial=%.1fms (%.2fM rows/s)\n",
               static_cast<long long>(table.num_rows()), serial_s * 1e3,
               static_cast<double>(table.num_rows()) / serial_s / 1e6);
+  bool all_identical = true;
   for (const int threads : kThreadCounts) {
     if (threads == 1) continue;
     ThreadPool pool(threads);
-    const auto result = Unwrap(RunExact(table, query, &pool));
+    const bool same = Unwrap(RunExact(table, query, &pool)) == truth;
+    all_identical = all_identical && same;
     const double par_s =
         BestOf(kRepeats, [&] { Unwrap(RunExact(table, query, &pool)); });
     Measured(StrFormat("threads=%d  %.1fms  speedup=%.2fx  identical=%s",
                        threads, par_s * 1e3, serial_s / par_s,
-                       SameResults(truth, result) ? "yes" : "NO (BUG)"));
+                       Identical(same)));
   }
+  return all_identical;
 }
 
-void IngestScaling(const Table& table) {
-  Header("Parallel database load: sharded impression build");
-  Expectation(
-      "one load thread per shard; ingest throughput scales with shards "
-      "(paper §1: impressions maintained during parallel loads)");
-  ImpressionSpec spec;
-  spec.capacity = 20'000;
-  spec.seed = 11;
-  const double serial_s = BestOf(kRepeats, [&] {
-    auto builder = Unwrap(ImpressionBuilder::Make(table.schema(), spec));
-    if (!builder.IngestBatch(table).ok()) std::abort();
-  });
-  std::printf("rows=%lld  serial=%.1fms (%.2fM tuples/s)\n",
-              static_cast<long long>(table.num_rows()), serial_s * 1e3,
-              static_cast<double>(table.num_rows()) / serial_s / 1e6);
-  for (const int shards : kThreadCounts) {
-    if (shards == 1) continue;
-    const double par_s = BestOf(kRepeats, [&] {
-      auto sharded =
-          Unwrap(ShardedImpressionBuilder::Make(table.schema(), spec, shards));
-      if (!sharded.IngestBatchParallel(table).ok()) std::abort();
-    });
-    Measured(StrFormat("shards=%d  %.1fms  speedup=%.2fx", shards,
-                       par_s * 1e3, serial_s / par_s));
-  }
-}
-
-void EstimateScaling(const Table& table) {
+/// Returns true when every pooled estimate equals the serial one bit for bit.
+bool EstimateScaling(const Table& table) {
   Header("Morsel-parallel impression scan: EstimateOnImpression");
   Expectation("layer estimation speeds up on large impressions too");
   ImpressionSpec spec;
@@ -116,38 +83,50 @@ void EstimateScaling(const Table& table) {
   AggregateQuery q;
   q.aggregates = {{AggKind::kCount, ""}, {AggKind::kAvg, "r"}};
   q.filter = Between("ra", 130.0, 220.0);
+  const BoundedAnswer truth =
+      Unwrap(EstimateOnImpression(builder.impression(), q, 0.95));
   const double serial_s = BestOf(kRepeats, [&] {
     Unwrap(EstimateOnImpression(builder.impression(), q, 0.95));
   });
   std::printf("impression_rows=%lld  serial=%.1fms\n",
               static_cast<long long>(builder.impression().size()),
               serial_s * 1e3);
+  bool all_identical = true;
   for (const int threads : kThreadCounts) {
     if (threads == 1) continue;
     ThreadPool pool(threads);
+    const BoundedAnswer result =
+        Unwrap(EstimateOnImpression(builder.impression(), q, 0.95, &pool));
+    const bool same =
+        result.rows == truth.rows && result.estimates == truth.estimates;
+    all_identical = all_identical && same;
     const double par_s = BestOf(kRepeats, [&] {
       Unwrap(EstimateOnImpression(builder.impression(), q, 0.95, &pool));
     });
-    Measured(StrFormat("threads=%d  %.1fms  speedup=%.2fx", threads,
-                       par_s * 1e3, serial_s / par_s));
+    Measured(StrFormat("threads=%d  %.1fms  speedup=%.2fx  identical=%s",
+                       threads, par_s * 1e3, serial_s / par_s,
+                       Identical(same)));
   }
+  return all_identical;
 }
 
-void Run() {
+/// Returns true when every pooled result matched its serial reference.
+bool Run() {
   std::printf("hardware_concurrency=%d\n",
               ThreadPool::ResolveThreadCount(0));
   SkyCatalogConfig config;
   config.num_rows = 600'000;
   const SkyCatalog catalog = Unwrap(GenerateSkyCatalog(config, 2026));
-  ScanScaling(catalog.photo_obj_all);
-  EstimateScaling(catalog.photo_obj_all);
-  IngestScaling(catalog.photo_obj_all);
+  const bool scan_ok = ScanScaling(catalog.photo_obj_all);
+  const bool estimate_ok = EstimateScaling(catalog.photo_obj_all);
+  return scan_ok && estimate_ok;
 }
 
 }  // namespace
 }  // namespace sciborq::bench
 
 int main() {
-  sciborq::bench::Run();
-  return 0;
+  if (sciborq::bench::Run()) return 0;
+  std::fprintf(stderr, "a pooled result differs from the serial one\n");
+  return 1;
 }

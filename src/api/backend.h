@@ -11,39 +11,11 @@
 #include "exec/query.h"
 #include "obs/slowlog.h"
 #include "obs/trace.h"
-#include "retention/policy.h"
+#include "storage/snapshot.h"
 #include "util/result.h"
 #include "workload/interest_tracker.h"
 
 namespace sciborq {
-
-/// Per-table configuration supplied at registration time. The defaults give
-/// a three-layer uniform hierarchy; naming attributes of interest switches
-/// the table to workload-biased sampling steered by a per-table
-/// InterestTracker (every answered query feeds it — the adaptive loop of
-/// §3.1 closes without any caller involvement).
-struct TableOptions {
-  /// Impression layers, largest first with strictly decreasing capacities.
-  /// Empty = the default geometry {64Ki, 8Ki, 1Ki}.
-  std::vector<ImpressionHierarchy::LayerSpec> layers;
-  /// Attributes tracked by the interest histograms (column + bin geometry).
-  /// Non-empty enables biased sampling; empty keeps uniform reservoirs.
-  std::vector<InterestTracker::AttributeSpec> tracked_attributes;
-  /// Seed for all of the table's samplers (deterministic per table).
-  uint64_t seed = 42;
-  /// Derived layers refresh at the end of an ingest call once this many
-  /// tuples arrived since the last refresh (0 = once per ingest call, even
-  /// when a windowed table splits the call into several time-bucket
-  /// strata); see HierarchyOptions::refresh_interval.
-  int64_t refresh_interval = 0;
-  /// Sliding-window retention (retention/policy.h). Naming a time column
-  /// turns the table into a windowed one: ingest is stratified by time
-  /// bucket, whole buckets age out of the base data and every sample once
-  /// the window slides past them, and `LAST(col) BY key` queries are
-  /// answered natively (from a standalone last-seen impression under
-  /// bounds, from the base data under EXACT). Disabled by default.
-  RetentionPolicy retention;
-};
 
 /// The answer to one SQL query — the union of what BoundedExecutor::Answer
 /// and RunExact used to return through different types: point estimates in

@@ -57,17 +57,34 @@ uint64_t MixSeed(uint64_t seed, int64_t salt) {
   return x;
 }
 
+/// The top impression's sampler wiring: the table's seed, plus biased
+/// sampling steered by the table's tracker when attributes are tracked. The
+/// tracker lives in a heap-allocated TableEntry, so the pointer stays valid.
+ImpressionSpec TopSpec(uint64_t seed,
+                       const std::optional<InterestTracker>& tracker) {
+  ImpressionSpec spec;
+  spec.seed = seed;
+  if (tracker) {
+    spec.policy = SamplingPolicy::kBiased;
+    spec.tracker = &*tracker;
+  }
+  return spec;
+}
+
 /// The standalone recency-biased sample answering bounded LAST queries
 /// (Fig. 3 sampler, separate from the hierarchy so its k/D acceptance is
 /// tuned for staleness, not for aggregate error).
-ImpressionSpec LastSeenSpec(const RetentionPolicy& policy, uint64_t seed) {
+Result<std::unique_ptr<ImpressionBuilder>> MakeLastSeen(
+    const Schema& schema, const RetentionPolicy& policy, uint64_t seed) {
   ImpressionSpec spec;
   spec.name = "last-seen";
   spec.capacity = policy.last_seen_capacity;
   spec.policy = SamplingPolicy::kLastSeen;
   spec.seed = seed;
   spec.expected_ingest = policy.effective_expected_ingest();
-  return spec;
+  SCIBORQ_ASSIGN_OR_RETURN(ImpressionBuilder builder,
+                           ImpressionBuilder::Make(schema, spec));
+  return std::make_unique<ImpressionBuilder>(std::move(builder));
 }
 
 /// All row indices of `t`, in order — the identity selection the stratified
@@ -413,34 +430,23 @@ Result<std::unique_ptr<Engine::TableEntry>> Engine::BuildTableEntry(
   raw->base = Table(schema);
   if (options.layers.empty()) options.layers = DefaultLayers();
 
-  ImpressionSpec spec;
-  spec.seed = options.seed;
   if (!options.tracked_attributes.empty()) {
     SCIBORQ_ASSIGN_OR_RETURN(
         InterestTracker tracker,
         InterestTracker::Make(options.tracked_attributes));
     raw->tracker.emplace(std::move(tracker));
-    spec.policy = SamplingPolicy::kBiased;
-    spec.tracker = &*raw->tracker;  // stable: entry is heap-allocated
   }
-
-  HierarchyOptions hierarchy_options;
-  hierarchy_options.refresh_interval = options.refresh_interval;
-  hierarchy_options.load_shards = options_.load_shards;
   SCIBORQ_ASSIGN_OR_RETURN(
       ImpressionHierarchy hierarchy,
-      ImpressionHierarchy::Make(schema, options.layers, spec,
-                                hierarchy_options));
+      ImpressionHierarchy::Make(schema, options.layers,
+                                TopSpec(options.seed, raw->tracker)));
   raw->hierarchy.emplace(std::move(hierarchy));
   if (options.retention.enabled()) {
     SCIBORQ_ASSIGN_OR_RETURN(RetentionManager retention,
                              RetentionManager::Make(options.retention, schema));
     raw->retention.emplace(std::move(retention));
     SCIBORQ_ASSIGN_OR_RETURN(
-        ImpressionBuilder last_seen,
-        ImpressionBuilder::Make(schema,
-                                LastSeenSpec(options.retention, options.seed)));
-    raw->last_seen = std::make_unique<ImpressionBuilder>(std::move(last_seen));
+        raw->last_seen, MakeLastSeen(schema, options.retention, options.seed));
   }
   raw->options = std::move(options);
   raw->InitMetrics();
@@ -510,30 +516,22 @@ Result<bool> Engine::ApplyRetention(TableEntry* entry)
   // same cutoffs and lands on bit-identical samplers.
   const uint64_t seed = MixSeed(entry->options.seed, cutoff);
   ImpressionSpec spec;
-  spec.seed = seed;
   {
     MutexLock workload_lock(&entry->workload_mu);
-    if (entry->tracker) {
-      spec.policy = SamplingPolicy::kBiased;
-      spec.tracker = &*entry->tracker;
-    }
+    spec = TopSpec(seed, entry->tracker);
   }
-  HierarchyOptions hierarchy_options;
-  hierarchy_options.refresh_interval = entry->options.refresh_interval;
-  hierarchy_options.load_shards = options_.load_shards;
   SCIBORQ_ASSIGN_OR_RETURN(
       ImpressionHierarchy hierarchy,
-      ImpressionHierarchy::Make(new_base.schema(), entry->options.layers, spec,
-                                hierarchy_options));
+      ImpressionHierarchy::Make(new_base.schema(), entry->options.layers,
+                                spec));
   SCIBORQ_ASSIGN_OR_RETURN(
-      ImpressionBuilder last_seen,
-      ImpressionBuilder::Make(new_base.schema(),
-                              LastSeenSpec(entry->options.retention, seed)));
+      std::unique_ptr<ImpressionBuilder> last_seen,
+      MakeLastSeen(new_base.schema(), entry->options.retention, seed));
   SCIBORQ_RETURN_NOT_OK(IngestStrata(
       new_base, entry->retention->GroupByBucket(new_base, AllRows(new_base)),
-      &hierarchy, &last_seen));
+      &hierarchy, last_seen.get()));
   entry->hierarchy.emplace(std::move(hierarchy));
-  entry->last_seen = std::make_unique<ImpressionBuilder>(std::move(last_seen));
+  entry->last_seen = std::move(last_seen);
   entry->base = std::move(new_base);
   entry->base.BuildEncoding();
   entry->RefreshStorageMetrics();
@@ -570,14 +568,8 @@ Status Engine::PublishTable(std::unique_ptr<TableEntry> entry,
     // the caller was told failed. Registration is rare (boot time), so
     // holding the catalog lock across the fsyncs is acceptable; it also
     // serializes duplicate-name races on the WAL file itself.
-    PersistedTableConfig config;
-    config.layers = raw->options.layers;
-    config.tracked_attributes = raw->options.tracked_attributes;
-    config.seed = raw->options.seed;
-    config.refresh_interval = raw->options.refresh_interval;
-    config.retention = raw->options.retention;
     SCIBORQ_RETURN_NOT_OK(
-        store_->LogCreate(raw->name, raw->base.schema(), config));
+        store_->LogCreate(raw->name, raw->base.schema(), raw->options));
     if (initial_batch != nullptr && initial_batch->num_rows() > 0) {
       const Result<int64_t> logged =
           store_->LogBatch(raw->name, *initial_batch, raw->next_seq);
@@ -768,11 +760,7 @@ Status Engine::RestoreTable(RecoveredTable recovered) {
     entry = std::make_unique<TableEntry>();
     TableEntry* raw = entry.get();
     raw->name = recovered.name;
-    raw->options.layers = snap.config.layers;
-    raw->options.tracked_attributes = snap.config.tracked_attributes;
-    raw->options.seed = snap.config.seed;
-    raw->options.refresh_interval = snap.config.refresh_interval;
-    raw->options.retention = snap.config.retention;
+    raw->options = std::move(snap.config);
     raw->InitMetrics();
     // Unpublished entry: the locks are uncontended but keep the guarded
     // state protocol unconditional (see BuildTableEntry).
@@ -783,15 +771,10 @@ Status Engine::RestoreTable(RecoveredTable recovered) {
                                InterestTracker::Restore(std::move(*snap.tracker)));
       raw->tracker.emplace(std::move(tracker));
     }
-    ImpressionSpec spec;
-    spec.seed = raw->options.seed;
-    if (raw->tracker) {
-      spec.policy = SamplingPolicy::kBiased;
-      spec.tracker = &*raw->tracker;
-    }
     SCIBORQ_ASSIGN_OR_RETURN(
         ImpressionHierarchy hierarchy,
-        ImpressionHierarchy::Restore(snap.base.schema(), spec,
+        ImpressionHierarchy::Restore(snap.base.schema(),
+                                     TopSpec(raw->options.seed, raw->tracker),
                                      std::move(snap.hierarchy)));
     raw->hierarchy.emplace(std::move(hierarchy));
     raw->base = std::move(snap.base);
@@ -815,34 +798,25 @@ Status Engine::RestoreTable(RecoveredTable recovered) {
         raw->last_cutoff = raw->retention->cutoff_bucket();
       }
       SCIBORQ_ASSIGN_OR_RETURN(
-          ImpressionBuilder last_seen,
-          ImpressionBuilder::Make(
-              raw->base.schema(),
-              LastSeenSpec(raw->options.retention, raw->options.seed)));
+          raw->last_seen,
+          MakeLastSeen(raw->base.schema(), raw->options.retention,
+                       raw->options.seed));
       if (snap.last_seen) {
         // Bit-exact: re-feeding the surviving rows could not reproduce the
         // sampler's acceptance history, so the builder state travels in the
         // snapshot. RestoreState also replaces the sampler RNG, so the
         // spec-level seed above never reaches the stream.
         SCIBORQ_RETURN_NOT_OK(
-            last_seen.RestoreState(std::move(*snap.last_seen)));
+            raw->last_seen->RestoreState(std::move(*snap.last_seen)));
       }
-      raw->last_seen =
-          std::make_unique<ImpressionBuilder>(std::move(last_seen));
     }
     raw->next_seq = snap.last_seq + 1;
   } else {
     // Created after the last checkpoint (or never checkpointed): rebuild
     // from the WAL's create record and replay from scratch.
-    TableOptions opts;
-    opts.layers = recovered.created_config->layers;
-    opts.tracked_attributes = recovered.created_config->tracked_attributes;
-    opts.seed = recovered.created_config->seed;
-    opts.refresh_interval = recovered.created_config->refresh_interval;
-    opts.retention = recovered.created_config->retention;
     SCIBORQ_ASSIGN_OR_RETURN(
         entry, BuildTableEntry(recovered.name, *recovered.created_schema,
-                               std::move(opts)));
+                               std::move(*recovered.created_config)));
   }
 
   {
@@ -871,11 +845,7 @@ TableSnapshot Engine::BuildSnapshot(const TableEntry& entry) const
     REQUIRES_SHARED(entry.data_mu) {
   TableSnapshot snap;
   snap.table = entry.name;
-  snap.config.layers = entry.options.layers;
-  snap.config.tracked_attributes = entry.options.tracked_attributes;
-  snap.config.seed = entry.options.seed;
-  snap.config.refresh_interval = entry.options.refresh_interval;
-  snap.config.retention = entry.options.retention;
+  snap.config = entry.options;
   snap.last_seq = entry.next_seq - 1;
   snap.base = entry.base;
   snap.hierarchy = entry.hierarchy->SaveState();
@@ -1021,10 +991,8 @@ Result<QueryOutcome> Engine::Query(const BoundedQuery& bounded,
                                  base_watch.ElapsedSeconds() >
                                      bound.time_budget_seconds;
     } else {
-      BoundedExecutorOptions exec_options;
-      exec_options.shared_pool = query_pool_.get();
       BoundedExecutor executor(&entry->base, &*entry->hierarchy,
-                               exec_options);
+                               query_pool_.get());
       SCIBORQ_ASSIGN_OR_RETURN(answer, executor.Answer(query, bound));
     }
 

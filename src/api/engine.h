@@ -27,8 +27,6 @@ struct EngineOptions {
   /// 1 = serial per query (the default — per-query determinism; concurrency
   /// then comes from many client threads, the server shape).
   int query_threads = 1;
-  /// Parallel-load shards per table (HierarchyOptions::load_shards).
-  int load_shards = 1;
   /// Entries held by the bound-miss / slow-query ring (0 disables it).
   int64_t slow_log_capacity = 128;
   /// WAL segment rotation threshold in bytes for persistent engines

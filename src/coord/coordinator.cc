@@ -340,9 +340,9 @@ Status SciborqCoordinator::CreateTable(const std::string& name,
                                        TableOptions options) {
   SCIBORQ_ASSIGN_OR_RETURN(const std::vector<ShardEndpoint> endpoints,
                            ShardsFor(name));
-  // Derived per-shard seeds, like ShardedImpressionBuilder: one seeder
-  // stream, one draw per shard, so shard samples are mutually independent
-  // yet fully reproducible from the table seed.
+  // Derived per-shard seeds: one seeder stream, one draw per shard, so shard
+  // samples are mutually independent yet fully reproducible from the table
+  // seed.
   Rng seeder(options.seed);
   return OnEachShard(endpoints, [&](SciborqClient* client) {
     return client->CreateTable(name, schema, options.retention,
@@ -354,9 +354,9 @@ Result<int64_t> SciborqCoordinator::Ingest(const std::string& table,
                                            const Table& batch) {
   SCIBORQ_ASSIGN_OR_RETURN(const std::vector<ShardEndpoint> endpoints,
                            ShardsFor(table));
-  // Contiguous routing: shard s gets rows [offset, offset + per (+1)), the
-  // same deterministic split ShardedImpressionBuilder uses, so a sharded
-  // load concatenates back to the single-node row order.
+  // Contiguous routing (the paper's parallel database loads, §1): shard s
+  // gets rows [offset, offset + per (+1)), a deterministic split, so a
+  // sharded load concatenates back to the single-node row order.
   const int64_t n = batch.num_rows();
   const int64_t num_shards = static_cast<int64_t>(endpoints.size());
   const int64_t per = n / num_shards;

@@ -287,19 +287,10 @@ BoundedAnswer ScanAnswer(std::vector<QueryResultRow> rows,
 
 BoundedExecutor::BoundedExecutor(const Table* base,
                                  const ImpressionHierarchy* hierarchy,
-                                 Options options)
-    : base_(base), hierarchy_(hierarchy), options_(options) {
+                                 ThreadPool* pool)
+    : base_(base), hierarchy_(hierarchy), pool_(pool) {
   SCIBORQ_CHECK(base_ != nullptr);
   SCIBORQ_CHECK(hierarchy_ != nullptr);
-  if (options_.shared_pool != nullptr) {
-    pool_ = options_.shared_pool;
-  } else {
-    const int threads = ThreadPool::ResolveThreadCount(options_.num_threads);
-    if (threads > 1) {
-      owned_pool_ = std::make_unique<ThreadPool>(threads);
-      pool_ = owned_pool_.get();
-    }
-  }
 }
 
 Result<BoundedAnswer> BoundedExecutor::Answer(const AggregateQuery& query,

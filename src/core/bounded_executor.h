@@ -1,7 +1,6 @@
 #ifndef SCIBORQ_CORE_BOUNDED_EXECUTOR_H_
 #define SCIBORQ_CORE_BOUNDED_EXECUTOR_H_
 
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -68,20 +67,6 @@ BoundedAnswer ScanAnswer(std::vector<QueryResultRow> rows,
                          double confidence, double elapsed_seconds,
                          bool exact);
 
-/// Tuning knobs for the bounded executor.
-struct BoundedExecutorOptions {
-  /// Worker threads for the executor's scans (layer estimation and the base
-  /// fallback): 0 = hardware concurrency, 1 = serial (the default — callers
-  /// that pin exact latencies keep single-threaded determinism; results are
-  /// bit-identical either way).
-  int num_threads = 1;
-  /// Non-owning pool to run scans on instead of spawning one per executor;
-  /// takes precedence over num_threads. ParallelFor tracks completion per
-  /// call, so many executors (the Engine's concurrent queries) can share one
-  /// pool without waiting on each other's work.
-  ThreadPool* shared_pool = nullptr;
-};
-
 /// Multi-layer bounded query processing (§3.2): walk the hierarchy from the
 /// smallest impression upward; accept the first answer within the error
 /// bound; stop early when the time budget would be blown; fall back to the
@@ -90,11 +75,13 @@ struct BoundedExecutorOptions {
 /// feeds the table's InterestTracker after every answer.
 class BoundedExecutor {
  public:
-  using Options = BoundedExecutorOptions;
-
-  /// Both pointers non-owning and required.
+  /// All pointers non-owning; `base` and `hierarchy` are required. `pool`
+  /// runs the executor's scans (layer estimation and the base fallback);
+  /// null = serial. Results are bit-identical either way. ParallelFor tracks
+  /// completion per call, so many executors (the Engine's concurrent
+  /// queries) can share one pool without waiting on each other's work.
   BoundedExecutor(const Table* base, const ImpressionHierarchy* hierarchy,
-                  Options options = BoundedExecutorOptions());
+                  ThreadPool* pool = nullptr);
 
   /// Answers `query` under `bound`. Always returns an answer (the best one
   /// achievable within the budget); inspect error_bound_met /
@@ -106,12 +93,7 @@ class BoundedExecutor {
  private:
   const Table* base_;
   const ImpressionHierarchy* hierarchy_;
-  Options options_;
-  /// Owned worker pool; null when a shared pool is configured or
-  /// options_.num_threads resolves to 1.
-  std::unique_ptr<ThreadPool> owned_pool_;
-  /// The pool scans actually run on (owned or shared); null = serial.
-  ThreadPool* pool_ = nullptr;
+  ThreadPool* pool_;  ///< null = serial
   /// Rolling per-row cost estimate (seconds/row) used to predict whether the
   /// next layer fits the remaining budget.
   double est_seconds_per_row_ = 0.0;

@@ -5,7 +5,6 @@
 
 #include "util/check.h"
 #include "util/string_util.h"
-#include "util/thread_pool.h"
 
 namespace sciborq {
 
@@ -46,28 +45,15 @@ Status ValidateLayerSpecs(
 
 Result<ImpressionHierarchy> ImpressionHierarchy::Make(
     const Schema& schema, std::vector<LayerSpec> layers,
-    ImpressionSpec top_spec, Options options) {
+    ImpressionSpec top_spec) {
   SCIBORQ_RETURN_NOT_OK(ValidateLayerSpecs(layers));
   top_spec.name = layers[0].name;
   top_spec.capacity = layers[0].capacity;
   const uint64_t derive_seed = top_spec.seed ^ 0xDE51BEDULL;
-  if (options.load_shards < 0) {
-    return Status::InvalidArgument("load_shards must be >= 0");
-  }
-  const int shards = options.load_shards == 1
-                         ? 1
-                         : ThreadPool::ResolveThreadCount(options.load_shards);
-  ImpressionHierarchy hierarchy(std::move(layers), options, derive_seed);
-  if (shards > 1) {
-    SCIBORQ_ASSIGN_OR_RETURN(
-        ShardedImpressionBuilder top,
-        ShardedImpressionBuilder::Make(schema, top_spec, shards));
-    hierarchy.sharded_top_.emplace(std::move(top));
-  } else {
-    SCIBORQ_ASSIGN_OR_RETURN(ImpressionBuilder top,
-                             ImpressionBuilder::Make(schema, top_spec));
-    hierarchy.top_builder_.emplace(std::move(top));
-  }
+  SCIBORQ_ASSIGN_OR_RETURN(ImpressionBuilder top,
+                           ImpressionBuilder::Make(schema, top_spec));
+  ImpressionHierarchy hierarchy(std::move(layers), std::move(top),
+                                derive_seed);
   SCIBORQ_RETURN_NOT_OK(hierarchy.RefreshDerivedLayers());
   return hierarchy;
 }
@@ -75,17 +61,7 @@ Result<ImpressionHierarchy> ImpressionHierarchy::Make(
 HierarchyState ImpressionHierarchy::SaveState() const {
   HierarchyState state;
   state.derive_rng = derive_rng_.SaveState();
-  state.ingested_since_refresh = ingested_since_refresh_;
-  state.refresh_interval = options_.refresh_interval;
-  if (sharded_top_) {
-    state.top.reserve(static_cast<size_t>(sharded_top_->num_shards()));
-    for (int i = 0; i < sharded_top_->num_shards(); ++i) {
-      state.top.push_back(sharded_top_->shard(i).SaveState());
-    }
-    state.merged_top = merged_top_->SaveState();
-  } else {
-    state.top.push_back(top_builder_->SaveState());
-  }
+  state.top = top_builder_.SaveState();
   state.derived.reserve(derived_.size());
   for (const Impression& layer : derived_) {
     state.derived.push_back(layer.SaveState());
@@ -95,50 +71,21 @@ HierarchyState ImpressionHierarchy::SaveState() const {
 
 Result<ImpressionHierarchy> ImpressionHierarchy::Restore(
     const Schema& schema, ImpressionSpec top_spec, HierarchyState state) {
-  if (state.top.empty()) {
-    return Status::InvalidArgument("hierarchy state: no top builder");
-  }
-  const bool sharded = state.top.size() > 1;
-  if (sharded && !state.merged_top) {
-    return Status::InvalidArgument(
-        "hierarchy state: sharded top without a merged impression");
-  }
   // The layer geometry is implied by the saved impressions.
-  const ImpressionState& top_impression =
-      sharded ? *state.merged_top : state.top[0].impression;
   std::vector<LayerSpec> layers;
-  layers.push_back({top_impression.name, top_impression.capacity});
+  layers.push_back({state.top.impression.name, state.top.impression.capacity});
   for (const auto& layer : state.derived) {
     layers.push_back({layer.name, layer.capacity});
   }
   SCIBORQ_RETURN_NOT_OK(ValidateLayerSpecs(layers));
   top_spec.name = layers[0].name;
   top_spec.capacity = layers[0].capacity;
-  Options options;
-  options.refresh_interval = state.refresh_interval;
-  options.load_shards = static_cast<int>(state.top.size());
-  ImpressionHierarchy hierarchy(std::move(layers), options, /*derive_seed=*/0);
+  SCIBORQ_ASSIGN_OR_RETURN(ImpressionBuilder top,
+                           ImpressionBuilder::Make(schema, top_spec));
+  SCIBORQ_RETURN_NOT_OK(top.RestoreState(std::move(state.top)));
+  ImpressionHierarchy hierarchy(std::move(layers), std::move(top),
+                                /*derive_seed=*/0);
   hierarchy.derive_rng_ = Rng::FromState(state.derive_rng);
-  hierarchy.ingested_since_refresh_ = state.ingested_since_refresh;
-  if (sharded) {
-    SCIBORQ_ASSIGN_OR_RETURN(
-        ShardedImpressionBuilder top,
-        ShardedImpressionBuilder::Make(schema, top_spec,
-                                       static_cast<int>(state.top.size())));
-    for (size_t i = 0; i < state.top.size(); ++i) {
-      SCIBORQ_RETURN_NOT_OK(
-          top.shard(static_cast<int>(i)).RestoreState(std::move(state.top[i])));
-    }
-    hierarchy.sharded_top_.emplace(std::move(top));
-    SCIBORQ_ASSIGN_OR_RETURN(Impression merged,
-                             Impression::FromState(std::move(*state.merged_top)));
-    hierarchy.merged_top_.emplace(std::move(merged));
-  } else {
-    SCIBORQ_ASSIGN_OR_RETURN(ImpressionBuilder top,
-                             ImpressionBuilder::Make(schema, top_spec));
-    SCIBORQ_RETURN_NOT_OK(top.RestoreState(std::move(state.top[0])));
-    hierarchy.top_builder_.emplace(std::move(top));
-  }
   hierarchy.derived_.reserve(state.derived.size());
   for (auto& layer : state.derived) {
     SCIBORQ_ASSIGN_OR_RETURN(Impression restored,
@@ -150,18 +97,9 @@ Result<ImpressionHierarchy> ImpressionHierarchy::Restore(
 
 Status ImpressionHierarchy::IngestParts(const std::vector<const Table*>& parts) {
   for (const Table* part : parts) {
-    if (sharded_top_) {
-      SCIBORQ_RETURN_NOT_OK(sharded_top_->IngestBatchParallel(*part));
-    } else {
-      SCIBORQ_RETURN_NOT_OK(top_builder_->IngestBatch(*part));
-    }
-    ingested_since_refresh_ += part->num_rows();
+    SCIBORQ_RETURN_NOT_OK(top_builder_.IngestBatch(*part));
   }
-  if (options_.refresh_interval <= 0 ||
-      ingested_since_refresh_ >= options_.refresh_interval) {
-    SCIBORQ_RETURN_NOT_OK(RefreshDerivedLayers());
-  }
-  return Status::OK();
+  return RefreshDerivedLayers();
 }
 
 Result<Impression> ImpressionHierarchy::DeriveLayer(const Impression& parent,
@@ -206,12 +144,6 @@ Result<Impression> ImpressionHierarchy::DeriveLayer(const Impression& parent,
 }
 
 Status ImpressionHierarchy::RefreshDerivedLayers() {
-  if (sharded_top_) {
-    // Materialize the queryable top layer from the load shards first; the
-    // derived layers subsample this merge.
-    SCIBORQ_ASSIGN_OR_RETURN(Impression merged, sharded_top_->Merge());
-    merged_top_.emplace(std::move(merged));
-  }
   derived_.clear();
   const Impression* parent = &top_impression();
   for (size_t i = 1; i < layer_specs_.size(); ++i) {
@@ -227,7 +159,6 @@ Status ImpressionHierarchy::RefreshDerivedLayers() {
     }
     parent = &derived_.back();
   }
-  ingested_since_refresh_ = 0;
   return Status::OK();
 }
 

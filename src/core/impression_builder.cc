@@ -50,17 +50,9 @@ Result<ImpressionBuilder> ImpressionBuilder::Make(const Schema& schema,
 }
 
 Status ImpressionBuilder::IngestBatch(const Table& batch) {
-  return IngestRows(batch, 0, batch.num_rows());
-}
-
-Status ImpressionBuilder::IngestRows(const Table& batch, int64_t begin,
-                                     int64_t end) {
   if (!batch.schema().Equals(impression_.rows().schema())) {
     return Status::InvalidArgument(
         "batch schema does not match the impression schema");
-  }
-  if (begin < 0 || end > batch.num_rows() || begin > end) {
-    return Status::OutOfRange("ingest slice outside the batch");
   }
   std::vector<int> bound;
   if (spec_.policy == SamplingPolicy::kBiased) {
@@ -68,7 +60,7 @@ Status ImpressionBuilder::IngestRows(const Table& batch, int64_t begin,
                 ? spec_.joint_tracker->BindColumns(batch.schema())
                 : spec_.tracker->BindColumns(batch.schema());
   }
-  for (int64_t row = begin; row < end; ++row) {
+  for (int64_t row = 0; row < batch.num_rows(); ++row) {
     double weight = 1.0;
     ReservoirDecision decision;
     switch (spec_.policy) {

@@ -65,10 +65,6 @@ class ImpressionBuilder {
   /// construction schema.
   Status IngestBatch(const Table& batch);
 
-  /// Offers rows [begin, end) of `batch` — the zero-copy slice interface the
-  /// parallel load driver uses to feed each shard its share of a batch.
-  Status IngestRows(const Table& batch, int64_t begin, int64_t end);
-
   /// The live impression (updated in place by IngestBatch).
   const Impression& impression() const { return impression_; }
 

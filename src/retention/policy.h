@@ -18,8 +18,7 @@ namespace sciborq {
 /// table's exclusive data lock so queries never observe a half-evicted state.
 ///
 /// This struct is deliberately minimal and header-only: it is embedded in
-/// both TableOptions (api/engine.h) and PersistedTableConfig
-/// (storage/snapshot.h), which must not include each other.
+/// TableOptions (storage/snapshot.h).
 struct RetentionPolicy {
   /// Name of the int64 column carrying event time. Empty = no retention
   /// (the table behaves exactly like every pre-retention table).

@@ -6,8 +6,8 @@
 
 namespace sciborq {
 
-/// Single-pass mean/variance accumulator (Welford). Mergeable, so parallel
-/// load shards can combine their statistics.
+/// Single-pass mean/variance accumulator (Welford). Mergeable, so morsel
+/// partials and coordinator shards can combine their statistics.
 class RunningMoments {
  public:
   void Add(double value);

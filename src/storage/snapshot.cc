@@ -219,12 +219,7 @@ Result<ImpressionBuilderState> DecodeBuilderState(BinaryReader* r) {
 
 void EncodeHierarchyState(const HierarchyState& s, BinaryWriter* w) {
   EncodeRng(s.derive_rng, w);
-  w->PutI64(s.ingested_since_refresh);
-  w->PutI64(s.refresh_interval);
-  w->PutU32(static_cast<uint32_t>(s.top.size()));
-  for (const auto& shard : s.top) EncodeBuilderState(shard, w);
-  w->PutBool(s.merged_top.has_value());
-  if (s.merged_top) EncodeImpressionState(*s.merged_top, w);
+  EncodeBuilderState(s.top, w);
   w->PutU32(static_cast<uint32_t>(s.derived.size()));
   for (const auto& layer : s.derived) {
     EncodeImpressionState(layer, w);
@@ -234,24 +229,7 @@ void EncodeHierarchyState(const HierarchyState& s, BinaryWriter* w) {
 Result<HierarchyState> DecodeHierarchyState(BinaryReader* r) {
   HierarchyState s;
   SCIBORQ_ASSIGN_OR_RETURN(s.derive_rng, DecodeRng(r));
-  SCIBORQ_ASSIGN_OR_RETURN(s.ingested_since_refresh, r->ReadI64());
-  SCIBORQ_ASSIGN_OR_RETURN(s.refresh_interval, r->ReadI64());
-  SCIBORQ_ASSIGN_OR_RETURN(const uint32_t shards, r->ReadU32());
-  // The smallest possible builder state is still dozens of bytes; 8 is a
-  // safe lower bound for the count guard.
-  SCIBORQ_RETURN_NOT_OK(CheckDecodeCount(shards, 8, *r, "top builder"));
-  s.top.reserve(shards);
-  for (uint32_t i = 0; i < shards; ++i) {
-    SCIBORQ_ASSIGN_OR_RETURN(ImpressionBuilderState shard,
-                             DecodeBuilderState(r));
-    s.top.push_back(std::move(shard));
-  }
-  SCIBORQ_ASSIGN_OR_RETURN(const bool has_merged, r->ReadBool());
-  if (has_merged) {
-    SCIBORQ_ASSIGN_OR_RETURN(ImpressionState merged,
-                             DecodeImpressionState(r));
-    s.merged_top = std::move(merged);
-  }
+  SCIBORQ_ASSIGN_OR_RETURN(s.top, DecodeBuilderState(r));
   SCIBORQ_ASSIGN_OR_RETURN(const uint32_t derived, r->ReadU32());
   SCIBORQ_RETURN_NOT_OK(CheckDecodeCount(derived, 8, *r, "derived layer"));
   s.derived.reserve(derived);
@@ -331,7 +309,7 @@ Result<InterestTrackerState> DecodeTrackerState(BinaryReader* r) {
 
 }  // namespace
 
-void EncodePersistedConfig(const PersistedTableConfig& c, BinaryWriter* w) {
+void EncodeTableOptions(const TableOptions& c, BinaryWriter* w) {
   w->PutU32(static_cast<uint32_t>(c.layers.size()));
   for (const auto& layer : c.layers) {
     w->PutString(layer.name);
@@ -345,12 +323,11 @@ void EncodePersistedConfig(const PersistedTableConfig& c, BinaryWriter* w) {
     w->PutU32(static_cast<uint32_t>(attr.num_bins));
   }
   w->PutU64(c.seed);
-  w->PutI64(c.refresh_interval);
   EncodeRetentionPolicy(c.retention, w);
 }
 
-Result<PersistedTableConfig> DecodePersistedConfig(BinaryReader* r) {
-  PersistedTableConfig c;
+Result<TableOptions> DecodeTableOptions(BinaryReader* r) {
+  TableOptions c;
   SCIBORQ_ASSIGN_OR_RETURN(const uint32_t layers, r->ReadU32());
   SCIBORQ_RETURN_NOT_OK(CheckDecodeCount(layers, 12, *r, "layer spec"));
   c.layers.reserve(layers);
@@ -373,14 +350,13 @@ Result<PersistedTableConfig> DecodePersistedConfig(BinaryReader* r) {
     c.tracked_attributes.push_back(std::move(spec));
   }
   SCIBORQ_ASSIGN_OR_RETURN(c.seed, r->ReadU64());
-  SCIBORQ_ASSIGN_OR_RETURN(c.refresh_interval, r->ReadI64());
   SCIBORQ_ASSIGN_OR_RETURN(c.retention, DecodeRetentionPolicy(r));
   return c;
 }
 
 void EncodeTableSnapshot(const TableSnapshot& snap, BinaryWriter* w) {
   w->PutString(snap.table);
-  EncodePersistedConfig(snap.config, w);
+  EncodeTableOptions(snap.config, w);
   w->PutI64(snap.last_seq);
   EncodeTableEncoded(snap.base, w);
   EncodeHierarchyState(snap.hierarchy, w);
@@ -393,7 +369,7 @@ void EncodeTableSnapshot(const TableSnapshot& snap, BinaryWriter* w) {
 Result<TableSnapshot> DecodeTableSnapshot(BinaryReader* r) {
   TableSnapshot snap;
   SCIBORQ_ASSIGN_OR_RETURN(snap.table, r->ReadString());
-  SCIBORQ_ASSIGN_OR_RETURN(snap.config, DecodePersistedConfig(r));
+  SCIBORQ_ASSIGN_OR_RETURN(snap.config, DecodeTableOptions(r));
   SCIBORQ_ASSIGN_OR_RETURN(snap.last_seq, r->ReadI64());
   SCIBORQ_ASSIGN_OR_RETURN(snap.base, DecodeTableEncoded(r));
   SCIBORQ_ASSIGN_OR_RETURN(snap.hierarchy, DecodeHierarchyState(r));

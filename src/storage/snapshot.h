@@ -52,25 +52,38 @@ inline constexpr uint32_t kSnapshotMagic = 0x4E534253u;  // "SBSN"
 /// The one format: every table (base data and impression rows) is written
 /// through the encoded-page codec (column/serde.h, EncodeTableEncoded) —
 /// RLE / frame-of-reference / dictionary chunks chosen per morsel; the
-/// config carries the RetentionPolicy and the trailer the optional
-/// standalone last-seen builder state.
-inline constexpr uint32_t kSnapshotFormatVersion = 4;
+/// config carries the RetentionPolicy, the hierarchy exactly one top
+/// builder, and the trailer the optional standalone last-seen builder state.
+inline constexpr uint32_t kSnapshotFormatVersion = 5;
 
-/// The table-creation parameters that must survive a restart (the persisted
-/// mirror of api TableOptions, minus runtime-only wiring).
-struct PersistedTableConfig {
+/// Per-table configuration supplied at registration time (Engine::CreateTable)
+/// and persisted whole, in the snapshot and the WAL's create record. The
+/// defaults give a three-layer uniform hierarchy; naming attributes of
+/// interest switches the table to workload-biased sampling steered by a
+/// per-table InterestTracker (every answered query feeds it — the adaptive
+/// loop of §3.1 closes without any caller involvement).
+struct TableOptions {
+  /// Impression layers, largest first with strictly decreasing capacities.
+  /// Empty = the default geometry {64Ki, 8Ki, 1Ki}.
   std::vector<ImpressionHierarchy::LayerSpec> layers;
+  /// Attributes tracked by the interest histograms (column + bin geometry).
+  /// Non-empty enables biased sampling; empty keeps uniform reservoirs.
   std::vector<InterestTracker::AttributeSpec> tracked_attributes;
+  /// Seed for all of the table's samplers (deterministic per table).
   uint64_t seed = 42;
-  int64_t refresh_interval = 0;
-  /// Sliding-window retention (disabled for plain tables).
+  /// Sliding-window retention (retention/policy.h). Naming a time column
+  /// turns the table into a windowed one: ingest is stratified by time
+  /// bucket, whole buckets age out of the base data and every sample once
+  /// the window slides past them, and `LAST(col) BY key` queries are
+  /// answered natively (from a standalone last-seen impression under
+  /// bounds, from the base data under EXACT). Disabled by default.
   RetentionPolicy retention;
 };
 
 /// Everything a checkpoint persists for one table.
 struct TableSnapshot {
   std::string table;
-  PersistedTableConfig config;
+  TableOptions config;
   /// Highest WAL batch sequence folded into this snapshot; recovery replays
   /// only records with a larger sequence.
   int64_t last_seq = 0;
@@ -90,8 +103,8 @@ Result<TableSnapshot> DecodeTableSnapshot(BinaryReader* r);
 /// Config codec, shared with the WAL's create-table record. The config
 /// always ends with the RetentionPolicy block (column/serde.h); a disabled
 /// policy is one zero byte.
-void EncodePersistedConfig(const PersistedTableConfig& config, BinaryWriter* w);
-Result<PersistedTableConfig> DecodePersistedConfig(BinaryReader* r);
+void EncodeTableOptions(const TableOptions& config, BinaryWriter* w);
+Result<TableOptions> DecodeTableOptions(BinaryReader* r);
 
 /// Writes `snap` to `path` atomically (temp file + fsync + rename + dir
 /// fsync). IOError on filesystem failure.

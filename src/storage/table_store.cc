@@ -364,7 +364,7 @@ Result<TableStore::TableWal*> TableStore::FindWal(const std::string& name) {
 }
 
 Status TableStore::LogCreate(const std::string& name, const Schema& schema,
-                             const PersistedTableConfig& config) {
+                             const TableOptions& config) {
   SCIBORQ_RETURN_NOT_OK(ValidateTableName(name));
   SCIBORQ_ASSIGN_OR_RETURN(WalWriter writer,
                            WalWriter::Create(SegmentPath(name, 0)));
@@ -534,12 +534,12 @@ Status TableStore::WriteCheckpoint(const TableSnapshot& snap) {
 // -- WAL record codecs ------------------------------------------------------
 
 std::string EncodeCreateRecord(const Schema& schema,
-                               const PersistedTableConfig& config) {
+                               const TableOptions& config) {
   BinaryWriter w;
   w.PutU8(kRecordCreateTable);
   w.PutI64(0);
   EncodeSchema(schema, &w);
-  EncodePersistedConfig(config, &w);
+  EncodeTableOptions(config, &w);
   return std::move(w).Take();
 }
 
@@ -561,8 +561,8 @@ Result<WalRecord> DecodeWalRecord(std::string_view payload) {
       record.type = WalRecord::Type::kCreateTable;
       SCIBORQ_ASSIGN_OR_RETURN(Schema schema, DecodeSchema(&r));
       record.schema = std::move(schema);
-      SCIBORQ_ASSIGN_OR_RETURN(PersistedTableConfig config,
-                               DecodePersistedConfig(&r));
+      SCIBORQ_ASSIGN_OR_RETURN(TableOptions config,
+                               DecodeTableOptions(&r));
       record.config = std::move(config);
       break;
     }

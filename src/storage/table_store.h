@@ -75,7 +75,7 @@ struct RecoveredTable {
   /// after the last checkpoint — in particular for never-checkpointed
   /// tables).
   std::optional<Schema> created_schema;
-  std::optional<PersistedTableConfig> created_config;
+  std::optional<TableOptions> created_config;
   /// Batches with seq > snapshot.last_seq, ascending.
   std::vector<PendingBatch> batches;
   /// True when a torn or corrupt WAL tail was dropped during recovery.
@@ -118,7 +118,7 @@ class TableStore {
 
   /// Appends the create-table record to a fresh segment 0 for `name`.
   Status LogCreate(const std::string& name, const Schema& schema,
-                   const PersistedTableConfig& config);
+                   const TableOptions& config);
 
   /// Appends one ingest-batch record, durable before returning, rotating to
   /// a fresh segment first when the active one is at the size threshold.
@@ -222,16 +222,16 @@ class TableStore {
 
 /// WAL payload codecs, exposed for tests.
 std::string EncodeCreateRecord(const Schema& schema,
-                               const PersistedTableConfig& config);
+                               const TableOptions& config);
 std::string EncodeBatchRecord(int64_t seq, const Table& batch);
 
 struct WalRecord {
   enum class Type { kCreateTable, kIngestBatch };
   Type type = Type::kIngestBatch;
   int64_t seq = 0;
-  std::optional<Schema> schema;                  ///< create only
-  std::optional<PersistedTableConfig> config;    ///< create only
-  std::optional<Table> batch;                    ///< ingest only
+  std::optional<Schema> schema;        ///< create only
+  std::optional<TableOptions> config;  ///< create only
+  std::optional<Table> batch;          ///< ingest only
 };
 Result<WalRecord> DecodeWalRecord(std::string_view payload);
 

@@ -223,7 +223,7 @@ Result<WalScanResult> ScanWal(const std::string& path,
         StrFormat("wal: %s has bad magic 0x%08x", path.c_str(), magic));
   }
   if (version != kWalFormatVersion) {
-    return Status::InvalidArgument(StrFormat(
+    return Status::DataLoss(StrFormat(
         "wal: %s format version %u not supported (this build reads v%u)",
         path.c_str(), version, kWalFormatVersion));
   }

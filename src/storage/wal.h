@@ -41,10 +41,11 @@ namespace sciborq {
 // ---------------------------------------------------------------------------
 
 inline constexpr uint32_t kWalMagic = 0x4C574253u;  // "SBWL"
-/// The one WAL format. Version 2 carries the single create-table record
-/// whose config always ends with the retention block; a header with any
-/// other version is refused, never misparsed.
-inline constexpr uint32_t kWalFormatVersion = 2;
+/// The one WAL format. Version 3 carries the single create-table record,
+/// whose config is the snapshot's TableOptions codec (ending with the
+/// retention block); a header with any other version is refused with
+/// DataLoss, never misparsed.
+inline constexpr uint32_t kWalFormatVersion = 3;
 inline constexpr int64_t kWalHeaderBytes = 8;
 /// Per-record ceiling: bounds what a hostile or corrupt length prefix can
 /// make the reader allocate. One ingest batch is one record, so this also
@@ -108,9 +109,10 @@ struct WalScanResult {
 };
 
 /// Reads every valid record. IOError when the file cannot be read;
-/// InvalidArgument when the header itself is bad (wrong magic/version) —
-/// header damage means the file cannot be trusted at all, unlike a torn
-/// tail, which is expected after a crash and reported via `torn_tail`.
+/// InvalidArgument when the header itself is bad (wrong magic) — header
+/// damage means the file cannot be trusted at all, unlike a torn tail, which
+/// is expected after a crash and reported via `torn_tail`. DataLoss when the
+/// header carries any version but kWalFormatVersion.
 Result<WalScanResult> ScanWal(const std::string& path,
                               int64_t max_record_bytes = kMaxWalRecordBytes);
 

@@ -15,9 +15,9 @@
 namespace sciborq {
 
 /// A fixed-size worker pool — the execution substrate for morsel-driven
-/// parallel scans (exec/) and parallel database loads (core/, §1). Tasks are
-/// plain closures; the library's Status-based error handling means tasks
-/// never throw.
+/// parallel scans (exec/, core/bounded_executor.h) and the server's
+/// connection handlers. Tasks are plain closures; the library's Status-based
+/// error handling means tasks never throw.
 class ThreadPool {
  public:
   /// Resolves a `num_threads` knob to an actual worker count:

@@ -823,6 +823,8 @@ TableSnapshot SmallSnapshot() {
   snap.last_seq = 3;
   snap.base = EncodableTable(200);
   snap.hierarchy.derive_rng = Rng(123).SaveState();  // all-zero is rejected
+  // The hierarchy always holds one top builder, with its sampler engaged.
+  snap.hierarchy.top.uniform = ReservoirSampler::State{0, Rng(7).SaveState()};
   return snap;
 }
 
@@ -870,11 +872,12 @@ TEST(SnapshotVersionTest, UnknownHeaderVersionIsDataLossNotCrash) {
 }
 
 TEST(SnapshotVersionTest, OlderHeaderVersionIsDataLoss) {
-  // Formats 1 to 3 are refused rather than read: one format per boundary.
-  // Format 3 is the last one that carried the query log.
+  // Formats 1 to 4 are refused rather than read: one format per boundary.
+  // Format 3 is the last one that carried the query log, format 4 the last
+  // one whose hierarchy held a list of load-shard builders.
   TempDir dir;
   const std::string path = dir.path + "/t.snapshot";
-  for (const uint32_t version : {1u, 2u, 3u}) {
+  for (const uint32_t version : {1u, 2u, 3u, 4u}) {
     ASSERT_TRUE(WriteTableSnapshot(SmallSnapshot(), path).ok());
     RestampSnapshotVersion(path, version);
     const auto result = ReadTableSnapshot(path);

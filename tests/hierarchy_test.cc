@@ -185,39 +185,6 @@ TEST(HierarchyTest, BiasInheritedByDerivedLayers) {
   EXPECT_GT(f2, f0 * 0.5);
 }
 
-TEST(HierarchyTest, RefreshIntervalDefersDerivation) {
-  SkyStream stream(StreamConfig(), 8);
-  ImpressionSpec spec;
-  spec.seed = 8;
-  HierarchyOptions options;
-  options.refresh_interval = 10'000;
-  auto h = ImpressionHierarchy::Make(stream.schema(), ThreeLayers(), spec,
-                                     options)
-               .value();
-  ASSERT_TRUE(h.IngestBatch(stream.NextBatch(3000)).ok());
-  // Below the interval: derived layers still reflect the initial (empty)
-  // refresh... but Make() refreshes once, so they are empty.
-  EXPECT_EQ(h.layer(0).size(), 3000);
-  const int64_t l1_before = h.layer(1).size();
-  ASSERT_TRUE(h.IngestBatch(stream.NextBatch(8000)).ok());  // crosses 10k
-  EXPECT_EQ(h.layer(1).size(), 1000);
-  EXPECT_GE(h.layer(1).size(), l1_before);
-}
-
-TEST(HierarchyTest, ManualRefreshAlwaysWorks) {
-  SkyStream stream(StreamConfig(), 9);
-  ImpressionSpec spec;
-  HierarchyOptions options;
-  options.refresh_interval = 1'000'000;  // effectively never
-  auto h = ImpressionHierarchy::Make(stream.schema(), ThreeLayers(), spec,
-                                     options)
-               .value();
-  ASSERT_TRUE(h.IngestBatch(stream.NextBatch(5000)).ok());
-  EXPECT_EQ(h.layer(1).size(), 0);  // not refreshed yet
-  ASSERT_TRUE(h.RefreshDerivedLayers().ok());
-  EXPECT_EQ(h.layer(1).size(), 1000);
-}
-
 TEST(HierarchyTest, ToStringListsLayers) {
   SkyStream stream(StreamConfig(), 10);
   ImpressionSpec spec;
@@ -381,19 +348,6 @@ TEST(HierarchyDeriveOracleTest, ColumnWiseMatchesRowWiseOnBiasedParent) {
       &h, layers, OneBatchPerCall(&stream, {1'500, 10'000, 10'000}));
 }
 
-TEST(HierarchyDeriveOracleTest, ColumnWiseMatchesRowWiseOnShardedMerge) {
-  SkyStream stream(StreamConfig(), 23);
-  ImpressionSpec spec;
-  spec.seed = 23;
-  HierarchyOptions options;
-  options.load_shards = 3;
-  auto h = ImpressionHierarchy::Make(stream.schema(), ThreeLayers(), spec,
-                                     options)
-               .value();
-  ExpectDerivationMatchesReference(
-      &h, ThreeLayers(), OneBatchPerCall(&stream, {900, 12'000, 12'000}));
-}
-
 TEST(HierarchyTest, MultiPartIngestRefreshesOnce) {
   // Three parts in one call: the top layer takes them in order, exactly as
   // three one-part calls would, but the derived layers refresh once.
@@ -416,31 +370,6 @@ TEST(HierarchyTest, MultiPartIngestRefreshesOnce) {
   EXPECT_FALSE(SameRng(multi.SaveState().derive_rng,
                        per_part.SaveState().derive_rng))
       << "three one-part calls refresh three times";
-}
-
-TEST(HierarchyTest, RefreshIntervalCountsPerIngestCall) {
-  SkyStream stream(StreamConfig(), 25);
-  ImpressionSpec spec;
-  spec.seed = 25;
-  HierarchyOptions options;
-  options.refresh_interval = 1'000;
-  auto h = ImpressionHierarchy::Make(stream.schema(), ThreeLayers(), spec,
-                                     options)
-               .value();
-  const Table a = stream.NextBatch(400);
-  const Table b = stream.NextBatch(400);
-  ASSERT_TRUE(h.IngestParts({&a, &b}).ok());  // 800 < 1000: no refresh
-  EXPECT_EQ(h.layer(1).size(), 0);
-  EXPECT_EQ(h.SaveState().ingested_since_refresh, 800);
-  // 800 + 300 crosses the interval inside this call's second part; the
-  // refresh still waits for the end of the call and sees all 1,400 rows.
-  const Table c = stream.NextBatch(300);
-  const Table d = stream.NextBatch(300);
-  ASSERT_TRUE(h.IngestParts({&c, &d}).ok());
-  EXPECT_EQ(h.layer(0).size(), 1'400);
-  EXPECT_EQ(h.layer(1).size(), 1'000);
-  EXPECT_EQ(h.layer(1).population_seen(), 1'400);
-  EXPECT_EQ(h.SaveState().ingested_since_refresh, 0);
 }
 
 // Sweep: derivation keeps probabilities in (0, 1] for any layer shape.

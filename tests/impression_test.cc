@@ -6,7 +6,6 @@
 
 #include "core/impression.h"
 #include "core/impression_builder.h"
-#include "core/sharded_builder.h"
 #include "skyserver/catalog.h"
 #include "workload/interest_tracker.h"
 
@@ -246,59 +245,6 @@ TEST(ImpressionBuilderTest, SnapshotIsStable) {
   ASSERT_TRUE(builder.IngestBatch(stream.NextBatch(20'000)).ok());
   EXPECT_EQ(snap.rows().GetCell(0, "objid").value().int64(), snap_first);
   EXPECT_EQ(snap.population_seen(), 1000);
-}
-
-// ------------------------------------------------------ Sharded builder ---
-
-TEST(ShardedBuilderTest, MakeValidation) {
-  ImpressionSpec spec;
-  spec.capacity = 100;
-  EXPECT_FALSE(
-      ShardedImpressionBuilder::Make(PhotoObjSchema(), spec, 0).ok());
-  EXPECT_TRUE(ShardedImpressionBuilder::Make(PhotoObjSchema(), spec, 4).ok());
-}
-
-TEST(ShardedBuilderTest, MergePreservesCapacityAndPopulation) {
-  SkyStream stream(StreamConfig(), 12);
-  ImpressionSpec spec;
-  spec.capacity = 400;
-  spec.seed = 12;
-  auto sharded =
-      ShardedImpressionBuilder::Make(stream.schema(), spec, 4).value();
-  for (int b = 0; b < 8; ++b) {
-    ASSERT_TRUE(sharded.shard(b % 4).IngestBatch(stream.NextBatch(2500)).ok());
-  }
-  const Impression merged = sharded.Merge().value();
-  EXPECT_EQ(merged.size(), 400);
-  EXPECT_EQ(merged.population_seen(), 20'000);
-  EXPECT_TRUE(merged.Validate().ok());
-}
-
-TEST(ShardedBuilderTest, MergedSampleSpansAllShards) {
-  SkyStream stream(StreamConfig(), 13);
-  ImpressionSpec spec;
-  spec.capacity = 600;
-  spec.seed = 13;
-  auto sharded =
-      ShardedImpressionBuilder::Make(stream.schema(), spec, 3).value();
-  // Shard s sees stream positions [s*10000, (s+1)*10000).
-  for (int s = 0; s < 3; ++s) {
-    ASSERT_TRUE(sharded.shard(s).IngestBatch(stream.NextBatch(10'000)).ok());
-  }
-  const Impression merged = sharded.Merge().value();
-  int64_t from_shard[3] = {0, 0, 0};
-  for (const int64_t src : merged.source_ids()) {
-    // source ids are per-shard stream positions in [0, 10000).
-    EXPECT_LT(src, 10'000);
-  }
-  // Instead, verify objid ranges cover all three shard slices.
-  const Column* objid = merged.rows().ColumnByName("objid").value();
-  for (int64_t i = 0; i < merged.size(); ++i) {
-    ++from_shard[std::min<int64_t>(2, (objid->GetInt64(i) - 1) / 10'000)];
-  }
-  for (const int64_t share : from_shard) {
-    EXPECT_GT(share, 100);  // each shard contributes ~200 of 600
-  }
 }
 
 }  // namespace

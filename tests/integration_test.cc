@@ -2,12 +2,10 @@
 
 #include <cmath>
 #include <cstdio>
-#include <thread>
 
 #include "column/csv.h"
 #include "util/rng.h"
 #include "core/bounded_executor.h"
-#include "core/sharded_builder.h"
 #include "skyserver/catalog.h"
 #include "skyserver/functions.h"
 #include "stats/descriptive.h"
@@ -163,52 +161,6 @@ TEST_F(EndToEndTest, ImpressionExportsToCsv) {
   EXPECT_EQ(back.num_rows(), biased_->layer(1).size());
   EXPECT_TRUE(back.schema().Equals(biased_->layer(1).rows().schema()));
   std::remove(path.c_str());
-}
-
-// Parallel load: shard builders driven from threads, merged impression keeps
-// the focal bias.
-TEST_F(EndToEndTest, ParallelShardedLoadMatchesSerialBias) {
-  ImpressionSpec spec;
-  spec.policy = SamplingPolicy::kBiased;
-  spec.tracker = tracker_;
-  spec.capacity = 4000;
-  spec.seed = 77;
-  auto sharded = ShardedImpressionBuilder::Make(
-                     catalog_->photo_obj_all.schema(), spec, 4)
-                     .value();
-  const int64_t per_shard = kRows / 4;
-  std::vector<std::thread> threads;
-  Status shard_status[4];
-  for (int s = 0; s < 4; ++s) {
-    threads.emplace_back([&, s] {
-      SelectionVector slice(static_cast<size_t>(per_shard));
-      for (int64_t i = 0; i < per_shard; ++i) {
-        slice[static_cast<size_t>(i)] = s * per_shard + i;
-      }
-      const Table batch = catalog_->photo_obj_all.TakeRows(slice);
-      shard_status[s] = sharded.shard(s).IngestBatch(batch);
-    });
-  }
-  for (auto& t : threads) t.join();
-  for (const auto& st : shard_status) ASSERT_TRUE(st.ok());
-
-  const Impression merged = sharded.Merge().value();
-  EXPECT_EQ(merged.size(), 4000);
-  EXPECT_EQ(merged.population_seen(), kRows);
-  // Focal concentration of the merged sample beats the base rate.
-  const Column* ra = merged.rows().ColumnByName("ra").value();
-  int64_t focal = 0;
-  for (int64_t i = 0; i < merged.size(); ++i) {
-    if (std::abs(ra->GetDouble(i) - 150.0) < 6.0) ++focal;
-  }
-  const Column* base_ra = catalog_->photo_obj_all.ColumnByName("ra").value();
-  int64_t base_focal = 0;
-  for (int64_t i = 0; i < base_ra->size(); ++i) {
-    if (std::abs(base_ra->GetDouble(i) - 150.0) < 6.0) ++base_focal;
-  }
-  const double merged_frac = static_cast<double>(focal) / merged.size();
-  const double base_frac = static_cast<double>(base_focal) / kRows;
-  EXPECT_GT(merged_frac, 1.5 * base_frac);
 }
 
 // Workload shift: after decaying and re-observing, new focal area dominates

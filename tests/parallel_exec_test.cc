@@ -4,7 +4,6 @@
 
 #include "core/bounded_executor.h"
 #include "core/hierarchy.h"
-#include "core/sharded_builder.h"
 #include "exec/expr.h"
 #include "exec/query.h"
 #include "skyserver/catalog.h"
@@ -162,14 +161,9 @@ TEST_F(ParallelExecTest, BoundedExecutorParallelMatchesSerial) {
   QualityBound bound;
   bound.max_relative_error = 0.02;
 
-  BoundedExecutorOptions serial_opts;
-  serial_opts.num_threads = 1;
-  BoundedExecutor serial_exec(&catalog_->photo_obj_all, &hierarchy,
-                              serial_opts);
-  BoundedExecutorOptions parallel_opts;
-  parallel_opts.num_threads = 4;
-  BoundedExecutor parallel_exec(&catalog_->photo_obj_all, &hierarchy,
-                                parallel_opts);
+  BoundedExecutor serial_exec(&catalog_->photo_obj_all, &hierarchy);
+  ThreadPool pool(4);
+  BoundedExecutor parallel_exec(&catalog_->photo_obj_all, &hierarchy, &pool);
   const auto serial = serial_exec.Answer(q.Clone(), bound).value();
   const auto parallel = parallel_exec.Answer(q.Clone(), bound).value();
   EXPECT_EQ(serial.answered_by, parallel.answered_by);
@@ -252,117 +246,6 @@ TEST_F(EncodedExecTest, GroupedRunExactBitIdenticalOnEncodedTable) {
       EXPECT_EQ(enc[r].values[v], scalar[r].values[v]);
     }
   }
-}
-
-// ------------------------------------------------ parallel shard ingest ---
-
-TEST(ShardedIngestTest, ThreadedDriverMatchesSerialDriving) {
-  SkyCatalogConfig config;
-  config.num_rows = 40'000;
-  const SkyCatalog catalog = GenerateSkyCatalog(config, 77).value();
-  ImpressionSpec spec;
-  spec.capacity = 2'000;
-  spec.seed = 77;
-
-  // Threaded: one load thread per shard, driven by the builder itself.
-  auto threaded = ShardedImpressionBuilder::Make(
-                      catalog.photo_obj_all.schema(), spec, 4)
-                      .value();
-  ASSERT_TRUE(threaded.IngestBatchParallel(catalog.photo_obj_all).ok());
-
-  // Serial reference: the same contiguous slices fed shard by shard.
-  auto reference = ShardedImpressionBuilder::Make(
-                       catalog.photo_obj_all.schema(), spec, 4)
-                       .value();
-  const int64_t per = catalog.photo_obj_all.num_rows() / 4;
-  for (int s = 0; s < 4; ++s) {
-    SelectionVector rows;
-    for (int64_t i = s * per; i < (s + 1) * per; ++i) rows.push_back(i);
-    ASSERT_TRUE(
-        reference.shard(s).IngestBatch(catalog.photo_obj_all.TakeRows(rows))
-            .ok());
-  }
-
-  EXPECT_EQ(threaded.population_seen(), 40'000);
-  const Impression a = threaded.Merge().value();
-  const Impression b = reference.Merge().value();
-  ASSERT_EQ(a.size(), b.size());
-  EXPECT_EQ(a.population_seen(), b.population_seen());
-  // Same sampled rows in the same slots: thread scheduling must not leak
-  // into the sample.
-  EXPECT_EQ(a.source_ids(), b.source_ids());
-  EXPECT_EQ(a.row_weights(), b.row_weights());
-}
-
-TEST(ShardedIngestTest, ParallelIngestIsDeterministicAcrossRuns) {
-  SkyCatalogConfig config;
-  config.num_rows = 20'000;
-  const SkyCatalog catalog = GenerateSkyCatalog(config, 5).value();
-  ImpressionSpec spec;
-  spec.capacity = 1'000;
-  spec.seed = 5;
-  std::vector<std::vector<int64_t>> source_runs;
-  for (int run = 0; run < 2; ++run) {
-    auto sharded = ShardedImpressionBuilder::Make(
-                       catalog.photo_obj_all.schema(), spec, 3)
-                       .value();
-    ASSERT_TRUE(sharded.IngestBatchParallel(catalog.photo_obj_all).ok());
-    source_runs.push_back(sharded.Merge().value().source_ids());
-  }
-  EXPECT_EQ(source_runs[0], source_runs[1]);
-}
-
-TEST(ShardedIngestTest, HierarchyParallelLoad) {
-  SkyCatalogConfig config;
-  config.num_rows = 50'000;
-  const SkyCatalog catalog = GenerateSkyCatalog(config, 31).value();
-  ImpressionSpec spec;
-  spec.seed = 31;
-  HierarchyOptions options;
-  options.load_shards = 4;
-  auto hierarchy = ImpressionHierarchy::Make(
-                       catalog.photo_obj_all.schema(),
-                       {{"L0", 5'000}, {"L1", 500}}, spec, options)
-                       .value();
-  ASSERT_TRUE(hierarchy.IngestBatch(catalog.photo_obj_all).ok());
-  EXPECT_EQ(hierarchy.population_seen(), 50'000);
-  EXPECT_EQ(hierarchy.layer(0).size(), 5'000);
-  EXPECT_EQ(hierarchy.layer(0).population_seen(), 50'000);
-  EXPECT_EQ(hierarchy.layer(1).size(), 500);
-  EXPECT_TRUE(hierarchy.layer(0).Validate().ok());
-
-  // Estimates off the merged top layer stay sane (HT expansion intact).
-  AggregateQuery q;
-  q.aggregates = {{AggKind::kCount, ""}};
-  const auto ans = EstimateOnImpression(hierarchy.layer(0), q, 0.95).value();
-  EXPECT_NEAR(ans.rows[0].values[0], 50'000.0, 5'000.0);
-
-  // And the bounded executor can serve off a parallel-loaded hierarchy.
-  BoundedExecutor exec(&catalog.photo_obj_all, &hierarchy);
-  QualityBound bound;
-  bound.max_relative_error = 0.2;
-  const auto bounded = exec.Answer(q.Clone(), bound).value();
-  EXPECT_TRUE(bounded.error_bound_met);
-}
-
-TEST(ShardedIngestTest, HierarchyParallelLoadDeterministicAcrossRuns) {
-  SkyCatalogConfig config;
-  config.num_rows = 20'000;
-  const SkyCatalog catalog = GenerateSkyCatalog(config, 9).value();
-  std::vector<std::vector<int64_t>> source_runs;
-  for (int run = 0; run < 2; ++run) {
-    ImpressionSpec spec;
-    spec.seed = 9;
-    HierarchyOptions options;
-    options.load_shards = 3;
-    auto hierarchy = ImpressionHierarchy::Make(
-                         catalog.photo_obj_all.schema(),
-                         {{"L0", 2'000}, {"L1", 200}}, spec, options)
-                         .value();
-    ASSERT_TRUE(hierarchy.IngestBatch(catalog.photo_obj_all).ok());
-    source_runs.push_back(hierarchy.layer(0).source_ids());
-  }
-  EXPECT_EQ(source_runs[0], source_runs[1]);
 }
 
 }  // namespace

@@ -261,26 +261,6 @@ TEST(RecoveryTest, NeverCheckpointedTableRecoversFromWalAlone) {
   ExpectSameAnswers(before, RunBattery(reopened.get(), "sky"));
 }
 
-TEST(RecoveryTest, ShardedHierarchySurvivesRestart) {
-  TempDir dir;
-  EngineOptions eopts;
-  eopts.load_shards = 2;
-  const Table sky = SkyRows(6'000, 17);
-  const Table warm = SliceRows(sky, 0, 5'000);
-  const Table later = SliceRows(sky, 5'000, 6'000);
-
-  std::unique_ptr<Engine> original = Engine::Open(dir.path, eopts).value();
-  ASSERT_TRUE(original->CreateTable("sky", sky.schema(), SmallUniform()).ok());
-  ASSERT_TRUE(original->IngestBatch("sky", warm).ok());
-  ASSERT_TRUE(original->Checkpoint("sky").ok());
-
-  std::unique_ptr<Engine> restored = Engine::Open(dir.path, eopts).value();
-  ASSERT_TRUE(original->IngestBatch("sky", later).ok());
-  ASSERT_TRUE(restored->IngestBatch("sky", later).ok());
-  ExpectSameAnswers(RunBattery(original.get(), "sky"),
-                    RunBattery(restored.get(), "sky"));
-}
-
 TEST(RecoveryTest, CrashBetweenSnapshotAndWalResetIsIdempotent) {
   TempDir dir;
   const Table sky = SkyRows(3'000, 9);

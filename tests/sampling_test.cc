@@ -8,7 +8,6 @@
 #include "sampling/biased_reservoir.h"
 #include "sampling/last_seen.h"
 #include "sampling/reservoir.h"
-#include "sampling/weighted_ares.h"
 
 namespace sciborq {
 namespace {
@@ -280,67 +279,6 @@ TEST(BiasedReservoirTest, PaperFaithfulModeRuns) {
   EXPECT_GT(accepted, 50);
 }
 
-// ------------------------------------------------------------------ A-Res --
-
-TEST(AResTest, MakeValidation) {
-  EXPECT_FALSE(WeightedAResSampler::Make(0, 1).ok());
-  EXPECT_TRUE(WeightedAResSampler::Make(3, 1).ok());
-}
-
-TEST(AResTest, KeepsHighestWeights) {
-  // With overwhelming weight separation, A-Res must keep the heavy items.
-  WeightedAResSampler s = WeightedAResSampler::Make(5, 31).value();
-  std::vector<int64_t> slots(5, -1);
-  for (int64_t i = 0; i < 1000; ++i) {
-    const double w = (i >= 995) ? 1e9 : 1.0;
-    const ReservoirDecision d = s.Offer(w);
-    if (d.accepted) slots[static_cast<size_t>(d.slot)] = i;
-  }
-  int heavy = 0;
-  for (const int64_t pos : slots) {
-    if (pos >= 995) ++heavy;
-  }
-  EXPECT_EQ(heavy, 5);
-}
-
-TEST(AResTest, ProportionalInclusion) {
-  // Items with weight 4 should be resident ~4x as often as weight-1 items
-  // (approximately, for small sampling fractions).
-  const int kTrials = 3000;
-  int64_t heavy_hits = 0;
-  int64_t light_hits = 0;
-  for (int t = 0; t < kTrials; ++t) {
-    WeightedAResSampler s =
-        WeightedAResSampler::Make(10, 100 + static_cast<uint64_t>(t)).value();
-    std::vector<int64_t> slots(10, -1);
-    for (int64_t i = 0; i < 500; ++i) {
-      const ReservoirDecision d = s.Offer(i % 10 == 0 ? 4.0 : 1.0);
-      if (d.accepted) slots[static_cast<size_t>(d.slot)] = i;
-    }
-    for (const int64_t pos : slots) {
-      if (pos < 0) continue;
-      if (pos % 10 == 0) ++heavy_hits;
-      else ++light_hits;
-    }
-  }
-  // 50 heavy items vs 450 light: per-item ratio.
-  const double per_heavy = static_cast<double>(heavy_hits) / 50.0;
-  const double per_light = static_cast<double>(light_hits) / 450.0;
-  EXPECT_NEAR(per_heavy / per_light, 4.0, 0.8);
-}
-
-TEST(AResTest, SlotReuseStaysDense) {
-  WeightedAResSampler s = WeightedAResSampler::Make(8, 37).value();
-  for (int64_t i = 0; i < 10'000; ++i) {
-    const ReservoirDecision d = s.Offer(1.0 + (i % 5));
-    if (d.accepted) {
-      EXPECT_GE(d.slot, 0);
-      EXPECT_LT(d.slot, 8);
-    }
-  }
-  EXPECT_EQ(s.size(), 8);
-}
-
 // Capacity sweep: every sampler respects its capacity for any n.
 class CapacitySweep : public ::testing::TestWithParam<int64_t> {};
 
@@ -349,10 +287,9 @@ TEST_P(CapacitySweep, AllSamplersRespectCapacity) {
   ReservoirSampler r = ReservoirSampler::Make(cap, 1).value();
   LastSeenSampler l = LastSeenSampler::Make(cap, cap, 2 * cap, 2).value();
   BiasedReservoirSampler b = BiasedReservoirSampler::Make(cap, 3).value();
-  WeightedAResSampler a = WeightedAResSampler::Make(cap, 4).value();
   for (int64_t i = 0; i < 10 * cap + 17; ++i) {
     for (const ReservoirDecision d :
-         {r.Offer(), l.Offer(), b.Offer(1.0 + (i % 3)), a.Offer(1.0 + (i % 3))}) {
+         {r.Offer(), l.Offer(), b.Offer(1.0 + (i % 3))}) {
       if (d.accepted) {
         EXPECT_GE(d.slot, 0);
         EXPECT_LT(d.slot, cap);
@@ -362,7 +299,6 @@ TEST_P(CapacitySweep, AllSamplersRespectCapacity) {
   EXPECT_EQ(r.size(), cap);
   EXPECT_EQ(l.size(), cap);
   EXPECT_EQ(b.size(), cap);
-  EXPECT_EQ(a.size(), cap);
 }
 
 INSTANTIATE_TEST_SUITE_P(Capacities, CapacitySweep,

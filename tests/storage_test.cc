@@ -489,36 +489,41 @@ TEST(WalTest, BadMagicOrVersionRejected) {
 }
 
 TEST(WalTest, VersionOneHeaderRefused) {
-  // A format-1 segment (its create record had no retention block) is
-  // refused by the header check instead of being misparsed.
-  TempDir dir;
-  const std::string path = dir.path + "/t.wal.0";
-  {
-    WalWriter wal = WalWriter::Create(path).value();
-    ASSERT_TRUE(wal.Append("payload").ok());
+  // Format-1 segments (their create record had no retention block) and
+  // format-2 segments (their create record carried a refresh interval) are
+  // refused by the header check with DataLoss instead of being misparsed.
+  for (const char version : {1, 2}) {
+    TempDir dir;
+    const std::string path = dir.path + "/t.wal.0";
+    {
+      WalWriter wal = WalWriter::Create(path).value();
+      ASSERT_TRUE(wal.Append("payload").ok());
+    }
+    std::string bytes = ReadAll(path);
+    bytes[4] = version;
+    WriteAll(path, bytes);
+    const Result<WalScanResult> scan = ScanWal(path);
+    ASSERT_FALSE(scan.ok());
+    EXPECT_EQ(scan.status().code(), StatusCode::kDataLoss);
+    EXPECT_NE(scan.status().message().find(
+                  StrFormat("format version %d not supported", version)),
+              std::string::npos)
+        << scan.status().message();
+    EXPECT_FALSE(WalWriter::OpenExisting(path, kWalHeaderBytes).ok());
+    std::unique_ptr<TableStore> store = TableStore::Open(dir.path).value();
+    const Status recovered = store->Recover().status();
+    EXPECT_EQ(recovered.code(), StatusCode::kDataLoss) << recovered.ToString();
   }
-  std::string bytes = ReadAll(path);
-  bytes[4] = 1;
-  WriteAll(path, bytes);
-  const Result<WalScanResult> scan = ScanWal(path);
-  ASSERT_FALSE(scan.ok());
-  EXPECT_NE(scan.status().message().find("format version 1 not supported"),
-            std::string::npos)
-      << scan.status().message();
-  EXPECT_FALSE(WalWriter::OpenExisting(path, kWalHeaderBytes).ok());
-  std::unique_ptr<TableStore> store = TableStore::Open(dir.path).value();
-  EXPECT_FALSE(store->Recover().ok());
 }
 
 // ------------------------------------------------------ WAL records -------
 
 TEST(WalRecordTest, CreateAndBatchRoundTrip) {
   Schema schema({Field{"ra", DataType::kDouble, true}});
-  PersistedTableConfig config;
+  TableOptions config;
   config.layers = {{"L0", 100}, {"L1", 10}};
   config.tracked_attributes = {{"ra", 120.0, 3.0, 40}};
   config.seed = 99;
-  config.refresh_interval = 7;
 
   const WalRecord create =
       DecodeWalRecord(EncodeCreateRecord(schema, config)).value();
@@ -529,7 +534,6 @@ TEST(WalRecordTest, CreateAndBatchRoundTrip) {
   ASSERT_EQ(create.config->layers.size(), 2u);
   EXPECT_EQ(create.config->layers[1].name, "L1");
   EXPECT_EQ(create.config->seed, 99u);
-  EXPECT_EQ(create.config->refresh_interval, 7);
   ASSERT_EQ(create.config->tracked_attributes.size(), 1u);
   EXPECT_EQ(create.config->tracked_attributes[0].num_bins, 40);
 
@@ -601,7 +605,7 @@ TEST(SnapshotTest, FileRoundTrips) {
   EXPECT_EQ(snap.tracker->attributes.size(), 2u);
   // The one answered cone query fed its (ra, dec) point to the tracker.
   EXPECT_EQ(snap.tracker->observed_points, 2);
-  EXPECT_EQ(snap.hierarchy.top.size(), 1u);
+  EXPECT_EQ(snap.hierarchy.top.impression.population_seen, 120);
   EXPECT_EQ(snap.hierarchy.derived.size(), 1u);
 
   // Re-encoding the decoded snapshot reproduces the body byte-for-byte.
@@ -711,8 +715,8 @@ TEST(SnapshotTest, TableStoreRejectsHostileNames) {
 
 Schema TinySchema() { return Schema({Field{"ts", DataType::kInt64, true}}); }
 
-PersistedTableConfig TinyConfig() {
-  PersistedTableConfig config;
+TableOptions TinyConfig() {
+  TableOptions config;
   config.layers = {{"L0", 100}};
   return config;
 }
