@@ -365,14 +365,13 @@ Result<BoundedAnswer> BoundedExecutor::Answer(const AggregateQuery& query,
   }
 
   // Final escalation: the base columns, "for a zero error margin" (§3.2) —
-  // unless forbidden, the clock ran out, or the predicted full-scan cost
+  // unless the clock ran out, or the predicted full-scan cost
   // cannot fit the remaining budget. Predictive admission applies to the
   // base table exactly as to impression layers: a 10 ms budget must never
   // launch an unbounded base scan just because the deadline has not expired
   // *yet*. With no layer answer at all, the scan proceeds regardless —
   // "always return the best answer obtained so far" requires obtaining one.
-  bool base_admitted = bound.allow_base_fallback && !best.deadline_exceeded &&
-                       !deadline.Expired();
+  bool base_admitted = !best.deadline_exceeded && !deadline.Expired();
   if (base_admitted && deadline.limited() && have_answer &&
       est_seconds_per_row_ > 0.0) {
     const double predicted =

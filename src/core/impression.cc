@@ -52,22 +52,6 @@ void Impression::ReplaceSampledRow(int64_t slot, const Table& src,
   source_ids_[static_cast<size_t>(slot)] = source_id;
 }
 
-Status Impression::SetExplicitInclusionProbabilities(
-    std::vector<double> probs) {
-  if (static_cast<int64_t>(probs.size()) != size()) {
-    return Status::InvalidArgument(
-        "inclusion probability vector length must equal impression size");
-  }
-  for (const double p : probs) {
-    if (!(p > 0.0) || p > 1.0) {
-      return Status::InvalidArgument(
-          "explicit inclusion probabilities must be in (0, 1]");
-    }
-  }
-  explicit_probs_ = std::move(probs);
-  return Status::OK();
-}
-
 double Impression::InclusionProbability(int64_t row) const {
   SCIBORQ_DCHECK(row >= 0 && row < size());
   if (!explicit_probs_.empty()) {

@@ -111,9 +111,6 @@ class Impression {
                          double weight, int64_t source_id);
   void set_population_seen(int64_t n) { population_seen_ = n; }
   void set_population_weight(double w) { population_weight_ = w; }
-  /// Pins explicit inclusion probabilities (derived impressions). Length
-  /// must equal size().
-  Status SetExplicitInclusionProbabilities(std::vector<double> probs);
   /// Last-seen parameters, needed for the effective-window semantics.
   void set_last_seen_params(int64_t k, int64_t expected_ingest) {
     freshness_k_ = k;

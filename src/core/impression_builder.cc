@@ -19,29 +19,36 @@ Result<ImpressionBuilder> ImpressionBuilder::Make(const Schema& schema,
       break;
     }
     case SamplingPolicy::kLastSeen: {
-      const int64_t k = spec.freshness_k > 0 ? spec.freshness_k : spec.capacity;
       if (spec.expected_ingest <= 0) {
         return Status::InvalidArgument(
             "last-seen impressions need expected_ingest (D)");
       }
       SCIBORQ_ASSIGN_OR_RETURN(
           LastSeenSampler s,
-          LastSeenSampler::Make(spec.capacity, k, spec.expected_ingest,
-                                spec.seed, spec.paper_faithful));
+          LastSeenSampler::Make(spec.capacity, spec.capacity,
+                                spec.expected_ingest, spec.seed));
       builder.last_seen_ = std::move(s);
-      builder.impression_.set_last_seen_params(k, spec.expected_ingest);
+      builder.impression_.set_last_seen_params(spec.capacity,
+                                               spec.expected_ingest);
       break;
     }
     case SamplingPolicy::kBiased: {
-      if (spec.tracker == nullptr && spec.joint_tracker == nullptr) {
+      if (spec.tracker == nullptr) {
         return Status::InvalidArgument(
-            "biased impressions need an InterestTracker or a "
-            "JointInterestTracker");
+            "biased impressions need an InterestTracker");
+      }
+      // TupleWeight reads every bound attribute with Column::NumericAt.
+      const std::vector<int> bound = spec.tracker->BindColumns(schema);
+      for (size_t a = 0; a < bound.size(); ++a) {
+        if (bound[a] < 0 || !IsNumeric(schema.field(bound[a]).type)) {
+          return Status::InvalidArgument(StrFormat(
+              "tracked attribute '%s' is not a numeric column of the schema",
+              spec.tracker->attribute_name(static_cast<int>(a)).c_str()));
+        }
       }
       SCIBORQ_ASSIGN_OR_RETURN(
           BiasedReservoirSampler s,
-          BiasedReservoirSampler::Make(spec.capacity, spec.seed,
-                                       spec.paper_faithful));
+          BiasedReservoirSampler::Make(spec.capacity, spec.seed));
       builder.biased_ = std::move(s);
       break;
     }
@@ -56,9 +63,7 @@ Status ImpressionBuilder::IngestBatch(const Table& batch) {
   }
   std::vector<int> bound;
   if (spec_.policy == SamplingPolicy::kBiased) {
-    bound = spec_.joint_tracker != nullptr
-                ? spec_.joint_tracker->BindColumns(batch.schema())
-                : spec_.tracker->BindColumns(batch.schema());
+    bound = spec_.tracker->BindColumns(batch.schema());
   }
   for (int64_t row = 0; row < batch.num_rows(); ++row) {
     double weight = 1.0;
@@ -71,9 +76,7 @@ Status ImpressionBuilder::IngestBatch(const Table& batch) {
         decision = last_seen_->Offer();
         break;
       case SamplingPolicy::kBiased:
-        weight = spec_.joint_tracker != nullptr
-                     ? spec_.joint_tracker->TupleWeight(batch, bound, row)
-                     : spec_.tracker->TupleWeight(batch, bound, row);
+        weight = spec_.tracker->TupleWeight(batch, bound, row);
         decision = biased_->Offer(weight);
         break;
     }
@@ -145,11 +148,10 @@ Status ImpressionBuilder::RestoreState(ImpressionBuilderState state) {
         return Status::InvalidArgument(
             "builder state: last-seen policy needs a last-seen sampler state");
       }
-      const int64_t k = spec_.freshness_k > 0 ? spec_.freshness_k : spec_.capacity;
       SCIBORQ_ASSIGN_OR_RETURN(
           LastSeenSampler sampler,
-          LastSeenSampler::Restore(spec_.capacity, k, spec_.expected_ingest,
-                                   spec_.paper_faithful, *state.last_seen));
+          LastSeenSampler::Restore(spec_.capacity, spec_.capacity,
+                                   spec_.expected_ingest, *state.last_seen));
       last_seen_ = std::move(sampler);
       break;
     }
@@ -160,7 +162,7 @@ Status ImpressionBuilder::RestoreState(ImpressionBuilderState state) {
       }
       SCIBORQ_ASSIGN_OR_RETURN(
           BiasedReservoirSampler sampler,
-          BiasedReservoirSampler::Restore(spec_.capacity, spec_.paper_faithful,
+          BiasedReservoirSampler::Restore(spec_.capacity,
                                           std::move(*state.biased)));
       biased_ = std::move(sampler);
       break;

@@ -11,7 +11,6 @@
 #include "sampling/reservoir.h"
 #include "util/result.h"
 #include "workload/interest_tracker.h"
-#include "workload/joint_tracker.h"
 
 namespace sciborq {
 
@@ -22,21 +21,14 @@ struct ImpressionSpec {
   SamplingPolicy policy = SamplingPolicy::kUniform;
   uint64_t seed = 42;
 
-  /// Last-seen policy (Fig. 3): acceptance probability k/D.
-  int64_t freshness_k = 0;      ///< k; defaults to capacity when 0
+  /// Last-seen policy (Fig. 3): acceptance probability k/D with k = capacity,
+  /// so the sample keeps only fresh tuples.
   int64_t expected_ingest = 0;  ///< D; required for kLastSeen
 
   /// Biased policy (Fig. 6): the workload interest source. Non-owning; must
   /// outlive the builder. Cold trackers degrade to Algorithm R gracefully.
+  /// Every tracked attribute must be a numeric column of the schema.
   const InterestTracker* tracker = nullptr;
-
-  /// Alternative weight source for the biased policy: a *joint* 2-D tracker
-  /// (the paper's multi-dimensional extension). Takes precedence over
-  /// `tracker` when both are set. Non-owning.
-  const JointInterestTracker* joint_tracker = nullptr;
-
-  /// Reproduce the printed Fig. 3 / Fig. 6 victim-slot artifact verbatim.
-  bool paper_faithful = false;
 };
 
 /// The resumable state of one ImpressionBuilder: the impression's value
@@ -57,7 +49,8 @@ struct ImpressionBuilderState {
 /// the daily ingest batches; the impression stays query-ready throughout.
 class ImpressionBuilder {
  public:
-  /// InvalidArgument on inconsistent spec (e.g. kBiased without tracker).
+  /// InvalidArgument on inconsistent spec (e.g. kBiased without tracker, or
+  /// with a tracked attribute that is not a numeric column of `schema`).
   static Result<ImpressionBuilder> Make(const Schema& schema,
                                         ImpressionSpec spec);
 

@@ -632,11 +632,6 @@ class ConePredicate final : public Predicate {
     points->push_back(PredicatePoint{cy_, y0_});
   }
 
-  void CollectPredicatePairs(
-      std::vector<PredicatePair>* pairs) const override {
-    pairs->push_back(PredicatePair{cx_, cy_, x0_, y0_});
-  }
-
   std::string ToString() const override {
     return StrFormat("cone(%s, %s; %g, %g; r=%g)", cx_.c_str(), cy_.c_str(),
                      x0_, y0_, r_);
@@ -797,11 +792,6 @@ class NotPredicate final : public Predicate {
     child_->CollectPredicatePoints(points);
   }
 
-  void CollectPredicatePairs(
-      std::vector<PredicatePair>* pairs) const override {
-    child_->CollectPredicatePairs(pairs);
-  }
-
   std::string ToString() const override {
     return "NOT (" + child_->ToString() + ")";
   }
@@ -903,11 +893,6 @@ class AndPredicate final : public Predicate {
   void CollectPredicatePoints(
       std::vector<PredicatePoint>* points) const override {
     for (const auto& c : children_) c->CollectPredicatePoints(points);
-  }
-
-  void CollectPredicatePairs(
-      std::vector<PredicatePair>* pairs) const override {
-    for (const auto& c : children_) c->CollectPredicatePairs(pairs);
   }
 
   std::string ToString() const override {
@@ -1021,11 +1006,6 @@ class OrPredicate final : public Predicate {
   void CollectPredicatePoints(
       std::vector<PredicatePoint>* points) const override {
     for (const auto& c : children_) c->CollectPredicatePoints(points);
-  }
-
-  void CollectPredicatePairs(
-      std::vector<PredicatePair>* pairs) const override {
-    for (const auto& c : children_) c->CollectPredicatePairs(pairs);
   }
 
   std::string ToString() const override {

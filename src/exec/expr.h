@@ -21,17 +21,6 @@ struct PredicatePoint {
   double value;
 };
 
-/// A *correlated* pair of requested values on two attributes — emitted by
-/// predicates that constrain two attributes jointly (the cone shape of
-/// fGetNearbyObjEq). Feeds the 2-D joint interest histograms (the paper's
-/// footnote-3 / §6 multi-dimensional extension).
-struct PredicatePair {
-  std::string column_x;
-  std::string column_y;
-  double x;
-  double y;
-};
-
 /// What a predicate can conclude about one contiguous row range from its
 /// zone maps alone (column/encoding/encoding.h), without touching data.
 enum class MorselVerdict {
@@ -84,11 +73,6 @@ class Predicate {
   /// Contributes this predicate's requested values (see PredicatePoint).
   virtual void CollectPredicatePoints(
       std::vector<PredicatePoint>* points) const = 0;
-
-  /// Contributes correlated attribute pairs (see PredicatePair). Default:
-  /// none — only jointly-constraining predicates (cones) emit pairs;
-  /// boolean combinators forward to their children.
-  virtual void CollectPredicatePairs(std::vector<PredicatePair>*) const {}
 
   /// SQL-ish rendering for logs and debugging.
   virtual std::string ToString() const = 0;

@@ -163,12 +163,6 @@ std::vector<PredicatePoint> AggregateQuery::PredicatePoints() const {
   return points;
 }
 
-std::vector<PredicatePair> AggregateQuery::PredicatePairs() const {
-  std::vector<PredicatePair> pairs;
-  if (filter) filter->CollectPredicatePairs(&pairs);
-  return pairs;
-}
-
 std::string AggregateQuery::ToString() const {
   std::vector<std::string> aggs;
   aggs.reserve(aggregates.size());

@@ -22,8 +22,6 @@ struct QualityBound {
   double confidence = 0.95;
   /// Wall-clock budget in seconds; <= 0 means unlimited ("error bound only").
   double time_budget_seconds = 0.0;
-  /// Permit the final escalation to the base table (zero error, §3.2).
-  bool allow_base_fallback = true;
 };
 
 /// A declarative aggregate query — the unit of work SciBORQ answers with
@@ -46,9 +44,6 @@ struct AggregateQuery {
 
   /// The requested values of every predicate in the query (§4).
   std::vector<PredicatePoint> PredicatePoints() const;
-
-  /// Correlated attribute pairs requested by joint predicates (cones).
-  std::vector<PredicatePair> PredicatePairs() const;
 
   /// SQL-ish rendering for logs.
   std::string ToString() const;

@@ -6,11 +6,11 @@
 namespace sciborq {
 
 Result<BiasedReservoirSampler> BiasedReservoirSampler::Make(
-    int64_t capacity, uint64_t seed, bool paper_faithful) {
+    int64_t capacity, uint64_t seed) {
   if (capacity <= 0) {
     return Status::InvalidArgument("biased reservoir capacity must be positive");
   }
-  return BiasedReservoirSampler(capacity, seed, paper_faithful);
+  return BiasedReservoirSampler(capacity, seed);
 }
 
 BiasedReservoirSampler::State BiasedReservoirSampler::SaveState() const {
@@ -25,9 +25,8 @@ BiasedReservoirSampler::State BiasedReservoirSampler::SaveState() const {
 }
 
 Result<BiasedReservoirSampler> BiasedReservoirSampler::Restore(
-    int64_t capacity, bool paper_faithful, State state) {
-  SCIBORQ_ASSIGN_OR_RETURN(BiasedReservoirSampler sampler,
-                           Make(capacity, 0, paper_faithful));
+    int64_t capacity, State state) {
+  SCIBORQ_ASSIGN_OR_RETURN(BiasedReservoirSampler sampler, Make(capacity, 0));
   if (state.seen < 0 || state.accepted_post_fill < 0 ||
       state.curve_interval <= 0) {
     return Status::InvalidArgument(
@@ -58,16 +57,8 @@ ReservoirDecision BiasedReservoirSampler::Offer(double weight) {
                            static_cast<double>(seen_);
   if (rnd >= threshold) return ReservoirDecision{false, -1};
   ++accepted_post_fill_;
-  int64_t slot = 0;
-  if (paper_faithful_) {
-    // Verbatim Fig. 6: smp[floor(rnd * n)].
-    slot = static_cast<int64_t>(
-        std::floor(rnd * static_cast<double>(capacity_)));
-    slot = std::clamp<int64_t>(slot, 0, capacity_ - 1);
-  } else {
-    slot = static_cast<int64_t>(
-        rng_.NextBounded(static_cast<uint64_t>(capacity_)));
-  }
+  const auto slot = static_cast<int64_t>(
+      rng_.NextBounded(static_cast<uint64_t>(capacity_)));
   return ReservoirDecision{true, slot};
 }
 

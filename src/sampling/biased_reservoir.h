@@ -20,9 +20,9 @@ namespace sciborq {
 ///
 /// Like Fig. 3, the printed Fig. 6 re-uses the acceptance draw as the victim
 /// slot (smp[floor(rnd*n)]), which — because rnd is conditioned small for
-/// low-weight tuples — skews placement. `paper_faithful` reproduces that
-/// verbatim; the default draws an independent uniform victim, matching the
-/// text ("another randomly chosen one is thrown out").
+/// low-weight tuples — skews placement. The victim is instead an independent
+/// uniform draw, matching the text ("another randomly chosen one is thrown
+/// out"); LastSeenSampler keeps the verbatim variant to show the skew.
 ///
 /// For estimation the sampler tracks (a) the running total of offered weight
 /// and (b) an *acceptance curve* — cumulative post-fill acceptances sampled
@@ -38,8 +38,7 @@ namespace sciborq {
 class BiasedReservoirSampler {
  public:
   /// InvalidArgument when capacity <= 0.
-  static Result<BiasedReservoirSampler> Make(int64_t capacity, uint64_t seed,
-                                             bool paper_faithful = false);
+  static Result<BiasedReservoirSampler> Make(int64_t capacity, uint64_t seed);
 
   /// Decides about the next stream tuple whose workload weight is `weight`
   /// (= f̆(t)·N >= 0). Negative/NaN weights are treated as 0 (never sampled
@@ -78,15 +77,13 @@ class BiasedReservoirSampler {
   };
   State SaveState() const;
   static Result<BiasedReservoirSampler> Restore(int64_t capacity,
-                                                bool paper_faithful,
                                                 State state);
 
  private:
-  BiasedReservoirSampler(int64_t capacity, uint64_t seed, bool paper_faithful)
-      : capacity_(capacity), paper_faithful_(paper_faithful), rng_(seed) {}
+  BiasedReservoirSampler(int64_t capacity, uint64_t seed)
+      : capacity_(capacity), rng_(seed) {}
 
   int64_t capacity_;
-  bool paper_faithful_;
   int64_t seen_ = 0;
   double total_weight_ = 0.0;
   int64_t accepted_post_fill_ = 0;

@@ -22,11 +22,9 @@ Result<LastSeenSampler> LastSeenSampler::Make(int64_t capacity, int64_t k,
 
 Result<LastSeenSampler> LastSeenSampler::Restore(int64_t capacity, int64_t k,
                                                  int64_t expected_ingest,
-                                                 bool paper_faithful,
                                                  const State& state) {
-  SCIBORQ_ASSIGN_OR_RETURN(
-      LastSeenSampler sampler,
-      Make(capacity, k, expected_ingest, 0, paper_faithful));
+  SCIBORQ_ASSIGN_OR_RETURN(LastSeenSampler sampler,
+                           Make(capacity, k, expected_ingest, 0));
   if (state.seen < 0) {
     return Status::InvalidArgument("last-seen state: negative seen count");
   }

@@ -47,9 +47,9 @@ class LastSeenSampler {
     Rng::State rng;
   };
   State SaveState() const { return State{seen_, rng_.SaveState()}; }
+  /// Resumes the default (independent victim draw) sampler.
   static Result<LastSeenSampler> Restore(int64_t capacity, int64_t k,
                                          int64_t expected_ingest,
-                                         bool paper_faithful,
                                          const State& state);
 
  private:

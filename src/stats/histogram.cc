@@ -53,26 +53,6 @@ void StreamingHistogram::Decay(double factor, double prune_below) {
   }
 }
 
-Status StreamingHistogram::Merge(const StreamingHistogram& other) {
-  if (other.num_bins() != num_bins() || other.bin_width_ != bin_width_ ||
-      other.domain_min_ != domain_min_) {
-    return Status::InvalidArgument("cannot merge histograms with different geometry");
-  }
-  for (int i = 0; i < num_bins(); ++i) {
-    BinStats& a = bins_[static_cast<size_t>(i)];
-    const BinStats& b = other.bins_[static_cast<size_t>(i)];
-    const double total = a.count + b.count;
-    if (total > 0.0) {
-      a.mean = (a.mean * a.count + b.mean * b.count) / total;
-    }
-    a.count = total;
-  }
-  total_count_ += other.total_count_;
-  clamped_count_ += other.clamped_count_;
-  weighted_total_ += other.weighted_total_;
-  return Status::OK();
-}
-
 StreamingHistogram::State StreamingHistogram::SaveState() const {
   State state;
   state.domain_min = domain_min_;
@@ -97,23 +77,6 @@ Result<StreamingHistogram> StreamingHistogram::Restore(State state) {
   hist.clamped_count_ = state.clamped_count;
   hist.weighted_total_ = state.weighted_total;
   return hist;
-}
-
-void StreamingHistogram::Reset() {
-  for (auto& b : bins_) b = BinStats{};
-  total_count_ = 0;
-  clamped_count_ = 0;
-  weighted_total_ = 0.0;
-}
-
-std::vector<double> StreamingHistogram::NormalizedDensities() const {
-  if (weighted_total_ <= 0.0) return {};
-  std::vector<double> out(static_cast<size_t>(num_bins()));
-  for (int i = 0; i < num_bins(); ++i) {
-    out[static_cast<size_t>(i)] =
-        bins_[static_cast<size_t>(i)].count / (weighted_total_ * bin_width_);
-  }
-  return out;
 }
 
 std::string StreamingHistogram::ToString() const {

@@ -14,7 +14,8 @@ namespace sciborq {
 /// `beta` bins and each bin stores only a running (count, mean) pair — the
 /// histogram itself is never materialized. This is the per-attribute summary
 /// of the *predicate set* (the values requested by the query workload) that
-/// feeds the binned kernel density estimator f-breve (see stats/kde.h).
+/// feeds the binned kernel density estimator f-breve (see stats/kde.h); the
+/// InterestTracker (workload/interest_tracker.h) keeps one per attribute.
 ///
 /// Values outside the domain are clamped into the first/last bin so that a
 /// drifting workload is never silently dropped; `clamped_count()` reports how
@@ -67,13 +68,6 @@ class StreamingHistogram {
   /// Bin counts below `prune_below` are zeroed.
   void Decay(double factor, double prune_below = 1e-6);
 
-  /// Merges another histogram with identical geometry into this one
-  /// (parallel-load shard combine). Error if geometries differ.
-  Status Merge(const StreamingHistogram& other);
-
-  /// Forgets everything; geometry is kept.
-  void Reset();
-
   /// The complete resumable state (persistent storage).
   struct State {
     double domain_min = 0.0;
@@ -86,10 +80,6 @@ class StreamingHistogram {
   State SaveState() const;
   /// InvalidArgument on bad geometry or negative counters.
   static Result<StreamingHistogram> Restore(State state);
-
-  /// Empirical density at the center of each bin: count / (N * width).
-  /// Returns an empty vector when no values were observed.
-  std::vector<double> NormalizedDensities() const;
 
   std::string ToString() const;
 

@@ -9,32 +9,22 @@ namespace {
 constexpr double kInvSqrt2Pi = 0.3989422804014327;
 }  // namespace
 
-double KernelValue(KernelType kernel, double u) {
-  switch (kernel) {
-    case KernelType::kGaussian:
-      return kInvSqrt2Pi * std::exp(-0.5 * u * u);
-    case KernelType::kEpanechnikov:
-      if (u < -1.0 || u > 1.0) return 0.0;
-      return 0.75 * (1.0 - u * u);
-  }
-  return 0.0;
-}
+double KernelValue(double u) { return kInvSqrt2Pi * std::exp(-0.5 * u * u); }
 
-Result<FullKde> FullKde::Make(std::vector<double> points, double bandwidth,
-                              KernelType kernel) {
+Result<FullKde> FullKde::Make(std::vector<double> points, double bandwidth) {
   if (points.empty()) {
     return Status::InvalidArgument("FullKde: need at least one point");
   }
   if (!(bandwidth > 0.0) || !std::isfinite(bandwidth)) {
     return Status::InvalidArgument("FullKde: bandwidth must be positive");
   }
-  return FullKde(std::move(points), bandwidth, kernel);
+  return FullKde(std::move(points), bandwidth);
 }
 
 double FullKde::Evaluate(double x) const {
   double acc = 0.0;
   for (const double xi : points_) {
-    acc += KernelValue(kernel_, (x - xi) / bandwidth_);
+    acc += KernelValue((x - xi) / bandwidth_);
   }
   return acc / (static_cast<double>(points_.size()) * bandwidth_);
 }
@@ -76,15 +66,6 @@ double SilvermanBandwidth(const std::vector<double>& points) {
   return 0.9 * spread * std::pow(static_cast<double>(points.size()), -0.2);
 }
 
-double ScottBandwidth(const std::vector<double>& points) {
-  if (points.size() < 2) return 0.0;
-  double sd = 0.0;
-  double iqr = 0.0;
-  SpreadStats(points, &sd, &iqr);
-  if (sd <= 0.0) return 0.0;
-  return 1.06 * sd * std::pow(static_cast<double>(points.size()), -0.2);
-}
-
 double BinnedKde::Evaluate(double x) const {
   const double n = hist_->weighted_total();
   if (n <= 0.0) return 0.0;
@@ -92,26 +73,9 @@ double BinnedKde::Evaluate(double x) const {
   double acc = 0.0;
   for (const auto& b : hist_->bins()) {
     if (b.count <= 0.0) continue;
-    acc += b.count * KernelValue(kernel_, (x - b.mean) / w);
+    acc += b.count * KernelValue((x - b.mean) / w);
   }
   return acc / (n * w);
-}
-
-FrozenBinnedKde::FrozenBinnedKde(const StreamingHistogram& hist,
-                                 KernelType kernel)
-    : bins_(hist.bins()),
-      bin_width_(hist.bin_width()),
-      total_weight_(hist.weighted_total()),
-      kernel_(kernel) {}
-
-double FrozenBinnedKde::Evaluate(double x) const {
-  if (total_weight_ <= 0.0) return 0.0;
-  double acc = 0.0;
-  for (const auto& b : bins_) {
-    if (b.count <= 0.0) continue;
-    acc += b.count * KernelValue(kernel_, (x - b.mean) / bin_width_);
-  }
-  return acc / (total_weight_ * bin_width_);
 }
 
 }  // namespace sciborq

@@ -9,15 +9,9 @@
 
 namespace sciborq {
 
-/// Kernel shapes for density estimation. The paper uses the standard normal;
-/// Epanechnikov is provided as the classical efficiency-optimal alternative.
-enum class KernelType {
-  kGaussian,
-  kEpanechnikov,
-};
-
-/// K(u): the kernel evaluated at a normalized offset.
-double KernelValue(KernelType kernel, double u);
+/// K(u): the standard normal kernel φ evaluated at a normalized offset —
+/// the one kernel of the paper's estimators (§4).
+double KernelValue(double u);
 
 /// The full kernel density estimator f-hat of the paper (§4):
 ///   f̂(x) = N^{-1} Σ_i K_h(x − x_i),  K_h(u) = h^{-1} K(u / h).
@@ -26,8 +20,7 @@ double KernelValue(KernelType kernel, double u);
 class FullKde {
  public:
   /// InvalidArgument when `points` is empty or `bandwidth` is not positive.
-  static Result<FullKde> Make(std::vector<double> points, double bandwidth,
-                              KernelType kernel = KernelType::kGaussian);
+  static Result<FullKde> Make(std::vector<double> points, double bandwidth);
 
   /// Density estimate at x; O(N).
   double Evaluate(double x) const;
@@ -36,20 +29,16 @@ class FullKde {
   int64_t num_points() const { return static_cast<int64_t>(points_.size()); }
 
  private:
-  FullKde(std::vector<double> points, double bandwidth, KernelType kernel)
-      : points_(std::move(points)), bandwidth_(bandwidth), kernel_(kernel) {}
+  FullKde(std::vector<double> points, double bandwidth)
+      : points_(std::move(points)), bandwidth_(bandwidth) {}
 
   std::vector<double> points_;
   double bandwidth_;
-  KernelType kernel_;
 };
 
 /// Silverman's rule-of-thumb bandwidth: 0.9 * min(sd, IQR/1.34) * n^{-1/5}.
 /// Returns 0 for fewer than 2 points or degenerate spread.
 double SilvermanBandwidth(const std::vector<double>& points);
-
-/// Scott's rule: 1.06 * sd * n^{-1/5}.
-double ScottBandwidth(const std::vector<double>& points);
 
 /// The paper's constant-time binned estimator f-breve (§4):
 ///   f̆(x) = 1 / (N·w) Σ_{i=1..β} c_i · φ((x − m_i) / w)
@@ -59,12 +48,10 @@ double ScottBandwidth(const std::vector<double>& points);
 ///
 /// Holds a non-owning pointer to the histogram so that the estimate tracks
 /// the live workload statistics (the adaptivity property of §3.1); the
-/// histogram must outlive the estimator. Use Snapshot() for a frozen copy.
+/// histogram must outlive the estimator.
 class BinnedKde {
  public:
-  explicit BinnedKde(const StreamingHistogram* hist,
-                     KernelType kernel = KernelType::kGaussian)
-      : hist_(hist), kernel_(kernel) {}
+  explicit BinnedKde(const StreamingHistogram* hist) : hist_(hist) {}
 
   /// Density estimate at x; O(β). Returns 0 when no values observed yet.
   double Evaluate(double x) const;
@@ -76,25 +63,6 @@ class BinnedKde {
 
  private:
   const StreamingHistogram* hist_;
-  KernelType kernel_;
-};
-
-/// A frozen f-breve: copies the (c_i, m_i) pairs out of a histogram so the
-/// estimate no longer changes. Used when an impression layer is derived and
-/// its interest profile must be pinned.
-class FrozenBinnedKde {
- public:
-  explicit FrozenBinnedKde(const StreamingHistogram& hist,
-                           KernelType kernel = KernelType::kGaussian);
-
-  double Evaluate(double x) const;
-  double total_weight() const { return total_weight_; }
-
- private:
-  std::vector<StreamingHistogram::BinStats> bins_;
-  double bin_width_;
-  double total_weight_;
-  KernelType kernel_;
 };
 
 /// Simpson-rule integral of a density over [lo, hi]; test/diagnostic helper

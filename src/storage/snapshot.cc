@@ -241,24 +241,7 @@ Result<HierarchyState> DecodeHierarchyState(BinaryReader* r) {
   return s;
 }
 
-Result<CombineMode> CombineModeFromTag(uint8_t tag) {
-  switch (tag) {
-    case 0:
-      return CombineMode::kGeometricMean;
-    case 1:
-      return CombineMode::kProduct;
-    case 2:
-      return CombineMode::kSum;
-    case 3:
-      return CombineMode::kMax;
-    default:
-      return Status::InvalidArgument(
-          StrFormat("snapshot: unknown combine mode tag %u", tag));
-  }
-}
-
 void EncodeTrackerState(const InterestTrackerState& s, BinaryWriter* w) {
-  w->PutU8(static_cast<uint8_t>(s.mode));
   w->PutI64(s.observed_points);
   w->PutU32(static_cast<uint32_t>(s.attributes.size()));
   for (const auto& attr : s.attributes) {
@@ -278,8 +261,6 @@ void EncodeTrackerState(const InterestTrackerState& s, BinaryWriter* w) {
 
 Result<InterestTrackerState> DecodeTrackerState(BinaryReader* r) {
   InterestTrackerState s;
-  SCIBORQ_ASSIGN_OR_RETURN(const uint8_t mode_tag, r->ReadU8());
-  SCIBORQ_ASSIGN_OR_RETURN(s.mode, CombineModeFromTag(mode_tag));
   SCIBORQ_ASSIGN_OR_RETURN(s.observed_points, r->ReadI64());
   SCIBORQ_ASSIGN_OR_RETURN(const uint32_t attrs, r->ReadU32());
   SCIBORQ_RETURN_NOT_OK(CheckDecodeCount(attrs, 8, *r, "tracked attribute"));

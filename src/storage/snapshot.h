@@ -53,8 +53,10 @@ inline constexpr uint32_t kSnapshotMagic = 0x4E534253u;  // "SBSN"
 /// through the encoded-page codec (column/serde.h, EncodeTableEncoded) —
 /// RLE / frame-of-reference / dictionary chunks chosen per morsel; the
 /// config carries the RetentionPolicy, the hierarchy exactly one top
-/// builder, and the trailer the optional standalone last-seen builder state.
-inline constexpr uint32_t kSnapshotFormatVersion = 5;
+/// builder, the tracker block the observation count and histograms only
+/// (tuple weights always combine by geometric mean), and the trailer the
+/// optional standalone last-seen builder state.
+inline constexpr uint32_t kSnapshotFormatVersion = 6;
 
 /// Per-table configuration supplied at registration time (Engine::CreateTable)
 /// and persisted whole, in the snapshot and the WAL's create record. The
@@ -68,6 +70,8 @@ struct TableOptions {
   std::vector<ImpressionHierarchy::LayerSpec> layers;
   /// Attributes tracked by the interest histograms (column + bin geometry).
   /// Non-empty enables biased sampling; empty keeps uniform reservoirs.
+  /// Each must name a numeric column of the table (InvalidArgument when the
+  /// table is registered or recovered otherwise).
   std::vector<InterestTracker::AttributeSpec> tracked_attributes;
   /// Seed for all of the table's samplers (deterministic per table).
   uint64_t seed = 42;

@@ -3,25 +3,17 @@
 #include <algorithm>
 #include <cmath>
 
+#include "stats/kde.h"
 #include "util/string_util.h"
 
 namespace sciborq {
 
-Result<InterestTracker> InterestTracker::Make(
-    std::vector<AttributeSpec> attributes, CombineMode mode) {
-  if (attributes.empty()) {
+Result<InterestTracker> InterestTracker::FromAttributes(
+    std::vector<TrackedAttribute> attrs) {
+  if (attrs.empty()) {
     return Status::InvalidArgument("tracker needs at least one attribute");
   }
-  std::vector<TrackedAttribute> attrs;
-  attrs.reserve(attributes.size());
-  for (const auto& spec : attributes) {
-    SCIBORQ_ASSIGN_OR_RETURN(
-        StreamingHistogram hist,
-        StreamingHistogram::Make(spec.domain_min, spec.bin_width,
-                                 spec.num_bins));
-    attrs.push_back(TrackedAttribute{spec.column, std::move(hist)});
-  }
-  InterestTracker tracker(std::move(attrs), mode);
+  InterestTracker tracker(std::move(attrs));
   for (size_t i = 0; i < tracker.attrs_.size(); ++i) {
     const auto [it, inserted] =
         tracker.index_.emplace(tracker.attrs_[i].column, static_cast<int>(i));
@@ -35,9 +27,22 @@ Result<InterestTracker> InterestTracker::Make(
   return tracker;
 }
 
+Result<InterestTracker> InterestTracker::Make(
+    std::vector<AttributeSpec> attributes) {
+  std::vector<TrackedAttribute> attrs;
+  attrs.reserve(attributes.size());
+  for (const auto& spec : attributes) {
+    SCIBORQ_ASSIGN_OR_RETURN(
+        StreamingHistogram hist,
+        StreamingHistogram::Make(spec.domain_min, spec.bin_width,
+                                 spec.num_bins));
+    attrs.push_back(TrackedAttribute{spec.column, std::move(hist)});
+  }
+  return FromAttributes(std::move(attrs));
+}
+
 InterestTrackerState InterestTracker::SaveState() const {
   InterestTrackerState state;
-  state.mode = mode_;
   state.observed_points = observed_points_;
   state.attributes.reserve(attrs_.size());
   for (const auto& attr : attrs_) {
@@ -58,20 +63,8 @@ Result<InterestTracker> InterestTracker::Restore(InterestTrackerState state) {
                              StreamingHistogram::Restore(std::move(attr.hist)));
     attrs.push_back(TrackedAttribute{std::move(attr.column), std::move(hist)});
   }
-  if (attrs.empty()) {
-    return Status::InvalidArgument("tracker state: no tracked attributes");
-  }
-  InterestTracker tracker(std::move(attrs), state.mode);
-  for (size_t i = 0; i < tracker.attrs_.size(); ++i) {
-    const auto [it, inserted] =
-        tracker.index_.emplace(tracker.attrs_[i].column, static_cast<int>(i));
-    (void)it;
-    if (!inserted) {
-      return Status::InvalidArgument(
-          StrFormat("tracker state: duplicate tracked attribute '%s'",
-                    tracker.attrs_[i].column.c_str()));
-    }
-  }
+  SCIBORQ_ASSIGN_OR_RETURN(InterestTracker tracker,
+                           FromAttributes(std::move(attrs)));
   tracker.observed_points_ = state.observed_points;
   return tracker;
 }
@@ -103,9 +96,8 @@ double InterestTracker::TupleWeight(const Table& table,
                                     const std::vector<int>& bound_columns,
                                     int64_t row) const {
   if (observed_points_ == 0) return 1.0;
-  double combined = 0.0;
+  double combined = 1.0;
   int used = 0;
-  bool first = true;
   for (size_t a = 0; a < attrs_.size(); ++a) {
     const int col_idx = bound_columns[a];
     if (col_idx < 0) continue;
@@ -115,54 +107,15 @@ double InterestTracker::TupleWeight(const Table& table,
     if (hist.weighted_total() <= 0.0) continue;
     const BinnedKde kde(&hist);
     // w_a = f̆_a(v) * N_a  (§4: probability proportional to f̆(t_new) × N).
-    const double w = kde.Evaluate(col.NumericAt(row)) * hist.weighted_total();
+    combined *= kde.Evaluate(col.NumericAt(row)) * hist.weighted_total();
     ++used;
-    switch (mode_) {
-      case CombineMode::kGeometricMean:
-      case CombineMode::kProduct:
-        combined = first ? w : combined * w;
-        break;
-      case CombineMode::kSum:
-        combined = first ? w : combined + w;
-        break;
-      case CombineMode::kMax:
-        combined = first ? w : std::max(combined, w);
-        break;
-    }
-    first = false;
   }
   if (used == 0) return 1.0;
-  switch (mode_) {
-    case CombineMode::kGeometricMean:
-      return std::pow(std::max(combined, 0.0), 1.0 / used);
-    case CombineMode::kSum:
-      return combined / used;
-    case CombineMode::kProduct:
-    case CombineMode::kMax:
-      return combined;
-  }
-  return combined;
+  return std::pow(std::max(combined, 0.0), 1.0 / used);
 }
 
 void InterestTracker::Decay(double factor) {
   for (auto& attr : attrs_) attr.hist.Decay(factor);
-}
-
-Result<const StreamingHistogram*> InterestTracker::HistogramFor(
-    const std::string& column) const {
-  const auto it = index_.find(column);
-  if (it == index_.end()) {
-    return Status::NotFound(
-        StrFormat("attribute '%s' is not tracked", column.c_str()));
-  }
-  return &attrs_[static_cast<size_t>(it->second)].hist;
-}
-
-std::vector<FrozenBinnedKde> InterestTracker::FreezeEstimators() const {
-  std::vector<FrozenBinnedKde> out;
-  out.reserve(attrs_.size());
-  for (const auto& attr : attrs_) out.emplace_back(attr.hist);
-  return out;
 }
 
 }  // namespace sciborq

@@ -9,27 +9,15 @@
 #include "column/table.h"
 #include "exec/query.h"
 #include "stats/histogram.h"
-#include "stats/kde.h"
 #include "util/result.h"
 
 namespace sciborq {
 
-/// How per-attribute weights combine into one tuple weight when several
-/// attributes of interest are configured (paper §4, footnote 4: "a combine
-/// function c(t) = f̆(t.att1) ∘ ... ∘ f̆(t.attm)").
-enum class CombineMode {
-  kGeometricMean,  ///< (Π w_a)^(1/m): scale-compatible with one attribute
-  kProduct,        ///< Π w_a: sharpest focus, penalizes any off-focus attribute
-  kSum,            ///< Σ w_a / m: union of interests
-  kMax,            ///< max_a w_a: a tuple interesting on any axis is kept
-};
-
 /// The complete resumable state of an InterestTracker (persistent storage):
-/// the combine mode, the observation count, and every tracked attribute's
-/// histogram. Restoring it resumes workload-biased sampling with the exact
-/// interest profile the saved tracker had.
+/// the observation count and every tracked attribute's histogram. Restoring
+/// it resumes workload-biased sampling with the exact interest profile the
+/// saved tracker had.
 struct InterestTrackerState {
-  CombineMode mode = CombineMode::kGeometricMean;
   int64_t observed_points = 0;
   struct Attribute {
     std::string column;
@@ -40,9 +28,12 @@ struct InterestTrackerState {
 
 /// Tracks the focal points of the exploration: one streaming predicate-set
 /// histogram (Fig. 5) per attribute of interest, each exposing the paper's
-/// constant-time binned density estimate f̆ (§4). Impression builders query
-/// TupleWeight() for each ingested tuple; Engine::Query calls ObserveQuery()
-/// after every answer, closing the adaptive loop of §3.1.
+/// constant-time binned density estimate f̆ (§4). The per-attribute weights
+/// combine into one tuple weight by their geometric mean, the paper's
+/// combine function c(t) = f̆(t.att1) ∘ ... ∘ f̆(t.attm) (§4, footnote 4),
+/// which keeps the weight on the scale of a single attribute's. Impression
+/// builders query TupleWeight() for each ingested tuple; Engine::Query calls
+/// ObserveQuery() after every answer, closing the adaptive loop of §3.1.
 ///
 /// Not internally synchronized: the tracker carries no mutex of its own.
 /// The engine declares its instance GUARDED_BY the per-table workload_mu;
@@ -61,8 +52,7 @@ class InterestTracker {
   };
 
   /// InvalidArgument on duplicate columns or bad geometry.
-  static Result<InterestTracker> Make(std::vector<AttributeSpec> attributes,
-                                      CombineMode mode = CombineMode::kGeometricMean);
+  static Result<InterestTracker> Make(std::vector<AttributeSpec> attributes);
 
   /// Folds every predicate point of `query` into the matching histograms.
   /// Points on untracked columns are ignored.
@@ -71,9 +61,10 @@ class InterestTracker {
   /// Folds one raw predicate value for `column` (used when replaying logs).
   void ObserveValue(const std::string& column, double value);
 
-  /// The workload weight of a tuple, combining w_a = f̆_a(v_a) · N_a over all
-  /// tracked attributes present in the row. Tuples are addressed positionally
-  /// through pre-resolved bindings — see BindColumns().
+  /// The workload weight of a tuple: the geometric mean (Π w_a)^(1/m) of
+  /// w_a = f̆_a(v_a) · N_a over the m tracked attributes present in the row.
+  /// Tuples are addressed positionally through pre-resolved bindings — see
+  /// BindColumns().
   ///
   /// Returns 1.0 for every tuple until any query has been observed, so a cold
   /// tracker degrades the biased reservoir to Algorithm R exactly.
@@ -95,15 +86,6 @@ class InterestTracker {
     return attrs_[static_cast<size_t>(i)].column;
   }
 
-  /// The live histogram of one tracked column (NotFound if untracked).
-  Result<const StreamingHistogram*> HistogramFor(const std::string& column) const;
-
-  /// Frozen copies of all f̆ estimators (used when deriving a layer whose
-  /// bias must be pinned).
-  std::vector<FrozenBinnedKde> FreezeEstimators() const;
-
-  CombineMode combine_mode() const { return mode_; }
-
   /// Deep copy of the complete resumable state, for serialization.
   InterestTrackerState SaveState() const;
   /// Rebuilds a tracker from captured (or deserialized) state.
@@ -115,12 +97,15 @@ class InterestTracker {
     StreamingHistogram hist;
   };
 
-  InterestTracker(std::vector<TrackedAttribute> attrs, CombineMode mode)
-      : attrs_(std::move(attrs)), mode_(mode) {}
+  /// Indexes `attrs` by column: InvalidArgument when empty or duplicated.
+  static Result<InterestTracker> FromAttributes(
+      std::vector<TrackedAttribute> attrs);
+
+  explicit InterestTracker(std::vector<TrackedAttribute> attrs)
+      : attrs_(std::move(attrs)) {}
 
   std::vector<TrackedAttribute> attrs_;
   std::unordered_map<std::string, int> index_;
-  CombineMode mode_;
   int64_t observed_points_ = 0;
 };
 

@@ -127,21 +127,6 @@ TEST_F(BoundedExecutorTest, MinMaxForcesBase) {
   EXPECT_TRUE(ans.error_bound_met);
 }
 
-TEST_F(BoundedExecutorTest, MinMaxWithoutFallbackReportsUnmet) {
-  BoundedExecutor exec(&catalog_->photo_obj_all, hierarchy_);
-  QualityBound bound;
-  bound.max_relative_error = 0.5;
-  bound.allow_base_fallback = false;
-  AggregateQuery q;
-  q.aggregates = {{AggKind::kMax, "redshift"}};
-  const BoundedAnswer ans = exec.Answer(q, bound).value();
-  EXPECT_FALSE(ans.error_bound_met);
-  EXPECT_NE(ans.answered_by, "base");
-  // Best-effort answer still present (the sample max).
-  ASSERT_EQ(ans.rows.size(), 1u);
-  EXPECT_GT(ans.rows[0].values[0], 0.0);
-}
-
 TEST_F(BoundedExecutorTest, GroupedEstimates) {
   BoundedExecutor exec(&catalog_->photo_obj_all, hierarchy_);
   QualityBound bound;
@@ -171,7 +156,6 @@ TEST_F(BoundedExecutorTest, TimeBudgetShortCircuits) {
   QualityBound bound;
   bound.max_relative_error = 1e-9;  // unreachable by sampling
   bound.time_budget_seconds = 1e-5;  // essentially no time
-  bound.allow_base_fallback = true;
   const BoundedAnswer ans = exec.Answer(WholeSkyAvg(), bound).value();
   // Either it answered from a small layer before the deadline or flagged the
   // deadline; it must NOT have burned through to base.
@@ -214,7 +198,6 @@ TEST_F(BoundedExecutorTest, TinyBudgetNeverTriggersBaseScan) {
   BoundedExecutor exec(&catalog_->photo_obj_all, hierarchy_);
   QualityBound bound;
   bound.max_relative_error = 1e-12;  // unreachable by sampling -> wants base
-  bound.allow_base_fallback = true;
   // Budget chosen so the smallest layers can answer but a 100k-row base scan
   // predictably cannot fit. Warm the executor's per-row cost model first.
   QualityBound warm;

@@ -137,6 +137,51 @@ TEST(EngineTest, RegisterCsvRoundTrip) {
   EXPECT_EQ(engine.TableNames().size(), 1u);
 }
 
+// TupleWeight reads every tracked attribute as a number, so a tracked string
+// column, or a name the schema lacks, is refused at registration instead of
+// being read out of bounds (or silently ignored) on every ingest.
+TEST(EngineTest, TrackedAttributesMustBeNumericColumns) {
+  const Schema schema({Field{"id", DataType::kInt64, false},
+                       Field{"val", DataType::kDouble, false},
+                       Field{"cls", DataType::kString, false}});
+  Table batch(schema);
+  ASSERT_TRUE(batch.AppendRow({Value(int64_t{1}), Value(2.5), Value("a")}).ok());
+  ASSERT_TRUE(batch.AppendRow({Value(int64_t{2}), Value(3.5), Value("b")}).ok());
+  const std::string path = testing::TempDir() + "/sciborq_tracked.csv";
+  ASSERT_TRUE(WriteCsv(batch, path).ok());
+
+  Engine engine;
+  for (const std::string column : {"cls", "missing"}) {
+    TableOptions options = SmallLayers();
+    options.tracked_attributes = {{column, 0.0, 1.0, 8}};
+    const Status created = engine.CreateTable("t", schema, options);
+    EXPECT_EQ(created.code(), StatusCode::kInvalidArgument) << column;
+    EXPECT_NE(created.message().find("'" + column + "'"), std::string::npos)
+        << created.message();
+    EXPECT_EQ(engine.RegisterCsv("t", path, options).status().code(),
+              StatusCode::kInvalidArgument)
+        << column;
+  }
+  EXPECT_TRUE(engine.TableNames().empty());
+
+  TableOptions options = SmallLayers();
+  options.tracked_attributes = {{"val", 0.0, 1.0, 8}};
+  ASSERT_TRUE(engine.CreateTable("t", schema, options).ok());
+  const Result<int64_t> loaded = engine.RegisterCsv("csv", path, options);
+  std::remove(path.c_str());
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  for (const std::string table : {"t", "csv"}) {
+    ASSERT_TRUE(engine
+                    .RecordWorkload(
+                        table, ParseQuery("SELECT COUNT(*) WHERE val = 2.5")
+                                   .value())
+                    .ok());
+    ASSERT_TRUE(engine.IngestBatch(table, batch).ok()) << table;
+  }
+  EXPECT_EQ(engine.TableRows("t").value(), 2);
+  EXPECT_EQ(engine.TableRows("csv").value(), 4);
+}
+
 // ----------------------------------------------------------- querying ----
 
 TEST(EngineTest, BoundedQueryEscalatesWithTrace) {

@@ -199,8 +199,8 @@ TEST(HierarchyTest, ToStringListsLayers) {
 // ----------------------------------------- column-wise derivation oracle --
 
 /// Row-at-a-time reference for one derived layer: the production partial
-/// Fisher-Yates draw, then one AppendSampledRow per drawn row and the
-/// pinned probabilities set afterwards.
+/// Fisher-Yates draw, then one AppendSampledRow per drawn row, with the
+/// probabilities pinned afterwards through the state round trip.
 Impression ReferenceDerive(const Impression& parent, const LayerSpec& spec,
                            Rng* rng) {
   const int64_t parent_n = parent.size();
@@ -226,8 +226,9 @@ Impression ReferenceDerive(const Impression& parent, const LayerSpec& spec,
   }
   child.set_population_seen(parent.population_seen());
   child.set_population_weight(parent.population_weight());
-  EXPECT_TRUE(child.SetExplicitInclusionProbabilities(std::move(probs)).ok());
-  return child;
+  ImpressionState state = child.SaveState();
+  state.explicit_probs = std::move(probs);
+  return Impression::FromState(std::move(state)).value();
 }
 
 /// The derived layers one refresh of `h` must produce from its current top

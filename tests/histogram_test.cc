@@ -68,26 +68,6 @@ TEST(HistogramTest, MeanIsIncrementalAndExact) {
   EXPECT_NEAR(h.bin(0).mean, expected_sum / 1000.0, 1e-9);
 }
 
-TEST(HistogramTest, MergeCombinesCountsAndMeans) {
-  StreamingHistogram a = MakeHist();
-  StreamingHistogram b = MakeHist();
-  a.Observe(12.0);
-  b.Observe(18.0);
-  b.Observe(14.0);
-  ASSERT_TRUE(a.Merge(b).ok());
-  EXPECT_DOUBLE_EQ(a.bin(1).count, 3.0);
-  EXPECT_NEAR(a.bin(1).mean, (12.0 + 18.0 + 14.0) / 3.0, 1e-12);
-  EXPECT_EQ(a.total_count(), 3);
-}
-
-TEST(HistogramTest, MergeRejectsDifferentGeometry) {
-  StreamingHistogram a = MakeHist(0, 10, 10);
-  StreamingHistogram b = MakeHist(0, 10, 5);
-  EXPECT_FALSE(a.Merge(b).ok());
-  StreamingHistogram c = MakeHist(1, 10, 10);
-  EXPECT_FALSE(a.Merge(c).ok());
-}
-
 TEST(HistogramTest, DecayAgesCounts) {
   StreamingHistogram h = MakeHist();
   for (int i = 0; i < 10; ++i) h.Observe(5.0);
@@ -113,33 +93,6 @@ TEST(HistogramTest, DecayFactorOneIsNoop) {
   EXPECT_DOUBLE_EQ(h.bin(0).count, 1.0);
 }
 
-TEST(HistogramTest, ResetClearsEverything) {
-  StreamingHistogram h = MakeHist();
-  h.Observe(5.0);
-  h.Observe(-100.0);
-  h.Reset();
-  EXPECT_EQ(h.total_count(), 0);
-  EXPECT_EQ(h.clamped_count(), 0);
-  EXPECT_DOUBLE_EQ(h.weighted_total(), 0.0);
-  EXPECT_DOUBLE_EQ(h.bin(0).count, 0.0);
-}
-
-TEST(HistogramTest, NormalizedDensitiesIntegrateToOne) {
-  StreamingHistogram h = MakeHist(0.0, 2.0, 50);
-  Rng rng(7);
-  for (int i = 0; i < 5000; ++i) h.Observe(rng.Uniform(0.0, 100.0));
-  const auto dens = h.NormalizedDensities();
-  ASSERT_EQ(dens.size(), 50u);
-  double integral = 0.0;
-  for (const double d : dens) integral += d * h.bin_width();
-  EXPECT_NEAR(integral, 1.0, 1e-9);
-}
-
-TEST(HistogramTest, NormalizedDensitiesEmptyWhenNoData) {
-  StreamingHistogram h = MakeHist();
-  EXPECT_TRUE(h.NormalizedDensities().empty());
-}
-
 // Property: for in-domain observations, every bin mean lies inside its bin.
 TEST(HistogramTest, PropertyBinMeansStayInsideBins) {
   StreamingHistogram h = MakeHist(0.0, 1.0, 100);
@@ -149,24 +102,6 @@ TEST(HistogramTest, PropertyBinMeansStayInsideBins) {
     if (h.bin(i).count == 0.0) continue;
     EXPECT_GE(h.bin(i).mean, h.BinLeftEdge(i));
     EXPECT_LT(h.bin(i).mean, h.BinLeftEdge(i) + h.bin_width());
-  }
-}
-
-// Property: merging shards is equivalent to observing the union stream.
-TEST(HistogramTest, PropertyMergeEquivalentToUnion) {
-  StreamingHistogram whole = MakeHist(0.0, 5.0, 20);
-  StreamingHistogram s1 = MakeHist(0.0, 5.0, 20);
-  StreamingHistogram s2 = MakeHist(0.0, 5.0, 20);
-  Rng rng(13);
-  for (int i = 0; i < 2000; ++i) {
-    const double v = rng.Uniform(0.0, 100.0);
-    whole.Observe(v);
-    (i % 2 == 0 ? s1 : s2).Observe(v);
-  }
-  ASSERT_TRUE(s1.Merge(s2).ok());
-  for (int i = 0; i < whole.num_bins(); ++i) {
-    EXPECT_DOUBLE_EQ(s1.bin(i).count, whole.bin(i).count);
-    EXPECT_NEAR(s1.bin(i).mean, whole.bin(i).mean, 1e-9);
   }
 }
 

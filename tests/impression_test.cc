@@ -77,21 +77,6 @@ TEST(ImpressionTest, BiasedInclusionProbability) {
   EXPECT_DOUBLE_EQ(imp.InclusionProbability(1), 2 * 1.0 / 100.0);
 }
 
-TEST(ImpressionTest, ExplicitProbabilitiesWin) {
-  SkyStream stream(StreamConfig(), 4);
-  const Table batch = stream.NextBatch(2);
-  Impression imp("t", PhotoObjSchema(), 2, SamplingPolicy::kUniform);
-  imp.AppendSampledRow(batch, 0, 1.0, 0);
-  imp.AppendSampledRow(batch, 1, 1.0, 1);
-  imp.set_population_seen(100);
-  ASSERT_TRUE(imp.SetExplicitInclusionProbabilities({0.5, 0.25}).ok());
-  EXPECT_DOUBLE_EQ(imp.InclusionProbability(0), 0.5);
-  EXPECT_DOUBLE_EQ(imp.InclusionProbability(1), 0.25);
-  EXPECT_FALSE(imp.SetExplicitInclusionProbabilities({0.5}).ok());
-  EXPECT_FALSE(imp.SetExplicitInclusionProbabilities({0.5, 1.5}).ok());
-  EXPECT_FALSE(imp.SetExplicitInclusionProbabilities({0.5, 0.0}).ok());
-}
-
 TEST(ImpressionTest, CloneIsIndependent) {
   SkyStream stream(StreamConfig(), 5);
   const Table batch = stream.NextBatch(3);
@@ -219,7 +204,6 @@ TEST(ImpressionBuilderTest, LastSeenFavoursRecentRows) {
   spec.capacity = 500;
   spec.policy = SamplingPolicy::kLastSeen;
   spec.expected_ingest = 5000;
-  spec.freshness_k = 500;
   spec.seed = 10;
   auto builder = ImpressionBuilder::Make(stream.schema(), spec).value();
   for (int b = 0; b < 10; ++b) {

@@ -77,9 +77,6 @@ TEST(ParserTest, BetweenAndCone) {
   ASSERT_EQ(points.size(), 3u);
   EXPECT_DOUBLE_EQ(points[0].value, 155.0);  // between midpoint
   EXPECT_DOUBLE_EQ(points[1].value, 185.0);
-  const auto pairs = q.PredicatePairs();
-  ASSERT_EQ(pairs.size(), 1u);
-  EXPECT_DOUBLE_EQ(pairs[0].x, 185.0);
 }
 
 TEST(ParserTest, ConeAcceptsCommaSeparatorsAndNoRPrefix) {

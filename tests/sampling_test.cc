@@ -264,21 +264,6 @@ TEST(BiasedReservoirTest, InclusionProbabilityTracksWeights) {
   EXPECT_DOUBLE_EQ(s.InclusionProbability(0.0), 0.0);
 }
 
-TEST(BiasedReservoirTest, PaperFaithfulModeRuns) {
-  BiasedReservoirSampler s =
-      BiasedReservoirSampler::Make(50, 29, /*paper_faithful=*/true).value();
-  int accepted = 0;
-  for (int i = 0; i < 10'000; ++i) {
-    const ReservoirDecision d = s.Offer(2.0);
-    if (d.accepted) {
-      EXPECT_GE(d.slot, 0);
-      EXPECT_LT(d.slot, 50);
-      ++accepted;
-    }
-  }
-  EXPECT_GT(accepted, 50);
-}
-
 // Capacity sweep: every sampler respects its capacity for any n.
 class CapacitySweep : public ::testing::TestWithParam<int64_t> {};
 
