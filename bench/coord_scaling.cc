@@ -79,7 +79,9 @@ struct Topology {
   }
 };
 
-Topology BuildTopology(int n, const Table& base) {
+/// The shards take `options` whole (layers included); only the seed is
+/// redrawn per shard.
+Topology BuildTopology(int n, const Table& base, const TableOptions& options) {
   Topology topo;
   std::vector<ShardEndpoint> endpoints;
   for (int s = 0; s < n; ++s) {
@@ -89,8 +91,8 @@ Topology BuildTopology(int n, const Table& base) {
   ShardMap map;
   map.SetDefaultShards(std::move(endpoints));
   topo.coordinator = std::make_unique<SciborqCoordinator>(std::move(map));
-  if (Status st =
-          topo.coordinator->CreateTable("photo_obj_all", base.schema(), 11);
+  if (Status st = topo.coordinator->CreateTable("photo_obj_all",
+                                                 base.schema(), options);
       !st.ok()) {
     std::fprintf(stderr, "distributed create: %s\n", st.ToString().c_str());
     std::abort();
@@ -130,7 +132,7 @@ int main() {
 
   // -- Gate 1: merged EXACT == single node, bit for bit --------------------
   {
-    Topology topo = BuildTopology(2, base);
+    Topology topo = BuildTopology(2, base, table_options);
     const std::string sql =
         "SELECT COUNT(*), SUM(r), AVG(r), VAR(r), MIN(r), MAX(r) "
         "FROM photo_obj_all EXACT";
@@ -163,7 +165,7 @@ int main() {
   // -- Gate 2: bounded-query throughput at 1/2/4 shards --------------------
   std::printf("\n%-10s %12s %10s\n", "shards", "qps", "failures");
   for (const int n : {1, 2, 4}) {
-    Topology topo = BuildTopology(n, base);
+    Topology topo = BuildTopology(n, base, table_options);
     int64_t failures = 0;
     Stopwatch watch;
     for (int i = 0; i < kQueriesPerTopology; ++i) {
@@ -190,7 +192,7 @@ int main() {
 
   // -- Gate 3: killing a shard degrades within the budget ------------------
   {
-    Topology topo = BuildTopology(2, base);
+    Topology topo = BuildTopology(2, base, table_options);
     // Warm the fan-out connections, then kill shard 1.
     if (!topo.coordinator->Query(BoundedSql(0)).ok()) {
       std::fprintf(stderr, "warm-up query failed\n");

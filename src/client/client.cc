@@ -148,18 +148,11 @@ Result<std::vector<TableInfo>> SciborqClient::ListTables() {
 }
 
 Status SciborqClient::CreateTable(const std::string& name, const Schema& schema,
-                                  uint64_t seed) {
-  return CreateTable(name, schema, RetentionPolicy(), seed);
-}
-
-Status SciborqClient::CreateTable(const std::string& name, const Schema& schema,
-                                  const RetentionPolicy& retention,
-                                  uint64_t seed) {
+                                  const TableOptions& options) {
   Request request(Opcode::kCreateTable);
   request.table = name;
   request.schema = schema;
-  request.seed = seed;
-  request.retention = retention;
+  request.options = options;
   return RoundTrip(request).status();
 }
 

@@ -88,17 +88,12 @@ class SciborqClient {
   /// without --db-dir answer FailedPrecondition.
   Result<int64_t> Checkpoint(const std::string& table = "");
 
-  /// Registers an empty table on the server with the given sampler seed
-  /// (the coordinator derives a distinct seed per shard).
+  /// Registers an empty table on the server with its whole config: the
+  /// options travel in the kCreateTable payload through the snapshot/WAL
+  /// codec, so layers, tracked attributes, seed and retention policy all
+  /// reach the server's Engine::CreateTable as given.
   Status CreateTable(const std::string& name, const Schema& schema,
-                     uint64_t seed = 42);
-
-  /// Registers a *windowed* table: the retention policy travels in the
-  /// kCreateTable retention block, so the server builds time-bucket strata, ages rows
-  /// out behind the sliding window, and answers LAST(...) BY ... natively.
-  /// A disabled policy behaves exactly like the plain overload.
-  Status CreateTable(const std::string& name, const Schema& schema,
-                     const RetentionPolicy& retention, uint64_t seed = 42);
+                     const TableOptions& options = TableOptions());
 
   /// Permanently removes `table` from the server: catalog entry, snapshot,
   /// and WAL segments. NotFound when no such table exists.

@@ -11,4 +11,12 @@ std::string Value::ToString() const {
   return str();
 }
 
+bool Value::operator==(const Value& other) const {
+  if (payload_.index() != other.payload_.index()) return false;
+  if (is_int64()) return int64() == other.int64();
+  if (is_double()) return dbl() == other.dbl();
+  if (is_string()) return str() == other.str();
+  return true;  // both null
+}
+
 }  // namespace sciborq

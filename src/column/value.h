@@ -42,7 +42,10 @@ class Value {
   /// Renders the value for debugging / CSV ("" for null).
   std::string ToString() const;
 
-  bool operator==(const Value& other) const { return payload_ == other.payload_; }
+  /// Same type and same content (doubles compare with ==, so NaN != NaN).
+  /// Out of line: GCC 12 flags std::variant's inlined operator== under
+  /// sanitizer instrumentation with a spurious -Wmaybe-uninitialized.
+  bool operator==(const Value& other) const;
 
  private:
   std::variant<std::monostate, int64_t, double, std::string> payload_;

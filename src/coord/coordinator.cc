@@ -345,8 +345,8 @@ Status SciborqCoordinator::CreateTable(const std::string& name,
   // seed.
   Rng seeder(options.seed);
   return OnEachShard(endpoints, [&](SciborqClient* client) {
-    return client->CreateTable(name, schema, options.retention,
-                               seeder.NextUint64());
+    options.seed = seeder.NextUint64();
+    return client->CreateTable(name, schema, options);
   });
 }
 
@@ -401,17 +401,10 @@ Result<QueryOutcome> SciborqCoordinator::Query(std::string_view sql) {
 
 Result<int64_t> SciborqCoordinator::RegisterCsv(const std::string& name,
                                                 const std::string& path,
-                                                uint64_t seed) {
+                                                TableOptions options) {
   SCIBORQ_ASSIGN_OR_RETURN(const Table table, ReadCsv(path));
-  SCIBORQ_RETURN_NOT_OK(CreateTable(name, table.schema(), seed));
+  SCIBORQ_RETURN_NOT_OK(CreateTable(name, table.schema(), std::move(options)));
   return Ingest(name, table);
-}
-
-Status SciborqCoordinator::CreateTable(const std::string& name,
-                                       const Schema& schema, uint64_t seed) {
-  TableOptions options;
-  options.seed = seed;
-  return CreateTable(name, schema, std::move(options));
 }
 
 }  // namespace sciborq

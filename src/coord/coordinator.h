@@ -81,14 +81,10 @@ class SciborqCoordinator : public Backend {
   Result<QueryOutcome> Query(std::string_view sql);
 
   /// Loads a CSV and distributes it: the table is created on every shard
-  /// (with per-shard derived sampler seeds) and the rows are routed in
-  /// contiguous slices. Returns total rows ingested.
+  /// (CreateTable below) and the rows are routed in contiguous slices.
+  /// Returns total rows ingested.
   Result<int64_t> RegisterCsv(const std::string& name, const std::string& path,
-                              uint64_t seed = 42);
-
-  /// CreateTable with only a sampler seed.
-  Status CreateTable(const std::string& name, const Schema& schema,
-                     uint64_t seed = 42);
+                              TableOptions options = TableOptions());
 
   /// Ingest under the Engine's name.
   Result<int64_t> IngestBatch(const std::string& table, const Table& batch) {
@@ -120,10 +116,11 @@ class SciborqCoordinator : public Backend {
   /// failing shard fails it (a retry is idempotent).
   Status Checkpoint(const std::string& table) override;
   Result<int64_t> CheckpointAll() override;
-  /// Creates the table on every shard of its list, forwarding the retention
-  /// policy; shard s gets the s-th seed drawn from `options.seed`.
+  /// Creates the table on every shard of its list, forwarding the options
+  /// whole (layers, tracked attributes, retention) except the seed: shard s
+  /// gets the s-th seed drawn from `options.seed`.
   Status CreateTable(const std::string& name, const Schema& schema,
-                     TableOptions options) override;
+                     TableOptions options = TableOptions()) override;
   /// Routes one batch across the table's shards in contiguous slices.
   Result<int64_t> Ingest(const std::string& table, const Table& batch) override;
   Status DropTable(const std::string& table) override;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <limits>
 #include <unordered_map>
 #include <utility>
@@ -97,14 +98,24 @@ Result<AggregateEstimate> EstimateOneAggregate(
       const double var = ss / static_cast<double>(values.size() - 1);
       AggregateEstimate est;
       est.estimate = var;
+      est.confidence = confidence;
+      est.sample_rows = static_cast<int64_t>(values.size());
+      if (std::adjacent_find(probs.begin(), probs.end(),
+                             std::not_equal_to<>()) != probs.end()) {
+        // Unequal inclusion probabilities (a biased layer): the unweighted
+        // sample variance is not a design-consistent estimate, so no error
+        // bound is claimed, like MIN/MAX, and a bounded query escalates.
+        est.std_error = kInf;
+        est.ci_lo = -kInf;
+        est.ci_hi = kInf;
+        return est;
+      }
       // Normal-theory standard error of s^2: s^2 * sqrt(2/(m-1)).
       est.std_error =
           var * std::sqrt(2.0 / static_cast<double>(values.size() - 1));
       const double z = NormalQuantile(0.5 + confidence / 2.0);
       est.ci_lo = var - z * est.std_error;
       est.ci_hi = var + z * est.std_error;
-      est.confidence = confidence;
-      est.sample_rows = static_cast<int64_t>(values.size());
       return est;
     }
     case AggKind::kLast:

@@ -15,6 +15,11 @@ Status ValidateLayerSpecs(
   if (layers.empty()) {
     return Status::InvalidArgument("hierarchy needs at least one layer");
   }
+  if (layers.size() > static_cast<size_t>(ImpressionHierarchy::kMaxLayers)) {
+    return Status::InvalidArgument(
+        StrFormat("hierarchy has %zu layers; at most %d are allowed",
+                  layers.size(), ImpressionHierarchy::kMaxLayers));
+  }
   for (size_t i = 1; i < layers.size(); ++i) {
     if (layers[i].capacity >= layers[i - 1].capacity) {
       return Status::InvalidArgument(

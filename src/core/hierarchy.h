@@ -50,6 +50,10 @@ class ImpressionHierarchy {
     int64_t capacity = 0;
   };
 
+  /// Ceiling on the layer count: a table config arriving over the wire must
+  /// not make the process build an arbitrary number of impressions.
+  static constexpr int kMaxLayers = 16;
+
   /// `layers` ordered largest to smallest, strictly decreasing capacities.
   /// The top (largest) layer uses `top_spec` (policy/tracker/seed); its name
   /// and capacity come from layers[0].

@@ -29,11 +29,7 @@ Impression::Impression(std::string name, int64_t capacity,
 
 Impression::Impression(std::string name, Schema schema, int64_t capacity,
                        SamplingPolicy policy)
-    : Impression(std::move(name), capacity, policy, Table(std::move(schema))) {
-  rows_.Reserve(capacity);
-  weights_.reserve(static_cast<size_t>(capacity));
-  source_ids_.reserve(static_cast<size_t>(capacity));
-}
+    : Impression(std::move(name), capacity, policy, Table(std::move(schema))) {}
 
 void Impression::AppendSampledRow(const Table& src, int64_t src_row,
                                   double weight, int64_t source_id) {
@@ -84,17 +80,17 @@ double Impression::InclusionProbability(int64_t row) const {
       return std::min(1.0, n * w / population_weight_);
     }
     case SamplingPolicy::kLastSeen: {
-      // Effective window: the sample refreshes at rate k/D per tuple, so the
-      // resident rows are (approximately) a uniform draw from the most
-      // recent W = n·D/k tuples.
-      if (freshness_k_ <= 0 || expected_ingest_ <= 0) {
+      // Effective window: the sample refreshes at rate k/D per tuple, with
+      // k the capacity, so the resident rows are (approximately) a uniform
+      // draw from the most recent W = n·D/k tuples.
+      if (expected_ingest_ <= 0) {
         return population_seen_ <= size()
                    ? 1.0
                    : n / static_cast<double>(population_seen_);
       }
       const double window =
           n * static_cast<double>(expected_ingest_) /
-          static_cast<double>(freshness_k_);
+          static_cast<double>(capacity_);
       const double effective =
           std::min(static_cast<double>(population_seen_), window);
       if (effective <= n) return 1.0;
@@ -153,7 +149,6 @@ ImpressionState Impression::SaveState() const {
   state.explicit_probs = explicit_probs_;
   state.population_seen = population_seen_;
   state.population_weight = population_weight_;
-  state.freshness_k = freshness_k_;
   state.expected_ingest = expected_ingest_;
   state.acceptance_curve = acceptance_curve_;
   state.curve_interval = curve_interval_;
@@ -172,7 +167,6 @@ Result<Impression> Impression::FromState(ImpressionState state) {
   out.explicit_probs_ = std::move(state.explicit_probs);
   out.population_seen_ = state.population_seen;
   out.population_weight_ = state.population_weight;
-  out.freshness_k_ = state.freshness_k;
   out.expected_ingest_ = state.expected_ingest;
   out.acceptance_curve_ = std::move(state.acceptance_curve);
   out.curve_interval_ = state.curve_interval;

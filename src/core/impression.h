@@ -34,7 +34,6 @@ struct ImpressionState {
   std::vector<double> explicit_probs;  ///< empty unless derived
   int64_t population_seen = 0;
   double population_weight = 0.0;
-  int64_t freshness_k = 0;
   int64_t expected_ingest = 0;
   std::vector<int64_t> acceptance_curve;
   int64_t curve_interval = 0;
@@ -111,9 +110,9 @@ class Impression {
                          double weight, int64_t source_id);
   void set_population_seen(int64_t n) { population_seen_ = n; }
   void set_population_weight(double w) { population_weight_ = w; }
-  /// Last-seen parameters, needed for the effective-window semantics.
-  void set_last_seen_params(int64_t k, int64_t expected_ingest) {
-    freshness_k_ = k;
+  /// Last-seen ingest size D, needed for the effective-window semantics
+  /// (the freshness k is the capacity).
+  void set_expected_ingest(int64_t expected_ingest) {
     expected_ingest_ = expected_ingest;
   }
 
@@ -144,7 +143,6 @@ class Impression {
   std::vector<double> explicit_probs_;  ///< empty unless derived
   int64_t population_seen_ = 0;
   double population_weight_ = 0.0;
-  int64_t freshness_k_ = 0;
   int64_t expected_ingest_ = 0;
   std::vector<int64_t> acceptance_curve_;
   int64_t curve_interval_ = 0;

@@ -28,8 +28,7 @@ Result<ImpressionBuilder> ImpressionBuilder::Make(const Schema& schema,
           LastSeenSampler::Make(spec.capacity, spec.capacity,
                                 spec.expected_ingest, spec.seed));
       builder.last_seen_ = std::move(s);
-      builder.impression_.set_last_seen_params(spec.capacity,
-                                               spec.expected_ingest);
+      builder.impression_.set_expected_ingest(spec.expected_ingest);
       break;
     }
     case SamplingPolicy::kBiased: {

@@ -220,13 +220,9 @@ Status SciborqServer::Dispatch(const Request& request, Session* session,
       out->PutU32(static_cast<uint32_t>(count));
       return Status::OK();
     }
-    case Opcode::kCreateTable: {
-      TableOptions options;
-      options.seed = request.seed;
-      options.retention = request.retention;
+    case Opcode::kCreateTable:
       return backend_->CreateTable(request.table, request.schema,
-                                   std::move(options));
-    }
+                                   request.options);
     case Opcode::kIngest: {
       SCIBORQ_ASSIGN_OR_RETURN(const int64_t rows,
                                backend_->Ingest(request.table, request.batch));

@@ -582,8 +582,7 @@ std::string EncodeRequest(const Request& request) {
     case Opcode::kCreateTable:
       w.PutString(request.table);
       EncodeSchema(request.schema, &w);
-      w.PutU64(request.seed);
-      EncodeRetentionPolicy(request.retention, &w);
+      EncodeTableOptions(request.options, &w);
       break;
     case Opcode::kIngest:
       w.PutString(request.table);
@@ -636,8 +635,7 @@ Result<Request> DecodeRequest(const RequestFrame& frame) {
     case Opcode::kCreateTable: {
       SCIBORQ_ASSIGN_OR_RETURN(request.table, r.ReadString());
       SCIBORQ_ASSIGN_OR_RETURN(request.schema, DecodeSchema(&r));
-      SCIBORQ_ASSIGN_OR_RETURN(request.seed, r.ReadU64());
-      SCIBORQ_ASSIGN_OR_RETURN(request.retention, DecodeRetentionPolicy(&r));
+      SCIBORQ_ASSIGN_OR_RETURN(request.options, DecodeTableOptions(&r));
       break;
     }
     case Opcode::kIngest: {

@@ -12,6 +12,7 @@
 #include "exec/query.h"
 #include "obs/metrics.h"
 #include "obs/slowlog.h"
+#include "storage/snapshot.h"
 #include "util/binio.h"
 #include "util/result.h"
 
@@ -50,7 +51,7 @@ namespace sciborq {
 // ---------------------------------------------------------------------------
 
 /// The one protocol version this build speaks.
-inline constexpr uint8_t kWireVersion = 6;
+inline constexpr uint8_t kWireVersion = 7;
 /// The QueryOutcome layout has not changed since version 4; the perfbench
 /// codec and response-size probes still name it.
 inline constexpr uint8_t kWireVersionV4 = 4;
@@ -87,8 +88,8 @@ using WireReader = BinaryReader;
 // -- Typed encode/decode pairs ----------------------------------------------
 //
 // Value, Schema, Table and RetentionPolicy codecs live in column/serde.h
-// (shared with the storage formats) and are re-exported through this
-// header's includes.
+// and the TableOptions codec in storage/snapshot.h (all shared with the
+// storage formats); they are re-exported through this header's includes.
 
 void EncodeBounds(const QueryBounds& bounds, WireWriter* w);
 Result<QueryBounds> DecodeBounds(WireReader* r);
@@ -193,7 +194,7 @@ Result<ResponseFrame> DecodeResponse(std::string_view body);
 ///   kExecute     i64 handle | params
 ///   kCloseStmt   i64 handle
 ///   kCheckpoint  string table               ("" = every table)
-///   kCreateTable string table | Schema | u64 seed | RetentionPolicy
+///   kCreateTable string table | Schema | TableOptions
 ///   kIngest      string table | Table
 ///   kDropTable   string table
 ///   kCatalog, kPing, kStats, kSlowLog: empty
@@ -210,8 +211,9 @@ struct Request {
   StatementHandle handle;
   std::vector<Value> params;
   Schema schema;
-  uint64_t seed = 42;
-  RetentionPolicy retention;
+  /// The table's whole config, in the snapshot and WAL codec
+  /// (EncodeTableOptions): layers, tracked attributes, seed, retention.
+  TableOptions options;
   Table batch;
 };
 

@@ -1,6 +1,5 @@
 #include "stats/estimators.h"
 
-#include <algorithm>
 #include <cmath>
 #include <limits>
 
@@ -62,30 +61,7 @@ std::string AggregateEstimate::ToString() const {
                    static_cast<long long>(sample_rows));
 }
 
-double FinitePopulationCorrection(int64_t sample_n, int64_t population_n) {
-  if (population_n <= 1 || sample_n >= population_n) {
-    return sample_n >= population_n ? 0.0 : 1.0;
-  }
-  return std::sqrt(static_cast<double>(population_n - sample_n) /
-                   static_cast<double>(population_n - 1));
-}
-
 namespace {
-
-/// Mean and (sample) variance in one pass (Welford).
-void MeanVar(const std::vector<double>& values, double* mean, double* var) {
-  double m = 0.0;
-  double m2 = 0.0;
-  int64_t k = 0;
-  for (const double v : values) {
-    ++k;
-    const double d = v - m;
-    m += d / static_cast<double>(k);
-    m2 += d * (v - m);
-  }
-  *mean = m;
-  *var = k > 1 ? m2 / static_cast<double>(k - 1) : 0.0;
-}
 
 AggregateEstimate MakeEstimate(double est, double std_error, double confidence,
                                int64_t sample_rows) {
@@ -106,66 +82,6 @@ Status ValidateConfidence(double confidence) {
   }
   return Status::OK();
 }
-
-}  // namespace
-
-Result<AggregateEstimate> EstimateMeanUniform(const std::vector<double>& values,
-                                              int64_t population_n,
-                                              double confidence) {
-  SCIBORQ_RETURN_NOT_OK(ValidateConfidence(confidence));
-  if (values.empty()) {
-    return Status::InvalidArgument("cannot estimate a mean from 0 sample rows");
-  }
-  const auto n = static_cast<int64_t>(values.size());
-  double mean = 0.0;
-  double var = 0.0;
-  MeanVar(values, &mean, &var);
-  const double fpc = FinitePopulationCorrection(n, population_n);
-  const double se = std::sqrt(var / static_cast<double>(n)) * fpc;
-  AggregateEstimate out = MakeEstimate(mean, se, confidence, n);
-  out.exact = population_n > 0 && n >= population_n;
-  return out;
-}
-
-Result<AggregateEstimate> EstimateSumUniform(const std::vector<double>& values,
-                                             int64_t population_n,
-                                             double confidence) {
-  SCIBORQ_ASSIGN_OR_RETURN(AggregateEstimate mean_est,
-                           EstimateMeanUniform(values, population_n, confidence));
-  const auto scale = static_cast<double>(population_n);
-  AggregateEstimate out = mean_est;
-  out.estimate *= scale;
-  out.std_error *= scale;
-  out.ci_lo *= scale;
-  out.ci_hi *= scale;
-  return out;
-}
-
-Result<AggregateEstimate> EstimateCountUniform(int64_t matching,
-                                               int64_t sample_n,
-                                               int64_t population_n,
-                                               double confidence) {
-  SCIBORQ_RETURN_NOT_OK(ValidateConfidence(confidence));
-  if (sample_n <= 0) {
-    return Status::InvalidArgument("cannot estimate a count from 0 sample rows");
-  }
-  if (matching < 0 || matching > sample_n) {
-    return Status::InvalidArgument("matching count outside [0, sample_n]");
-  }
-  const double p = static_cast<double>(matching) / static_cast<double>(sample_n);
-  const auto population = static_cast<double>(population_n);
-  const double fpc = FinitePopulationCorrection(sample_n, population_n);
-  const double se_p =
-      std::sqrt(p * (1.0 - p) / static_cast<double>(sample_n)) * fpc;
-  AggregateEstimate out =
-      MakeEstimate(p * population, se_p * population, confidence, sample_n);
-  out.ci_lo = std::max(0.0, out.ci_lo);
-  out.ci_hi = std::min(population, out.ci_hi);
-  out.exact = sample_n >= population_n;
-  return out;
-}
-
-namespace {
 
 Status ValidateHtInputs(const std::vector<double>& values,
                         const std::vector<double>& inclusion_probs) {

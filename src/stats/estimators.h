@@ -44,32 +44,6 @@ inline bool operator==(const AggregateEstimate& a, const AggregateEstimate& b) {
          a.sample_rows == b.sample_rows && a.exact == b.exact;
 }
 
-/// Finite population correction sqrt((N - n) / (N - 1)); 1 when N <= 1.
-double FinitePopulationCorrection(int64_t sample_n, int64_t population_n);
-
-// ---------------------------------------------------------------------------
-// Uniform (simple random sample) estimators — classic survey statistics with
-// CLT confidence intervals and finite-population correction.
-// ---------------------------------------------------------------------------
-
-/// Estimates the population mean from a uniform sample of `values` drawn from
-/// a population of `population_n` rows.
-Result<AggregateEstimate> EstimateMeanUniform(const std::vector<double>& values,
-                                              int64_t population_n,
-                                              double confidence = 0.95);
-
-/// Estimates the population sum (N * sample mean).
-Result<AggregateEstimate> EstimateSumUniform(const std::vector<double>& values,
-                                             int64_t population_n,
-                                             double confidence = 0.95);
-
-/// Estimates the number of population rows satisfying a predicate, given that
-/// `matching` of `sample_n` sampled rows match.
-Result<AggregateEstimate> EstimateCountUniform(int64_t matching,
-                                               int64_t sample_n,
-                                               int64_t population_n,
-                                               double confidence = 0.95);
-
 // ---------------------------------------------------------------------------
 // Horvitz–Thompson estimators for biased (unequal-probability) samples.
 // Each sampled row carries its inclusion probability pi_i; the HT estimator

@@ -12,6 +12,10 @@ Result<StreamingHistogram> StreamingHistogram::Make(double domain_min,
   if (num_bins <= 0) {
     return Status::InvalidArgument("histogram needs at least one bin");
   }
+  if (num_bins > kMaxBins) {
+    return Status::InvalidArgument(StrFormat(
+        "histogram has %d bins; at most %d are allowed", num_bins, kMaxBins));
+  }
   if (!(bin_width > 0.0) || !std::isfinite(bin_width)) {
     return Status::InvalidArgument("bin width must be positive and finite");
   }

@@ -30,8 +30,14 @@ class StreamingHistogram {
     double mean = 0.0;
   };
 
+  /// Ceiling on the bin count: a table config arriving over the wire must
+  /// not make the process allocate an arbitrary histogram. Eight times the
+  /// finest geometry in use (512 bins).
+  static constexpr int kMaxBins = 4096;
+
   /// Creates a histogram over [domain_min, domain_min + num_bins * bin_width).
-  /// Returns InvalidArgument for non-positive bin count or width.
+  /// Returns InvalidArgument for a bin count outside [1, kMaxBins] or a
+  /// non-positive width.
   static Result<StreamingHistogram> Make(double domain_min, double bin_width,
                                          int num_bins);
 

@@ -119,7 +119,6 @@ void EncodeImpressionState(const ImpressionState& s, BinaryWriter* w) {
   EncodeF64Vector(s.explicit_probs, w);
   w->PutI64(s.population_seen);
   w->PutF64(s.population_weight);
-  w->PutI64(s.freshness_k);
   w->PutI64(s.expected_ingest);
   EncodeI64Vector(s.acceptance_curve, w);
   w->PutI64(s.curve_interval);
@@ -139,7 +138,6 @@ Result<ImpressionState> DecodeImpressionState(BinaryReader* r) {
                            DecodeF64Vector(r, "inclusion probability"));
   SCIBORQ_ASSIGN_OR_RETURN(s.population_seen, r->ReadI64());
   SCIBORQ_ASSIGN_OR_RETURN(s.population_weight, r->ReadF64());
-  SCIBORQ_ASSIGN_OR_RETURN(s.freshness_k, r->ReadI64());
   SCIBORQ_ASSIGN_OR_RETURN(s.expected_ingest, r->ReadI64());
   SCIBORQ_ASSIGN_OR_RETURN(s.acceptance_curve,
                            DecodeI64Vector(r, "acceptance checkpoint"));

@@ -56,7 +56,7 @@ inline constexpr uint32_t kSnapshotMagic = 0x4E534253u;  // "SBSN"
 /// builder, the tracker block the observation count and histograms only
 /// (tuple weights always combine by geometric mean), and the trailer the
 /// optional standalone last-seen builder state.
-inline constexpr uint32_t kSnapshotFormatVersion = 6;
+inline constexpr uint32_t kSnapshotFormatVersion = 7;
 
 /// Per-table configuration supplied at registration time (Engine::CreateTable)
 /// and persisted whole, in the snapshot and the WAL's create record. The

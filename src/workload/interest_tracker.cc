@@ -29,6 +29,11 @@ Result<InterestTracker> InterestTracker::FromAttributes(
 
 Result<InterestTracker> InterestTracker::Make(
     std::vector<AttributeSpec> attributes) {
+  if (attributes.size() > static_cast<size_t>(kMaxAttributes)) {
+    return Status::InvalidArgument(
+        StrFormat("%zu tracked attributes; at most %d are allowed",
+                  attributes.size(), kMaxAttributes));
+  }
   std::vector<TrackedAttribute> attrs;
   attrs.reserve(attributes.size());
   for (const auto& spec : attributes) {

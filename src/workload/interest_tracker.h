@@ -51,7 +51,12 @@ class InterestTracker {
     int num_bins = 64;
   };
 
-  /// InvalidArgument on duplicate columns or bad geometry.
+  /// Ceiling on the attribute count; with StreamingHistogram::kMaxBins it
+  /// bounds what one table config can make the tracker allocate.
+  static constexpr int kMaxAttributes = 16;
+
+  /// InvalidArgument on duplicate columns, bad geometry, or more than
+  /// kMaxAttributes attributes.
   static Result<InterestTracker> Make(std::vector<AttributeSpec> attributes);
 
   /// Folds every predicate point of `query` into the matching histograms.

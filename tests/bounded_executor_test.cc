@@ -5,7 +5,9 @@
 #include "core/bounded_executor.h"
 #include "skyserver/catalog.h"
 #include "skyserver/functions.h"
+#include "util/rng.h"
 #include "util/stopwatch.h"
+#include "workload/interest_tracker.h"
 
 namespace sciborq {
 namespace {
@@ -254,6 +256,54 @@ TEST_F(BoundedExecutorTest, EstimateGroupedOnDoubleKeyRejected) {
   q.aggregates = {{AggKind::kCount, ""}};
   q.group_by = "ra";
   EXPECT_FALSE(EstimateOnImpression(layer, q, 0.95).ok());
+}
+
+TEST_F(BoundedExecutorTest, VarClaimsNoIntervalOnABiasedImpression) {
+  // Unequal inclusion probabilities: the unweighted sample variance has no
+  // earned interval, so VAR reports its point estimate with an unbounded
+  // CI (like MIN/MAX) and an error-bounded VAR escalates to the base data.
+  InterestTracker tracker =
+      InterestTracker::Make({{"ra", 120.0, 3.0, 40}, {"dec", 0.0, 1.5, 40}})
+          .value();
+  Rng rng(17);
+  for (int i = 0; i < 300; ++i) {
+    tracker.ObserveValue("ra", rng.Gaussian(150.0, 2.0));
+    tracker.ObserveValue("dec", rng.Gaussian(12.0, 1.5));
+  }
+  ImpressionSpec spec;
+  spec.policy = SamplingPolicy::kBiased;
+  spec.tracker = &tracker;
+  spec.seed = 5;
+  ImpressionHierarchy biased =
+      ImpressionHierarchy::Make(catalog_->photo_obj_all.schema(),
+                                {{"B0", 5'000}, {"B1", 500}}, spec)
+          .value();
+  ASSERT_TRUE(biased.IngestBatch(catalog_->photo_obj_all).ok());
+
+  AggregateQuery q;
+  q.aggregates = {{AggKind::kVariance, "r"}};
+  const AggregateEstimate on_biased =
+      EstimateOnImpression(biased.layer(0), q, 0.95).value().estimates[0][0];
+  EXPECT_TRUE(std::isfinite(on_biased.estimate));
+  EXPECT_GT(on_biased.estimate, 0.0);
+  EXPECT_TRUE(std::isinf(on_biased.ci_lo));
+  EXPECT_TRUE(std::isinf(on_biased.ci_hi));
+
+  QualityBound bound;
+  bound.max_relative_error = 0.5;
+  const BoundedAnswer ans =
+      BoundedExecutor(&catalog_->photo_obj_all, &biased).Answer(q, bound)
+          .value();
+  EXPECT_EQ(ans.answered_by, "base");
+
+  // A uniform layer keeps its normal-theory interval.
+  const AggregateEstimate on_uniform =
+      EstimateOnImpression(hierarchy_->layer(1), q, 0.95)
+          .value()
+          .estimates[0][0];
+  EXPECT_TRUE(std::isfinite(on_uniform.ci_lo));
+  EXPECT_TRUE(std::isfinite(on_uniform.ci_hi));
+  EXPECT_LT(on_uniform.ci_lo, on_uniform.estimate);
 }
 
 // Confidence sweep: higher confidence always widens the interval.

@@ -22,6 +22,7 @@
 #include "server/server.h"
 #include "server/socket.h"
 #include "skyserver/catalog.h"
+#include "util/rng.h"
 #include "workload/telemetry.h"
 
 namespace sciborq {
@@ -125,7 +126,7 @@ class CoordTest : public ::testing::Test {
   void Distribute(SciborqCoordinator* coordinator) {
     ASSERT_TRUE(coordinator
                     ->CreateTable("photo_obj_all",
-                                  catalog_.photo_obj_all.schema(), 42)
+                                  catalog_.photo_obj_all.schema())
                     .ok());
     Result<int64_t> rows =
         coordinator->IngestBatch("photo_obj_all", catalog_.photo_obj_all);
@@ -341,7 +342,10 @@ TEST_F(CoordTest, WindowedTableThroughTheWireFace) {
   policy.checkpoint_on_evict = false;
   policy.last_seen_capacity = 64;
   const Schema schema = TelemetryGenerator::TableSchema();
-  const Status created = client->CreateTable("telemetry", schema, policy, 7);
+  TableOptions options;
+  options.seed = 7;
+  options.retention = policy;
+  const Status created = client->CreateTable("telemetry", schema, options);
   ASSERT_TRUE(created.ok()) << created.ToString();
 
   TableOptions reference_options;
@@ -385,6 +389,60 @@ TEST_F(CoordTest, WindowedTableThroughTheWireFace) {
   EXPECT_EQ(4.0, local->rows[0].values[0]);
   EXPECT_EQ(local->rows[0].values[0], merged->rows[0].values[0]);
   coordinator.Stop();
+}
+
+TEST_F(CoordTest, CreateTableForwardsTheWholeConfig) {
+  // Custom layers and tracked attributes reach every shard; only the seed
+  // differs per shard, drawn from one Rng(options.seed) stream. A reference
+  // engine per shard, built from the same options and the shard's seed and
+  // fed the shard's slice, must answer exactly like the shard.
+  TableOptions options;
+  options.layers = {{"wide", 1'024}, {"narrow", 128}};
+  options.tracked_attributes = {{"ra", 100.0, 5.0, 40}, {"dec", -10.0, 2.5, 40}};
+  options.seed = 42;
+  SciborqCoordinator coordinator(BothShards());
+  ASSERT_TRUE(coordinator
+                  .CreateTable("photo_obj_all",
+                               catalog_.photo_obj_all.schema(), options)
+                  .ok());
+  ASSERT_TRUE(
+      coordinator.IngestBatch("photo_obj_all", catalog_.photo_obj_all).ok());
+
+  const std::string sql =
+      "SELECT COUNT(*), AVG(r) FROM photo_obj_all "
+      "WHERE ra >= 150 AND ra <= 190 AND dec >= 10 AND dec <= 40 ERROR 20%";
+  Rng seeder(options.seed);
+  const int64_t half = catalog_.photo_obj_all.num_rows() / 2;
+  for (int s = 0; s < 2; ++s) {
+    SCOPED_TRACE("shard " + std::to_string(s));
+    const std::vector<TableInfo> tables =
+        shard_engines_[s]->ListTables().value();
+    ASSERT_EQ(1u, tables.size());
+    ASSERT_EQ(2u, tables[0].layers.size());
+    EXPECT_EQ("wide", tables[0].layers[0].name);
+    EXPECT_EQ(1'024, tables[0].layers[0].capacity);
+    EXPECT_EQ("narrow", tables[0].layers[1].name);
+    EXPECT_EQ(128, tables[0].layers[1].capacity);
+    EXPECT_TRUE(tables[0].biased);
+
+    TableOptions shard_options = options;
+    shard_options.seed = seeder.NextUint64();
+    Engine reference;
+    ASSERT_TRUE(reference
+                    .CreateTable("photo_obj_all",
+                                 catalog_.photo_obj_all.schema(),
+                                 shard_options)
+                    .ok());
+    Table slice(catalog_.photo_obj_all.schema());
+    for (int64_t r = s * half; r < (s + 1) * half; ++r) {
+      slice.AppendRowFrom(catalog_.photo_obj_all, r);
+    }
+    ASSERT_TRUE(reference.IngestBatch("photo_obj_all", slice).ok());
+    const QueryOutcome shard = shard_engines_[s]->Query(sql).value();
+    const QueryOutcome local = reference.Query(sql).value();
+    EXPECT_TRUE(EquivalentAnswers(shard, local))
+        << "shard: " << shard.ToString() << "\nlocal: " << local.ToString();
+  }
 }
 
 TEST(ClientDeadlineTest, RecvTimeoutSurfacesAsDeadlineExceeded) {

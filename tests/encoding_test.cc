@@ -872,13 +872,14 @@ TEST(SnapshotVersionTest, UnknownHeaderVersionIsDataLossNotCrash) {
 }
 
 TEST(SnapshotVersionTest, OlderHeaderVersionIsDataLoss) {
-  // Formats 1 to 5 are refused rather than read: one format per boundary.
+  // Formats 1 to 6 are refused rather than read: one format per boundary.
   // Format 3 is the last one that carried the query log, format 4 the last
   // one whose hierarchy held a list of load-shard builders, format 5 the
-  // last one whose tracker block carried a combine mode.
+  // last one whose tracker block carried a combine mode, format 6 the last
+  // one whose impressions carried a freshness k.
   TempDir dir;
   const std::string path = dir.path + "/t.snapshot";
-  for (const uint32_t version : {1u, 2u, 3u, 4u, 5u}) {
+  for (const uint32_t version : {1u, 2u, 3u, 4u, 5u, 6u}) {
     ASSERT_TRUE(WriteTableSnapshot(SmallSnapshot(), path).ok());
     RestampSnapshotVersion(path, version);
     const auto result = ReadTableSnapshot(path);

@@ -37,94 +37,6 @@ TEST(NormalQuantileTest, Monotone) {
   }
 }
 
-// ------------------------------------------------------------------- FPC --
-
-TEST(FpcTest, Behaviour) {
-  EXPECT_DOUBLE_EQ(FinitePopulationCorrection(10, 10), 0.0);   // census
-  EXPECT_DOUBLE_EQ(FinitePopulationCorrection(20, 10), 0.0);   // oversample
-  EXPECT_NEAR(FinitePopulationCorrection(1, 1'000'000), 1.0, 1e-3);
-  const double half = FinitePopulationCorrection(500, 1000);
-  EXPECT_NEAR(half, std::sqrt(500.0 / 999.0), 1e-12);
-}
-
-// -------------------------------------------------------------- Uniform ---
-
-TEST(UniformEstimatorTest, MeanPointEstimate) {
-  const std::vector<double> sample = {2.0, 4.0, 6.0};
-  const AggregateEstimate est =
-      EstimateMeanUniform(sample, 1000).value();
-  EXPECT_DOUBLE_EQ(est.estimate, 4.0);
-  EXPECT_GT(est.std_error, 0.0);
-  EXPECT_LT(est.ci_lo, 4.0);
-  EXPECT_GT(est.ci_hi, 4.0);
-  EXPECT_FALSE(est.exact);
-}
-
-TEST(UniformEstimatorTest, CensusIsExact) {
-  const std::vector<double> sample = {1.0, 2.0, 3.0};
-  const AggregateEstimate est = EstimateMeanUniform(sample, 3).value();
-  EXPECT_TRUE(est.exact);
-  EXPECT_DOUBLE_EQ(est.std_error, 0.0);  // FPC kills the variance
-  EXPECT_DOUBLE_EQ(est.RelativeError(), 0.0);
-}
-
-TEST(UniformEstimatorTest, SumScalesMean) {
-  const std::vector<double> sample = {2.0, 4.0};
-  const AggregateEstimate est = EstimateSumUniform(sample, 100).value();
-  EXPECT_DOUBLE_EQ(est.estimate, 300.0);
-}
-
-TEST(UniformEstimatorTest, CountBasics) {
-  const AggregateEstimate est = EstimateCountUniform(30, 100, 10000).value();
-  EXPECT_DOUBLE_EQ(est.estimate, 3000.0);
-  EXPECT_GE(est.ci_lo, 0.0);
-  EXPECT_LE(est.ci_hi, 10000.0);
-}
-
-TEST(UniformEstimatorTest, InputValidation) {
-  EXPECT_FALSE(EstimateMeanUniform({}, 10).ok());
-  EXPECT_FALSE(EstimateMeanUniform({1.0}, 10, 0.0).ok());
-  EXPECT_FALSE(EstimateMeanUniform({1.0}, 10, 1.0).ok());
-  EXPECT_FALSE(EstimateCountUniform(5, 0, 10).ok());
-  EXPECT_FALSE(EstimateCountUniform(-1, 10, 100).ok());
-  EXPECT_FALSE(EstimateCountUniform(11, 10, 100).ok());
-}
-
-TEST(UniformEstimatorTest, WiderConfidenceWiderInterval) {
-  const std::vector<double> sample = {1.0, 5.0, 3.0, 4.0, 2.0};
-  const auto e90 = EstimateMeanUniform(sample, 1000, 0.90).value();
-  const auto e99 = EstimateMeanUniform(sample, 1000, 0.99).value();
-  EXPECT_GT(e99.ci_hi - e99.ci_lo, e90.ci_hi - e90.ci_lo);
-}
-
-// Simulation: the CLT interval covers the truth at roughly the nominal rate.
-TEST(UniformEstimatorTest, CoverageSimulation) {
-  Rng rng(42);
-  std::vector<double> population(2000);
-  for (auto& v : population) v = rng.Uniform(0.0, 100.0);
-  double truth = 0.0;
-  for (const double v : population) truth += v;
-  truth /= static_cast<double>(population.size());
-
-  const int kTrials = 400;
-  const int kSample = 100;
-  int covered = 0;
-  for (int t = 0; t < kTrials; ++t) {
-    std::vector<double> sample;
-    sample.reserve(kSample);
-    for (int i = 0; i < kSample; ++i) {
-      sample.push_back(
-          population[rng.NextBounded(population.size())]);
-    }
-    const auto est =
-        EstimateMeanUniform(sample, static_cast<int64_t>(population.size()))
-            .value();
-    if (truth >= est.ci_lo && truth <= est.ci_hi) ++covered;
-  }
-  // 95% nominal; allow generous simulation slack.
-  EXPECT_GT(covered, kTrials * 0.88);
-}
-
 // ------------------------------------------------------ Horvitz-Thompson --
 
 TEST(HtEstimatorTest, EqualProbabilitiesMatchClassicalExpansion) {

@@ -6,6 +6,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <thread>
@@ -251,6 +252,97 @@ TEST_F(ServerTest, GarbageEnvelopeAnsweredThenClosed) {
   Result<std::optional<std::string>> eof = conn->RecvFrame(kMaxFrameBytes);
   ASSERT_TRUE(eof.ok());
   EXPECT_FALSE(eof->has_value());
+}
+
+TEST_F(ServerTest, HostileCreateTableFramesGetAStatusNotAnAbort) {
+  // A table config is the one request whose fields size allocations: layer
+  // and last-seen capacities, histogram bins, layer and attribute counts.
+  // Each hostile value must come back as a status on its own connection,
+  // and the server must keep serving.
+  const Schema schema({{"id", DataType::kInt64, false},
+                       {"ts", DataType::kInt64, false},
+                       {"x", DataType::kDouble, false}});
+  const int64_t huge = int64_t{1} << 40;
+  // Capacities are accepted (rows are bounded by what ingest delivers);
+  // counts above the fixed ceilings are refused.
+  struct Frame {
+    std::string name;
+    TableOptions options;
+    bool accepted;
+  };
+  std::vector<Frame> frames;
+  {
+    TableOptions options;
+    options.retention.time_column = "ts";
+    options.retention.bucket_width = 100;
+    options.retention.window_buckets = 3;
+    options.retention.last_seen_capacity = huge;
+    options.retention.last_seen_expected_ingest = 2 * huge;
+    frames.push_back({"huge_last_seen", options, true});
+  }
+  {
+    TableOptions options;
+    options.layers = {{"huge", huge}};
+    frames.push_back({"huge_layer", options, true});
+  }
+  {
+    TableOptions options;
+    options.tracked_attributes = {{"x", 0.0, 1.0, INT32_MAX}};
+    frames.push_back({"huge_bins", options, false});
+  }
+  {
+    TableOptions options;
+    for (int i = 0; i <= ImpressionHierarchy::kMaxLayers; ++i) {
+      options.layers.push_back({StrFormat("l%d", i), int64_t{4096} - i});
+    }
+    frames.push_back({"many_layers", options, false});
+  }
+  {
+    TableOptions options;
+    for (int i = 0; i <= InterestTracker::kMaxAttributes; ++i) {
+      options.tracked_attributes.push_back(
+          {StrFormat("a%d", i), 0.0, 1.0, StreamingHistogram::kMaxBins});
+    }
+    frames.push_back({"many_attributes", options, false});
+  }
+  for (const Frame& f : frames) {
+    SCOPED_TRACE(f.name);
+    Result<SciborqClient> client = Connect();
+    ASSERT_TRUE(client.ok()) << client.status().ToString();
+    const Status created = client->CreateTable(f.name, schema, f.options);
+    if (f.accepted) {
+      ASSERT_TRUE(created.ok()) << created.ToString();
+      Table batch(schema);
+      batch.AppendNumericRow({1, 10, 0.5});
+      batch.AppendNumericRow({2, 20, 1.5});
+      EXPECT_EQ(2, client->Ingest(f.name, batch).value());
+    } else {
+      EXPECT_EQ(StatusCode::kInvalidArgument, created.code())
+          << created.ToString();
+    }
+  }
+
+  // A layer count no payload could back is refused by the decoder before
+  // anything is allocated: answered on kInvalid, then the connection closes.
+  WireWriter payload;
+  payload.PutString("hostile_count");
+  EncodeSchema(schema, &payload);
+  payload.PutU32(0xFFFFFFFFu);
+  Result<TcpConn> conn = TcpConn::Connect("127.0.0.1", server_->port());
+  ASSERT_TRUE(conn.ok());
+  ASSERT_TRUE(
+      conn->SendFrame(EncodeRequest(Opcode::kCreateTable, payload.buffer()))
+          .ok());
+  Result<std::optional<std::string>> frame = conn->RecvFrame(kMaxFrameBytes);
+  ASSERT_TRUE(frame.ok());
+  ASSERT_TRUE(frame->has_value());
+  Result<ResponseFrame> response = DecodeResponse(**frame);
+  ASSERT_TRUE(response.ok()) << response.status().ToString();
+  EXPECT_EQ(StatusCode::kInvalidArgument, response->status.code());
+
+  Result<SciborqClient> client = Connect();
+  ASSERT_TRUE(client.ok());
+  EXPECT_TRUE(client->Ping().ok());
 }
 
 // ------------------------------------------------ prepared statements -----

@@ -21,6 +21,7 @@
 #include "obs/slowlog.h"
 #include "server/server.h"
 #include "server/socket.h"
+#include "util/rng.h"
 #include "workload/telemetry.h"
 
 namespace sciborq {
@@ -406,16 +407,16 @@ TEST(WireEnvelopeTest, RequestRoundTrip) {
 }
 
 TEST(WireEnvelopeTest, WrongVersionRejected) {
-  // Older stamps (v1, v5) and a future one (v7) are refused the same way:
+  // Older stamps (v1, v6) and a future one (v8) are refused the same way:
   // one version per boundary, no negotiation.
-  for (const uint8_t version : {uint8_t{1}, uint8_t{5}, uint8_t{7}}) {
+  for (const uint8_t version : {uint8_t{1}, uint8_t{6}, uint8_t{8}}) {
     std::string body = EncodeRequest(Opcode::kPing, "");
     body[0] = static_cast<char>(version);
     const Result<RequestFrame> request = DecodeRequest(body);
     ASSERT_FALSE(request.ok());
     EXPECT_EQ(StatusCode::kInvalidArgument, request.status().code());
     EXPECT_EQ("protocol version " + std::to_string(version) +
-                  " not supported (this side speaks v6)",
+                  " not supported (this side speaks v7)",
               request.status().message());
     std::string resp = EncodeResponse(Opcode::kPing, Status::OK(), "");
     resp[0] = static_cast<char>(version);
@@ -792,6 +793,21 @@ TEST(WireHostileCountTest, ClientCatalogCountRejected) {
 
 // -- Requests -----------------------------------------------------------------
 
+/// TableOptions with every field set: custom layers, tracked attributes, a
+/// seed and a retention policy.
+TableOptions EveryOption() {
+  TableOptions options;
+  options.layers = {{"wide", 512}, {"narrow", 64}};
+  options.tracked_attributes = {{"value", 0.0, 2.5, 40}};
+  options.seed = 7;
+  options.retention.time_column = "ts";
+  options.retention.bucket_width = 1'000;
+  options.retention.window_buckets = 3;
+  options.retention.checkpoint_on_evict = false;
+  options.retention.last_seen_capacity = 128;
+  return options;
+}
+
 /// One populated Request per opcode.
 std::vector<Request> EveryRequest() {
   std::vector<Request> requests;
@@ -807,10 +823,7 @@ std::vector<Request> EveryRequest() {
     request.handle.id = 0x1234;
     request.params = {Value(1.5), Value("x"), Value::Null()};
     request.schema = TelemetryGenerator::TableSchema();
-    request.seed = 7;
-    request.retention.time_column = "ts";
-    request.retention.bucket_width = 100;
-    request.retention.window_buckets = 3;
+    request.options = EveryOption();
     request.batch = Table(TelemetryGenerator::TableSchema());
     request.batch.AppendNumericRow({1, 50, 1.5});
     requests.push_back(std::move(request));
@@ -1198,9 +1211,12 @@ TEST(WireV6Test, WindowedTableLifecycleOverTheWire) {
   RetentionPolicy policy = WindowPolicy();
   policy.bucket_width = 100;
   policy.window_buckets = 3;
+  TableOptions options;
+  options.seed = 7;
+  options.retention = policy;
   ASSERT_TRUE(client
                   .CreateTable("telemetry", TelemetryGenerator::TableSchema(),
-                               policy, /*seed=*/7)
+                               options)
                   .ok());
 
   Table batch(TelemetryGenerator::TableSchema());
@@ -1233,6 +1249,129 @@ TEST(WireV6Test, WindowedTableLifecycleOverTheWire) {
   ASSERT_FALSE(gone.ok());
   EXPECT_EQ(gone.status().code(), StatusCode::kNotFound);
   EXPECT_EQ(client.DropTable("telemetry").code(), StatusCode::kNotFound);
+  server.Stop();
+}
+
+// -- v7: the kCreateTable payload is the table's whole config -----------------
+
+TEST(WireV7Test, CreateTablePayloadIsSchemaThenTheTableOptionsCodec) {
+  Request request(Opcode::kCreateTable);
+  request.table = "telemetry";
+  request.schema = TelemetryGenerator::TableSchema();
+  request.options = EveryOption();
+  WireWriter expected;
+  expected.PutString(request.table);
+  EncodeSchema(request.schema, &expected);
+  EncodeTableOptions(request.options, &expected);
+  const std::string body = EncodeRequest(request);
+  EXPECT_EQ(EncodeRequest(Opcode::kCreateTable, expected.buffer()), body);
+
+  WireReader r(body);
+  const Result<Request> decoded = DecodeRequestBody(&r);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  WireWriter options;
+  EncodeTableOptions(decoded->options, &options);
+  WireWriter original;
+  EncodeTableOptions(request.options, &original);
+  EXPECT_EQ(original.buffer(), options.buffer());
+  ExpectEveryStrictPrefixFails(body, DecodeRequestBody);
+}
+
+TEST(WireV7Test, HostileLayerAndAttributeCountsFailBeforeAllocating) {
+  const auto decode = [](uint32_t layers, uint32_t attributes) {
+    WireWriter w;
+    w.PutString("t");
+    EncodeSchema(TelemetryGenerator::TableSchema(), &w);
+    w.PutU32(layers);
+    if (layers == 0) w.PutU32(attributes);
+    return DecodeRequest(
+        RequestFrame{Opcode::kCreateTable, std::string(w.buffer())});
+  };
+  for (const uint32_t count : {0xFFFFFFFFu, 1u << 24, 1u}) {
+    const Result<Request> layers = decode(count, 0);
+    ASSERT_FALSE(layers.ok()) << count;
+    EXPECT_EQ(StatusCode::kInvalidArgument, layers.status().code());
+    const Result<Request> attributes = decode(0, count);
+    ASSERT_FALSE(attributes.ok()) << count;
+    EXPECT_EQ(StatusCode::kInvalidArgument, attributes.status().code());
+  }
+}
+
+TEST(WireV7Test, V6CreateTableFrameIsRefused) {
+  // v6 wrote the seed and the retention block field by field.
+  WireWriter v6;
+  v6.PutString("t");
+  EncodeSchema(TelemetryGenerator::TableSchema(), &v6);
+  v6.PutU64(42);
+  EncodeRetentionPolicy(RetentionPolicy(), &v6);
+  std::string body = EncodeRequest(Opcode::kCreateTable, v6.buffer());
+  body[0] = 6;
+  const Result<RequestFrame> refused = DecodeRequest(body);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ("protocol version 6 not supported (this side speaks v7)",
+            refused.status().message());
+  // Nor does the v6 layout parse under the v7 stamp.
+  EXPECT_FALSE(DecodeRequest(RequestFrame{Opcode::kCreateTable,
+                                          std::string(v6.buffer())})
+                   .ok());
+}
+
+TEST(WireV7Test, EveryTableOptionsFieldOverTheWireAnswersLikeInProcess) {
+  // Custom layers, tracked attributes, seed and retention set through the
+  // client build the same table as in-process: the same batches and the
+  // same SQL (which also trains both trackers) give equivalent answers.
+  Engine served;
+  SciborqServer server(&served);
+  ASSERT_TRUE(server.Start().ok());
+  SciborqClient client =
+      SciborqClient::Connect("127.0.0.1", server.port()).value();
+  const Schema schema = TelemetryGenerator::TableSchema();
+  const Status created = client.CreateTable("telemetry", schema, EveryOption());
+  ASSERT_TRUE(created.ok()) << created.ToString();
+  Engine local;
+  ASSERT_TRUE(local.CreateTable("telemetry", schema, EveryOption()).ok());
+
+  const std::vector<std::string> sql = {
+      "SELECT COUNT(*), AVG(value) FROM telemetry "
+      "WHERE value >= 20 AND value <= 30 ERROR 10%",
+      "SELECT SUM(value) FROM telemetry WHERE value >= 25 AND value <= 28 "
+      "ERROR 5%",
+      "SELECT COUNT(*) FROM telemetry EXACT",
+  };
+  Rng rng(3);
+  int64_t ts = 0;
+  for (int round = 0; round < 5; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    Table batch(schema);
+    for (int i = 0; i < 1'500; ++i) {
+      ts += 2;
+      batch.AppendNumericRow({static_cast<double>(i % 8),
+                              static_cast<double>(ts), rng.Uniform(0, 100)});
+    }
+    ASSERT_EQ(1'500, client.Ingest("telemetry", batch).value());
+    ASSERT_TRUE(local.IngestBatch("telemetry", batch).ok());
+    for (const std::string& q : sql) {
+      const QueryOutcome remote = client.Query(q).value();
+      const QueryOutcome in_process = local.Query(q).value();
+      EXPECT_TRUE(EquivalentAnswers(remote, in_process))
+          << q << "\nremote: " << remote.ToString()
+          << "\nlocal:  " << in_process.ToString();
+    }
+  }
+
+  const std::vector<TableInfo> remote = client.ListTables().value();
+  const std::vector<TableInfo> in_process = local.ListTables().value();
+  ASSERT_EQ(1u, remote.size());
+  ASSERT_EQ(1u, in_process.size());
+  EXPECT_TRUE(remote[0].biased);
+  EXPECT_LT(remote[0].rows, int64_t{7'500});  // the window slid
+  EXPECT_EQ(in_process[0].rows, remote[0].rows);
+  ASSERT_EQ(2u, remote[0].layers.size());
+  for (size_t i = 0; i < 2; ++i) {
+    EXPECT_EQ(EveryOption().layers[i].name, remote[0].layers[i].name);
+    EXPECT_EQ(EveryOption().layers[i].capacity, remote[0].layers[i].capacity);
+    EXPECT_EQ(in_process[0].layers[i].rows, remote[0].layers[i].rows);
+  }
   server.Stop();
 }
 

@@ -155,9 +155,10 @@ int main(int argc, char** argv) {
   options.max_connections = max_connections;
   SciborqCoordinator coordinator(std::move(shards), options);
 
+  TableOptions table_options;
+  table_options.seed = static_cast<uint64_t>(seed);
   for (const auto& [name, csv] : registrations) {
-    Result<int64_t> rows =
-        coordinator.RegisterCsv(name, csv, static_cast<uint64_t>(seed));
+    Result<int64_t> rows = coordinator.RegisterCsv(name, csv, table_options);
     if (!rows.ok()) {
       LogError("failed to register '%s' from %s: %s", name.c_str(),
                csv.c_str(), rows.status().ToString().c_str());

@@ -100,12 +100,13 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  RetentionPolicy retention;
-  retention.time_column = "ts";
-  retention.bucket_width = bucket_width;
-  retention.window_buckets = window_buckets;
-  const Status created = client->CreateTable(
-      table, TelemetryGenerator::TableSchema(), retention, seed);
+  TableOptions options;
+  options.seed = seed;
+  options.retention.time_column = "ts";
+  options.retention.bucket_width = bucket_width;
+  options.retention.window_buckets = window_buckets;
+  const Status created =
+      client->CreateTable(table, TelemetryGenerator::TableSchema(), options);
   if (!created.ok() && created.code() != StatusCode::kAlreadyExists) {
     std::fprintf(stderr, "create table '%s' failed: %s\n", table.c_str(),
                  created.ToString().c_str());
