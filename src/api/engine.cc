@@ -96,8 +96,9 @@ SelectionVector AllRows(const Table& t) {
 }
 
 /// Feeds `batch`, split into `strata` (ascending by bucket), to a windowed
-/// table's samplers: the last-seen builder takes one stratum at a time, the
-/// hierarchy takes them all in one ingest call (one derived-layer refresh).
+/// table's samplers: the hierarchy and the last-seen builder each take the
+/// strata in order as one ingest call (one π refresh per sampler, one
+/// derived-layer refresh).
 /// A single stratum is the whole batch and is passed without a copy.
 Status IngestStrata(const Table& batch,
                     const std::vector<SelectionVector>& strata,
@@ -116,10 +117,7 @@ Status IngestStrata(const Table& batch,
     }
   }
   SCIBORQ_RETURN_NOT_OK(hierarchy->IngestParts(parts));
-  for (const Table* part : parts) {
-    SCIBORQ_RETURN_NOT_OK(last_seen->IngestBatch(*part));
-  }
-  return Status::OK();
+  return last_seen->IngestParts(parts);
 }
 
 /// Raw data bytes of rows [begin, end) of a column, the serde v1 accounting:
@@ -467,9 +465,9 @@ Status Engine::IngestIntoEntry(TableEntry* entry, const Table& batch)
     // untouched and the engine's WAL undo can run cleanly.
     SCIBORQ_RETURN_NOT_OK(entry->retention->ObserveBatch(batch));
     // Stratified ingest: rows route into time-bucket strata, ascending by
-    // bucket, and the top layer and the last-seen sampler take each stratum
-    // as its own batch — the feed order the post-eviction rebuild uses too.
-    // The derived layers then refresh once for the whole call.
+    // bucket, and the top layer and the last-seen sampler take the strata in
+    // that order — the feed order the post-eviction rebuild uses too. π and
+    // the derived layers then refresh once for the whole call.
     //  - Bit-identical: replaying the same calls (WAL recovery) reproduces
     //    every sampler and derived layer, and a call whose rows all fall in
     //    one bucket is exactly the unstratified ingest.

@@ -101,9 +101,7 @@ Result<ImpressionHierarchy> ImpressionHierarchy::Restore(
 }
 
 Status ImpressionHierarchy::IngestParts(const std::vector<const Table*>& parts) {
-  for (const Table* part : parts) {
-    SCIBORQ_RETURN_NOT_OK(top_builder_.IngestBatch(*part));
-  }
+  SCIBORQ_RETURN_NOT_OK(top_builder_.IngestParts(parts));
   return RefreshDerivedLayers();
 }
 

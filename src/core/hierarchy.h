@@ -76,10 +76,10 @@ class ImpressionHierarchy {
                                              ImpressionSpec top_spec,
                                              HierarchyState state);
 
-  /// One ingest call: feeds every part to the top layer in order, then
-  /// refreshes the derived layers once. A windowed table passes its
-  /// time-bucket strata here, so a call that spans several buckets still
-  /// pays one refresh.
+  /// One ingest call: feeds every part to the top layer in order as one
+  /// builder call (one π refresh), then refreshes the derived layers once.
+  /// A windowed table passes its time-bucket strata here, so a call that
+  /// spans several buckets still pays one refresh.
   Status IngestParts(const std::vector<const Table*>& parts);
 
   /// Feeds one daily-ingest batch: the one-part IngestParts.

@@ -48,56 +48,73 @@ void Impression::ReplaceSampledRow(int64_t slot, const Table& src,
   source_ids_[static_cast<size_t>(slot)] = source_id;
 }
 
-double Impression::InclusionProbability(int64_t row) const {
-  SCIBORQ_DCHECK(row >= 0 && row < size());
-  if (!explicit_probs_.empty()) {
-    return explicit_probs_[static_cast<size_t>(row)];
-  }
+void Impression::FinishBatch(int64_t population_seen, double population_weight,
+                             std::vector<int64_t> acceptance_curve,
+                             int64_t curve_interval, int64_t total_accepted) {
+  population_seen_ = population_seen;
+  population_weight_ = population_weight;
+  acceptance_curve_ = std::move(acceptance_curve);
+  curve_interval_ = curve_interval;
+  total_accepted_ = total_accepted;
+  RefreshInclusionProbabilities();
+}
+
+void Impression::RefreshInclusionProbabilities() {
+  if (probs_pinned_) return;
+  probs_.clear();
+  common_prob_ = 1.0;
   const auto n = static_cast<double>(size());
   switch (policy_) {
     case SamplingPolicy::kUniform: {
-      if (population_seen_ <= size()) return 1.0;
-      return n / static_cast<double>(population_seen_);
+      if (population_seen_ > size()) {
+        common_prob_ = n / static_cast<double>(population_seen_);
+      }
+      return;
     }
     case SamplingPolicy::kBiased: {
-      if (population_seen_ <= size() || population_weight_ <= 0.0) return 1.0;
-      const double w = weights_[static_cast<size_t>(row)];
-      if (!(w > 0.0)) return 1.0 / static_cast<double>(population_seen_);
-      if (has_acceptance_model()) {
-        // First-order retention model (see set_acceptance_model): arrival
-        // position t (1-based), capacity n_cap.
-        const double t =
-            static_cast<double>(source_ids_[static_cast<size_t>(row)] + 1);
-        const auto n_cap = static_cast<double>(capacity_);
-        const double accept =
-            t <= n_cap ? 1.0 : std::min(1.0, n_cap * w / t);
-        const double later = std::max(
-            0.0, static_cast<double>(total_accepted_) - AcceptancesAt(t));
-        const double survival = std::exp(-later / n_cap);
-        return std::clamp(accept * survival, 1e-12, 1.0);
+      if (population_seen_ <= size() || population_weight_ <= 0.0) return;
+      probs_.resize(static_cast<size_t>(size()));
+      for (size_t row = 0; row < probs_.size(); ++row) {
+        const double w = weights_[row];
+        if (!(w > 0.0)) {
+          probs_[row] = 1.0 / static_cast<double>(population_seen_);
+        } else if (has_acceptance_model()) {
+          // First-order retention model (see FinishBatch): arrival
+          // position t (1-based), capacity n_cap.
+          const double t = static_cast<double>(source_ids_[row] + 1);
+          const auto n_cap = static_cast<double>(capacity_);
+          const double accept =
+              t <= n_cap ? 1.0 : std::min(1.0, n_cap * w / t);
+          const double later = std::max(
+              0.0, static_cast<double>(total_accepted_) - AcceptancesAt(t));
+          const double survival = std::exp(-later / n_cap);
+          probs_[row] = std::clamp(accept * survival, 1e-12, 1.0);
+        } else {
+          // Fallback without a model: the coarse Σw surrogate.
+          probs_[row] = std::min(1.0, n * w / population_weight_);
+        }
       }
-      // Fallback without a model: the coarse Σw surrogate.
-      return std::min(1.0, n * w / population_weight_);
+      return;
     }
     case SamplingPolicy::kLastSeen: {
       // Effective window: the sample refreshes at rate k/D per tuple, with
       // k the capacity, so the resident rows are (approximately) a uniform
       // draw from the most recent W = n·D/k tuples.
       if (expected_ingest_ <= 0) {
-        return population_seen_ <= size()
-                   ? 1.0
-                   : n / static_cast<double>(population_seen_);
+        if (population_seen_ > size()) {
+          common_prob_ = n / static_cast<double>(population_seen_);
+        }
+        return;
       }
       const double window =
           n * static_cast<double>(expected_ingest_) /
           static_cast<double>(capacity_);
       const double effective =
           std::min(static_cast<double>(population_seen_), window);
-      if (effective <= n) return 1.0;
-      return n / effective;
+      if (effective > n) common_prob_ = n / effective;
+      return;
     }
   }
-  return 1.0;
 }
 
 double Impression::AcceptancesAt(double position) const {
@@ -146,7 +163,7 @@ ImpressionState Impression::SaveState() const {
   state.rows = rows_;
   state.weights = weights_;
   state.source_ids = source_ids_;
-  state.explicit_probs = explicit_probs_;
+  if (probs_pinned_) state.explicit_probs = probs_;
   state.population_seen = population_seen_;
   state.population_weight = population_weight_;
   state.expected_ingest = expected_ingest_;
@@ -164,7 +181,8 @@ Result<Impression> Impression::FromState(ImpressionState state) {
                  std::move(state.rows));
   out.weights_ = std::move(state.weights);
   out.source_ids_ = std::move(state.source_ids);
-  out.explicit_probs_ = std::move(state.explicit_probs);
+  out.probs_ = std::move(state.explicit_probs);
+  out.probs_pinned_ = !out.probs_.empty();
   out.population_seen_ = state.population_seen;
   out.population_weight_ = state.population_weight;
   out.expected_ingest_ = state.expected_ingest;
@@ -176,8 +194,8 @@ Result<Impression> Impression::FromState(ImpressionState state) {
     // is an input-validation path, so surface InvalidArgument instead.
     return Status::InvalidArgument("impression state: " + st.message());
   }
-  if (!out.explicit_probs_.empty()) {
-    for (const double p : out.explicit_probs_) {
+  if (out.probs_pinned_) {
+    for (const double p : out.probs_) {
       if (!(p > 0.0) || p > 1.0) {
         return Status::InvalidArgument(
             "impression state: explicit inclusion probabilities must be in "
@@ -185,6 +203,7 @@ Result<Impression> Impression::FromState(ImpressionState state) {
       }
     }
   }
+  out.RefreshInclusionProbabilities();
   return out;
 }
 
@@ -197,9 +216,8 @@ Status Impression::Validate() const {
       static_cast<int64_t>(source_ids_.size()) != size()) {
     return Status::Internal("impression parallel arrays out of sync");
   }
-  if (!explicit_probs_.empty() &&
-      static_cast<int64_t>(explicit_probs_.size()) != size()) {
-    return Status::Internal("explicit probability vector out of sync");
+  if (!probs_.empty() && static_cast<int64_t>(probs_.size()) != size()) {
+    return Status::Internal("inclusion probability vector out of sync");
   }
   if (population_seen_ < size()) {
     return Status::Internal("population smaller than sample");

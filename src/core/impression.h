@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "column/table.h"
+#include "util/check.h"
 #include "util/result.h"
 
 namespace sciborq {
@@ -48,9 +49,10 @@ struct ImpressionState {
 ///  - per-row workload weights (biased policy) or 1.0,
 ///  - per-row provenance (position in the base stream),
 ///  - the population size streamed past the builder and its total weight,
-///  - optionally, explicit per-row inclusion probabilities (set when an
-///    impression is *derived* from a parent layer, where the chain
-///    π_child = π_parent · n_child / n_parent is pinned at derivation time).
+///  - every row's inclusion probability π, materialised once per ingest
+///    call (FinishBatch) rather than per query. A derived impression pins
+///    its π at derivation time instead, where the chain
+///    π_child = π_parent · n_child / n_parent is fixed.
 class Impression {
  public:
   Impression(std::string name, Schema schema, int64_t capacity,
@@ -71,14 +73,21 @@ class Impression {
   const std::vector<double>& row_weights() const { return weights_; }
   const std::vector<int64_t>& source_ids() const { return source_ids_; }
 
-  /// First-order inclusion probability of stored row `row`:
-  ///  - explicit probabilities, when set (derived impressions);
+  /// First-order inclusion probability of stored row `row`, a lookup of the
+  /// value the last FinishBatch (or FromState) computed:
+  ///  - derived impressions: the probabilities pinned at derivation;
   ///  - uniform: n / cnt;
-  ///  - biased: min(1, n · w_row / Σw) — the conditioned-Poisson surrogate;
+  ///  - biased: min(1, n·w/t) · exp(-(A(T) − A(t)) / n) under the
+  ///    acceptance model (see FinishBatch), else the conditioned-Poisson
+  ///    surrogate min(1, n · w_row / Σw);
   ///  - last-seen: n / min(cnt, W) where W = n·D/k is the effective recency
   ///    window the sample turns over (estimates then speak about the recent
   ///    window rather than the full history — by design, §3.3).
-  double InclusionProbability(int64_t row) const;
+  /// Uniform and last-seen top layers share one π across their rows.
+  double InclusionProbability(int64_t row) const {
+    SCIBORQ_DCHECK(row >= 0 && row < size());
+    return probs_.empty() ? common_prob_ : probs_[static_cast<size_t>(row)];
+  }
 
   /// Memory footprint of the sampled rows (the §3.1 size knob).
   int64_t MemoryUsageBytes() const { return rows_.MemoryUsageBytes(); }
@@ -108,25 +117,22 @@ class Impression {
   /// Overwrites slot `slot` (reservoir eviction).
   void ReplaceSampledRow(int64_t slot, const Table& src, int64_t src_row,
                          double weight, int64_t source_id);
-  void set_population_seen(int64_t n) { population_seen_ = n; }
-  void set_population_weight(double w) { population_weight_ = w; }
   /// Last-seen ingest size D, needed for the effective-window semantics
-  /// (the freshness k is the capacity).
+  /// (the freshness k is the capacity). Set once, before any row.
   void set_expected_ingest(int64_t expected_ingest) {
     expected_ingest_ = expected_ingest;
+    RefreshInclusionProbabilities();
   }
 
-  /// Retention model for biased impressions: the sampler's acceptance curve
-  /// (cumulative post-fill acceptances every `interval` offers) plus the
-  /// final total. With it, a row that arrived at position t with weight w
-  /// has π ≈ min(1, n·w/t) · exp(-(A(T) − A(t)) / n). Updated by the builder
-  /// after every batch.
-  void set_acceptance_model(std::vector<int64_t> curve, int64_t interval,
-                            int64_t total_accepted) {
-    acceptance_curve_ = std::move(curve);
-    curve_interval_ = interval;
-    total_accepted_ = total_accepted;
-  }
+  /// Ends one ingest call: records the population streamed past the sampler
+  /// (cnt) and its total weight, then recomputes π. Builders call it once,
+  /// after their last AppendSampledRow/ReplaceSampledRow of the call, so a
+  /// reader never sees a stale π. Biased impressions also pass the sampler's
+  /// retention model A: its acceptance curve (cumulative post-fill
+  /// acceptances every `curve_interval` offers) and the final total A(T).
+  void FinishBatch(int64_t population_seen, double population_weight,
+                   std::vector<int64_t> acceptance_curve = {},
+                   int64_t curve_interval = 0, int64_t total_accepted = 0);
   bool has_acceptance_model() const { return curve_interval_ > 0; }
 
  private:
@@ -140,14 +146,22 @@ class Impression {
   Table rows_;
   std::vector<double> weights_;
   std::vector<int64_t> source_ids_;
-  std::vector<double> explicit_probs_;  ///< empty unless derived
   int64_t population_seen_ = 0;
   double population_weight_ = 0.0;
   int64_t expected_ingest_ = 0;
   std::vector<int64_t> acceptance_curve_;
   int64_t curve_interval_ = 0;
   int64_t total_accepted_ = 0;
+  /// π per row: pinned at derivation, or recomputed from the model above by
+  /// RefreshInclusionProbabilities. Empty when every row has `common_prob_`.
+  std::vector<double> probs_;
+  double common_prob_ = 1.0;
+  /// Derived: `probs_` is state (ImpressionState::explicit_probs), not a
+  /// value recomputed from the model.
+  bool probs_pinned_ = false;
 
+  /// Recomputes `probs_`/`common_prob_` from the model; no-op when pinned.
+  void RefreshInclusionProbabilities();
   /// Interpolated cumulative post-fill acceptances after `position` offers.
   double AcceptancesAt(double position) const;
 };

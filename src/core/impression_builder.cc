@@ -55,33 +55,39 @@ Result<ImpressionBuilder> ImpressionBuilder::Make(const Schema& schema,
   return builder;
 }
 
-Status ImpressionBuilder::IngestBatch(const Table& batch) {
-  if (!batch.schema().Equals(impression_.rows().schema())) {
-    return Status::InvalidArgument(
-        "batch schema does not match the impression schema");
+Status ImpressionBuilder::IngestParts(const std::vector<const Table*>& parts) {
+  // Every part is checked before any row is offered, so a rejected call
+  // leaves the impression (and its π) as the last call left it.
+  for (const Table* part : parts) {
+    if (!part->schema().Equals(impression_.rows().schema())) {
+      return Status::InvalidArgument(
+          "batch schema does not match the impression schema");
+    }
   }
   std::vector<int> bound;
   if (spec_.policy == SamplingPolicy::kBiased) {
-    bound = spec_.tracker->BindColumns(batch.schema());
+    bound = spec_.tracker->BindColumns(impression_.rows().schema());
   }
-  for (int64_t row = 0; row < batch.num_rows(); ++row) {
-    double weight = 1.0;
-    ReservoirDecision decision;
-    switch (spec_.policy) {
-      case SamplingPolicy::kUniform:
-        decision = uniform_->Offer();
-        break;
-      case SamplingPolicy::kLastSeen:
-        decision = last_seen_->Offer();
-        break;
-      case SamplingPolicy::kBiased:
-        weight = spec_.tracker->TupleWeight(batch, bound, row);
-        decision = biased_->Offer(weight);
-        break;
-    }
-    if (decision.accepted) {
-      // Source id: the global position of the tuple in the base stream.
-      const int64_t source_id = impression_.population_seen();
+  // Source id: the global position of the tuple in the base stream.
+  int64_t source_id = impression_.population_seen();
+  for (const Table* part : parts) {
+    const Table& batch = *part;
+    for (int64_t row = 0; row < batch.num_rows(); ++row, ++source_id) {
+      double weight = 1.0;
+      ReservoirDecision decision;
+      switch (spec_.policy) {
+        case SamplingPolicy::kUniform:
+          decision = uniform_->Offer();
+          break;
+        case SamplingPolicy::kLastSeen:
+          decision = last_seen_->Offer();
+          break;
+        case SamplingPolicy::kBiased:
+          weight = spec_.tracker->TupleWeight(batch, bound, row);
+          decision = biased_->Offer(weight);
+          break;
+      }
+      if (!decision.accepted) continue;
       if (decision.slot < impression_.size()) {
         impression_.ReplaceSampledRow(decision.slot, batch, row, weight,
                                       source_id);
@@ -89,15 +95,14 @@ Status ImpressionBuilder::IngestBatch(const Table& batch) {
         impression_.AppendSampledRow(batch, row, weight, source_id);
       }
     }
-    impression_.set_population_seen(impression_.population_seen() + 1);
-    if (spec_.policy == SamplingPolicy::kBiased) {
-      impression_.set_population_weight(biased_->total_weight());
-    }
   }
   if (spec_.policy == SamplingPolicy::kBiased) {
-    impression_.set_acceptance_model(biased_->acceptance_curve(),
-                                     biased_->curve_interval(),
-                                     biased_->accepted_post_fill());
+    impression_.FinishBatch(source_id, biased_->total_weight(),
+                            biased_->acceptance_curve(),
+                            biased_->curve_interval(),
+                            biased_->accepted_post_fill());
+  } else {
+    impression_.FinishBatch(source_id, impression_.population_weight());
   }
   return Status::OK();
 }

@@ -4,6 +4,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "core/impression.h"
 #include "sampling/biased_reservoir.h"
@@ -54,9 +55,14 @@ class ImpressionBuilder {
   static Result<ImpressionBuilder> Make(const Schema& schema,
                                         ImpressionSpec spec);
 
-  /// Offers every row of `batch` to the sampler. Schemas must match the
-  /// construction schema.
-  Status IngestBatch(const Table& batch);
+  /// Offers every row of every part, in order, to the sampler as one ingest
+  /// call: the impression's inclusion probabilities are recomputed once, at
+  /// the end. Schemas must match the construction schema (InvalidArgument
+  /// otherwise, with nothing ingested).
+  Status IngestParts(const std::vector<const Table*>& parts);
+
+  /// Offers every row of `batch`: the one-part IngestParts.
+  Status IngestBatch(const Table& batch) { return IngestParts({&batch}); }
 
   /// The live impression (updated in place by IngestBatch).
   const Impression& impression() const { return impression_; }

@@ -566,6 +566,24 @@ class ConePredicate final : public Predicate {
     return Status::OK();
   }
 
+  Status SelectRange(const Table& table, int64_t begin, int64_t end,
+                     SelectionVector* out) const override {
+    const Column* colx = table.ColumnByName(cx_).value_or(nullptr);
+    const Column* coly = table.ColumnByName(cy_).value_or(nullptr);
+    if (colx == nullptr || coly == nullptr ||
+        colx->type() != DataType::kDouble ||
+        coly->type() != DataType::kDouble || colx->has_nulls() ||
+        coly->has_nulls()) {
+      return Predicate::SelectRange(table, begin, end, out);
+    }
+    out->resize(static_cast<size_t>(end - begin));
+    const int64_t matched = FilterDoubleConeRange(
+        colx->data_double().data(), coly->data_double().data(), begin, end,
+        x0_, y0_, r_ * r_, out->data());
+    out->resize(static_cast<size_t>(matched));
+    return Status::OK();
+  }
+
   bool Matches(const Table& table, int64_t row) const override {
     const Column* colx = table.ColumnByName(cx_).value_or(nullptr);
     const Column* coly = table.ColumnByName(cy_).value_or(nullptr);

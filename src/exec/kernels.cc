@@ -41,6 +41,19 @@ int64_t ScalarFilterInt64(const int64_t* vals, int64_t begin, int64_t end,
   return k;
 }
 
+int64_t ScalarFilterDoubleConeRange(const double* xs, const double* ys,
+                                    int64_t begin, int64_t end, double x0,
+                                    double y0, double r2, int64_t* out) {
+  int64_t k = 0;
+  for (int64_t row = begin; row < end; ++row) {
+    const double dx = xs[row] - x0;
+    const double dy = ys[row] - y0;
+    out[k] = row;
+    k += (dx * dx + dy * dy <= r2) ? 1 : 0;
+  }
+  return k;
+}
+
 #if defined(__x86_64__)
 
 bool DetectAvx2() { return __builtin_cpu_supports("avx2") != 0; }
@@ -103,6 +116,32 @@ __attribute__((target("avx2"))) int64_t Avx2FilterDoubleBetween(
     k += (v >= lo && v <= hi) ? 1 : 0;
   }
   return k;
+}
+
+/// The cone expression four rows at a time: subtract, square, add, compare,
+/// each lane the scalar expression's IEEE operations in the same order. The
+/// target enables AVX2 only, so no multiply-add is fused.
+__attribute__((target("avx2"))) int64_t Avx2FilterDoubleConeRange(
+    const double* xs, const double* ys, int64_t begin, int64_t end, double x0,
+    double y0, double r2, int64_t* out) {
+  int64_t k = 0;
+  int64_t row = begin;
+  const __m256d vx0 = _mm256_set1_pd(x0);
+  const __m256d vy0 = _mm256_set1_pd(y0);
+  const __m256d vr2 = _mm256_set1_pd(r2);
+  for (; row + 4 <= end; row += 4) {
+    const __m256d dx = _mm256_sub_pd(_mm256_loadu_pd(xs + row), vx0);
+    const __m256d dy = _mm256_sub_pd(_mm256_loadu_pd(ys + row), vy0);
+    const __m256d d2 =
+        _mm256_add_pd(_mm256_mul_pd(dx, dx), _mm256_mul_pd(dy, dy));
+    const int mask = _mm256_movemask_pd(_mm256_cmp_pd(d2, vr2, _CMP_LE_OQ));
+    for (int b = 0; b < 4; ++b) {
+      out[k] = row + b;
+      k += (mask >> b) & 1;
+    }
+  }
+  return k + ScalarFilterDoubleConeRange(xs, ys, row, end, x0, y0, r2,
+                                         out + k);
 }
 
 #endif  // defined(__x86_64__)
@@ -195,6 +234,17 @@ int64_t FilterDoubleCone(const double* xs, const double* ys,
     k += (dx * dx + dy * dy <= r2) ? 1 : 0;
   }
   return k;
+}
+
+int64_t FilterDoubleConeRange(const double* xs, const double* ys,
+                              int64_t begin, int64_t end, double x0, double y0,
+                              double r2, int64_t* out) {
+#if defined(__x86_64__)
+  if (KernelsUseAvx2()) {
+    return Avx2FilterDoubleConeRange(xs, ys, begin, end, x0, y0, r2, out);
+  }
+#endif
+  return ScalarFilterDoubleConeRange(xs, ys, begin, end, x0, y0, r2, out);
 }
 
 int64_t FilterInt64Between(const int64_t* vals, int64_t begin, int64_t end,

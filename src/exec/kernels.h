@@ -43,6 +43,14 @@ int64_t FilterDoubleCone(const double* xs, const double* ys,
                          const int64_t* rows, int64_t n, double x0, double y0,
                          double r2, int64_t* out);
 
+/// The same cone test over the contiguous rows [begin, end): no candidate
+/// list to build or gather through. Has an AVX2 path; both paths evaluate
+/// the expression with the scalar's IEEE operations and order (no fused
+/// multiply-add), so they select exactly the rows FilterDoubleCone does.
+int64_t FilterDoubleConeRange(const double* xs, const double* ys,
+                              int64_t begin, int64_t end, double x0, double y0,
+                              double r2, int64_t* out);
+
 /// True when this process dispatches the double kernels to the AVX2 path
 /// (x86-64 with AVX2 detected at runtime). Exposed for tests and benches.
 bool KernelsUseAvx2();

@@ -83,12 +83,7 @@ Status ValidateConfidence(double confidence) {
   return Status::OK();
 }
 
-Status ValidateHtInputs(const std::vector<double>& values,
-                        const std::vector<double>& inclusion_probs) {
-  if (values.size() != inclusion_probs.size()) {
-    return Status::InvalidArgument(
-        "values and inclusion probabilities differ in length");
-  }
+Status ValidateInclusionProbs(const std::vector<double>& inclusion_probs) {
   for (const double pi : inclusion_probs) {
     if (!(pi > 0.0) || pi > 1.0 || !std::isfinite(pi)) {
       return Status::InvalidArgument(
@@ -96,6 +91,15 @@ Status ValidateHtInputs(const std::vector<double>& values,
     }
   }
   return Status::OK();
+}
+
+Status ValidateHtInputs(const std::vector<double>& values,
+                        const std::vector<double>& inclusion_probs) {
+  if (values.size() != inclusion_probs.size()) {
+    return Status::InvalidArgument(
+        "values and inclusion probabilities differ in length");
+  }
+  return ValidateInclusionProbs(inclusion_probs);
 }
 
 }  // namespace
@@ -145,8 +149,19 @@ Result<AggregateEstimate> EstimateMeanHorvitzThompson(
 
 Result<AggregateEstimate> EstimateCountHorvitzThompson(
     const std::vector<double>& inclusion_probs, double confidence) {
-  const std::vector<double> ones(inclusion_probs.size(), 1.0);
-  return EstimateSumHorvitzThompson(ones, inclusion_probs, confidence);
+  SCIBORQ_RETURN_NOT_OK(ValidateConfidence(confidence));
+  SCIBORQ_RETURN_NOT_OK(ValidateInclusionProbs(inclusion_probs));
+  // EstimateSumHorvitzThompson with every y_i = 1, in its operation order:
+  // Σ 1/π and Σ (1 − π)(1/π)(1/π).
+  double ht_count = 0.0;
+  double var = 0.0;
+  for (const double pi : inclusion_probs) {
+    const double expanded = 1.0 / pi;
+    ht_count += expanded;
+    var += (1.0 - pi) * expanded * expanded;
+  }
+  return MakeEstimate(ht_count, std::sqrt(var), confidence,
+                      static_cast<int64_t>(inclusion_probs.size()));
 }
 
 }  // namespace sciborq

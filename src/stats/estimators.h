@@ -67,7 +67,8 @@ Result<AggregateEstimate> EstimateMeanHorvitzThompson(
     const std::vector<double>& values,
     const std::vector<double>& inclusion_probs, double confidence = 0.95);
 
-/// HT estimate of the population count of matching rows: Σ 1 / pi_i.
+/// HT estimate of the population count of matching rows: Σ 1 / pi_i, bit
+/// for bit EstimateSumHorvitzThompson with every y_i = 1.
 Result<AggregateEstimate> EstimateCountHorvitzThompson(
     const std::vector<double>& inclusion_probs, double confidence = 0.95);
 

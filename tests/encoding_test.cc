@@ -815,6 +815,89 @@ TEST(KernelTest, ConeSelectMatchesPerRowMatchesWithAndWithoutNulls) {
   }
 }
 
+TEST(KernelTest, ConeRangeMatchesRowAtATimeOracle) {
+  // The range kernel against the cone expression evaluated row by row, over
+  // NaN and ±inf coordinates and points exactly on the rim, from non-zero
+  // starts and over lengths that are not multiples of the four AVX2 lanes.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const double x0 = 1.5;
+  const double y0 = -2.0;
+  const double r2 = 16.0;
+  Rng rng(37);
+  std::vector<double> xs(2'051);
+  std::vector<double> ys(xs.size());
+  for (size_t i = 0; i < xs.size(); ++i) {
+    xs[i] = rng.NextDouble() * 20.0 - 10.0;
+    ys[i] = rng.NextDouble() * 20.0 - 10.0;
+    switch (i % 23) {
+      case 1: xs[i] = kNan; break;
+      case 5: ys[i] = kInf; break;
+      case 8: xs[i] = -kInf; break;
+      case 13: xs[i] = x0 + 4.0; ys[i] = y0; break;  // distance² == r2
+      case 17: xs[i] = x0; ys[i] = kNan; break;
+      default: break;
+    }
+  }
+  const auto n = static_cast<int64_t>(xs.size());
+  for (const auto& [begin, end] : std::vector<std::pair<int64_t, int64_t>>{
+           {0, n}, {1, n}, {3, 10}, {5, 5}, {6, 7}, {17, 1'042}, {n - 3, n}}) {
+    std::vector<int64_t> out(static_cast<size_t>(end - begin));
+    const int64_t k = FilterDoubleConeRange(xs.data(), ys.data(), begin, end,
+                                            x0, y0, r2, out.data());
+    SelectionVector expect;
+    for (int64_t row = begin; row < end; ++row) {
+      const double dx = xs[static_cast<size_t>(row)] - x0;
+      const double dy = ys[static_cast<size_t>(row)] - y0;
+      if (dx * dx + dy * dy <= r2) expect.push_back(row);
+    }
+    out.resize(static_cast<size_t>(k));
+    EXPECT_EQ(out, expect) << "rows [" << begin << ", " << end << ")";
+    if (end - begin > 100) {
+      EXPECT_GT(expect.size(), 0u);
+    }
+  }
+}
+
+TEST(KernelTest, ConeSelectAllMatchesSelectOverDenseCandidates) {
+  // SelectAll runs the cone's range kernel on null-free double columns and
+  // falls back to Select over dense candidates otherwise (nulls, an int64
+  // coordinate). Over several morsels plus a tail, with and without the
+  // zone-map sidecar, every path must select what Select does.
+  Schema schema({Field{"x", DataType::kDouble, true},
+                 Field{"y", DataType::kDouble, true}});
+  Schema int_schema({Field{"x", DataType::kInt64, false},
+                     Field{"y", DataType::kDouble, false}});
+  Rng rng(41);
+  Table dense(schema);
+  Table with_nulls(schema);
+  Table int_x(int_schema);
+  const int64_t rows = 2 * kDefaultMorselRows + 1'003;
+  for (int64_t i = 0; i < rows; ++i) {
+    // Centred on 0: a null slot stores 0.0, so a null row read as data
+    // would fall inside the cone.
+    const double xv = rng.NextDouble() * 10.0 - 5.0;
+    const Value x(xv);
+    const Value y(i % 97 == 1 ? kNan : rng.NextDouble() * 10.0 - 5.0);
+    ASSERT_TRUE(dense.AppendRow({x, y}).ok());
+    ASSERT_TRUE(
+        with_nulls.AppendRow({i % 13 == 2 ? Value::Null() : x, y}).ok());
+    ASSERT_TRUE(int_x.AppendRow({Value(static_cast<int64_t>(xv)), y}).ok());
+  }
+  Table encoded = dense;
+  encoded.BuildEncoding();
+  const PredicatePtr cone = Cone("x", "y", 0.0, 0.5, 2.5);
+  for (const Table* t : {&dense, &with_nulls, &int_x, &encoded}) {
+    SelectionVector all_rows(static_cast<size_t>(t->num_rows()));
+    for (int64_t row = 0; row < t->num_rows(); ++row) {
+      all_rows[static_cast<size_t>(row)] = row;
+    }
+    SelectionVector expect;
+    ASSERT_TRUE(cone->Select(*t, all_rows, &expect).ok());
+    ASSERT_GT(expect.size(), 0u);
+    EXPECT_EQ(SelectAll(*t, *cone).value(), expect);
+  }
+}
+
 // ------------------------------------------- snapshot format gate ---------
 
 TableSnapshot SmallSnapshot() {

@@ -51,6 +51,20 @@ TEST(HtEstimatorTest, CountEstimate) {
   const std::vector<double> probs = {0.1, 0.2, 0.5};
   const AggregateEstimate est = EstimateCountHorvitzThompson(probs).value();
   EXPECT_DOUBLE_EQ(est.estimate, 10.0 + 5.0 + 2.0);
+  // The count is the sum of ones, bit for bit (operator== compares bits).
+  Rng rng(3);
+  std::vector<double> many;
+  for (int i = 0; i < 1'000; ++i) {
+    many.push_back(0.001 + 0.999 * rng.NextDouble());
+  }
+  const std::vector<double> ones(many.size(), 1.0);
+  for (const double confidence : {0.9, 0.95}) {
+    EXPECT_EQ(EstimateCountHorvitzThompson(many, confidence).value(),
+              EstimateSumHorvitzThompson(ones, many, confidence).value());
+  }
+  EXPECT_FALSE(EstimateCountHorvitzThompson({0.5, 0.0}).ok());
+  EXPECT_FALSE(EstimateCountHorvitzThompson({1.5}).ok());
+  EXPECT_FALSE(EstimateCountHorvitzThompson({0.5}, 1.0).ok());
 }
 
 TEST(HtEstimatorTest, CertainInclusionHasZeroVariance) {

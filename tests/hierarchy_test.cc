@@ -224,9 +224,9 @@ Impression ReferenceDerive(const Impression& parent, const LayerSpec& spec,
                            parent.source_ids()[static_cast<size_t>(row)]);
     probs.push_back(std::min(1.0, parent.InclusionProbability(row) * ratio));
   }
-  child.set_population_seen(parent.population_seen());
-  child.set_population_weight(parent.population_weight());
   ImpressionState state = child.SaveState();
+  state.population_seen = parent.population_seen();
+  state.population_weight = parent.population_weight();
   state.explicit_probs = std::move(probs);
   return Impression::FromState(std::move(state)).value();
 }

@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include "util/rng.h"
 
+#include "core/hierarchy.h"
 #include "core/impression.h"
 #include "core/impression_builder.h"
 #include "skyserver/catalog.h"
@@ -44,7 +48,7 @@ TEST(ImpressionTest, AppendAndReplace) {
   const Table batch = stream.NextBatch(10);
   Impression imp("t", PhotoObjSchema(), 4, SamplingPolicy::kUniform);
   for (int64_t i = 0; i < 4; ++i) imp.AppendSampledRow(batch, i, 1.0, i);
-  imp.set_population_seen(10);
+  imp.FinishBatch(10, 0.0);
   EXPECT_EQ(imp.size(), 4);
   imp.ReplaceSampledRow(2, batch, 7, 2.0, 7);
   EXPECT_EQ(imp.rows().GetCell(2, "objid").value().int64(),
@@ -59,9 +63,9 @@ TEST(ImpressionTest, UniformInclusionProbability) {
   const Table batch = stream.NextBatch(4);
   Impression imp("t", PhotoObjSchema(), 4, SamplingPolicy::kUniform);
   for (int64_t i = 0; i < 4; ++i) imp.AppendSampledRow(batch, i, 1.0, i);
-  imp.set_population_seen(4);
+  imp.FinishBatch(4, 0.0);
   EXPECT_DOUBLE_EQ(imp.InclusionProbability(0), 1.0);
-  imp.set_population_seen(400);
+  imp.FinishBatch(400, 0.0);
   EXPECT_DOUBLE_EQ(imp.InclusionProbability(0), 0.01);
 }
 
@@ -71,8 +75,7 @@ TEST(ImpressionTest, BiasedInclusionProbability) {
   Impression imp("t", PhotoObjSchema(), 2, SamplingPolicy::kBiased);
   imp.AppendSampledRow(batch, 0, 10.0, 0);
   imp.AppendSampledRow(batch, 1, 1.0, 1);
-  imp.set_population_seen(1000);
-  imp.set_population_weight(100.0);
+  imp.FinishBatch(1000, 100.0);
   EXPECT_DOUBLE_EQ(imp.InclusionProbability(0), std::min(1.0, 2 * 10.0 / 100.0));
   EXPECT_DOUBLE_EQ(imp.InclusionProbability(1), 2 * 1.0 / 100.0);
 }
@@ -82,7 +85,7 @@ TEST(ImpressionTest, CloneIsIndependent) {
   const Table batch = stream.NextBatch(3);
   Impression imp("orig", PhotoObjSchema(), 3, SamplingPolicy::kUniform);
   imp.AppendSampledRow(batch, 0, 1.0, 0);
-  imp.set_population_seen(3);
+  imp.FinishBatch(3, 0.0);
   Impression copy = imp.Clone("copy");
   EXPECT_EQ(copy.name(), "copy");
   imp.ReplaceSampledRow(0, batch, 2, 1.0, 2);
@@ -229,6 +232,194 @@ TEST(ImpressionBuilderTest, SnapshotIsStable) {
   ASSERT_TRUE(builder.IngestBatch(stream.NextBatch(20'000)).ok());
   EXPECT_EQ(snap.rows().GetCell(0, "objid").value().int64(), snap_first);
   EXPECT_EQ(snap.population_seen(), 1000);
+}
+
+// ------------------------------------------------- π stays in sync -------
+
+/// Cumulative post-fill acceptances after `position` offers, interpolated
+/// from a saved acceptance curve: the model, written out from its
+/// definition in core/impression.h.
+double ModelAcceptancesAt(const ImpressionState& s, double position) {
+  if (s.acceptance_curve.empty()) {
+    const double span = static_cast<double>(s.population_seen - s.capacity);
+    if (span <= 0.0) return 0.0;
+    const double frac = std::clamp(
+        (position - static_cast<double>(s.capacity)) / span, 0.0, 1.0);
+    return frac * static_cast<double>(s.total_accepted);
+  }
+  const auto interval = static_cast<double>(s.curve_interval);
+  const double idx = position / interval;
+  if (idx <= 1.0) return idx * static_cast<double>(s.acceptance_curve.front());
+  const auto k = static_cast<size_t>(idx - 1.0);
+  if (k + 1 >= s.acceptance_curve.size()) {
+    const double last_pos =
+        static_cast<double>(s.acceptance_curve.size()) * interval;
+    const double span = static_cast<double>(s.population_seen) - last_pos;
+    const auto last_val = static_cast<double>(s.acceptance_curve.back());
+    if (span <= 0.0) return last_val;
+    const double frac = std::clamp((position - last_pos) / span, 0.0, 1.0);
+    return last_val + frac * (static_cast<double>(s.total_accepted) - last_val);
+  }
+  const auto lo = static_cast<double>(s.acceptance_curve[k]);
+  const auto hi = static_cast<double>(s.acceptance_curve[k + 1]);
+  return lo + (idx - 1.0 - static_cast<double>(k)) * (hi - lo);
+}
+
+/// π of row `row` recomputed from saved state alone: what a lookup must
+/// return after every ingest call and every copy or restore.
+double ModelProbability(const ImpressionState& s, int64_t row) {
+  const auto r = static_cast<size_t>(row);
+  if (!s.explicit_probs.empty()) return s.explicit_probs[r];
+  const auto n = static_cast<double>(s.rows.num_rows());
+  const auto cnt = static_cast<double>(s.population_seen);
+  switch (s.policy) {
+    case SamplingPolicy::kUniform:
+      return cnt <= n ? 1.0 : n / cnt;
+    case SamplingPolicy::kLastSeen: {
+      if (s.expected_ingest <= 0) return cnt <= n ? 1.0 : n / cnt;
+      const double window = n * static_cast<double>(s.expected_ingest) /
+                            static_cast<double>(s.capacity);
+      const double effective = std::min(cnt, window);
+      return effective <= n ? 1.0 : n / effective;
+    }
+    case SamplingPolicy::kBiased: {
+      if (cnt <= n || s.population_weight <= 0.0) return 1.0;
+      const double w = s.weights[r];
+      if (!(w > 0.0)) return 1.0 / cnt;
+      if (s.curve_interval <= 0) return std::min(1.0, n * w / s.population_weight);
+      const auto t = static_cast<double>(s.source_ids[r] + 1);
+      const auto n_cap = static_cast<double>(s.capacity);
+      const double accept = t <= n_cap ? 1.0 : std::min(1.0, n_cap * w / t);
+      const double later = std::max(
+          0.0, static_cast<double>(s.total_accepted) - ModelAcceptancesAt(s, t));
+      return std::clamp(accept * std::exp(-later / n_cap), 1e-12, 1.0);
+    }
+  }
+  return 1.0;
+}
+
+void ExpectProbabilitiesMatchModel(const Impression& imp,
+                                   const std::string& where) {
+  const ImpressionState state = imp.SaveState();
+  for (int64_t row = 0; row < imp.size(); ++row) {
+    ASSERT_EQ(imp.InclusionProbability(row), ModelProbability(state, row))
+        << where << ", row " << row;
+  }
+}
+
+/// The live impression, a Clone, a SaveState→FromState round trip and a
+/// builder restored through RestoreState all agree with the model.
+void ExpectInSyncEverywhere(const ImpressionBuilder& builder,
+                            const Schema& schema, const std::string& where) {
+  const Impression& live = builder.impression();
+  ExpectProbabilitiesMatchModel(live, where + " live");
+  ExpectProbabilitiesMatchModel(live.Clone("clone"), where + " clone");
+  ExpectProbabilitiesMatchModel(Impression::FromState(live.SaveState()).value(),
+                                where + " FromState");
+  ImpressionBuilder restored =
+      ImpressionBuilder::Make(schema, builder.spec()).value();
+  ASSERT_TRUE(restored.RestoreState(builder.SaveState()).ok());
+  ExpectProbabilitiesMatchModel(restored.impression(), where + " RestoreState");
+  for (int64_t row = 0; row < live.size(); ++row) {
+    ASSERT_EQ(restored.impression().InclusionProbability(row),
+              live.InclusionProbability(row))
+        << where << ", row " << row;
+  }
+}
+
+TEST(InclusionProbabilitySyncTest, TopLayersMatchTheModelAfterEveryCall) {
+  InterestTracker tracker = FocalTracker(150.0, 12.0);
+  for (const SamplingPolicy policy :
+       {SamplingPolicy::kUniform, SamplingPolicy::kLastSeen,
+        SamplingPolicy::kBiased}) {
+    SCOPED_TRACE(std::string(SamplingPolicyToString(policy)));
+    SkyStream stream(StreamConfig(), 12);
+    ImpressionSpec spec;
+    spec.capacity = 300;
+    spec.policy = policy;
+    spec.seed = 12;
+    spec.expected_ingest = 2000;
+    spec.tracker = &tracker;
+    ImpressionBuilder builder =
+        ImpressionBuilder::Make(stream.schema(), spec).value();
+    // Before the fill, an empty call, then past several acceptance-curve
+    // checkpoints (one every 4096 offers).
+    int calls = 0;
+    for (const int64_t rows : {150, 0, 2000, 5000, 3000}) {
+      ASSERT_TRUE(builder.IngestBatch(stream.NextBatch(rows)).ok());
+      ExpectInSyncEverywhere(builder, stream.schema(),
+                             "after call " + std::to_string(++calls));
+    }
+    // A call of several parts refreshes π once, at its end.
+    const Table a = stream.NextBatch(700);
+    const Table b = stream.NextBatch(900);
+    ASSERT_TRUE(builder.IngestParts({&a, &b}).ok());
+    ExpectInSyncEverywhere(builder, stream.schema(), "after a two-part call");
+    EXPECT_EQ(builder.impression().population_seen(), 11'750);
+    if (policy == SamplingPolicy::kBiased) {
+      EXPECT_TRUE(builder.impression().has_acceptance_model());
+    }
+    // The top layer's π is recomputed from state, never persisted.
+    EXPECT_TRUE(builder.impression().SaveState().explicit_probs.empty());
+  }
+}
+
+TEST(InclusionProbabilitySyncTest, RejectedCallLeavesTheImpressionUntouched) {
+  SkyStream stream(StreamConfig(), 13);
+  ImpressionSpec spec;
+  spec.capacity = 100;
+  ImpressionBuilder builder =
+      ImpressionBuilder::Make(stream.schema(), spec).value();
+  ASSERT_TRUE(builder.IngestBatch(stream.NextBatch(400)).ok());
+  const double before = builder.impression().InclusionProbability(0);
+  const Table good = stream.NextBatch(400);
+  Table other{Schema({Field{"x", DataType::kDouble, false}})};
+  other.AppendNumericRow({1.0});
+  EXPECT_FALSE(builder.IngestParts({&good, &other}).ok());
+  EXPECT_EQ(builder.impression().population_seen(), 400);
+  EXPECT_EQ(builder.impression().InclusionProbability(0), before);
+  ExpectInSyncEverywhere(builder, stream.schema(), "after a rejected call");
+}
+
+TEST(InclusionProbabilitySyncTest, DerivedLayersKeepTheirPinnedProbabilities) {
+  InterestTracker tracker = FocalTracker(150.0, 12.0);
+  for (const SamplingPolicy policy :
+       {SamplingPolicy::kUniform, SamplingPolicy::kBiased}) {
+    SCOPED_TRACE(std::string(SamplingPolicyToString(policy)));
+    SkyStream stream(StreamConfig(), 14);
+    ImpressionSpec spec;
+    spec.policy = policy;
+    spec.seed = 14;
+    spec.tracker = &tracker;
+    ImpressionHierarchy h =
+        ImpressionHierarchy::Make(stream.schema(),
+                                  {{"l0", 400}, {"l1", 100}, {"l2", 20}}, spec)
+            .value();
+    for (const int64_t rows : {250, 3000, 6000}) {
+      ASSERT_TRUE(h.IngestBatch(stream.NextBatch(rows)).ok());
+      ImpressionHierarchy restored =
+          ImpressionHierarchy::Restore(stream.schema(), spec, h.SaveState())
+              .value();
+      for (int i = 0; i < h.num_layers(); ++i) {
+        const Impression& layer = h.layer(i);
+        const std::string where =
+            layer.name() + " after " + std::to_string(rows) + " rows";
+        // Derived layers persist their π; the top layer recomputes its own.
+        EXPECT_EQ(layer.SaveState().explicit_probs.empty(), i == 0) << where;
+        ExpectProbabilitiesMatchModel(layer, where);
+        ExpectProbabilitiesMatchModel(layer.Clone("clone"), where + " clone");
+        ExpectProbabilitiesMatchModel(
+            Impression::FromState(layer.SaveState()).value(),
+            where + " FromState");
+        ExpectProbabilitiesMatchModel(restored.layer(i), where + " Restore");
+        for (int64_t row = 0; row < layer.size(); ++row) {
+          ASSERT_EQ(restored.layer(i).InclusionProbability(row),
+                    layer.InclusionProbability(row))
+              << where << ", row " << row;
+        }
+      }
+    }
+  }
 }
 
 }  // namespace
