@@ -1,6 +1,10 @@
 #ifndef SCIBORQ_BENCH_BENCH_UTIL_H_
 #define SCIBORQ_BENCH_BENCH_UTIL_H_
 
+#include <dirent.h>
+#include <sched.h>
+#include <time.h>
+
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -25,6 +29,42 @@ T Unwrap(Result<T> result) {
     std::abort();
   }
   return std::move(result).value();
+}
+
+/// CPU seconds used by every thread of this process so far.
+inline double ProcessCpuSeconds() {
+  timespec ts{};
+  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) +
+         static_cast<double>(ts.tv_nsec) * 1e-9;
+}
+
+/// Confines every thread of this process to one CPU, the highest it may run
+/// on; threads started later inherit it from their creator. On a shared
+/// virtual machine a request that hops between threads on different vCPUs
+/// pays for waking each idle vCPU, and that cost follows the host's load; on
+/// one CPU the hops are plain context switches, so the CPU a query costs
+/// repeats from run to run. False when the affinity could not be set.
+inline bool PinProcessToOneCpu() {
+  cpu_set_t allowed;
+  CPU_ZERO(&allowed);
+  if (sched_getaffinity(0, sizeof(allowed), &allowed) != 0) return false;
+  int cpu = CPU_SETSIZE - 1;
+  while (cpu >= 0 && !CPU_ISSET(cpu, &allowed)) --cpu;
+  if (cpu < 0) return false;
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(cpu, &one);
+  DIR* tasks = opendir("/proc/self/task");
+  if (tasks == nullptr) return false;
+  bool ok = true;
+  while (const dirent* entry = readdir(tasks)) {
+    if (entry->d_name[0] == '.') continue;
+    const auto tid = static_cast<pid_t>(std::atoi(entry->d_name));
+    ok = sched_setaffinity(tid, sizeof(one), &one) == 0 && ok;
+  }
+  closedir(tasks);
+  return ok;
 }
 
 inline void Header(const std::string& title) {

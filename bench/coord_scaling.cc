@@ -1,14 +1,19 @@
 // Distributed fan-out scaling: a SciborqCoordinator over 1/2/4 shard
 // servers on TCP loopback vs the same data on a single node.
 //
-// Three gates, all hard (non-zero exit on failure):
+// Four gates, all hard (non-zero exit on failure):
 //   1. Equivalence — the 2-shard merged EXACT answer matches the
 //      single-node answer bit for bit (each 16384-row shard slice is
 //      exactly one morsel, so the coordinator's Welford merge replays the
 //      single node's own fold tree).
 //   2. Throughput — bounded queries through the coordinator complete with
 //      zero failures at every shard count; QPS goes out as BENCH_JSON.
-//   3. Degradation — killing one of two shards mid-flight yields a flagged
+//   3. Bound — on the 2- and 4-shard bounded streams, merged answers touch
+//      a shard's base data no more often than the single node's answers
+//      touch its base, and every merged answer flagged error_bound_met is
+//      within the query's ERROR term of EXACT (at least 50 such answers
+//      checked per stream).
+//   4. Degradation — killing one of two shards mid-flight yields a flagged
 //      PARTIAL answer within the query's time budget, never a hang or an
 //      error.
 
@@ -38,14 +43,46 @@ namespace {
 // node's morsel boundaries — the precondition for gate 1's bit-identity.
 constexpr int64_t kBaseRows = 32'768;
 constexpr int kQueriesPerTopology = 60;
+constexpr double kBoundedError = 0.25;
+constexpr int kMinMetChecked = 50;
 
-std::string BoundedSql(int index) {
+/// The bounded stream's query `index` without its bounds clause.
+std::string BoxQuery(int index) {
   const double ra = 130.0 + 10.0 * (index % 10);
   const double dec = 5.0 + 5.0 * (index % 11);
   return StrFormat(
       "SELECT COUNT(*), AVG(r) FROM photo_obj_all "
-      "WHERE ra >= %g AND ra <= %g AND dec >= %g AND dec <= %g ERROR 25%%",
+      "WHERE ra >= %g AND ra <= %g AND dec >= %g AND dec <= %g",
       ra - 20.0, ra + 20.0, dec - 20.0, dec + 20.0);
+}
+
+std::string BoundedSql(int index) {
+  return StrFormat("%s ERROR %g%%", BoxQuery(index).c_str(),
+                   kBoundedError * 100.0);
+}
+
+bool TouchedBase(const QueryOutcome& outcome) {
+  for (const LayerAttempt& attempt : outcome.attempts) {
+    if (attempt.is_base) return true;
+  }
+  return false;
+}
+
+/// Every value of `answer` within `bound` (relative) of `exact`'s.
+bool WithinBound(const QueryOutcome& answer, const QueryOutcome& exact,
+                 double bound) {
+  if (answer.rows.size() != exact.rows.size()) return false;
+  for (size_t r = 0; r < exact.rows.size(); ++r) {
+    const std::vector<double>& want = exact.rows[r].values;
+    const std::vector<double>& got = answer.rows[r].values;
+    if (got.size() != want.size()) return false;
+    for (size_t k = 0; k < want.size(); ++k) {
+      if (!(std::fabs(got[k] - want[k]) <= bound * std::fabs(want[k]))) {
+        return false;
+      }
+    }
+  }
+  return true;
 }
 
 /// One shard server with its own engine, bound to an ephemeral port.
@@ -162,35 +199,83 @@ int main() {
     topo.Stop();
   }
 
-  // -- Gate 2: bounded-query throughput at 1/2/4 shards --------------------
-  std::printf("\n%-10s %12s %10s\n", "shards", "qps", "failures");
+  // The single node's answers to the bounded stream: how many touch its
+  // base, and the EXACT oracle of each query.
+  int64_t single_base_hits = 0;
+  std::vector<QueryOutcome> oracles;
+  for (int i = 0; i < kQueriesPerTopology; ++i) {
+    if (TouchedBase(Unwrap(single.Query(BoundedSql(i))))) ++single_base_hits;
+    oracles.push_back(Unwrap(single.Query(BoxQuery(i) + " EXACT")));
+  }
+
+  // -- Gates 2 and 3: the bounded stream at 1/2/4 shards -------------------
+  std::printf("\n%-10s %12s %10s %10s %12s\n", "shards", "qps", "failures",
+              "base_hits", "met_within");
   for (const int n : {1, 2, 4}) {
     Topology topo = BuildTopology(n, base, table_options);
     int64_t failures = 0;
+    std::vector<QueryOutcome> outcomes;
     Stopwatch watch;
     for (int i = 0; i < kQueriesPerTopology; ++i) {
       Result<QueryOutcome> outcome = topo.coordinator->Query(BoundedSql(i));
-      if (!outcome.ok() || outcome->partial) failures++;
+      if (!outcome.ok() || outcome->partial) {
+        failures++;
+        continue;
+      }
+      outcomes.push_back(std::move(outcome).value());
     }
     const double seconds = watch.ElapsedSeconds();
     const double qps = kQueriesPerTopology / seconds;
-    std::printf("%-10d %12.0f %10lld\n", n, qps,
-                static_cast<long long>(failures));
+    int64_t base_hits = 0;
+    int64_t met_checked = 0;
+    int64_t met_within = 0;
+    for (size_t i = 0; i < outcomes.size(); ++i) {
+      if (TouchedBase(outcomes[i])) ++base_hits;
+      if (!outcomes[i].error_bound_met) continue;
+      ++met_checked;
+      if (WithinBound(outcomes[i], oracles[i], kBoundedError)) ++met_within;
+    }
+    std::printf("%-10d %12.0f %10lld %10lld %6lld/%-5lld\n", n, qps,
+                static_cast<long long>(failures),
+                static_cast<long long>(base_hits),
+                static_cast<long long>(met_within),
+                static_cast<long long>(met_checked));
     JsonLine("coord_scaling")
         .Int("shards", n)
         .Num("qps", qps)
         .Int("failures", failures)
         .Int("base_rows", kBaseRows)
+        .Int("base_hits", base_hits)
+        .Int("single_base_hits", single_base_hits)
+        .Int("met_checked", met_checked)
+        .Int("met_within", met_within)
         .Emit();
     if (failures != 0) {
       std::fprintf(stderr, "%lld bounded queries failed at %d shards\n",
                    static_cast<long long>(failures), n);
       gates_ok = false;
     }
+    if (n >= 2 && base_hits > single_base_hits) {
+      std::fprintf(stderr,
+                   "bound gate: %lld merged answers touched a shard's base at "
+                   "%d shards, the single node %lld\n",
+                   static_cast<long long>(base_hits), n,
+                   static_cast<long long>(single_base_hits));
+      gates_ok = false;
+    }
+    if (n >= 2 && (met_checked < kMinMetChecked || met_within != met_checked)) {
+      std::fprintf(stderr,
+                   "bound gate: %lld of %lld answers flagged met at %d shards "
+                   "are within %g%% of EXACT (at least %d must be checked)\n",
+                   static_cast<long long>(met_within),
+                   static_cast<long long>(met_checked), n,
+                   kBoundedError * 100.0, kMinMetChecked);
+      gates_ok = false;
+    }
     topo.Stop();
   }
 
-  // -- Gate 3: killing a shard degrades within the budget ------------------
+  // -- Gate 4: killing a shard degrades within the budget ------------------
   {
     Topology topo = BuildTopology(2, base, table_options);
     // Warm the fan-out connections, then kill shard 1.

@@ -9,10 +9,6 @@
 // protocol error or a remote/in-process answer mismatch, so CI can run it
 // as a correctness smoke as well as a perf probe.
 
-#include <dirent.h>
-#include <sched.h>
-#include <time.h>
-
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
@@ -33,6 +29,8 @@
 using namespace sciborq;
 using sciborq::bench::Header;
 using sciborq::bench::JsonLine;
+using sciborq::bench::PinProcessToOneCpu;
+using sciborq::bench::ProcessCpuSeconds;
 using sciborq::bench::Unwrap;
 
 namespace {
@@ -114,42 +112,6 @@ double RunRemote(int port, int threads, int64_t* failures) {
   const double seconds = watch.ElapsedSeconds();
   *failures = failed.load();
   return static_cast<double>(threads) * kQueriesPerClient / seconds;
-}
-
-/// CPU seconds used by every thread of this process so far.
-double ProcessCpuSeconds() {
-  timespec ts{};
-  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
-  return static_cast<double>(ts.tv_sec) +
-         static_cast<double>(ts.tv_nsec) * 1e-9;
-}
-
-/// Confines every thread of this process to one CPU, the highest it may run
-/// on; threads started later inherit it from their creator. On a shared
-/// virtual machine a request that hops between threads on different vCPUs
-/// pays for waking each idle vCPU, and that cost follows the host's load; on
-/// one CPU the hops are plain context switches, so the CPU a query costs
-/// repeats from run to run. False when the affinity could not be set.
-bool PinProcessToOneCpu() {
-  cpu_set_t allowed;
-  CPU_ZERO(&allowed);
-  if (sched_getaffinity(0, sizeof(allowed), &allowed) != 0) return false;
-  int cpu = CPU_SETSIZE - 1;
-  while (cpu >= 0 && !CPU_ISSET(cpu, &allowed)) --cpu;
-  if (cpu < 0) return false;
-  cpu_set_t one;
-  CPU_ZERO(&one);
-  CPU_SET(cpu, &one);
-  DIR* tasks = opendir("/proc/self/task");
-  if (tasks == nullptr) return false;
-  bool ok = true;
-  while (const dirent* entry = readdir(tasks)) {
-    if (entry->d_name[0] == '.') continue;
-    const auto tid = static_cast<pid_t>(std::atoi(entry->d_name));
-    ok = sched_setaffinity(tid, sizeof(one), &one) == 0 && ok;
-  }
-  closedir(tasks);
-  return ok;
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <optional>
 #include <utility>
 
@@ -33,6 +34,17 @@ std::string NextCoordQueryId() {
                                   1, std::memory_order_relaxed)));
 }
 
+/// The bounds one shard is asked under: the client's terms with the split
+/// time budget and the relative bound `relative_error` (0 = EXACT).
+QueryBounds ShardBounds(const QueryBounds& client, double shard_budget_ms,
+                        double relative_error) {
+  QueryBounds bounds = client;
+  if (client.time_budget_ms > 0.0) bounds.time_budget_ms = shard_budget_ms;
+  bounds.exact = relative_error <= 0.0;
+  bounds.max_relative_error = bounds.exact ? -1.0 : relative_error;
+  return bounds;
+}
+
 }  // namespace
 
 SciborqCoordinator::SciborqCoordinator(ShardMap shards,
@@ -62,6 +74,16 @@ SciborqCoordinator::SciborqCoordinator(ShardMap shards,
   metrics_.deadline_exceeded = reg->GetCounter(
       "sciborq_coord_deadline_exceeded_total",
       "Merged answers that blew the client's time budget.", by_instance);
+  metrics_.second_rounds = reg->GetCounter(
+      "sciborq_coord_second_rounds_total",
+      "Bounded fan-outs whose composed interval missed the error bound and "
+      "re-asked shards a second time.",
+      by_instance);
+  metrics_.bound_misses = reg->GetCounter(
+      "sciborq_coord_bound_missed_total",
+      "Merged answers covering every shard whose composed interval still "
+      "missed the client's error bound.",
+      by_instance);
   metrics_.shard_errors = reg->GetCounter(
       "sciborq_coord_shard_errors_total",
       "Shard round trips that failed (timeout, refusal, error).", by_instance);
@@ -155,6 +177,33 @@ Status SciborqCoordinator::OnEachShard(
   return Status::OK();
 }
 
+void SciborqCoordinator::FanOut(const std::vector<ShardEndpoint>& endpoints,
+                                const std::vector<size_t>& asked,
+                                const std::vector<std::string>& sql,
+                                const std::string& query_id,
+                                int recv_timeout_ms,
+                                std::vector<ShardAnswer>* answers) const {
+  ParallelFor(fanout_pool_.get(), static_cast<int64_t>(asked.size()), 1,
+              [&](int64_t i, int64_t, int64_t) {
+                const size_t s = asked[static_cast<size_t>(i)];
+                ShardAnswer& answer = (*answers)[s];
+                Stopwatch timer;
+                Result<QueryOutcome> outcome = WithShard(
+                    endpoints[s], recv_timeout_ms, [&](SciborqClient* client) {
+                      return client->QueryMergeable(sql[s], query_id);
+                    });
+                if (outcome.ok()) {
+                  answer.outcome = std::move(outcome).value();
+                } else {
+                  answer.status = outcome.status();
+                  metrics_.shard_errors->Inc();
+                }
+                answer.elapsed_seconds = timer.ElapsedSeconds();
+                by_endpoint_.at(endpoints[s].ToString())
+                    ->rtt->Observe(answer.elapsed_seconds);
+              });
+}
+
 Result<QueryOutcome> SciborqCoordinator::Query(const BoundedQuery& bounded,
                                                const QueryExecOptions& exec) {
   if (bounded.query.table.empty()) {
@@ -171,70 +220,122 @@ Result<QueryOutcome> SciborqCoordinator::Query(const BoundedQuery& bounded,
   Stopwatch wall;
   obs::PhaseTracer tracer;
   tracer.Begin("plan");
-  const BudgetSplit split = SplitBudget(bounded.bounds.time_budget_ms);
-  QueryBounds shard_bounds = bounded.bounds;
-  if (bounded.bounds.time_budget_ms > 0.0) {
-    shard_bounds.time_budget_ms = split.shard_budget_ms;
+  const size_t k = endpoints.size();
+  const double client_budget_ms = bounded.bounds.time_budget_ms;
+  const BudgetSplit split = SplitBudget(client_budget_ms);
+  const QualityBound bound = bounded.bounds.Resolve(options_.default_bound);
+  // The client's relative bound e; 0 for EXACT.
+  const double e = std::max(0.0, bound.max_relative_error);
+  // Round one: shard variances add, so k shards that each meet e·√k compose
+  // to about e. EXACT asks every shard for the exact answer, as MIN/MAX
+  // (unbounded intervals) make every shard do at any bound.
+  const QueryBounds first_bounds =
+      ShardBounds(bounded.bounds, split.shard_budget_ms,
+                  e * std::sqrt(static_cast<double>(k)));
+  std::vector<size_t> everyone(k);
+  std::vector<ShardAnswer> answers(k);
+  for (size_t s = 0; s < k; ++s) {
+    everyone[s] = s;
+    answers[s].label = StrFormat("shard%d", static_cast<int>(s));
   }
-  const std::string shard_sql = RenderSql(bounded.query, shard_bounds);
+  const std::vector<std::string> first_sql(
+      k, RenderSql(bounded.query, first_bounds));
 
   tracer.Begin("fanout");
   const double fanout_start = tracer.ElapsedSeconds();
-  std::vector<ShardAnswer> answers(endpoints.size());
-  ParallelFor(fanout_pool_.get(), static_cast<int64_t>(endpoints.size()), 1,
-              [&](int64_t i, int64_t, int64_t) {
-                const size_t s = static_cast<size_t>(i);
-                ShardAnswer& answer = answers[s];
-                answer.label = StrFormat("shard%d", static_cast<int>(s));
-                Stopwatch timer;
-                Result<QueryOutcome> outcome = WithShard(
-                    endpoints[s], split.recv_timeout_ms,
-                    [&](SciborqClient* client) {
-                      return client->QueryMergeable(shard_sql, query_id);
-                    });
-                if (outcome.ok()) {
-                  answer.outcome = std::move(outcome).value();
-                } else {
-                  answer.status = outcome.status();
-                  metrics_.shard_errors->Inc();
-                }
-                answer.elapsed_seconds = timer.ElapsedSeconds();
-                by_endpoint_.at(endpoints[s].ToString())
-                    ->rtt->Observe(answer.elapsed_seconds);
-              });
+  FanOut(endpoints, everyone, first_sql, query_id, split.recv_timeout_ms,
+         &answers);
 
   tracer.Begin("merge");
   MergeOptions merge_options;
   for (const AggregateSpec& spec : bounded.query.aggregates) {
     merge_options.aggregates.push_back(spec);
   }
-  merge_options.confidence = bounded.bounds.confidence >= 0.0
-                                 ? bounded.bounds.confidence
-                                 : options_.default_bound.confidence;
-  merge_options.shards_total = static_cast<int>(endpoints.size());
+  merge_options.confidence = bound.confidence;
+  merge_options.shards_total = static_cast<int>(k);
+  merge_options.max_relative_error = e;
   SCIBORQ_ASSIGN_OR_RETURN(QueryOutcome merged,
                            MergeShardOutcomes(answers, merge_options));
+
+  // Round two, at most once: when the composed interval misses e, re-ask
+  // the shards holding the largest variance shares at the bound that closes
+  // the gap — if the client set no WITHIN budget, or what is left of it
+  // still fits another round like the first.
+  std::vector<ShardAnswer> second;
+  double second_start = 0.0;
+  if (!merged.error_bound_met && !merged.partial && e > 0.0) {
+    const std::vector<double> redo =
+        SecondRoundBounds(answers, merged, merge_options);
+    std::vector<size_t> asked;
+    for (size_t s = 0; s < k; ++s) {
+      if (redo[s] >= 0.0) asked.push_back(s);
+    }
+    // The split of what is left must fit in it (SplitBudget floors a
+    // shard's share at 1 ms) and be no shorter than round one took.
+    const double round_one_ms = wall.ElapsedSeconds() * 1e3;
+    const double left_ms = client_budget_ms - round_one_ms;
+    const BudgetSplit split2 =
+        client_budget_ms > 0.0 ? SplitBudget(left_ms) : split;
+    const bool room = client_budget_ms <= 0.0 ||
+                      (split2.shard_budget_ms <= left_ms &&
+                       split2.shard_budget_ms >= round_one_ms);
+    if (!asked.empty() && room) {
+      metrics_.second_rounds->Inc();
+      std::vector<std::string> sql(k);
+      second.resize(k);
+      for (const size_t s : asked) {
+        sql[s] = RenderSql(bounded.query,
+                           ShardBounds(bounded.bounds, split2.shard_budget_ms,
+                                       redo[s]));
+        second[s].label = answers[s].label + "/r2";
+      }
+      tracer.Begin("fanout_r2");
+      second_start = tracer.ElapsedSeconds();
+      FanOut(endpoints, asked, sql, query_id, split2.recv_timeout_ms, &second);
+      tracer.Begin("merge_r2");
+      // A shard that fails its second ask keeps its first answer.
+      std::vector<ShardAnswer> latest = answers;
+      for (const size_t s : asked) {
+        if (second[s].status.ok()) latest[s].outcome = second[s].outcome;
+      }
+      SCIBORQ_ASSIGN_OR_RETURN(QueryOutcome again,
+                               MergeShardOutcomes(latest, merge_options));
+      again.attempts = std::move(merged.attempts);
+      for (const size_t s : asked) AppendShardLedger(second[s], &again.attempts);
+      merged = std::move(again);
+    }
+  }
+
   merged.table = bounded.query.table;
   merged.sql = RenderSql(bounded.query, bounded.bounds);
   merged.elapsed_seconds = wall.ElapsedSeconds();
   merged.query_id = query_id;
   merged.spans = tracer.Take();
   // Stitch the shards' traces into the coordinator's timeline: each shard's
-  // spans ride under a `shardN/` prefix, starts offset by the moment the
-  // fan-out began (shard-local zero = coordinator's fan-out start).
-  for (const ShardAnswer& answer : answers) {
-    if (!answer.status.ok()) continue;
-    for (const PhaseSpan& span : answer.outcome.spans) {
-      merged.spans.push_back({answer.label + "/" + span.name,
-                              fanout_start + span.start_seconds,
-                              span.duration_seconds});
+  // spans ride under its label (`shardN/`, `shardN/r2/` for round two),
+  // starts offset by the moment that round's fan-out began (shard-local
+  // zero = the coordinator's fan-out start).
+  const auto stitch = [&merged](const std::vector<ShardAnswer>& round,
+                                double offset) {
+    for (const ShardAnswer& answer : round) {
+      if (answer.label.empty() || !answer.status.ok()) continue;
+      for (const PhaseSpan& span : answer.outcome.spans) {
+        merged.spans.push_back({answer.label + "/" + span.name,
+                                offset + span.start_seconds,
+                                span.duration_seconds});
+      }
     }
-  }
+  };
+  stitch(answers, fanout_start);
+  stitch(second, second_start);
 
   metrics_.queries_served->Inc();
   metrics_.query_seconds->Observe(merged.elapsed_seconds);
   if (merged.partial) metrics_.partial_answers->Inc();
   if (merged.deadline_exceeded) metrics_.deadline_exceeded->Inc();
+  if (!merged.error_bound_met && !merged.partial) {
+    metrics_.bound_misses->Inc();
+  }
   if (!merged.error_bound_met || merged.deadline_exceeded || merged.partial) {
     obs::SlowQueryEntry slow;
     slow.query_id = merged.query_id;
@@ -248,7 +349,11 @@ Result<QueryOutcome> SciborqCoordinator::Query(const BoundedQuery& bounded,
     slow.deadline_exceeded = merged.deadline_exceeded;
     slow.elapsed_seconds = merged.elapsed_seconds;
     slow.answered_by = merged.answered_by;
-    slow.trace = RenderTrace(merged);
+    if (!merged.error_bound_met && !merged.partial) {
+      slow.trace = StrFormat("composed worst_err=%.4f bound=%.4f\n",
+                             ComposedWorstRelativeError(merged), e);
+    }
+    slow.trace += RenderTrace(merged);
     slow_log_.Record(std::move(slow));
   }
   return merged;

@@ -52,6 +52,14 @@ struct CoordinatorOptions : ServerOptions {
 /// instead of failing or hanging it. Ingest routes rows contiguously across
 /// a table's shards with per-shard derived sampler seeds.
 ///
+/// The coordinator owns the error bound. Round one asks each of k shards
+/// for e·√k (e = the client's ERROR term or default_bound), since shard
+/// variances add; the merged answer meets e only if its composed intervals
+/// do (MergeShardOutcomes). When they miss, one second round re-asks the
+/// shards with the largest variance shares at the bound that closes the
+/// gap (SecondRoundBounds) — if the client set no WITHIN budget, or what is
+/// left of it still fits a round like the first — and merges again.
+///
 /// Thread-safe: every connection shares one coordinator. Shard connections
 /// come from a per-endpoint pool of idle clients — a round trip takes one
 /// out (connecting when none is idle), puts it back on success, and drops
@@ -97,7 +105,8 @@ class SciborqCoordinator : public Backend {
   /// (empty = the coordinator assigns one) is propagated to every shard and
   /// stamped on the merged outcome, whose spans stitch the coordinator's own
   /// phases (plan/fanout/merge) with each shard's spans under `shardN/`
-  /// prefixes. `exec.mergeable` is ignored: a merged answer is final.
+  /// prefixes (round-two asks under `shardN/r2/`, in the spans and in the
+  /// attempt ledger). `exec.mergeable` is ignored: a merged answer is final.
   Result<QueryOutcome> Query(const BoundedQuery& query,
                              const QueryExecOptions& exec) override;
   /// From the merged catalog; NotFound when no shard holds `table`.
@@ -137,6 +146,8 @@ class SciborqCoordinator : public Backend {
   int64_t deadlines_exceeded() const {
     return metrics_.deadline_exceeded->Value();
   }
+  int64_t second_rounds() const { return metrics_.second_rounds->Value(); }
+  int64_t bound_misses() const { return metrics_.bound_misses->Value(); }
 
  private:
   /// The split budget for one fan-out.
@@ -145,6 +156,13 @@ class SciborqCoordinator : public Backend {
     int recv_timeout_ms = 0;       ///< response deadline per round trip
   };
   BudgetSplit SplitBudget(double client_budget_ms) const;
+
+  /// Sends `sql[s]` to `endpoints[s]` for every s in `asked`, concurrently,
+  /// filling (*answers)[s]'s status, outcome and round-trip time.
+  void FanOut(const std::vector<ShardEndpoint>& endpoints,
+              const std::vector<size_t>& asked,
+              const std::vector<std::string>& sql, const std::string& query_id,
+              int recv_timeout_ms, std::vector<ShardAnswer>* answers) const;
 
   /// The table's shard list; FailedPrecondition when none is mapped.
   Result<std::vector<ShardEndpoint>> ShardsFor(const std::string& table) const;
@@ -187,6 +205,8 @@ class SciborqCoordinator : public Backend {
     obs::Counter* queries_served = nullptr;
     obs::Counter* partial_answers = nullptr;
     obs::Counter* deadline_exceeded = nullptr;
+    obs::Counter* second_rounds = nullptr;
+    obs::Counter* bound_misses = nullptr;
     obs::Counter* shard_errors = nullptr;
     obs::Histogram* query_seconds = nullptr;
   };

@@ -20,11 +20,12 @@ namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
 /// Estimates one aggregate from the matching sampled rows and their
-/// inclusion probabilities.
+/// inclusion probabilities. COUNT and AVG also store the Σ 1/π they summed
+/// in `*ht_count`.
 Result<AggregateEstimate> EstimateOneAggregate(
     const Table& sample, const SelectionVector& matching,
     const std::vector<double>& probs, const AggregateSpec& spec,
-    double confidence) {
+    double confidence, double* ht_count) {
   if (matching.empty()) {
     // No sampled row matched. The point estimate is 0 but the sample carries
     // no information about how large the true answer could be (a small
@@ -40,8 +41,12 @@ Result<AggregateEstimate> EstimateOneAggregate(
     return est;
   }
   switch (spec.kind) {
-    case AggKind::kCount:
-      return EstimateCountHorvitzThompson(probs, confidence);
+    case AggKind::kCount: {
+      SCIBORQ_ASSIGN_OR_RETURN(AggregateEstimate est,
+                               EstimateCountHorvitzThompson(probs, confidence));
+      *ht_count = est.estimate;
+      return est;
+    }
     case AggKind::kSum: {
       SCIBORQ_ASSIGN_OR_RETURN(std::vector<double> values,
                                GatherNumeric(sample, matching, spec.column));
@@ -61,7 +66,7 @@ Result<AggregateEstimate> EstimateOneAggregate(
         return Status::InvalidArgument(
             "AVG estimation does not support NULLs in the measure column");
       }
-      return EstimateMeanHorvitzThompson(values, probs, confidence);
+      return EstimateMeanHorvitzThompson(values, probs, confidence, ht_count);
     }
     case AggKind::kMin:
     case AggKind::kMax: {
@@ -137,13 +142,21 @@ Status EstimateRow(const Table& sample, const SelectionVector& matching,
   row.input_rows = static_cast<int64_t>(matching.size());
   std::vector<AggregateEstimate> ests;
   ests.reserve(query.aggregates.size());
+  // The matching population Σ 1/π: a COUNT or AVG estimator sums it (each
+  // bit for bit the same sum); without one it is summed here.
+  double ht_count = -1.0;
   for (const auto& spec : query.aggregates) {
-    SCIBORQ_ASSIGN_OR_RETURN(
-        AggregateEstimate est,
-        EstimateOneAggregate(sample, matching, probs, spec, confidence));
+    SCIBORQ_ASSIGN_OR_RETURN(AggregateEstimate est,
+                             EstimateOneAggregate(sample, matching, probs,
+                                                  spec, confidence, &ht_count));
     row.values.push_back(est.estimate);
     ests.push_back(est);
   }
+  if (ht_count < 0.0) {
+    ht_count = 0.0;
+    for (const double p : probs) ht_count += 1.0 / p;
+  }
+  row.population = ht_count;
   answer->rows.push_back(std::move(row));
   answer->estimates.push_back(std::move(ests));
   return Status::OK();

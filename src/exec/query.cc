@@ -203,6 +203,7 @@ Result<std::vector<QueryResultRow>> RunExact(const Table& table,
     QueryResultRow row;
     row.group_key = Value::Null();
     row.input_rows = static_cast<int64_t>(rows.size());
+    row.population = static_cast<double>(row.input_rows);
     row.values.reserve(query.aggregates.size());
     std::vector<AggregateMoments> row_moments;
     for (const auto& spec : query.aggregates) {
@@ -236,6 +237,7 @@ Result<std::vector<QueryResultRow>> RunExact(const Table& table,
     row.group_key = std::move(g.key);
     row.values = std::move(g.aggregates);
     row.input_rows = g.group_rows;
+    row.population = static_cast<double>(g.group_rows);
     if (options.moments) options.moments->push_back(std::move(g.moments));
     out.push_back(std::move(row));
   }

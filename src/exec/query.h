@@ -149,11 +149,16 @@ Result<BoundedQuery> BindParams(const PreparedQuery& prepared,
                                 const std::vector<Value>& params);
 
 /// One result row: the group key (null Value for ungrouped queries) plus one
-/// value per aggregate, and the number of input rows that fed the group.
+/// value per aggregate, the number of input rows that fed the group, and the
+/// estimated size of the matching population those rows stand for. On the
+/// base data `population` equals `input_rows`; on an impression it is the
+/// Horvitz–Thompson count Σ 1/π over the matching sampled rows — the weight
+/// a coordinator gives the row when it averages shards' means.
 struct QueryResultRow {
   Value group_key;
   std::vector<double> values;
   int64_t input_rows = 0;
+  double population = 0.0;
 };
 
 /// Exact (bit-for-bit on doubles, so NaN == NaN) equality — execution is
@@ -161,6 +166,7 @@ struct QueryResultRow {
 /// agree exactly.
 inline bool operator==(const QueryResultRow& a, const QueryResultRow& b) {
   if (!(a.group_key == b.group_key) || a.input_rows != b.input_rows ||
+      !BitIdentical(a.population, b.population) ||
       a.values.size() != b.values.size()) {
     return false;
   }

@@ -117,6 +117,7 @@ Result<std::vector<QueryResultRow>> RunLast(const Table& table,
     QueryResultRow row;
     row.group_key = key;
     row.input_rows = state.input_rows;
+    row.population = static_cast<double>(state.input_rows);
     row.values.reserve(query.aggregates.size());
     for (const AggregateSpec& spec : query.aggregates) {
       SCIBORQ_ASSIGN_OR_RETURN(const Column* col,

@@ -172,6 +172,7 @@ void EncodeResultRow(const QueryResultRow& row, WireWriter* w) {
   w->PutU32(static_cast<uint32_t>(row.values.size()));
   for (const double v : row.values) w->PutF64(v);
   w->PutI64(row.input_rows);
+  w->PutF64(row.population);
 }
 
 Result<QueryResultRow> DecodeResultRow(WireReader* r) {
@@ -184,6 +185,7 @@ Result<QueryResultRow> DecodeResultRow(WireReader* r) {
     row.values.push_back(v);
   }
   SCIBORQ_ASSIGN_OR_RETURN(row.input_rows, r->ReadI64());
+  SCIBORQ_ASSIGN_OR_RETURN(row.population, r->ReadF64());
   return row;
 }
 
@@ -244,8 +246,8 @@ void EncodeOutcome(const QueryOutcome& outcome, WireWriter* w, uint8_t) {
 
 Result<QueryOutcome> DecodeOutcome(WireReader* r, uint8_t) {
   // The minimum encoded sizes below bound each count: a result row is at
-  // least tag + u32 + i64, an estimate 49 bytes, an attempt 38, moments 48,
-  // a span 20.
+  // least tag + u32 + i64 + f64, an estimate 49 bytes, an attempt 38,
+  // moments 48, a span 20.
   QueryOutcome outcome;
   SCIBORQ_ASSIGN_OR_RETURN(outcome.table, r->ReadString());
   SCIBORQ_ASSIGN_OR_RETURN(outcome.sql, r->ReadString());
@@ -255,7 +257,7 @@ Result<QueryOutcome> DecodeOutcome(WireReader* r, uint8_t) {
   SCIBORQ_ASSIGN_OR_RETURN(outcome.deadline_exceeded, r->ReadBool());
   SCIBORQ_ASSIGN_OR_RETURN(outcome.elapsed_seconds, r->ReadF64());
   SCIBORQ_ASSIGN_OR_RETURN(const uint32_t num_rows,
-                           ReadCount(r, 13, "result row"));
+                           ReadCount(r, 21, "result row"));
   outcome.rows.reserve(num_rows);
   for (uint32_t i = 0; i < num_rows; ++i) {
     SCIBORQ_ASSIGN_OR_RETURN(QueryResultRow row, DecodeResultRow(r));

@@ -51,9 +51,9 @@ namespace sciborq {
 // ---------------------------------------------------------------------------
 
 /// The one protocol version this build speaks.
-inline constexpr uint8_t kWireVersion = 7;
-/// The QueryOutcome layout has not changed since version 4; the perfbench
-/// codec and response-size probes still name it.
+inline constexpr uint8_t kWireVersion = 8;
+/// A name the perfbench codec and response-size probes still pass to
+/// EncodeOutcome/DecodeOutcome, whose version argument is ignored.
 inline constexpr uint8_t kWireVersionV4 = 4;
 
 /// Default ceiling for one frame. Generous for result batches (a row of
@@ -105,6 +105,8 @@ Result<AggregateEstimate> DecodeEstimate(WireReader* r);
 void EncodeAttempt(const LayerAttempt& attempt, WireWriter* w);
 Result<LayerAttempt> DecodeAttempt(WireReader* r);
 
+/// Value group_key | u32 n + n f64 values | i64 input_rows |
+/// f64 population (since v8).
 void EncodeResultRow(const QueryResultRow& row, WireWriter* w);
 Result<QueryResultRow> DecodeResultRow(WireReader* r);
 

@@ -122,7 +122,8 @@ Result<AggregateEstimate> EstimateSumHorvitzThompson(
 
 Result<AggregateEstimate> EstimateMeanHorvitzThompson(
     const std::vector<double>& values,
-    const std::vector<double>& inclusion_probs, double confidence) {
+    const std::vector<double>& inclusion_probs, double confidence,
+    double* ht_count_out) {
   SCIBORQ_RETURN_NOT_OK(ValidateConfidence(confidence));
   SCIBORQ_RETURN_NOT_OK(ValidateHtInputs(values, inclusion_probs));
   if (values.empty()) {
@@ -143,6 +144,7 @@ Result<AggregateEstimate> EstimateMeanHorvitzThompson(
     var += (1.0 - inclusion_probs[i]) * resid * resid;
   }
   var /= ht_count * ht_count;
+  if (ht_count_out != nullptr) *ht_count_out = ht_count;
   return MakeEstimate(ratio, std::sqrt(var), confidence,
                       static_cast<int64_t>(values.size()));
 }

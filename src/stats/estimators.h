@@ -62,10 +62,13 @@ Result<AggregateEstimate> EstimateSumHorvitzThompson(
     const std::vector<double>& inclusion_probs, double confidence = 0.95);
 
 /// HT (Hájek ratio) estimate of the population mean of y over matching rows:
-/// HT-sum(y) / HT-sum(1), with a linearized variance.
+/// HT-sum(y) / HT-sum(1), with a linearized variance. When `ht_count` is
+/// non-null it receives HT-sum(1) = Σ 1/pi_i, bit for bit the COUNT
+/// estimate of the same rows.
 Result<AggregateEstimate> EstimateMeanHorvitzThompson(
     const std::vector<double>& values,
-    const std::vector<double>& inclusion_probs, double confidence = 0.95);
+    const std::vector<double>& inclusion_probs, double confidence = 0.95,
+    double* ht_count = nullptr);
 
 /// HT estimate of the population count of matching rows: Σ 1 / pi_i, bit
 /// for bit EstimateSumHorvitzThompson with every y_i = 1.

@@ -250,6 +250,27 @@ TEST_F(BoundedExecutorTest, EstimateCountCiContainsTruthUsually) {
   EXPECT_LE(truth[0].values[0], ans.estimates[0][0].ci_hi * 1.05);
 }
 
+// Each result row carries the matching population it stands for: the HT
+// count Σ 1/π, which COUNT estimates and AVG sums on the way — the same
+// value bit for bit whichever aggregates the query asks for.
+TEST_F(BoundedExecutorTest, RowPopulationIsTheHtCount) {
+  const Impression& layer = hierarchy_->layer(1);
+  const auto population = [&layer](std::vector<AggregateSpec> aggregates) {
+    AggregateQuery q;
+    q.aggregates = std::move(aggregates);
+    q.filter = Between("ra", 150.0, 200.0);
+    const BoundedAnswer ans = EstimateOnImpression(layer, q, 0.95).value();
+    EXPECT_EQ(1u, ans.rows.size());
+    return ans.rows[0].population;
+  };
+  const double counted = population({{AggKind::kCount, ""}});
+  EXPECT_GT(counted, 2'000.0);  // a 2000-row layer of 100k rows, ~1/4 match
+  EXPECT_TRUE(BitIdentical(counted, population({{AggKind::kAvg, "r"}})));
+  EXPECT_TRUE(BitIdentical(counted, population({{AggKind::kSum, "r"}})));
+  EXPECT_TRUE(BitIdentical(
+      counted, population({{AggKind::kMax, "r"}, {AggKind::kCount, ""}})));
+}
+
 TEST_F(BoundedExecutorTest, EstimateGroupedOnDoubleKeyRejected) {
   const Impression& layer = hierarchy_->layer(2);
   AggregateQuery q;

@@ -1,10 +1,14 @@
 // Bound-composition math for the coordinator's merge (coord/merge.h):
 // COUNT/SUM compose additively, AVG/VAR merge Welford partials so the
 // merged answer is bit-for-bit the single-node answer over the concatenated
-// data, and the degraded path (missing shards) scales and widens honestly.
+// data, estimate-mode AVG weighs shards by their matching populations, the
+// merged error_bound_met judges the composed intervals (never the shards'
+// flags), round two re-asks the largest variance shares, and the degraded
+// path (missing shards) scales and widens honestly.
 
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -14,6 +18,8 @@
 #include "coord/merge.h"
 #include "exec/parser.h"
 #include "skyserver/catalog.h"
+#include "stats/estimators.h"
+#include "util/rng.h"
 
 namespace sciborq {
 namespace {
@@ -113,6 +119,7 @@ TEST_F(CoordMergeTest, MomentsMergeMatchesSingleNodeBitForBit) {
   }
   EXPECT_TRUE(EquivalentAnswerData(expected, *merged));
   EXPECT_TRUE(merged->exact);
+  EXPECT_TRUE(merged->error_bound_met);
   EXPECT_FALSE(merged->partial);
   EXPECT_EQ(2, merged->shards_responded);
   EXPECT_EQ(2, merged->shards_total);
@@ -299,6 +306,208 @@ TEST_F(CoordMergeTest, ShapeMismatchRejected) {
       {Answer("shard0", two_aggs), Answer("shard1", one_agg)},
       OptionsFor("SELECT COUNT(*), AVG(r) FROM sky EXACT", 2));
   EXPECT_FALSE(merged.ok());
+}
+
+/// The z of a 95% interval.
+double Z95() { return NormalQuantile(0.975); }
+
+/// One shard's ungrouped COUNT(*) estimate of `count` with relative error
+/// `rel` (CI half-width / estimate), claiming `met` as its own flag.
+QueryOutcome CountShard(double count, double rel, bool met) {
+  QueryOutcome o;
+  o.table = "sky";
+  QueryResultRow row;
+  row.group_key = Value::Null();
+  row.values = {count};
+  row.input_rows = 100;
+  row.population = count;
+  o.rows.push_back(row);
+  AggregateEstimate est;
+  est.estimate = count;
+  est.std_error = rel * count / Z95();
+  est.ci_lo = count - rel * count;
+  est.ci_hi = count + rel * count;
+  est.sample_rows = 100;
+  o.estimates.push_back({est});
+  o.answered_by = "L1";
+  o.error_bound_met = met;
+  return o;
+}
+
+MergeOptions CountOptions(double max_relative_error) {
+  MergeOptions options = OptionsFor("SELECT COUNT(*) FROM sky ERROR 1%", 2);
+  options.max_relative_error = max_relative_error;
+  return options;
+}
+
+// Each shard met e·√2 = 28.3% on its own, but nearly all of the composed
+// variance comes from the shard that holds nearly all of the answer: the
+// composed interval misses e = 20%, and the shards' flags do not outvote it.
+TEST(CoordMergeBoundTest, ShardsThatMetComposeToAMiss) {
+  Result<QueryOutcome> merged = MergeShardOutcomes(
+      {Answer("shard0", CountShard(1000.0, 0.28, true)),
+       Answer("shard1", CountShard(10.0, 0.28, true))},
+      CountOptions(0.20));
+  ASSERT_TRUE(merged.ok()) << merged.status().ToString();
+  EXPECT_GT(ComposedWorstRelativeError(*merged), 0.20);
+  EXPECT_FALSE(merged->error_bound_met);
+}
+
+// Each shard missed e = 20% (25% each), but two equal halves compose to
+// 25%/√2 = 17.7%: the merged answer meets e.
+TEST(CoordMergeBoundTest, ShardsThatMissedComposeToAMeet) {
+  Result<QueryOutcome> merged = MergeShardOutcomes(
+      {Answer("shard0", CountShard(1000.0, 0.25, false)),
+       Answer("shard1", CountShard(1000.0, 0.25, false))},
+      CountOptions(0.20));
+  ASSERT_TRUE(merged.ok()) << merged.status().ToString();
+  EXPECT_NEAR(0.25 / std::sqrt(2.0), ComposedWorstRelativeError(*merged),
+              1e-12);
+  EXPECT_TRUE(merged->error_bound_met);
+}
+
+// A merge missing a shard never meets a bound, however loose.
+TEST(CoordMergeBoundTest, DegradedMergeNeverMeets) {
+  ShardAnswer dead;
+  dead.label = "shard1";
+  dead.status = Status::IOError("connection refused");
+  Result<QueryOutcome> merged = MergeShardOutcomes(
+      {Answer("shard0", CountShard(1000.0, 0.0, true)), dead},
+      CountOptions(1e9));
+  ASSERT_TRUE(merged.ok()) << merged.status().ToString();
+  EXPECT_TRUE(merged->partial);
+  EXPECT_FALSE(merged->error_bound_met);
+  EXPECT_TRUE(SecondRoundBounds({Answer("shard0", CountShard(1000.0, 0.3, true)),
+                                 dead},
+                                *merged, CountOptions(0.2)) ==
+              std::vector<double>({-1.0, -1.0}));
+}
+
+// Round two re-asks only the shard holding the largest variance share, at
+// the bound that brings the composed variance under e's: the other shard's
+// variance stays, so shard 0 gets what is left, (e·1010)^2 - 2.8^2 in
+// absolute terms.
+TEST(CoordMergeBoundTest, SecondRoundAsksTheLargestShareAtTheClosingBound) {
+  const std::vector<ShardAnswer> shards = {
+      Answer("shard0", CountShard(1000.0, 0.28, true)),
+      Answer("shard1", CountShard(10.0, 0.28, true))};
+  const MergeOptions options = CountOptions(0.20);
+  const QueryOutcome merged = MergeShardOutcomes(shards, options).value();
+  const std::vector<double> bounds = SecondRoundBounds(shards, merged, options);
+  ASSERT_EQ(2u, bounds.size());
+  EXPECT_NEAR(std::sqrt(202.0 * 202.0 - 2.8 * 2.8) / 1000.0, bounds[0], 1e-9);
+  EXPECT_EQ(-1.0, bounds[1]);
+
+  // The re-asked shard answering within that bound closes the gap.
+  std::vector<ShardAnswer> second = shards;
+  second[0].outcome = CountShard(1000.0, 0.999 * bounds[0], true);
+  EXPECT_TRUE(MergeShardOutcomes(second, options)->error_bound_met);
+}
+
+// No looser bound can close a zero estimate or an extreme: those shards are
+// re-asked EXACT (bound 0). Exact shards are never re-asked.
+TEST(CoordMergeBoundTest, SecondRoundFallsBackToExact) {
+  QueryOutcome unseen = CountShard(0.0, 0.0, false);
+  unseen.estimates[0][0].std_error = std::numeric_limits<double>::infinity();
+  unseen.estimates[0][0].ci_hi = std::numeric_limits<double>::infinity();
+  QueryOutcome exact_zero = CountShard(0.0, 0.0, true);
+  exact_zero.estimates[0][0].exact = true;
+  const std::vector<ShardAnswer> shards = {Answer("shard0", unseen),
+                                           Answer("shard1", exact_zero)};
+  const MergeOptions options = CountOptions(0.20);
+  const QueryOutcome merged = MergeShardOutcomes(shards, options).value();
+  EXPECT_FALSE(merged.error_bound_met);
+  EXPECT_TRUE(SecondRoundBounds(shards, merged, options) ==
+              std::vector<double>({0.0, -1.0}));
+
+  // MAX from a layer has an unbounded interval.
+  QueryOutcome layer_max = CountShard(50.0, 0.0, false);
+  layer_max.estimates[0][0].std_error = std::numeric_limits<double>::infinity();
+  layer_max.estimates[0][0].ci_lo = -std::numeric_limits<double>::infinity();
+  layer_max.estimates[0][0].ci_hi = std::numeric_limits<double>::infinity();
+  QueryOutcome base_max = CountShard(40.0, 0.0, true);
+  base_max.estimates[0][0].exact = true;
+  MergeOptions max_options = OptionsFor("SELECT MAX(r) FROM sky ERROR 1%", 2);
+  max_options.max_relative_error = 0.2;
+  const std::vector<ShardAnswer> extremes = {Answer("shard0", layer_max),
+                                             Answer("shard1", base_max)};
+  const QueryOutcome max_merged =
+      MergeShardOutcomes(extremes, max_options).value();
+  EXPECT_FALSE(max_merged.error_bound_met);
+  EXPECT_TRUE(SecondRoundBounds(extremes, max_merged, max_options) ==
+              std::vector<double>({0.0, -1.0}));
+}
+
+/// A table of `rows` rows whose `r` is uniform in [mean - 1, mean + 1].
+Table Level(int64_t rows, double mean, uint64_t seed) {
+  Table out(Schema({Field{"id", DataType::kInt64, false},
+                    Field{"r", DataType::kDouble, false}}));
+  Rng rng(seed);
+  for (int64_t i = 0; i < rows; ++i) {
+    EXPECT_TRUE(
+        out.AppendRow({Value(i), Value(rng.Uniform(mean - 1.0, mean + 1.0))})
+            .ok());
+  }
+  return out;
+}
+
+// Estimate-mode AVG weighs each shard by the population its row stands for,
+// not by the rows it read: a layer answer (512 sampled rows of 16384) and a
+// base answer (16384 rows) of equal slices weigh the same, so the merged
+// mean of 0 and 100 lands within its stated interval of EXACT (50), where
+// weighting by rows read pulls it to ~97. Under a selective filter the
+// layer's population is itself an estimate from a few dozen rows, and with
+// shard means 100 apart its error moves the merged mean far more than
+// either mean's own: the interval says so and still covers EXACT.
+TEST(CoordMergeBoundTest, AvgWeighsShardsByPopulationNotRowsRead) {
+  const Table low = Level(16'384, 0.0, 3);
+  const Table high = Level(16'384, 100.0, 4);
+  Engine layer_shard;
+  Engine base_shard;
+  Engine single;
+  for (Engine* engine : {&layer_shard, &base_shard, &single}) {
+    ASSERT_TRUE(engine->CreateTable("t", low.schema(), SmallLayers()).ok());
+  }
+  ASSERT_TRUE(layer_shard.IngestBatch("t", low).ok());
+  ASSERT_TRUE(base_shard.IngestBatch("t", high).ok());
+  ASSERT_TRUE(single.IngestBatch("t", low).ok());
+  ASSERT_TRUE(single.IngestBatch("t", high).ok());
+
+  for (const std::string where : {"", " WHERE id < 1638"}) {
+    SCOPED_TRACE(where);
+    const std::string body = "SELECT AVG(r) FROM t" + where;
+    const QueryOutcome from_layer =
+        RunMergeable(&layer_shard, body + " ERROR 100000%");
+    ASSERT_FALSE(from_layer.exact);
+    const QueryOutcome from_base = RunMergeable(&base_shard, body + " EXACT");
+    ASSERT_TRUE(from_base.exact);
+    if (where.empty()) {
+      EXPECT_EQ(512, from_layer.rows[0].input_rows);
+      EXPECT_DOUBLE_EQ(16'384.0, from_layer.rows[0].population);
+      EXPECT_EQ(16'384.0, from_base.rows[0].population);
+    }
+
+    MergeOptions options = OptionsFor(body + " ERROR 10%", 2);
+    options.max_relative_error = 0.10;
+    const QueryOutcome merged =
+        MergeShardOutcomes({Answer("shard0", from_layer),
+                            Answer("shard1", from_base)},
+                           options)
+            .value();
+    const double exact =
+        single.Query(body + " EXACT").value().rows[0].values[0];
+    const AggregateEstimate& avg = merged.estimates[0][0];
+    EXPECT_EQ("mixed", merged.answered_by);
+    EXPECT_DOUBLE_EQ(from_layer.rows[0].population +
+                         from_base.rows[0].population,
+                     merged.rows[0].population);
+    EXPECT_LE(avg.ci_lo, exact);
+    EXPECT_GE(avg.ci_hi, exact);
+    EXPECT_NEAR(50.0, avg.estimate, where.empty() ? 0.1 : 5.0);
+    // A population estimated from a few dozen rows cannot support 10%.
+    EXPECT_EQ(where.empty(), merged.error_bound_met)
+        << avg.RelativeError();
+  }
 }
 
 // Catalog merge: rows sum, shard counts tally, names sort.

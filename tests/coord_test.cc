@@ -1,14 +1,17 @@
 // End-to-end tests for the distributed coordinator: real shard servers on
-// ephemeral loopback ports, a SciborqCoordinator fanning out over them, and
-// the failure paths — a dead shard, a silent shard — that must degrade the
-// answer instead of failing or hanging it.
+// ephemeral loopback ports, a SciborqCoordinator fanning out over them, the
+// coordinator's own error bound (e·√k per shard, the composed flag, round
+// two), and the failure paths — a dead shard, a silent shard — that must
+// degrade the answer instead of failing or hanging it.
 
 #include "coord/coordinator.h"
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstring>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <thread>
@@ -22,6 +25,7 @@
 #include "server/server.h"
 #include "server/socket.h"
 #include "skyserver/catalog.h"
+#include "stats/estimators.h"
 #include "util/rng.h"
 #include "workload/telemetry.h"
 
@@ -552,6 +556,228 @@ TEST_F(CoordTest, DegradedAnswerLandsInCoordinatorSlowLog) {
   EXPECT_EQ("photo_obj_all", entry.table);
   EXPECT_TRUE(entry.asked_exact);
   EXPECT_FALSE(entry.trace.empty());
+}
+
+/// A shard server whose every answer is one COUNT(*) estimate of `count`
+/// at relative error `rel`, whatever bound it is asked (after `delay_ms`):
+/// a shard that cannot do better. It records the SQL it was sent.
+class ScriptedShard : public Engine {
+ public:
+  ScriptedShard(double count, double rel, int delay_ms = 0)
+      : count_(count), rel_(rel), delay_ms_(delay_ms) {
+    ServerOptions options;
+    options.port = 0;
+    server_ = std::make_unique<SciborqServer>(this, options);
+    EXPECT_TRUE(server_->Start().ok());
+  }
+  ~ScriptedShard() override { server_->Stop(); }
+
+  int port() const { return server_->port(); }
+
+  std::vector<std::string> asked() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return asked_;
+  }
+
+  using Engine::Query;
+  Result<QueryOutcome> Query(const BoundedQuery& query,
+                             const QueryExecOptions& exec) override {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      asked_.push_back(query.ToString());
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(delay_ms_));
+    QueryOutcome o;
+    o.table = query.query.table;
+    o.sql = query.ToString();
+    o.query_id = exec.query_id;
+    o.answered_by = "l0";
+    QueryResultRow row;
+    row.group_key = Value::Null();
+    row.values = {count_};
+    row.input_rows = 100;
+    row.population = count_;
+    o.rows.push_back(row);
+    AggregateEstimate est;
+    est.estimate = count_;
+    est.std_error = rel_ * count_ / NormalQuantile(0.975);
+    est.ci_lo = count_ - rel_ * count_;
+    est.ci_hi = count_ + rel_ * count_;
+    est.sample_rows = 100;
+    o.estimates.push_back({est});
+    LayerAttempt attempt;
+    attempt.layer_name = "l0";
+    attempt.layer_rows = 1000;
+    attempt.matching_rows = 100;
+    attempt.worst_relative_error = rel_;
+    attempt.met_error_bound =
+        rel_ <= query.bounds.Resolve(QualityBound()).max_relative_error;
+    o.attempts.push_back(attempt);
+    o.error_bound_met = attempt.met_error_bound;
+    return o;
+  }
+
+ private:
+  const double count_;
+  const double rel_;
+  const int delay_ms_;
+  mutable std::mutex mu_;
+  std::vector<std::string> asked_;
+  std::unique_ptr<SciborqServer> server_;
+};
+
+ShardMap ScriptedMap(const ScriptedShard& a, const ScriptedShard& b) {
+  ShardMap map;
+  map.SetDefaultShards({{"127.0.0.1", a.port()}, {"127.0.0.1", b.port()}});
+  return map;
+}
+
+bool HasAttempt(const QueryOutcome& outcome, const std::string& name) {
+  for (const LayerAttempt& attempt : outcome.attempts) {
+    if (attempt.layer_name == name) return true;
+  }
+  return false;
+}
+
+// Round one asks each of two shards for e·√2; two shards that each miss e
+// (25% > 20%) compose to 25%/√2 and meet it, so no second round runs.
+TEST(CoordBoundTest, RoundOneAsksEachShardForESqrtK) {
+  ScriptedShard a(1000.0, 0.25);
+  ScriptedShard b(1000.0, 0.25);
+  SciborqCoordinator coordinator(ScriptedMap(a, b));
+  Result<QueryOutcome> merged =
+      coordinator.Query("SELECT COUNT(*) FROM t ERROR 20%");
+  ASSERT_TRUE(merged.ok()) << merged.status().ToString();
+  for (const ScriptedShard* shard : {&a, &b}) {
+    const std::vector<std::string> asked = shard->asked();
+    ASSERT_EQ(1u, asked.size());
+    EXPECT_NE(std::string::npos, asked[0].find("ERROR 28.2843%")) << asked[0];
+  }
+  EXPECT_TRUE(merged->error_bound_met);
+  EXPECT_EQ("SELECT COUNT(*) FROM t ERROR 20%", merged->sql);
+  EXPECT_EQ(0, coordinator.second_rounds());
+  EXPECT_EQ(0, coordinator.bound_misses());
+
+  // No ERROR term: the coordinator's default bound is the e it splits.
+  CoordinatorOptions options;
+  options.default_bound.max_relative_error = 0.5;
+  SciborqCoordinator defaulted(ScriptedMap(a, b), options);
+  ASSERT_TRUE(defaulted.Query("SELECT COUNT(*) FROM t").ok());
+  EXPECT_NE(std::string::npos, a.asked().back().find("ERROR 70.7107%"))
+      << a.asked().back();
+  // EXACT is passed through as EXACT.
+  (void)defaulted.Query("SELECT COUNT(*) FROM t EXACT");
+  EXPECT_NE(std::string::npos, a.asked().back().find("EXACT"))
+      << a.asked().back();
+}
+
+// Two shards stuck at 50% compose to 35% > 20%: round two re-asks both (at
+// the bound that would close the gap), they cannot do better, and the
+// answer goes out flagged unmet — counted, with the composed worst error in
+// the slow log and the second asks in the ledger under shardN/r2/.
+TEST(CoordBoundTest, ComposedMissAfterRoundTwoIsFlaggedAndLogged) {
+  ScriptedShard a(1000.0, 0.5);
+  ScriptedShard b(1000.0, 0.5);
+  SciborqCoordinator coordinator(ScriptedMap(a, b));
+  Result<QueryOutcome> merged =
+      coordinator.Query("SELECT COUNT(*) FROM t ERROR 20%");
+  ASSERT_TRUE(merged.ok()) << merged.status().ToString();
+  EXPECT_FALSE(merged->error_bound_met);
+  EXPECT_FALSE(merged->partial);
+  EXPECT_EQ(2u, a.asked().size());
+  EXPECT_EQ(2u, b.asked().size());
+  EXPECT_EQ(1, coordinator.second_rounds());
+  EXPECT_EQ(1, coordinator.bound_misses());
+  for (const char* name :
+       {"shard0/l0", "shard1/l0", "shard0/r2/l0", "shard1/r2/l0"}) {
+    EXPECT_TRUE(HasAttempt(*merged, name)) << name;
+  }
+  bool r2_spans = false;
+  for (const PhaseSpan& span : merged->spans) {
+    r2_spans = r2_spans || span.name == "fanout_r2" ||
+               span.name.rfind("shard0/r2/", 0) == 0;
+  }
+  EXPECT_TRUE(r2_spans);
+
+  const std::vector<obs::SlowQueryEntry> slow = coordinator.SlowQueries();
+  ASSERT_EQ(1u, slow.size());
+  EXPECT_FALSE(slow[0].error_bound_met);
+  EXPECT_EQ(0u, slow[0].trace.rfind(
+                    "composed worst_err=0.3536 bound=0.2000\n", 0))
+      << slow[0].trace;
+}
+
+// Round two runs only if what is left of the WITHIN budget fits a round
+// like the first: shards that take 120 ms of a 200 ms budget leave no room.
+TEST(CoordBoundTest, NoSecondRoundWithoutTheBudgetForIt) {
+  ScriptedShard a(1000.0, 0.5, /*delay_ms=*/120);
+  ScriptedShard b(1000.0, 0.5, /*delay_ms=*/120);
+  SciborqCoordinator coordinator(ScriptedMap(a, b));
+  Result<QueryOutcome> merged =
+      coordinator.Query("SELECT COUNT(*) FROM t WITHIN 200 MS ERROR 20%");
+  ASSERT_TRUE(merged.ok()) << merged.status().ToString();
+  ASSERT_FALSE(merged->partial);
+  EXPECT_FALSE(merged->error_bound_met);
+  EXPECT_EQ(1u, a.asked().size());
+  EXPECT_EQ(0, coordinator.second_rounds());
+  EXPECT_EQ(1, coordinator.bound_misses());
+}
+
+/// Rows [0, n/2) match `x < 0.114` at about 11.4%, rows [n/2, n) at about
+/// 0.2%: routed contiguously over two shards, shard 0 holds almost all of
+/// the selection.
+Table SkewedTable(int64_t n) {
+  Table out(Schema({Field{"id", DataType::kInt64, false},
+                    Field{"x", DataType::kDouble, false},
+                    Field{"r", DataType::kDouble, false}}));
+  Rng rng(5);
+  for (int64_t i = 0; i < n; ++i) {
+    const double x =
+        i < n / 2 ? rng.Uniform(0.0, 1.0)
+                  : (i % 500 == 0 ? 0.05 : rng.Uniform(0.114, 1.0));
+    EXPECT_TRUE(out.AppendRow({Value(i), Value(x), Value(rng.Uniform(10, 20))})
+                    .ok());
+  }
+  return out;
+}
+
+// One shard holds almost all of the selection. In round one it meets
+// e·√2 from a layer while the other shard's few rows come from its base,
+// so the composed error is about the first shard's and misses e: round two
+// re-asks only shard 0, and the merged answer meets e against EXACT.
+TEST_F(CoordTest, SkewedSelectionFiresRoundTwo) {
+  const Table skewed = SkewedTable(32'768);
+  SciborqCoordinator coordinator(BothShards());
+  ASSERT_TRUE(
+      coordinator.CreateTable("skew", skewed.schema(), SmallLayers()).ok());
+  ASSERT_TRUE(coordinator.IngestBatch("skew", skewed).ok());
+  Engine single;
+  ASSERT_TRUE(single.CreateTable("skew", skewed.schema(), SmallLayers()).ok());
+  ASSERT_TRUE(single.IngestBatch("skew", skewed).ok());
+
+  const std::string body = "SELECT COUNT(*), SUM(r) FROM skew WHERE x < 0.114";
+  Result<QueryOutcome> merged = coordinator.Query(body + " ERROR 10%");
+  ASSERT_TRUE(merged.ok()) << merged.status().ToString();
+  const QueryOutcome exact = single.Query(body + " EXACT").value();
+
+  EXPECT_EQ(1, coordinator.second_rounds());
+  EXPECT_TRUE(HasAttempt(*merged, "shard0/l0"));
+  EXPECT_TRUE(HasAttempt(*merged, "shard1/base"));
+  bool shard0_again = false;
+  bool shard1_again = false;
+  for (const LayerAttempt& attempt : merged->attempts) {
+    shard0_again = shard0_again || attempt.layer_name.rfind("shard0/r2/", 0) == 0;
+    shard1_again = shard1_again || attempt.layer_name.rfind("shard1/r2/", 0) == 0;
+  }
+  EXPECT_TRUE(shard0_again);
+  EXPECT_FALSE(shard1_again);
+  EXPECT_TRUE(merged->error_bound_met);
+  ASSERT_EQ(1u, merged->rows.size());
+  for (size_t i = 0; i < 2; ++i) {
+    const double want = exact.rows[0].values[i];
+    EXPECT_LE(std::fabs(merged->rows[0].values[i] - want), 0.10 * want)
+        << "aggregate " << i;
+  }
 }
 
 TEST(ClientDeadlineTest, ConnectTimeoutDoesNotHang) {

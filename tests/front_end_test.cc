@@ -146,10 +146,10 @@ TEST_P(FrontEndParityTest, CatalogAndPing) {
 }
 
 TEST_P(FrontEndParityTest, OtherProtocolVersionsAreRefused) {
-  // Older stamps (v1, v6) and a future one (v8): each is answered once with
+  // Older stamps (v1, v7) and a future one (v9): each is answered once with
   // kInvalid, counted as a protocol error, and the connection closes.
   int64_t refused = 0;
-  for (const uint8_t version : {uint8_t{1}, uint8_t{6}, uint8_t{8}}) {
+  for (const uint8_t version : {uint8_t{1}, uint8_t{7}, uint8_t{9}}) {
     Result<TcpConn> conn = TcpConn::Connect("127.0.0.1", front_end().port());
     ASSERT_TRUE(conn.ok());
     std::string body = EncodeRequest(Opcode::kPing, "");
@@ -163,7 +163,7 @@ TEST_P(FrontEndParityTest, OtherProtocolVersionsAreRefused) {
     EXPECT_EQ(Opcode::kInvalid, response->opcode);
     EXPECT_EQ(StatusCode::kInvalidArgument, response->status.code());
     EXPECT_EQ("protocol version " + std::to_string(version) +
-                  " not supported (this side speaks v7)",
+                  " not supported (this side speaks v8)",
               response->status.message());
     Result<std::optional<std::string>> eof = conn->RecvFrame(kMaxFrame);
     ASSERT_TRUE(eof.ok());

@@ -234,6 +234,7 @@ TEST(WireOutcomeTest, ExactUngroupedAnswer) {
   row.group_key = Value::Null();
   row.values = {600000.0};
   row.input_rows = 600000;
+  row.population = 600000.0;
   outcome.rows.push_back(row);
   outcome.estimates = {{MakeEstimate(600000.0, 0.0, /*exact=*/true, 600000)}};
   LayerAttempt base;
@@ -257,6 +258,7 @@ TEST(WireOutcomeTest, EstimateWithCiAndEscalationTrace) {
   QueryResultRow row;
   row.values = {21484.4, 30.26};
   row.input_rows = 440;
+  row.population = 21484.4;
   outcome.rows.push_back(row);
   outcome.estimates = {{MakeEstimate(21484.4, 1986.8, false, 440),
                         MakeEstimate(30.26, 1.08, false, 440)}};
@@ -280,6 +282,32 @@ TEST(WireOutcomeTest, EstimateWithCiAndEscalationTrace) {
   success.met_error_bound = true;
   outcome.attempts.push_back(success);
   ExpectOutcomeRoundTripsBitIdentically(outcome);
+}
+
+// v8: a result row ends with its estimated matching population, one f64
+// after input_rows; the v7 row (no population) no longer decodes.
+TEST(WireOutcomeTest, ResultRowCarriesItsPopulation) {
+  QueryResultRow row;
+  row.group_key = Value::Null();
+  row.values = {12.5};
+  row.input_rows = 512;
+  row.population = 4096.25;
+  WireWriter w;
+  EncodeResultRow(row, &w);
+  WireWriter v7;
+  EncodeValue(row.group_key, &v7);
+  v7.PutU32(1);
+  v7.PutF64(12.5);
+  v7.PutI64(512);
+  ASSERT_EQ(v7.buffer().size() + 8, w.buffer().size());
+  EXPECT_EQ(v7.buffer(), w.buffer().substr(0, v7.buffer().size()));
+  WireReader r(w.buffer());
+  Result<QueryResultRow> decoded = DecodeResultRow(&r);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_TRUE(r.ExpectEnd().ok());
+  EXPECT_TRUE(*decoded == row);
+  WireReader short_row(v7.buffer());
+  EXPECT_FALSE(DecodeResultRow(&short_row).ok());
 }
 
 TEST(WireOutcomeTest, GroupedRowsWithTypedKeys) {
@@ -407,16 +435,16 @@ TEST(WireEnvelopeTest, RequestRoundTrip) {
 }
 
 TEST(WireEnvelopeTest, WrongVersionRejected) {
-  // Older stamps (v1, v6) and a future one (v8) are refused the same way:
+  // Older stamps (v1, v7) and a future one (v9) are refused the same way:
   // one version per boundary, no negotiation.
-  for (const uint8_t version : {uint8_t{1}, uint8_t{6}, uint8_t{8}}) {
+  for (const uint8_t version : {uint8_t{1}, uint8_t{7}, uint8_t{9}}) {
     std::string body = EncodeRequest(Opcode::kPing, "");
     body[0] = static_cast<char>(version);
     const Result<RequestFrame> request = DecodeRequest(body);
     ASSERT_FALSE(request.ok());
     EXPECT_EQ(StatusCode::kInvalidArgument, request.status().code());
     EXPECT_EQ("protocol version " + std::to_string(version) +
-                  " not supported (this side speaks v7)",
+                  " not supported (this side speaks v8)",
               request.status().message());
     std::string resp = EncodeResponse(Opcode::kPing, Status::OK(), "");
     resp[0] = static_cast<char>(version);
@@ -1308,9 +1336,9 @@ TEST(WireV7Test, V6CreateTableFrameIsRefused) {
   body[0] = 6;
   const Result<RequestFrame> refused = DecodeRequest(body);
   ASSERT_FALSE(refused.ok());
-  EXPECT_EQ("protocol version 6 not supported (this side speaks v7)",
+  EXPECT_EQ("protocol version 6 not supported (this side speaks v8)",
             refused.status().message());
-  // Nor does the v6 layout parse under the v7 stamp.
+  // Nor does the v6 layout parse under the current stamp.
   EXPECT_FALSE(DecodeRequest(RequestFrame{Opcode::kCreateTable,
                                           std::string(v6.buffer())})
                    .ok());
