@@ -5,6 +5,7 @@
 #include <sched.h>
 #include <time.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -65,6 +66,52 @@ inline bool PinProcessToOneCpu() {
   }
   closedir(tasks);
   return ok;
+}
+
+/// The outcome of PairedMedianRatio: medians over the pairs.
+struct PairedRatio {
+  double ratio = 0.0;           ///< median of treatment / baseline
+  double baseline_rate = 0.0;   ///< median baseline rate
+  double treatment_rate = 0.0;  ///< median treatment rate
+  int pairs = 0;
+  bool ok = false;  ///< false when a run failed (returned a negative rate)
+};
+
+/// Compares two modes of one workload under a load that drifts: runs `pairs`
+/// adjacent (baseline, treatment) runs, alternating which goes first so
+/// drift within a pair cancels, and reads the median ratio. Each run is
+/// `run(treatment, salt)`, returning a rate (e.g. queries per CPU-second),
+/// negative on failure; `salt` is the pair index, for varying the work.
+/// Even CPU time per query follows the host's load from second to second,
+/// so many short adjacent pairs tell a few percent apart where best-of-N
+/// long runs do not.
+template <typename Run>
+PairedRatio PairedMedianRatio(int pairs, const Run& run) {
+  std::vector<double> ratios;
+  std::vector<double> baseline_rates;
+  std::vector<double> treatment_rates;
+  PairedRatio out;
+  out.pairs = pairs;
+  for (int pair = 0; pair < pairs; ++pair) {
+    const bool treatment_first = pair % 2 == 1;
+    const double first = run(treatment_first, pair);
+    const double second = run(!treatment_first, pair);
+    const double treatment = treatment_first ? first : second;
+    const double baseline = treatment_first ? second : first;
+    if (baseline < 0.0 || treatment < 0.0) return out;
+    ratios.push_back(treatment / baseline);
+    baseline_rates.push_back(baseline);
+    treatment_rates.push_back(treatment);
+  }
+  const auto median = [](std::vector<double> v) {
+    std::sort(v.begin(), v.end());
+    return v.empty() ? 0.0 : v[v.size() / 2];
+  };
+  out.ratio = median(ratios);
+  out.baseline_rate = median(baseline_rates);
+  out.treatment_rate = median(treatment_rates);
+  out.ok = true;
+  return out;
 }
 
 inline void Header(const std::string& title) {

@@ -7,7 +7,6 @@
 // multicore hardware. Text-parsing cost is included deliberately: QPS here
 // is what a network front end would see.
 
-#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <string>
@@ -23,6 +22,8 @@
 
 using namespace sciborq;
 using sciborq::bench::Header;
+using sciborq::bench::PairedMedianRatio;
+using sciborq::bench::PairedRatio;
 using sciborq::bench::PinProcessToOneCpu;
 using sciborq::bench::ProcessCpuSeconds;
 using sciborq::bench::Unwrap;
@@ -232,9 +233,8 @@ int main() {
   // Each run is measured in queries per CPU-second of the whole process
   // (the client thread and the engine's pool), pinned to one CPU: wall-clock
   // QPS on an unpinned process moved with the host's load by ten times the
-  // bound. Even CPU time per query follows the host's load from second to
-  // second, so the gate reads the median ratio over many short adjacent
-  // pairs, each pair run back to back under the same conditions.
+  // bound. The gate reads the median ratio over many short adjacent pairs
+  // (bench_util.h, PairedMedianRatio).
   Header("metrics overhead: instrumented vs baseline (obs disabled)");
   {
     constexpr int kIters = 250;
@@ -243,52 +243,32 @@ int main() {
       std::fprintf(stderr, "could not pin the process to one CPU\n");
       return 1;
     }
-    const auto run_once = [&engine](bool instrumented, int salt) -> double {
-      obs::SetEnabled(instrumented);
-      const double cpu_start = ProcessCpuSeconds();
-      for (int i = 0; i < kIters; ++i) {
-        if (!engine.Query(MakeSql(salt + i)).ok()) return -1.0;
-      }
-      return kIters / (ProcessCpuSeconds() - cpu_start);
-    };
-    std::vector<double> ratios;
-    std::vector<double> baseline_rates;
-    std::vector<double> instrumented_rates;
-    bool failed_run = false;
-    for (int pair = 0; pair < kPairs && !failed_run; ++pair) {
-      // Alternate which mode runs first, so drift within a pair cancels.
-      const bool instrumented_first = pair % 2 == 1;
-      const double first = run_once(instrumented_first, pair * kIters);
-      const double second = run_once(!instrumented_first, pair * kIters);
-      const double inst = instrumented_first ? first : second;
-      const double base = instrumented_first ? second : first;
-      failed_run = base < 0.0 || inst < 0.0;
-      ratios.push_back(inst / base);
-      baseline_rates.push_back(base);
-      instrumented_rates.push_back(inst);
-    }
+    const PairedRatio overhead = PairedMedianRatio(
+        kPairs, [&engine](bool instrumented, int pair) -> double {
+          obs::SetEnabled(instrumented);
+          const double cpu_start = ProcessCpuSeconds();
+          for (int i = 0; i < kIters; ++i) {
+            if (!engine.Query(MakeSql(pair * kIters + i)).ok()) return -1.0;
+          }
+          return kIters / (ProcessCpuSeconds() - cpu_start);
+        });
     obs::SetEnabled(true);
-    if (failed_run) {
+    if (!overhead.ok) {
       std::fprintf(stderr, "metrics overhead run failed\n");
       return 1;
     }
-    const auto median = [](std::vector<double> v) {
-      std::sort(v.begin(), v.end());
-      return v[v.size() / 2];
-    };
-    const double overhead_ratio = median(ratios);
-    const double baseline_rate = median(baseline_rates);
-    const double instrumented_rate = median(instrumented_rates);
+    const double overhead_ratio = overhead.ratio;
     std::printf("baseline (obs off): %10.0f queries/cpu-s (median)\n"
                 "instrumented:       %10.0f queries/cpu-s (median)\n"
                 "ratio:              %10.3f (median of %d pairs)\n",
-                baseline_rate, instrumented_rate, overhead_ratio, kPairs);
+                overhead.baseline_rate, overhead.treatment_rate,
+                overhead_ratio, overhead.pairs);
     sciborq::bench::JsonLine("engine_metrics_overhead")
-        .Num("instrumented_queries_per_cpu_s", instrumented_rate)
-        .Num("baseline_queries_per_cpu_s", baseline_rate)
+        .Num("instrumented_queries_per_cpu_s", overhead.treatment_rate)
+        .Num("baseline_queries_per_cpu_s", overhead.baseline_rate)
         .Num("ratio", overhead_ratio)
         .Int("iters", kIters)
-        .Int("pairs", kPairs)
+        .Int("pairs", overhead.pairs)
         .Emit();
     if (overhead_ratio < 0.97) {
       std::fprintf(stderr,

@@ -4,6 +4,7 @@
 // never change answers — and exits 1 when one is not.
 
 #include <cstdio>
+#include <string>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -14,6 +15,7 @@
 #include "skyserver/catalog.h"
 #include "util/stopwatch.h"
 #include "util/thread_pool.h"
+#include "workload/interest_tracker.h"
 
 namespace sciborq::bench {
 namespace {
@@ -71,43 +73,70 @@ bool ScanScaling(const Table& table) {
   return all_identical;
 }
 
-/// Returns true when every pooled estimate equals the serial one bit for bit.
-bool EstimateScaling(const Table& table) {
-  Header("Morsel-parallel impression scan: EstimateOnImpression");
+/// Returns true when every pooled estimate of `q` on `impression` equals the
+/// serial one bit for bit.
+bool EstimateScaling(const std::string& title, const Impression& impression,
+                     const AggregateQuery& q) {
+  Header("Morsel-parallel impression scan: EstimateOnImpression, " + title);
   Expectation("layer estimation speeds up on large impressions too");
-  ImpressionSpec spec;
-  spec.capacity = 200'000;
-  spec.seed = 3;
-  auto builder = Unwrap(ImpressionBuilder::Make(table.schema(), spec));
-  if (!builder.IngestBatch(table).ok()) std::abort();
-  AggregateQuery q;
-  q.aggregates = {{AggKind::kCount, ""}, {AggKind::kAvg, "r"}};
-  q.filter = Between("ra", 130.0, 220.0);
-  const BoundedAnswer truth =
-      Unwrap(EstimateOnImpression(builder.impression(), q, 0.95));
+  const BoundedAnswer truth = Unwrap(EstimateOnImpression(impression, q, 0.95));
   const double serial_s = BestOf(kRepeats, [&] {
-    Unwrap(EstimateOnImpression(builder.impression(), q, 0.95));
+    Unwrap(EstimateOnImpression(impression, q, 0.95));
   });
   std::printf("impression_rows=%lld  serial=%.1fms\n",
-              static_cast<long long>(builder.impression().size()),
-              serial_s * 1e3);
+              static_cast<long long>(impression.size()), serial_s * 1e3);
   bool all_identical = true;
   for (const int threads : kThreadCounts) {
     if (threads == 1) continue;
     ThreadPool pool(threads);
     const BoundedAnswer result =
-        Unwrap(EstimateOnImpression(builder.impression(), q, 0.95, &pool));
+        Unwrap(EstimateOnImpression(impression, q, 0.95, &pool));
     const bool same =
         result.rows == truth.rows && result.estimates == truth.estimates;
     all_identical = all_identical && same;
     const double par_s = BestOf(kRepeats, [&] {
-      Unwrap(EstimateOnImpression(builder.impression(), q, 0.95, &pool));
+      Unwrap(EstimateOnImpression(impression, q, 0.95, &pool));
     });
     Measured(StrFormat("threads=%d  %.1fms  speedup=%.2fx  identical=%s",
                        threads, par_s * 1e3, serial_s / par_s,
                        Identical(same)));
   }
   return all_identical;
+}
+
+/// The ungrouped COUNT/AVG on a large uniform layer, then a grouped query of
+/// every moment aggregate on a biased layer.
+bool EstimateScaling(const Table& table) {
+  ImpressionSpec spec;
+  spec.capacity = 200'000;
+  spec.seed = 3;
+  auto uniform = Unwrap(ImpressionBuilder::Make(table.schema(), spec));
+  if (!uniform.IngestBatch(table).ok()) std::abort();
+  AggregateQuery q;
+  q.aggregates = {{AggKind::kCount, ""}, {AggKind::kAvg, "r"}};
+  q.filter = Between("ra", 130.0, 220.0);
+  const bool uniform_ok =
+      EstimateScaling("uniform layer", uniform.impression(), q);
+
+  InterestTracker tracker = MakeRaDecTracker();
+  for (int i = 0; i < 50; ++i) {
+    tracker.ObserveValue("ra", 150.0);
+    tracker.ObserveValue("dec", 12.0);
+  }
+  spec.capacity = 60'000;
+  spec.policy = SamplingPolicy::kBiased;
+  spec.tracker = &tracker;
+  auto biased = Unwrap(ImpressionBuilder::Make(table.schema(), spec));
+  if (!biased.IngestBatch(table).ok()) std::abort();
+  AggregateQuery grouped;
+  grouped.aggregates = {{AggKind::kCount, ""},    {AggKind::kSum, "r"},
+                        {AggKind::kAvg, "redshift"}, {AggKind::kMin, "g"},
+                        {AggKind::kMax, "g"},     {AggKind::kVariance, "dec"}};
+  grouped.filter = Between("ra", 100.0, 250.0);
+  grouped.group_by = "obj_class";
+  const bool biased_ok = EstimateScaling("grouped, biased layer",
+                                         biased.impression(), grouped);
+  return uniform_ok && biased_ok;
 }
 
 /// Returns true when every pooled result matched its serial reference.

@@ -9,7 +9,6 @@
 // protocol error or a remote/in-process answer mismatch, so CI can run it
 // as a correctness smoke as well as a perf probe.
 
-#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
@@ -29,6 +28,8 @@
 using namespace sciborq;
 using sciborq::bench::Header;
 using sciborq::bench::JsonLine;
+using sciborq::bench::PairedMedianRatio;
+using sciborq::bench::PairedRatio;
 using sciborq::bench::PinProcessToOneCpu;
 using sciborq::bench::ProcessCpuSeconds;
 using sciborq::bench::Unwrap;
@@ -283,10 +284,13 @@ int main() {
   // client; obs::SetEnabled(false) is the baseline. Each side is measured
   // in queries per CPU-second of the whole process (client and server
   // threads), with the process pinned to one CPU: wall-clock QPS on an
-  // unpinned process moved with the host's load by more than the bound.
+  // unpinned process moved with the host's load by more than the bound. The
+  // gate reads the median ratio over many short adjacent pairs
+  // (bench_util.h, PairedMedianRatio).
   Header("metrics overhead: instrumented vs baseline (obs disabled)");
   {
-    constexpr int kIters = 1000;
+    constexpr int kIters = 100;
+    constexpr int kPairs = 201;
     if (!PinProcessToOneCpu()) {
       std::fprintf(stderr, "could not pin the process to one CPU\n");
       return 1;
@@ -297,47 +301,39 @@ int main() {
       std::fprintf(stderr, "connect: %s\n", client.status().ToString().c_str());
       return 1;
     }
-    const auto run_once = [&client](int salt) -> double {
-      const double cpu_start = ProcessCpuSeconds();
-      for (int i = 0; i < kIters; ++i) {
-        if (!client->Query(MakeSql(salt + i)).ok()) return -1.0;
-      }
-      return kIters / (ProcessCpuSeconds() - cpu_start);
-    };
-    double baseline_rate = 0.0;
-    double instrumented_rate = 0.0;
-    bool failed_run = false;
-    for (int round = 0; round < 3 && !failed_run; ++round) {
-      obs::SetEnabled(false);
-      const double base = run_once(round * kIters);
-      obs::SetEnabled(true);
-      const double inst = run_once(round * kIters);
-      failed_run = base < 0.0 || inst < 0.0;
-      baseline_rate = std::max(baseline_rate, base);
-      instrumented_rate = std::max(instrumented_rate, inst);
-    }
+    const PairedRatio overhead = PairedMedianRatio(
+        kPairs, [&client](bool instrumented, int pair) -> double {
+          obs::SetEnabled(instrumented);
+          const double cpu_start = ProcessCpuSeconds();
+          for (int i = 0; i < kIters; ++i) {
+            if (!client->Query(MakeSql(pair * kIters + i)).ok()) return -1.0;
+          }
+          return kIters / (ProcessCpuSeconds() - cpu_start);
+        });
     obs::SetEnabled(true);
-    if (failed_run) {
+    if (!overhead.ok) {
       std::fprintf(stderr, "metrics overhead run failed\n");
       return 1;
     }
-    const double overhead_ratio = instrumented_rate / baseline_rate;
-    std::printf("baseline (obs off): %10.0f queries/cpu-s\n"
-                "instrumented:       %10.0f queries/cpu-s\n"
-                "ratio:              %10.3f\n",
-                baseline_rate, instrumented_rate, overhead_ratio);
+    const double overhead_ratio = overhead.ratio;
+    std::printf("baseline (obs off): %10.0f queries/cpu-s (median)\n"
+                "instrumented:       %10.0f queries/cpu-s (median)\n"
+                "ratio:              %10.3f (median of %d pairs)\n",
+                overhead.baseline_rate, overhead.treatment_rate,
+                overhead_ratio, overhead.pairs);
     JsonLine("server_metrics_overhead")
-        .Num("instrumented_queries_per_cpu_s", instrumented_rate)
-        .Num("baseline_queries_per_cpu_s", baseline_rate)
+        .Num("instrumented_queries_per_cpu_s", overhead.treatment_rate)
+        .Num("baseline_queries_per_cpu_s", overhead.baseline_rate)
         .Num("ratio", overhead_ratio)
         .Int("iters", kIters)
+        .Int("pairs", overhead.pairs)
         .Emit();
     if (overhead_ratio < 0.97) {
       std::fprintf(stderr,
-                   "metrics overhead gate FAILED: instrumented %.0f "
-                   "queries/cpu-s is under 97%% of baseline %.0f "
-                   "(ratio %.3f)\n",
-                   instrumented_rate, baseline_rate, overhead_ratio);
+                   "metrics overhead gate FAILED: the median instrumented/"
+                   "baseline ratio of queries per CPU-second is %.3f, under "
+                   "0.97\n",
+                   overhead_ratio);
       return 1;
     }
   }

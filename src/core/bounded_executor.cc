@@ -2,13 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
 #include <limits>
-#include <unordered_map>
 #include <utility>
 
 #include "exec/aggregate.h"
-#include "exec/expr.h"
 #include "util/check.h"
 #include "util/stopwatch.h"
 #include "util/string_util.h"
@@ -19,105 +16,62 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-/// Estimates one aggregate from the matching sampled rows and their
-/// inclusion probabilities. COUNT and AVG also store the Σ 1/π they summed
-/// in `*ht_count`.
-Result<AggregateEstimate> EstimateOneAggregate(
-    const Table& sample, const SelectionVector& matching,
-    const std::vector<double>& probs, const AggregateSpec& spec,
-    double confidence, double* ht_count) {
-  if (matching.empty()) {
-    // No sampled row matched. The point estimate is 0 but the sample carries
-    // no information about how large the true answer could be (a small
-    // sample easily misses a rare subpopulation entirely), so the interval
-    // is unbounded and an error-bounded query escalates to a larger layer.
-    AggregateEstimate est;
-    est.estimate = 0.0;
-    est.std_error = kInf;
-    est.ci_lo = spec.kind == AggKind::kCount ? 0.0 : -kInf;
-    est.ci_hi = kInf;
-    est.confidence = confidence;
-    est.sample_rows = 0;
-    return est;
+/// An estimate that claims no interval: a bounded query escalates past it.
+AggregateEstimate Unbounded(double estimate, double ci_lo, double confidence,
+                            int64_t sample_rows) {
+  AggregateEstimate est;
+  est.estimate = estimate;
+  est.std_error = kInf;
+  est.ci_lo = ci_lo;
+  est.ci_hi = kInf;
+  est.confidence = confidence;
+  est.sample_rows = sample_rows;
+  return est;
+}
+
+/// Finishes one (group, aggregate) cell of the fold into an estimate.
+Result<AggregateEstimate> EstimateAggregate(const AggregateSpec& spec,
+                                            const GroupRow& group, size_t s,
+                                            double confidence) {
+  if (group.group_rows == 0) {
+    // No sampled row matched (only the ungrouped group can be empty). The
+    // point estimate is 0 but the sample carries no information about how
+    // large the true answer could be (a small sample easily misses a rare
+    // subpopulation entirely), so the interval is unbounded and an
+    // error-bounded query escalates to a larger layer.
+    return Unbounded(0.0, spec.kind == AggKind::kCount ? 0.0 : -kInf,
+                     confidence, 0);
   }
+  const AggregateMoments& moments = group.moments[s];
+  const HtMoments& ht = group.ht[s];
   switch (spec.kind) {
-    case AggKind::kCount: {
-      SCIBORQ_ASSIGN_OR_RETURN(AggregateEstimate est,
-                               EstimateCountHorvitzThompson(probs, confidence));
-      *ht_count = est.estimate;
-      return est;
-    }
-    case AggKind::kSum: {
-      SCIBORQ_ASSIGN_OR_RETURN(std::vector<double> values,
-                               GatherNumeric(sample, matching, spec.column));
-      if (values.size() != probs.size()) {
-        return Status::InvalidArgument(
-            "SUM estimation does not support NULLs in the measure column");
-      }
-      return EstimateSumHorvitzThompson(values, probs, confidence);
-    }
-    case AggKind::kAvg: {
-      SCIBORQ_ASSIGN_OR_RETURN(std::vector<double> values,
-                               GatherNumeric(sample, matching, spec.column));
-      if (values.empty()) {
-        return Status::InvalidArgument("AVG over zero matching sample rows");
-      }
-      if (values.size() != probs.size()) {
-        return Status::InvalidArgument(
-            "AVG estimation does not support NULLs in the measure column");
-      }
-      return EstimateMeanHorvitzThompson(values, probs, confidence, ht_count);
-    }
+    case AggKind::kCount:
+    case AggKind::kSum:
+      return ht.Total(confidence);
+    case AggKind::kAvg:
+      return ht.Mean(confidence);
     case AggKind::kMin:
     case AggKind::kMax: {
-      SCIBORQ_ASSIGN_OR_RETURN(std::vector<double> values,
-                               GatherNumeric(sample, matching, spec.column));
-      if (values.empty()) {
-        return Status::InvalidArgument("MIN/MAX over zero matching rows");
-      }
-      AggregateEstimate est;
-      est.estimate = spec.kind == AggKind::kMin
-                         ? *std::min_element(values.begin(), values.end())
-                         : *std::max_element(values.begin(), values.end());
       // Sample extremes carry no distribution-free error bound: an unseen
-      // tuple can be arbitrarily more extreme. Report an unbounded CI so
-      // error-bounded queries escalate to the base data.
-      est.std_error = kInf;
-      est.ci_lo = -kInf;
-      est.ci_hi = kInf;
-      est.confidence = confidence;
-      est.sample_rows = static_cast<int64_t>(values.size());
-      return est;
+      // tuple can be arbitrarily more extreme.
+      SCIBORQ_ASSIGN_OR_RETURN(const double extreme, moments.Finish(spec.kind));
+      return Unbounded(extreme, -kInf, confidence, moments.moments.count());
     }
     case AggKind::kVariance: {
-      SCIBORQ_ASSIGN_OR_RETURN(std::vector<double> values,
-                               GatherNumeric(sample, matching, spec.column));
-      if (values.size() < 2) {
-        return Status::InvalidArgument("VAR needs two matching sample rows");
-      }
-      double mean = 0.0;
-      for (const double v : values) mean += v;
-      mean /= static_cast<double>(values.size());
-      double ss = 0.0;
-      for (const double v : values) ss += (v - mean) * (v - mean);
-      const double var = ss / static_cast<double>(values.size() - 1);
-      AggregateEstimate est;
-      est.estimate = var;
-      est.confidence = confidence;
-      est.sample_rows = static_cast<int64_t>(values.size());
-      if (std::adjacent_find(probs.begin(), probs.end(),
-                             std::not_equal_to<>()) != probs.end()) {
+      SCIBORQ_ASSIGN_OR_RETURN(const double var, moments.Finish(spec.kind));
+      const int64_t m = moments.moments.count();
+      if (!ht.equal_probabilities()) {
         // Unequal inclusion probabilities (a biased layer): the unweighted
         // sample variance is not a design-consistent estimate, so no error
         // bound is claimed, like MIN/MAX, and a bounded query escalates.
-        est.std_error = kInf;
-        est.ci_lo = -kInf;
-        est.ci_hi = kInf;
-        return est;
+        return Unbounded(var, -kInf, confidence, m);
       }
       // Normal-theory standard error of s^2: s^2 * sqrt(2/(m-1)).
-      est.std_error =
-          var * std::sqrt(2.0 / static_cast<double>(values.size() - 1));
+      AggregateEstimate est;
+      est.estimate = var;
+      est.confidence = confidence;
+      est.sample_rows = m;
+      est.std_error = var * std::sqrt(2.0 / static_cast<double>(m - 1));
       const double z = NormalQuantile(0.5 + confidence / 2.0);
       est.ci_lo = var - z * est.std_error;
       est.ci_hi = var + z * est.std_error;
@@ -131,35 +85,11 @@ Result<AggregateEstimate> EstimateOneAggregate(
   return Status::Internal("unreachable aggregate kind");
 }
 
-/// Estimates every aggregate over one set of matching rows, appending a
-/// result row + estimate row to the answer.
-Status EstimateRow(const Table& sample, const SelectionVector& matching,
-                   const std::vector<double>& probs,
-                   const AggregateQuery& query, double confidence, Value key,
-                   BoundedAnswer* answer) {
-  QueryResultRow row;
-  row.group_key = std::move(key);
-  row.input_rows = static_cast<int64_t>(matching.size());
-  std::vector<AggregateEstimate> ests;
-  ests.reserve(query.aggregates.size());
-  // The matching population Σ 1/π: a COUNT or AVG estimator sums it (each
-  // bit for bit the same sum); without one it is summed here.
-  double ht_count = -1.0;
-  for (const auto& spec : query.aggregates) {
-    SCIBORQ_ASSIGN_OR_RETURN(AggregateEstimate est,
-                             EstimateOneAggregate(sample, matching, probs,
-                                                  spec, confidence, &ht_count));
-    row.values.push_back(est.estimate);
-    ests.push_back(est);
-  }
-  if (ht_count < 0.0) {
-    ht_count = 0.0;
-    for (const double p : probs) ht_count += 1.0 / p;
-  }
-  row.population = ht_count;
-  answer->rows.push_back(std::move(row));
-  answer->estimates.push_back(std::move(ests));
-  return Status::OK();
+/// The rows a scan matched: input rows summed over the result rows.
+int64_t MatchingRows(const std::vector<QueryResultRow>& rows) {
+  int64_t matched = 0;
+  for (const QueryResultRow& row : rows) matched += row.input_rows;
+  return matched;
 }
 
 double WorstRelativeError(const BoundedAnswer& answer) {
@@ -185,73 +115,36 @@ Result<BoundedAnswer> EstimateOnImpression(const Impression& impression,
     return Status::FailedPrecondition("impression is empty");
   }
   const Table& sample = impression.rows();
-  SelectionVector matching;
-  if (query.filter) {
-    SCIBORQ_ASSIGN_OR_RETURN(matching, SelectAll(sample, *query.filter, pool));
-  } else {
-    matching.resize(static_cast<size_t>(sample.num_rows()));
-    for (int64_t i = 0; i < sample.num_rows(); ++i) {
-      matching[static_cast<size_t>(i)] = i;
-    }
-  }
+  SCIBORQ_ASSIGN_OR_RETURN(const SelectionVector matching,
+                           SelectMatching(sample, query, pool));
+  // Groups entirely unseen by the sample are (necessarily) absent — a
+  // fundamental limitation of sampling shared by all AQP systems.
+  const InclusionProbabilities probs = impression.inclusion_probabilities();
+  SCIBORQ_ASSIGN_OR_RETURN(
+      std::vector<GroupRow> groups,
+      ComputeGroupedAggregates(sample, matching, query.group_by,
+                               query.aggregates, pool, &probs));
 
   BoundedAnswer answer;
   answer.answered_by = impression.name();
-
-  if (query.group_by.empty()) {
-    std::vector<double> probs;
-    probs.reserve(matching.size());
-    for (const int64_t row : matching) {
-      probs.push_back(impression.InclusionProbability(row));
+  answer.rows.reserve(groups.size());
+  answer.estimates.reserve(groups.size());
+  for (GroupRow& group : groups) {
+    QueryResultRow row;
+    row.input_rows = group.group_rows;
+    row.population = group.population;
+    std::vector<AggregateEstimate> ests;
+    ests.reserve(query.aggregates.size());
+    for (size_t s = 0; s < query.aggregates.size(); ++s) {
+      SCIBORQ_ASSIGN_OR_RETURN(
+          AggregateEstimate est,
+          EstimateAggregate(query.aggregates[s], group, s, confidence));
+      row.values.push_back(est.estimate);
+      ests.push_back(est);
     }
-    SCIBORQ_RETURN_NOT_OK(EstimateRow(sample, matching, probs, query,
-                                      confidence, Value::Null(), &answer));
-    return answer;
-  }
-
-  // Grouped: partition the matching rows by key, estimate per group. Groups
-  // entirely unseen by the sample are (necessarily) absent — a fundamental
-  // limitation of sampling shared by all AQP systems.
-  SCIBORQ_ASSIGN_OR_RETURN(const Column* key_col,
-                           sample.ColumnByName(query.group_by));
-  if (key_col->type() == DataType::kDouble) {
-    return Status::InvalidArgument(
-        "grouping on double columns is not supported (bin them first)");
-  }
-  std::vector<Value> keys;
-  std::vector<SelectionVector> partitions;
-  std::unordered_map<int64_t, size_t> int_groups;
-  std::unordered_map<std::string, size_t> str_groups;
-  for (const int64_t row : matching) {
-    if (key_col->IsNull(row)) continue;
-    size_t idx = 0;
-    if (key_col->type() == DataType::kInt64) {
-      const auto [it, inserted] =
-          int_groups.emplace(key_col->GetInt64(row), partitions.size());
-      idx = it->second;
-      if (inserted) {
-        keys.emplace_back(key_col->GetInt64(row));
-        partitions.emplace_back();
-      }
-    } else {
-      const auto [it, inserted] =
-          str_groups.emplace(key_col->GetString(row), partitions.size());
-      idx = it->second;
-      if (inserted) {
-        keys.emplace_back(key_col->GetString(row));
-        partitions.emplace_back();
-      }
-    }
-    partitions[idx].push_back(row);
-  }
-  for (size_t g = 0; g < partitions.size(); ++g) {
-    std::vector<double> probs;
-    probs.reserve(partitions[g].size());
-    for (const int64_t row : partitions[g]) {
-      probs.push_back(impression.InclusionProbability(row));
-    }
-    SCIBORQ_RETURN_NOT_OK(EstimateRow(sample, partitions[g], probs, query,
-                                      confidence, keys[g], &answer));
+    row.group_key = std::move(group.key);
+    answer.rows.push_back(std::move(row));
+    answer.estimates.push_back(std::move(ests));
   }
   return answer;
 }
@@ -297,7 +190,7 @@ BoundedAnswer ScanAnswer(std::vector<QueryResultRow> rows,
   LayerAttempt trace;
   trace.layer_name = layer_name;
   trace.layer_rows = scanned_rows;
-  trace.matching_rows = rows.empty() ? 0 : rows[0].input_rows;
+  trace.matching_rows = MatchingRows(rows);
   trace.elapsed_seconds = elapsed_seconds;
   trace.met_error_bound = true;
   trace.is_base = exact;
@@ -371,8 +264,7 @@ Result<BoundedAnswer> BoundedExecutor::Answer(const AggregateQuery& query,
       continue;
     }
     const double worst = WorstRelativeError(attempt.value());
-    trace.matching_rows =
-        attempt.value().rows.empty() ? 0 : attempt.value().rows[0].input_rows;
+    trace.matching_rows = MatchingRows(attempt.value().rows);
     trace.worst_relative_error = worst;
     trace.met_error_bound =
         bound.max_relative_error > 0.0 && worst <= bound.max_relative_error;

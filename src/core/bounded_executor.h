@@ -20,7 +20,7 @@ namespace sciborq {
 struct LayerAttempt {
   std::string layer_name;
   int64_t layer_rows = 0;
-  int64_t matching_rows = 0;
+  int64_t matching_rows = 0;  ///< input rows summed over the result rows
   double elapsed_seconds = 0.0;
   double worst_relative_error = 0.0;
   bool met_error_bound = false;
@@ -42,14 +42,20 @@ struct BoundedAnswer {
   std::string ToString() const;
 };
 
-/// Statistical evaluation of an aggregate query against one impression:
-/// Horvitz–Thompson expansion through the impression's inclusion
-/// probabilities (exact-scaling for uniform impressions, weight-aware for
-/// biased ones). MIN/MAX report the sample extreme with an *infinite*
-/// relative error — extremes carry no CLT guarantee, so an error-bounded
-/// query falls through to the base data, which is the correct behaviour.
-/// With a pool, the filter scan over the sampled rows runs morsel-parallel;
-/// estimates are bit-identical to the serial path at any thread count.
+/// Statistical evaluation of an aggregate query against one impression. It
+/// runs the base's scan: SelectMatching over the sampled rows, then the one
+/// aggregation fold (ComputeGroupedAggregates) with each row weighted by
+/// 1/π, π = Impression::InclusionProbability. Each (group, aggregate) cell
+/// finishes as a Horvitz–Thompson estimate: COUNT and SUM as HT totals, AVG
+/// as the Hájek ratio with its linearized variance (exact-scaling for
+/// uniform impressions, weight-aware for biased ones). NULL measures and
+/// COUNT(col) are treated as on the base, column check included. MIN/MAX
+/// report the sample extreme with an *infinite* relative error — extremes
+/// carry no CLT guarantee, so an error-bounded query falls through to the
+/// base data, which is the correct behaviour; so does VAR on a layer with
+/// unequal π. Each row's `population` is Σ 1/π over its matching rows.
+/// With a pool, the filter and the fold run morsel-parallel; estimates are
+/// bit-identical to the serial path at any thread count.
 Result<BoundedAnswer> EstimateOnImpression(const Impression& impression,
                                            const AggregateQuery& query,
                                            double confidence,
@@ -60,8 +66,8 @@ Result<BoundedAnswer> EstimateOnImpression(const Impression& impression,
 /// and LAST. Each value becomes a zero-width interval at `confidence` whose
 /// `exact` flag is `exact` (a LAST point estimate read from the last-seen
 /// sample is not exact), and the scan becomes the answer's one LayerAttempt:
-/// `scanned_rows` read, the first row's input rows matched, error bound met,
-/// `is_base` when exact.
+/// `scanned_rows` read, the rows' input rows summed as matched, error bound
+/// met, `is_base` when exact.
 BoundedAnswer ScanAnswer(std::vector<QueryResultRow> rows,
                          const std::string& layer_name, int64_t scanned_rows,
                          double confidence, double elapsed_seconds,

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "column/table.h"
+#include "exec/aggregate.h"
 #include "util/check.h"
 #include "util/result.h"
 
@@ -86,7 +87,12 @@ class Impression {
   /// Uniform and last-seen top layers share one π across their rows.
   double InclusionProbability(int64_t row) const {
     SCIBORQ_DCHECK(row >= 0 && row < size());
-    return probs_.empty() ? common_prob_ : probs_[static_cast<size_t>(row)];
+    return inclusion_probabilities().at(row);
+  }
+
+  /// Every row's InclusionProbability, as the aggregation fold reads them.
+  InclusionProbabilities inclusion_probabilities() const {
+    return {probs_.empty() ? nullptr : probs_.data(), common_prob_};
   }
 
   /// Memory footprint of the sampled rows (the §3.1 size knob).

@@ -87,153 +87,166 @@ double AggregateMoments::FinishLenient(AggKind kind) const {
   return std::numeric_limits<double>::quiet_NaN();
 }
 
-Result<AggregateMoments> AccumulateAggregate(const Table& table,
-                                             const SelectionVector& rows,
-                                             const AggregateSpec& spec,
-                                             ThreadPool* pool) {
-  AggregateMoments acc;
-  if (spec.kind == AggKind::kCount && spec.column.empty()) {
-    acc.count_only = static_cast<int64_t>(rows.size());
-    return acc;
-  }
-  SCIBORQ_ASSIGN_OR_RETURN(const Column* col, NumericColumn(table, spec.column));
-  // Morsel-parallel scan: per-morsel partial accumulators merged in morsel
-  // order. The serial path folds the identical sequence, so results match
-  // bit-for-bit at any thread count.
-  ParallelMorselReduce<AggregateMoments>(
-      pool, static_cast<int64_t>(rows.size()), kDefaultMorselRows,
-      [&rows, col](int64_t begin, int64_t end) {
-        AggregateMoments partial;
-        // Dense fast path: when this slice of the selection is a contiguous
-        // ascending row range (the common case after zone-map blanket
-        // matches) over a null-free column, stream the raw storage with no
-        // per-row gather. The Add sequence is exactly the general loop's,
-        // so the result stays bit-identical.
-        const int64_t n = end - begin;
-        if (n > 0 && !col->has_nulls()) {
-          const int64_t first = rows[static_cast<size_t>(begin)];
-          const int64_t last = rows[static_cast<size_t>(end - 1)];
-          if (last - first + 1 == n) {
-            bool dense = true;
-            for (int64_t i = begin; i < end; ++i) {
-              if (rows[static_cast<size_t>(i)] != first + (i - begin)) {
-                dense = false;
-                break;
-              }
-            }
-            if (dense) {
-              if (col->type() == DataType::kDouble) {
-                const double* v = col->data_double().data();
-                for (int64_t r = first; r <= last; ++r) partial.Add(v[r]);
-              } else {
-                const int64_t* v = col->data_int64().data();
-                for (int64_t r = first; r <= last; ++r) {
-                  partial.Add(static_cast<double>(v[r]));
-                }
-              }
-              return partial;
-            }
-          }
-        }
-        for (int64_t i = begin; i < end; ++i) {
-          const int64_t row = rows[static_cast<size_t>(i)];
-          if (col->IsNull(row)) continue;
-          partial.Add(col->NumericAt(row));
-        }
-        return partial;
-      },
-      [&acc](AggregateMoments&& partial) { acc.Merge(partial); });
-  return acc;
-}
-
-Result<double> ComputeAggregate(const Table& table, const SelectionVector& rows,
-                                const AggregateSpec& spec, ThreadPool* pool) {
-  if (spec.kind == AggKind::kCount && spec.column.empty()) {
-    return static_cast<double>(rows.size());
-  }
-  SCIBORQ_ASSIGN_OR_RETURN(const AggregateMoments acc,
-                           AccumulateAggregate(table, rows, spec, pool));
-  return acc.Finish(spec.kind);
-}
-
-Result<std::vector<double>> GatherNumeric(const Table& table,
-                                          const SelectionVector& rows,
-                                          const std::string& column) {
-  SCIBORQ_ASSIGN_OR_RETURN(const Column* col, NumericColumn(table, column));
-  std::vector<double> out;
-  out.reserve(rows.size());
-  for (const int64_t row : rows) {
-    if (col->IsNull(row)) continue;
-    out.push_back(col->NumericAt(row));
-  }
-  return out;
-}
-
 namespace {
 
+/// One (group, aggregate) cell of the fold.
+struct Cell {
+  AggregateMoments moments;
+  HtMoments ht;
+};
+
+/// The rows one group took in: how many, and on a sample Σ 1/π over them.
+struct GroupTally {
+  int64_t rows = 0;
+  double population = 0.0;
+};
+
 /// Hash aggregation state over one stream of selected rows: group keys in
-/// first-appearance order plus one accumulator per spec per group. Serves
-/// both as the per-morsel partial of the parallel scan and as the global fold
-/// target.
+/// first-appearance order plus one Cell per spec per group, stored
+/// group-major. Serves both as the per-morsel partial of the parallel scan
+/// and as the global fold target.
 struct GroupSet {
-  const Column* key_col = nullptr;
+  const Column* key_col = nullptr;  ///< null = ungrouped: group 0 only
   const std::vector<const Column*>* inputs = nullptr;
   const std::vector<AggregateSpec>* specs = nullptr;
+  const InclusionProbabilities* probs = nullptr;  ///< null = base data
 
   std::vector<Value> keys;
-  std::vector<int64_t> group_rows;
-  std::vector<std::vector<AggregateMoments>> accs;
+  std::vector<GroupTally> tallies;
+  std::vector<Cell> cells;
   std::unordered_map<int64_t, size_t> int_groups;
   std::unordered_map<std::string, size_t> str_groups;
 
+  GroupSet(const Column* key, const std::vector<const Column*>* in,
+           const std::vector<AggregateSpec>* s,
+           const InclusionProbabilities* p)
+      : key_col(key), inputs(in), specs(s), probs(p) {
+    if (key_col == nullptr) AppendGroup(Value::Null());
+  }
+
   size_t AppendGroup(Value key) {
     keys.push_back(std::move(key));
-    accs.emplace_back(specs->size());
-    group_rows.push_back(0);
-    return accs.size() - 1;
+    tallies.emplace_back();
+    cells.resize(cells.size() + specs->size());
+    return keys.size() - 1;
   }
 
   size_t GroupIndexForKey(const Value& key) {
+    if (key_col == nullptr) return 0;
     if (key.is_int64()) {
-      const auto [it, inserted] = int_groups.emplace(key.int64(), accs.size());
+      const auto [it, inserted] = int_groups.emplace(key.int64(), keys.size());
       return inserted ? AppendGroup(key) : it->second;
     }
-    const auto [it, inserted] = str_groups.emplace(key.str(), accs.size());
+    const auto [it, inserted] = str_groups.emplace(key.str(), keys.size());
     return inserted ? AppendGroup(key) : it->second;
   }
 
-  void AbsorbRow(int64_t row) {
-    if (key_col->IsNull(row)) return;  // SQL semantics: NULL keys dropped
-    // Boxing the key into a Value is deferred to first appearance so the
-    // per-row path costs one hash probe, not a string copy.
+  /// Group of `row`, or -1 for a NULL key (SQL semantics: dropped). Boxing
+  /// the key into a Value is deferred to first appearance so the per-row
+  /// path costs one hash probe, not a string copy.
+  int64_t GroupIndexForRow(int64_t row) {
+    if (key_col->IsNull(row)) return -1;
     size_t g = 0;
     if (key_col->type() == DataType::kInt64) {
       const int64_t key = key_col->GetInt64(row);
-      const auto [it, inserted] = int_groups.emplace(key, accs.size());
+      const auto [it, inserted] = int_groups.emplace(key, keys.size());
       g = inserted ? AppendGroup(Value(key)) : it->second;
     } else {
       const auto [it, inserted] =
-          str_groups.emplace(key_col->GetString(row), accs.size());
+          str_groups.emplace(key_col->GetString(row), keys.size());
       g = inserted ? AppendGroup(Value(it->first)) : it->second;
     }
-    ++group_rows[g];
-    for (size_t s = 0; s < specs->size(); ++s) {
-      if ((*inputs)[s] == nullptr) {
-        accs[g][s].AddRowOnly();
-      } else if (!(*inputs)[s]->IsNull(row)) {
-        accs[g][s].Add((*inputs)[s]->NumericAt(row));
+    return static_cast<int64_t>(g);
+  }
+
+  /// Calls fold(state, i) for every row i of the morsel with a group, where
+  /// `state` is the row's group's entry of the group-major `states` at
+  /// offset `s`. Ungrouped, the one state is folded as a local and stored
+  /// back, so the loop keeps it in registers.
+  template <typename State, typename Fold>
+  static void ForEachGrouped(const std::vector<int64_t>& group_of, int64_t n,
+                             std::vector<State>* states, size_t stride,
+                             size_t s, const Fold& fold) {
+    if (group_of.empty()) {
+      State local = (*states)[s];
+      for (int64_t i = 0; i < n; ++i) fold(local, i);
+      (*states)[s] = local;
+      return;
+    }
+    for (int64_t i = 0; i < n; ++i) {
+      const int64_t g = group_of[static_cast<size_t>(i)];
+      if (g >= 0) fold((*states)[static_cast<size_t>(g) * stride + s], i);
+    }
+  }
+
+  /// Folds the selected rows rows[begin, end): one pass assigns groups, then
+  /// one pass per aggregate, each in row order.
+  void AbsorbMorsel(const SelectionVector& rows, int64_t begin, int64_t end) {
+    const int64_t* sel = rows.data() + begin;
+    const int64_t n = end - begin;
+    std::vector<int64_t> group_of;
+    if (key_col != nullptr) {
+      group_of.resize(static_cast<size_t>(n));
+      for (int64_t i = 0; i < n; ++i) {
+        group_of[static_cast<size_t>(i)] = GroupIndexForRow(sel[i]);
       }
+    }
+    const bool sample = probs != nullptr;
+    const InclusionProbabilities pi =
+        sample ? *probs : InclusionProbabilities();
+    ForEachGrouped(group_of, n, &tallies, 1, 0,
+                   [sample, &pi, sel](GroupTally& tally, int64_t i) {
+                     ++tally.rows;
+                     if (sample) tally.population += 1.0 / pi.at(sel[i]);
+                   });
+    const size_t num_specs = specs->size();
+    for (size_t s = 0; s < num_specs; ++s) {
+      const Column* in = (*inputs)[s];
+      const AggKind kind = (*specs)[s].kind;
+      // On a sample each aggregate folds only what its estimate reads: the
+      // HT sums for COUNT, SUM, AVG (with the mean's residual moments) and
+      // VAR (whether the rows' π differ), the moments for MIN, MAX and VAR.
+      const bool extreme = kind == AggKind::kMin || kind == AggKind::kMax;
+      const bool fold_moments =
+          !sample || extreme || kind == AggKind::kVariance;
+      const bool fold_ht = sample && !extreme;
+      ForEachGrouped(
+          group_of, n, &cells, num_specs, s,
+          [in, kind, fold_moments, fold_ht, &pi, sel](Cell& cell, int64_t i) {
+            const int64_t row = sel[i];
+            double v = 1.0;
+            if (in == nullptr) {
+              cell.moments.AddRowOnly();
+            } else if (in->IsNull(row)) {
+              return;
+            } else {
+              v = in->NumericAt(row);
+              if (fold_moments) cell.moments.Add(v);
+            }
+            if (!fold_ht) return;
+            if (kind == AggKind::kAvg) {
+              cell.ht.AddForMean(v, pi.at(row));
+            } else {
+              // COUNT expands a 1 per counted row; SUM the value.
+              cell.ht.Add(kind == AggKind::kCount ? 1.0 : v, pi.at(row));
+            }
+          });
     }
   }
 
   /// Folds a partial in: partial groups merge in their first-appearance
   /// order, so the global group order equals the serial scan's order.
   void MergePartial(const GroupSet& partial) {
+    const size_t num_specs = specs->size();
     for (size_t pg = 0; pg < partial.keys.size(); ++pg) {
       const size_t g = GroupIndexForKey(partial.keys[pg]);
-      group_rows[g] += partial.group_rows[pg];
-      for (size_t s = 0; s < specs->size(); ++s) {
-        accs[g][s].Merge(partial.accs[pg][s]);
+      tallies[g].rows += partial.tallies[pg].rows;
+      tallies[g].population += partial.tallies[pg].population;
+      for (size_t s = 0; s < num_specs; ++s) {
+        Cell& cell = cells[g * num_specs + s];
+        const Cell& other = partial.cells[pg * num_specs + s];
+        cell.moments.Merge(other.moments);
+        cell.ht.Merge(other.ht);
       }
     }
   }
@@ -244,12 +257,14 @@ struct GroupSet {
 Result<std::vector<GroupRow>> ComputeGroupedAggregates(
     const Table& table, const SelectionVector& rows,
     const std::string& group_column, const std::vector<AggregateSpec>& specs,
-    ThreadPool* pool, const GroupedAggOptions& options) {
-  SCIBORQ_ASSIGN_OR_RETURN(const Column* key_col,
-                           table.ColumnByName(group_column));
-  if (key_col->type() == DataType::kDouble) {
-    return Status::InvalidArgument(
-        "grouping on double columns is not supported (bin them first)");
+    ThreadPool* pool, const InclusionProbabilities* probs) {
+  const Column* key_col = nullptr;
+  if (!group_column.empty()) {
+    SCIBORQ_ASSIGN_OR_RETURN(key_col, table.ColumnByName(group_column));
+    if (key_col->type() == DataType::kDouble) {
+      return Status::InvalidArgument(
+          "grouping on double columns is not supported (bin them first)");
+    }
   }
 
   // Pre-resolve aggregate input columns once.
@@ -259,41 +274,32 @@ Result<std::vector<GroupRow>> ComputeGroupedAggregates(
     SCIBORQ_ASSIGN_OR_RETURN(inputs[s], NumericColumn(table, specs[s].column));
   }
 
-  GroupSet global;
-  global.key_col = key_col;
-  global.inputs = &inputs;
-  global.specs = &specs;
+  GroupSet global(key_col, &inputs, &specs, probs);
   ParallelMorselReduce<GroupSet>(
       pool, static_cast<int64_t>(rows.size()), kDefaultMorselRows,
-      [&rows, key_col, &inputs, &specs](int64_t begin, int64_t end) {
-        GroupSet partial;
-        partial.key_col = key_col;
-        partial.inputs = &inputs;
-        partial.specs = &specs;
-        for (int64_t i = begin; i < end; ++i) {
-          partial.AbsorbRow(rows[static_cast<size_t>(i)]);
-        }
+      [&](int64_t begin, int64_t end) {
+        GroupSet partial(key_col, &inputs, &specs, probs);
+        partial.AbsorbMorsel(rows, begin, end);
         return partial;
       },
       [&global](GroupSet&& partial) { global.MergePartial(partial); });
 
-  std::vector<GroupRow> out;
-  out.reserve(global.keys.size());
-  for (size_t g = 0; g < global.keys.size(); ++g) {
-    GroupRow group_row;
+  const size_t num_specs = specs.size();
+  std::vector<GroupRow> out(global.keys.size());
+  for (size_t g = 0; g < out.size(); ++g) {
+    GroupRow& group_row = out[g];
     group_row.key = std::move(global.keys[g]);
-    group_row.group_rows = global.group_rows[g];
-    group_row.aggregates.reserve(specs.size());
-    for (size_t s = 0; s < specs.size(); ++s) {
-      if (options.lenient) {
-        group_row.aggregates.push_back(global.accs[g][s].FinishLenient(specs[s].kind));
-      } else {
-        SCIBORQ_ASSIGN_OR_RETURN(double v, global.accs[g][s].Finish(specs[s].kind));
-        group_row.aggregates.push_back(v);
-      }
+    group_row.group_rows = global.tallies[g].rows;
+    group_row.population = probs != nullptr
+                               ? global.tallies[g].population
+                               : static_cast<double>(global.tallies[g].rows);
+    group_row.moments.reserve(num_specs);
+    if (probs != nullptr) group_row.ht.reserve(num_specs);
+    for (size_t s = 0; s < num_specs; ++s) {
+      Cell& cell = global.cells[g * num_specs + s];
+      group_row.moments.push_back(cell.moments);
+      if (probs != nullptr) group_row.ht.push_back(cell.ht);
     }
-    if (options.collect_moments) group_row.moments = std::move(global.accs[g]);
-    out.push_back(std::move(group_row));
   }
   return out;
 }

@@ -7,13 +7,15 @@
 #include "column/table.h"
 #include "column/types.h"
 #include "stats/descriptive.h"
+#include "stats/estimators.h"
 #include "util/result.h"
 #include "util/thread_pool.h"
 
 namespace sciborq {
 
-/// Aggregate functions supported by the bounded executor. COUNT ignores its
-/// column; the others require a numeric column and skip nulls. kLast —
+/// Aggregate functions supported by the bounded executor. COUNT(*) counts
+/// rows; every other aggregate, COUNT(col) included, requires a numeric
+/// column and skips nulls. kLast —
 /// LAST(col), the newest value by the table's retention time column — is
 /// answered by the latest-value path (retention/last_query.h), never by
 /// moment aggregation, and only on tables with a retention policy.
@@ -69,59 +71,53 @@ inline bool operator==(const AggregateMoments& a, const AggregateMoments& b) {
          BitIdentical(a.moments.max(), b.moments.max());
 }
 
-/// Exact aggregate over the selected rows of a table. This is both the
-/// base-data truth path and the per-impression raw statistic (the bounded
-/// executor scales raw sample statistics into population estimates).
-///
-/// With a pool, the scan is morsel-parallel: per-morsel partial accumulators
-/// merge in morsel order, so the result is bit-identical to the serial scan
-/// at any thread count.
-Result<double> ComputeAggregate(const Table& table,
-                                const SelectionVector& rows,
-                                const AggregateSpec& spec,
-                                ThreadPool* pool = nullptr);
+/// Where a sampled table's inclusion probabilities live: row r was drawn
+/// with probability π_r and stands for 1/π_r population rows. Either one π
+/// per row or one π shared by every row.
+struct InclusionProbabilities {
+  const double* per_row = nullptr;  ///< null = every row has `shared`
+  double shared = 1.0;
 
-/// The accumulation half of ComputeAggregate: scans the selected rows into a
-/// mergeable AggregateMoments without finishing it. ComputeAggregate is
-/// exactly AccumulateAggregate + Finish, so a shard that ships the state and
-/// a coordinator that finishes the merged state reproduce the single-node
-/// value.
-Result<AggregateMoments> AccumulateAggregate(const Table& table,
-                                             const SelectionVector& rows,
-                                             const AggregateSpec& spec,
-                                             ThreadPool* pool = nullptr);
+  double at(int64_t row) const {
+    return per_row != nullptr ? per_row[row] : shared;
+  }
+};
 
-/// Gathers the non-null numeric values of `column` at `rows` — the sample
-/// vector handed to the statistical estimators.
-Result<std::vector<double>> GatherNumeric(const Table& table,
-                                          const SelectionVector& rows,
-                                          const std::string& column);
-
-/// One output row of a grouped aggregation.
+/// One output group of the aggregation fold: its key, the rows that fed it,
+/// and the unfinished, mergeable state of every aggregate.
 struct GroupRow {
-  Value key;
-  std::vector<double> aggregates;  ///< one per spec, in input order
-  int64_t group_rows = 0;          ///< selected rows in this group
-  /// Mergeable state behind each aggregate; filled only when
-  /// GroupedAggOptions::collect_moments is set.
+  Value key;               ///< null for the one group of an ungrouped fold
+  int64_t group_rows = 0;  ///< selected rows in this group
+  /// Σ 1/π over those rows; group_rows itself when no probabilities given.
+  double population = 0.0;
+  /// One per spec, in input order. Over a sample only MIN, MAX and VAR fold
+  /// their moments (and COUNT(*) its row tally): the others read `ht`.
   std::vector<AggregateMoments> moments;
+  /// One Horvitz–Thompson state per spec; empty when no probabilities given.
+  /// COUNT and SUM fold the HT total, AVG also the Hájek mean's state, VAR
+  /// the total for its equal-π check.
+  std::vector<HtMoments> ht;
 };
 
-/// Knobs for the grouped scan beyond the default single-node behavior.
-struct GroupedAggOptions {
-  bool lenient = false;          ///< FinishLenient instead of Finish
-  bool collect_moments = false;  ///< fill GroupRow::moments
-};
-
-/// Exact hash group-by over the selected rows: groups on `group_column`
-/// (int64 or string) and computes every spec per group. Output is ordered by
-/// first appearance of the group in `rows` — also under a pool, where
-/// per-morsel group tables merge in morsel order (deterministic, identical
-/// to serial).
+/// The one aggregation scan, behind base answers (RunExact) and impression
+/// estimates (EstimateOnImpression) alike. Folds the selected rows into one
+/// state per (group, aggregate): on the base the Welford moments of the
+/// non-null column values (COUNT(*) counts rows); given a sample's inclusion
+/// probabilities, the Horvitz–Thompson sums with 1/π as the row weight
+/// instead (COUNT adds 1 per counted row), and the population Σ 1/π per
+/// group. Every aggregate column must be numeric; COUNT(col) skips NULLs
+/// like the others.
+///
+/// `group_column` empty = ungrouped: exactly one output group, even over
+/// zero rows. Otherwise groups on an int64 or string column, drops NULL keys
+/// and orders groups by first appearance in `rows`. The fold runs per morsel
+/// of `rows`; under a pool, per-morsel partials merge in morsel order, so
+/// the result is bit-identical to the serial fold at any thread count.
 Result<std::vector<GroupRow>> ComputeGroupedAggregates(
     const Table& table, const SelectionVector& rows,
     const std::string& group_column, const std::vector<AggregateSpec>& specs,
-    ThreadPool* pool = nullptr, const GroupedAggOptions& options = {});
+    ThreadPool* pool = nullptr,
+    const InclusionProbabilities* probs = nullptr);
 
 }  // namespace sciborq
 

@@ -174,10 +174,15 @@ std::string AggregateQuery::ToString() const {
   return out;
 }
 
-Result<std::vector<QueryResultRow>> RunExact(const Table& table,
-                                             const AggregateQuery& query,
-                                             ThreadPool* pool) {
-  return RunExact(table, query, pool, ExactRunOptions());
+Result<SelectionVector> SelectMatching(const Table& table,
+                                       const AggregateQuery& query,
+                                       ThreadPool* pool) {
+  if (query.filter) return SelectAll(table, *query.filter, pool);
+  SelectionVector rows(static_cast<size_t>(table.num_rows()));
+  for (int64_t i = 0; i < table.num_rows(); ++i) {
+    rows[static_cast<size_t>(i)] = i;
+  }
+  return rows;
 }
 
 Result<std::vector<QueryResultRow>> RunExact(const Table& table,
@@ -188,56 +193,29 @@ Result<std::vector<QueryResultRow>> RunExact(const Table& table,
     return Status::InvalidArgument("query has no aggregates");
   }
   if (options.moments) options.moments->clear();
-  SelectionVector rows;
-  if (query.filter) {
-    SCIBORQ_ASSIGN_OR_RETURN(rows, SelectAll(table, *query.filter, pool));
-  } else {
-    rows.resize(static_cast<size_t>(table.num_rows()));
-    for (int64_t i = 0; i < table.num_rows(); ++i) {
-      rows[static_cast<size_t>(i)] = i;
-    }
-  }
-
-  std::vector<QueryResultRow> out;
-  if (query.group_by.empty()) {
-    QueryResultRow row;
-    row.group_key = Value::Null();
-    row.input_rows = static_cast<int64_t>(rows.size());
-    row.population = static_cast<double>(row.input_rows);
-    row.values.reserve(query.aggregates.size());
-    std::vector<AggregateMoments> row_moments;
-    for (const auto& spec : query.aggregates) {
-      // Accumulate-then-finish equals ComputeAggregate exactly; it just also
-      // exposes the mergeable state when a shard needs to ship it.
-      SCIBORQ_ASSIGN_OR_RETURN(AggregateMoments acc,
-                               AccumulateAggregate(table, rows, spec, pool));
-      if (options.lenient) {
-        row.values.push_back(acc.FinishLenient(spec.kind));
-      } else {
-        SCIBORQ_ASSIGN_OR_RETURN(double v, acc.Finish(spec.kind));
-        row.values.push_back(v);
-      }
-      if (options.moments) row_moments.push_back(std::move(acc));
-    }
-    if (options.moments) options.moments->push_back(std::move(row_moments));
-    out.push_back(std::move(row));
-    return out;
-  }
-
-  GroupedAggOptions group_options;
-  group_options.lenient = options.lenient;
-  group_options.collect_moments = options.moments != nullptr;
+  SCIBORQ_ASSIGN_OR_RETURN(const SelectionVector rows,
+                           SelectMatching(table, query, pool));
   SCIBORQ_ASSIGN_OR_RETURN(
       std::vector<GroupRow> groups,
       ComputeGroupedAggregates(table, rows, query.group_by, query.aggregates,
-                               pool, group_options));
+                               pool));
+  std::vector<QueryResultRow> out;
   out.reserve(groups.size());
-  for (auto& g : groups) {
+  for (GroupRow& g : groups) {
     QueryResultRow row;
     row.group_key = std::move(g.key);
-    row.values = std::move(g.aggregates);
     row.input_rows = g.group_rows;
-    row.population = static_cast<double>(g.group_rows);
+    row.population = g.population;
+    row.values.reserve(query.aggregates.size());
+    for (size_t s = 0; s < query.aggregates.size(); ++s) {
+      const AggKind kind = query.aggregates[s].kind;
+      if (options.lenient) {
+        row.values.push_back(g.moments[s].FinishLenient(kind));
+      } else {
+        SCIBORQ_ASSIGN_OR_RETURN(double v, g.moments[s].Finish(kind));
+        row.values.push_back(v);
+      }
+    }
     if (options.moments) options.moments->push_back(std::move(g.moments));
     out.push_back(std::move(row));
   }

@@ -176,15 +176,13 @@ inline bool operator==(const QueryResultRow& a, const QueryResultRow& b) {
   return true;
 }
 
-/// Exact evaluation against any table (base data or a materialized sample).
-/// Ungrouped queries yield exactly one row. With a pool, the filter and
-/// aggregation scans run morsel-parallel and produce results bit-identical
-/// to the serial path (deterministic merges in morsel order).
-Result<std::vector<QueryResultRow>> RunExact(const Table& table,
-                                             const AggregateQuery& query,
-                                             ThreadPool* pool = nullptr);
+/// The rows of `table` that `query`'s WHERE clause selects, ascending (every
+/// row without a WHERE clause): the first phase of every aggregate scan.
+Result<SelectionVector> SelectMatching(const Table& table,
+                                       const AggregateQuery& query,
+                                       ThreadPool* pool = nullptr);
 
-/// Knobs for the shard-mergeable variant of RunExact.
+/// RunExact's shard-side knobs; the defaults are the single-node behaviour.
 struct ExactRunOptions {
   /// Empty aggregates (AVG/MIN/MAX over zero rows, VAR under two) finish as
   /// NaN instead of failing — an empty shard slice must still answer.
@@ -195,12 +193,15 @@ struct ExactRunOptions {
   std::vector<std::vector<AggregateMoments>>* moments = nullptr;
 };
 
-/// RunExact with shard-side options. With default options this is exactly
-/// the plain overload (same values, bit-for-bit).
-Result<std::vector<QueryResultRow>> RunExact(const Table& table,
-                                             const AggregateQuery& query,
-                                             ThreadPool* pool,
-                                             const ExactRunOptions& options);
+/// Exact evaluation against any table (base data or a materialized sample):
+/// SelectMatching, then the one aggregation fold (ComputeGroupedAggregates,
+/// no inclusion probabilities), each value finished from its moments.
+/// Ungrouped queries yield exactly one row. With a pool, the filter and the
+/// fold run morsel-parallel and produce results bit-identical to the serial
+/// path (deterministic merges in morsel order).
+Result<std::vector<QueryResultRow>> RunExact(
+    const Table& table, const AggregateQuery& query, ThreadPool* pool = nullptr,
+    const ExactRunOptions& options = {});
 
 }  // namespace sciborq
 

@@ -7,20 +7,6 @@
 
 namespace sciborq {
 
-void RunningMoments::Add(double value) {
-  if (count_ == 0) {
-    min_ = value;
-    max_ = value;
-  } else {
-    min_ = std::min(min_, value);
-    max_ = std::max(max_, value);
-  }
-  ++count_;
-  const double delta = value - mean_;
-  mean_ += delta / static_cast<double>(count_);
-  m2_ += delta * (value - mean_);
-}
-
 void RunningMoments::Merge(const RunningMoments& other) {
   if (other.count_ == 0) return;
   if (count_ == 0) {

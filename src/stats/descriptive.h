@@ -10,7 +10,20 @@ namespace sciborq {
 /// partials and coordinator shards can combine their statistics.
 class RunningMoments {
  public:
-  void Add(double value);
+  /// Inline, so a scan loop keeps the state in registers.
+  void Add(double value) {
+    if (count_ == 0) {
+      min_ = value;
+      max_ = value;
+    } else {
+      min_ = value < min_ ? value : min_;
+      max_ = value > max_ ? value : max_;
+    }
+    ++count_;
+    const double delta = value - mean_;
+    mean_ += delta / static_cast<double>(count_);
+    m2_ += delta * (value - mean_);
+  }
   void Merge(const RunningMoments& other);
 
   int64_t count() const { return count_; }

@@ -83,87 +83,56 @@ Status ValidateConfidence(double confidence) {
   return Status::OK();
 }
 
-Status ValidateInclusionProbs(const std::vector<double>& inclusion_probs) {
-  for (const double pi : inclusion_probs) {
-    if (!(pi > 0.0) || pi > 1.0 || !std::isfinite(pi)) {
-      return Status::InvalidArgument(
-          "inclusion probabilities must be in (0, 1]");
-    }
-  }
-  return Status::OK();
-}
-
-Status ValidateHtInputs(const std::vector<double>& values,
-                        const std::vector<double>& inclusion_probs) {
-  if (values.size() != inclusion_probs.size()) {
-    return Status::InvalidArgument(
-        "values and inclusion probabilities differ in length");
-  }
-  return ValidateInclusionProbs(inclusion_probs);
-}
-
 }  // namespace
 
-Result<AggregateEstimate> EstimateSumHorvitzThompson(
-    const std::vector<double>& values,
-    const std::vector<double>& inclusion_probs, double confidence) {
-  SCIBORQ_RETURN_NOT_OK(ValidateConfidence(confidence));
-  SCIBORQ_RETURN_NOT_OK(ValidateHtInputs(values, inclusion_probs));
-  double ht_sum = 0.0;
-  double var = 0.0;
-  for (size_t i = 0; i < values.size(); ++i) {
-    const double expanded = values[i] / inclusion_probs[i];
-    ht_sum += expanded;
-    var += (1.0 - inclusion_probs[i]) * expanded * expanded;
+void HtMoments::Merge(const HtMoments& other) {
+  if (other.count_ == 0) return;
+  if (count_ == 0) {
+    *this = other;
+    return;
   }
-  return MakeEstimate(ht_sum, std::sqrt(var), confidence,
-                      static_cast<int64_t>(values.size()));
+  count_ += other.count_;
+  total_ += other.total_;
+  total_var_ += other.total_var_;
+  population_ += other.population_;
+  // Chan's pairwise combination of the weighted residual moments.
+  const double weight = resid_weight_ + other.resid_weight_;
+  if (other.resid_weight_ > 0.0) {
+    const double delta = other.resid_mean_ - resid_mean_;
+    resid_m2_ += other.resid_m2_ +
+                 delta * delta * (resid_weight_ * other.resid_weight_ / weight);
+    resid_mean_ += delta * (other.resid_weight_ / weight);
+  }
+  resid_weight_ = weight;
+  valid_ = valid_ && other.valid_;
+  min_pi_ = other.min_pi_ < min_pi_ ? other.min_pi_ : min_pi_;
+  max_pi_ = other.max_pi_ > max_pi_ ? other.max_pi_ : max_pi_;
 }
 
-Result<AggregateEstimate> EstimateMeanHorvitzThompson(
-    const std::vector<double>& values,
-    const std::vector<double>& inclusion_probs, double confidence,
-    double* ht_count_out) {
+Result<AggregateEstimate> HtMoments::Total(double confidence) const {
   SCIBORQ_RETURN_NOT_OK(ValidateConfidence(confidence));
-  SCIBORQ_RETURN_NOT_OK(ValidateHtInputs(values, inclusion_probs));
-  if (values.empty()) {
-    return Status::InvalidArgument("cannot estimate a mean from 0 sample rows");
+  if (!valid_) {
+    return Status::InvalidArgument("inclusion probabilities must be in (0, 1]");
   }
-  double ht_sum = 0.0;
-  double ht_count = 0.0;
-  for (size_t i = 0; i < values.size(); ++i) {
-    ht_sum += values[i] / inclusion_probs[i];
-    ht_count += 1.0 / inclusion_probs[i];
-  }
-  const double ratio = ht_sum / ht_count;
-  // Linearized (Taylor) variance of the Hájek ratio estimator:
-  // Var ≈ (1/N̂²) Σ (1 − π_i) ((y_i − ratio) / π_i)².
-  double var = 0.0;
-  for (size_t i = 0; i < values.size(); ++i) {
-    const double resid = (values[i] - ratio) / inclusion_probs[i];
-    var += (1.0 - inclusion_probs[i]) * resid * resid;
-  }
-  var /= ht_count * ht_count;
-  if (ht_count_out != nullptr) *ht_count_out = ht_count;
-  return MakeEstimate(ratio, std::sqrt(var), confidence,
-                      static_cast<int64_t>(values.size()));
+  return MakeEstimate(total_, std::sqrt(total_var_), confidence, count_);
 }
 
-Result<AggregateEstimate> EstimateCountHorvitzThompson(
-    const std::vector<double>& inclusion_probs, double confidence) {
+Result<AggregateEstimate> HtMoments::Mean(double confidence) const {
   SCIBORQ_RETURN_NOT_OK(ValidateConfidence(confidence));
-  SCIBORQ_RETURN_NOT_OK(ValidateInclusionProbs(inclusion_probs));
-  // EstimateSumHorvitzThompson with every y_i = 1, in its operation order:
-  // Σ 1/π and Σ (1 − π)(1/π)(1/π).
-  double ht_count = 0.0;
-  double var = 0.0;
-  for (const double pi : inclusion_probs) {
-    const double expanded = 1.0 / pi;
-    ht_count += expanded;
-    var += (1.0 - pi) * expanded * expanded;
+  if (!valid_) {
+    return Status::InvalidArgument("inclusion probabilities must be in (0, 1]");
   }
-  return MakeEstimate(ht_count, std::sqrt(var), confidence,
-                      static_cast<int64_t>(inclusion_probs.size()));
+  if (!(population_ > 0.0)) {
+    return Status::InvalidArgument(
+        "cannot estimate a mean from 0 sample rows (added with AddForMean)");
+  }
+  const double ratio = total_ / population_;
+  // Σ a (y − ratio)² = Σ a (y − m)² + (Σ a)(m − ratio)², m the a-weighted
+  // mean: both terms are sums of squares of small differences.
+  const double shift = resid_mean_ - ratio;
+  const double var = (resid_m2_ + resid_weight_ * shift * shift) /
+                     (population_ * population_);
+  return MakeEstimate(ratio, std::sqrt(var), confidence, count_);
 }
 
 }  // namespace sciborq

@@ -2,8 +2,8 @@
 #define SCIBORQ_STATS_ESTIMATORS_H_
 
 #include <cstdint>
+#include <limits>
 #include <string>
-#include <vector>
 
 #include "column/types.h"
 #include "util/result.h"
@@ -45,35 +45,82 @@ inline bool operator==(const AggregateEstimate& a, const AggregateEstimate& b) {
 }
 
 // ---------------------------------------------------------------------------
-// Horvitz–Thompson estimators for biased (unequal-probability) samples.
+// Horvitz–Thompson estimation for biased (unequal-probability) samples.
 // Each sampled row carries its inclusion probability pi_i; the HT estimator
-//   sum = Σ y_i / pi_i
+//   total = Σ y_i / pi_i
 // is unbiased for any probability design. Variance uses the Poisson-design
 // approximation Σ (1 - pi_i) (y_i / pi_i)^2, which is the standard surrogate
 // when joint inclusion probabilities are unavailable (Fog's Fisher model is
 // exactly the conditioned-Poisson design).
 // ---------------------------------------------------------------------------
 
-/// HT estimate of the population sum of y over rows matching a predicate.
-/// `values[i]` and `inclusion_probs[i]` describe the i-th *matching* sampled
-/// row. Rows with pi <= 0 are InvalidArgument.
-Result<AggregateEstimate> EstimateSumHorvitzThompson(
-    const std::vector<double>& values,
-    const std::vector<double>& inclusion_probs, double confidence = 0.95);
+/// Streaming Horvitz–Thompson state of one aggregate over sampled rows: each
+/// row adds its value y and its inclusion probability pi (the row stands for
+/// 1/pi population rows; COUNT adds y = 1). Partials merge like
+/// RunningMoments, so the executor folds it per morsel next to the base's
+/// moments. Folded from empty, the sums run in row order: one stream of rows
+/// gives the textbook single-pass sums bit for bit.
+class HtMoments {
+ public:
+  /// Adds a row to the HT total Σ y/pi and its variance (COUNT, SUM).
+  void Add(double y, double pi) {
+    const double expanded = y / pi;
+    ++count_;
+    total_ += expanded;
+    total_var_ += (1.0 - pi) * expanded * expanded;
+    valid_ = valid_ && pi > 0.0 && pi <= 1.0;
+    min_pi_ = pi < min_pi_ ? pi : min_pi_;
+    max_pi_ = pi > max_pi_ ? pi : max_pi_;
+  }
 
-/// HT (Hájek ratio) estimate of the population mean of y over matching rows:
-/// HT-sum(y) / HT-sum(1), with a linearized variance. When `ht_count` is
-/// non-null it receives HT-sum(1) = Σ 1/pi_i, bit for bit the COUNT
-/// estimate of the same rows.
-Result<AggregateEstimate> EstimateMeanHorvitzThompson(
-    const std::vector<double>& values,
-    const std::vector<double>& inclusion_probs, double confidence = 0.95,
-    double* ht_count = nullptr);
+  /// Add, plus what Mean reads: the population Σ 1/pi and the residual
+  /// moments — West's weighted update of the mean of y under the weight
+  /// a = (1 − pi)/pi² and of Σ a (y − mean)², never Σ a·y² (AVG).
+  void AddForMean(double y, double pi) {
+    Add(y, pi);
+    const double weight = 1.0 / pi;
+    const double resid_weight = (1.0 - pi) * weight * weight;
+    population_ += weight;
+    resid_weight_ += resid_weight;
+    if (resid_weight_ > 0.0) {
+      const double delta = y - resid_mean_;
+      resid_mean_ += delta * (resid_weight / resid_weight_);
+      resid_m2_ += resid_weight * delta * (y - resid_mean_);
+    }
+  }
 
-/// HT estimate of the population count of matching rows: Σ 1 / pi_i, bit
-/// for bit EstimateSumHorvitzThompson with every y_i = 1.
-Result<AggregateEstimate> EstimateCountHorvitzThompson(
-    const std::vector<double>& inclusion_probs, double confidence = 0.95);
+  /// Folds another state in (morsel partials, in fold order).
+  void Merge(const HtMoments& other);
+
+  /// Rows added.
+  int64_t count() const { return count_; }
+  /// True when every row added had the same inclusion probability.
+  bool equal_probabilities() const { return min_pi_ == max_pi_; }
+
+  /// HT estimate of the population total Σ y/pi (COUNT and SUM).
+  /// InvalidArgument when confidence is outside (0, 1) or a row's pi was
+  /// outside (0, 1].
+  Result<AggregateEstimate> Total(double confidence = 0.95) const;
+
+  /// HT (Hájek ratio) estimate of the population mean r = Σ(y/pi) / Σ(1/pi)
+  /// with the linearized variance (1/N̂²) Σ (1 − pi) ((y − r) / pi)², over
+  /// rows added with AddForMean. The sum of squares comes from the streamed
+  /// residual moments, so a large common offset in y costs no precision.
+  /// InvalidArgument as Total, or over zero rows.
+  Result<AggregateEstimate> Mean(double confidence = 0.95) const;
+
+ private:
+  int64_t count_ = 0;
+  double total_ = 0.0;         ///< Σ y/pi
+  double total_var_ = 0.0;     ///< Σ (1 − pi)(y/pi)²
+  double population_ = 0.0;    ///< Σ 1/pi (AddForMean)
+  double resid_weight_ = 0.0;  ///< Σ (1 − pi)/pi² (AddForMean)
+  double resid_mean_ = 0.0;    ///< resid_weight-weighted mean of y
+  double resid_m2_ = 0.0;      ///< Σ (1 − pi)/pi² (y − resid_mean)²
+  double min_pi_ = std::numeric_limits<double>::infinity();
+  double max_pi_ = -std::numeric_limits<double>::infinity();
+  bool valid_ = true;          ///< every pi so far in (0, 1]
+};
 
 }  // namespace sciborq
 

@@ -327,6 +327,49 @@ TEST_F(BoundedExecutorTest, VarClaimsNoIntervalOnABiasedImpression) {
   EXPECT_LT(on_uniform.ci_lo, on_uniform.estimate);
 }
 
+// The AVG interval is streamed from residual moments, never from Σ a·y²: a
+// measure shifted by 1e9 on a biased layer keeps its half-width.
+TEST(BoundedExecutorStabilityTest, ShiftedMeasureKeepsTheAvgInterval) {
+  const Schema schema({Field{"ra", DataType::kDouble, false},
+                       Field{"m", DataType::kDouble, false},
+                       Field{"m_shifted", DataType::kDouble, false}});
+  Table table(schema);
+  Rng rng(23);
+  for (int i = 0; i < 100'000; ++i) {
+    const double ra = rng.Uniform(100.0, 200.0);
+    const double m = rng.Gaussian(500.0 + ra, 150.0);
+    ASSERT_TRUE(
+        table.AppendRow({Value(ra), Value(m), Value(m + 1e9)}).ok());
+  }
+  InterestTracker tracker =
+      InterestTracker::Make({{"ra", 100.0, 2.5, 40}}).value();
+  for (int i = 0; i < 300; ++i) {
+    tracker.ObserveValue("ra", rng.Gaussian(150.0, 5.0));
+  }
+  ImpressionSpec spec;
+  spec.capacity = 20'000;
+  spec.policy = SamplingPolicy::kBiased;
+  spec.tracker = &tracker;
+  spec.seed = 3;
+  auto builder = ImpressionBuilder::Make(schema, spec).value();
+  ASSERT_TRUE(builder.IngestBatch(table).ok());
+
+  AggregateQuery q;
+  q.aggregates = {{AggKind::kAvg, "m"}, {AggKind::kAvg, "m_shifted"}};
+  q.filter = Between("ra", 130.0, 175.0);
+  const BoundedAnswer ans =
+      EstimateOnImpression(builder.impression(), q, 0.95).value();
+  const AggregateEstimate& plain = ans.estimates[0][0];
+  const AggregateEstimate& shifted = ans.estimates[0][1];
+  ASSERT_GT(plain.sample_rows, 1'000);
+  const double plain_half = 0.5 * (plain.ci_hi - plain.ci_lo);
+  const double shifted_half = 0.5 * (shifted.ci_hi - shifted.ci_lo);
+  ASSERT_GT(plain_half, 0.0);
+  EXPECT_NEAR(shifted_half, plain_half, 1e-6 * plain_half);
+  EXPECT_NEAR(shifted.std_error, plain.std_error, 1e-6 * plain.std_error);
+  EXPECT_NEAR(shifted.estimate - 1e9, plain.estimate, 1e-6 * plain.estimate);
+}
+
 // Confidence sweep: higher confidence always widens the interval.
 class ConfidenceSweep : public ::testing::TestWithParam<double> {};
 

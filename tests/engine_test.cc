@@ -286,6 +286,81 @@ TEST(EngineTest, EscalatedBaseAnswerBitIdenticalToExact) {
   }
 }
 
+/// 200,000 rows on the default layers: k = row % 8, g NULL on every other
+/// row, s a string column.
+void LoadNullableTable(Engine* engine) {
+  const Schema schema({Field{"k", DataType::kInt64, false},
+                       Field{"g", DataType::kDouble, true},
+                       Field{"s", DataType::kString, false}});
+  Table batch(schema);
+  batch.Reserve(200'000);
+  for (int64_t i = 0; i < 200'000; ++i) {
+    ASSERT_TRUE(batch
+                    .AppendRow({Value(i % 8),
+                                i % 2 == 0 ? Value(static_cast<double>(i % 97))
+                                           : Value::Null(),
+                                Value("x")})
+                    .ok());
+  }
+  ASSERT_TRUE(engine->CreateTable("t", schema, TableOptions()).ok());
+  ASSERT_TRUE(engine->IngestBatch("t", batch).ok());
+}
+
+// A layer answers COUNT(col) as the base does: it counts the non-NULL
+// values, and refuses a string or unknown column with the base's status.
+TEST(EngineTest, LayerCountOfAColumnSkipsNullsAndChecksItsColumn) {
+  Engine engine;
+  LoadNullableTable(&engine);
+  const QueryOutcome exact =
+      engine.Query("SELECT COUNT(g) FROM t EXACT").value();
+  ASSERT_EQ(exact.rows.size(), 1u);
+  EXPECT_DOUBLE_EQ(exact.rows[0].values[0], 100'000.0);
+
+  const QueryOutcome layer =
+      engine.Query("SELECT COUNT(g) FROM t ERROR 20%").value();
+  EXPECT_FALSE(layer.exact);
+  EXPECT_NE(layer.answered_by, "base");
+  EXPECT_TRUE(layer.error_bound_met);
+  ASSERT_EQ(layer.estimates.size(), 1u);
+  const AggregateEstimate& est = layer.estimates[0][0];
+  EXPECT_LE(est.ci_lo, 100'000.0) << est.ToString();
+  EXPECT_GE(est.ci_hi, 100'000.0) << est.ToString();
+  EXPECT_LT(est.sample_rows, layer.rows[0].input_rows);  // NULLs skipped
+
+  for (const auto& [column, code] :
+       {std::pair{std::string("s"), StatusCode::kInvalidArgument},
+        std::pair{std::string("nosuch"), StatusCode::kNotFound}}) {
+    const std::string sql = "SELECT COUNT(" + column + ") FROM t";
+    EXPECT_EQ(engine.Query(sql + " EXACT").status().code(), code) << column;
+    EXPECT_EQ(engine.Query(sql + " ERROR 20%").status().code(), code)
+        << column;
+  }
+}
+
+// A grouped answer's attempt reports every group's matching rows, on a
+// layer and on the base.
+TEST(EngineTest, GroupedAttemptCountsEveryGroupsRows) {
+  Engine engine;
+  LoadNullableTable(&engine);
+  for (const std::string bounds : {"ERROR 20%", "EXACT"}) {
+    const QueryOutcome out =
+        engine.Query("SELECT COUNT(*) FROM t GROUP BY k " + bounds).value();
+    ASSERT_EQ(out.rows.size(), 8u) << bounds;
+    int64_t input_rows = 0;
+    for (const QueryResultRow& row : out.rows) input_rows += row.input_rows;
+    const LayerAttempt& attempt = out.attempts.back();
+    EXPECT_EQ(attempt.layer_name, out.answered_by) << bounds;
+    EXPECT_EQ(attempt.matching_rows, input_rows) << bounds;
+    // No WHERE clause and no NULL key: every scanned row matched.
+    EXPECT_EQ(attempt.matching_rows, attempt.layer_rows) << bounds;
+  }
+  EXPECT_EQ(engine.Query("SELECT COUNT(*) FROM t GROUP BY k EXACT")
+                .value()
+                .attempts.back()
+                .matching_rows,
+            200'000);
+}
+
 TEST(EngineTest, SessionDefaultsTableAndBounds) {
   Engine engine;
   LoadSky(&engine, "sky", 10'000, 8);

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <utility>
 #include <vector>
 
 #include "stats/descriptive.h"
@@ -39,59 +41,190 @@ TEST(NormalQuantileTest, Monotone) {
 
 // ------------------------------------------------------ Horvitz-Thompson --
 
+/// Folds (values[i], probs[i]) pairs into one HT accumulator, in order,
+/// with everything Mean reads.
+HtMoments Fold(const std::vector<double>& values,
+               const std::vector<double>& probs) {
+  HtMoments ht;
+  for (size_t i = 0; i < values.size(); ++i) {
+    ht.AddForMean(values[i], probs[i]);
+  }
+  return ht;
+}
+
+/// The two-pass Hájek mean and its linearized standard error, written out
+/// as the textbook formula: the reference the streamed state must match.
+struct TwoPassMean {
+  double ratio = 0.0;
+  double std_error = 0.0;
+};
+TwoPassMean ReferenceMean(const std::vector<double>& values,
+                          const std::vector<double>& probs) {
+  double ht_sum = 0.0;
+  double ht_count = 0.0;
+  for (size_t i = 0; i < values.size(); ++i) {
+    ht_sum += values[i] / probs[i];
+    ht_count += 1.0 / probs[i];
+  }
+  TwoPassMean out;
+  out.ratio = ht_sum / ht_count;
+  double var = 0.0;
+  for (size_t i = 0; i < values.size(); ++i) {
+    const double resid = (values[i] - out.ratio) / probs[i];
+    var += (1.0 - probs[i]) * resid * resid;
+  }
+  out.std_error = std::sqrt(var / (ht_count * ht_count));
+  return out;
+}
+
+/// One Poisson sample of a population whose inclusion grows with y.
+void DrawSample(Rng* rng, int population, std::vector<double>* values,
+                std::vector<double>* probs) {
+  values->clear();
+  probs->clear();
+  for (int i = 0; i < population; ++i) {
+    const double y = rng->Uniform(0.0, 10.0);
+    const double pi = std::min(1.0, 0.02 + 0.03 * y / 10.0);
+    if (rng->Bernoulli(pi)) {
+      values->push_back(y);
+      probs->push_back(pi);
+    }
+  }
+}
+
 TEST(HtEstimatorTest, EqualProbabilitiesMatchClassicalExpansion) {
-  const std::vector<double> values = {10.0, 20.0, 30.0};
-  const std::vector<double> probs = {0.01, 0.01, 0.01};
   const AggregateEstimate est =
-      EstimateSumHorvitzThompson(values, probs).value();
+      Fold({10.0, 20.0, 30.0}, {0.01, 0.01, 0.01}).Total().value();
   EXPECT_DOUBLE_EQ(est.estimate, 6000.0);
 }
 
 TEST(HtEstimatorTest, CountEstimate) {
   const std::vector<double> probs = {0.1, 0.2, 0.5};
-  const AggregateEstimate est = EstimateCountHorvitzThompson(probs).value();
+  const std::vector<double> ones(probs.size(), 1.0);
+  const AggregateEstimate est = Fold(ones, probs).Total().value();
   EXPECT_DOUBLE_EQ(est.estimate, 10.0 + 5.0 + 2.0);
-  // The count is the sum of ones, bit for bit (operator== compares bits).
+  // The count is the textbook Σ 1/π, bit for bit, and its variance the
+  // textbook Σ (1 − π)(1/π)², both summed in row order.
   Rng rng(3);
   std::vector<double> many;
   for (int i = 0; i < 1'000; ++i) {
     many.push_back(0.001 + 0.999 * rng.NextDouble());
   }
-  const std::vector<double> ones(many.size(), 1.0);
-  for (const double confidence : {0.9, 0.95}) {
-    EXPECT_EQ(EstimateCountHorvitzThompson(many, confidence).value(),
-              EstimateSumHorvitzThompson(ones, many, confidence).value());
+  HtMoments count;
+  for (const double pi : many) count.Add(1.0, pi);
+  double ht_count = 0.0;
+  double var = 0.0;
+  for (const double pi : many) {
+    const double expanded = 1.0 / pi;
+    ht_count += expanded;
+    var += (1.0 - pi) * expanded * expanded;
   }
-  EXPECT_FALSE(EstimateCountHorvitzThompson({0.5, 0.0}).ok());
-  EXPECT_FALSE(EstimateCountHorvitzThompson({1.5}).ok());
-  EXPECT_FALSE(EstimateCountHorvitzThompson({0.5}, 1.0).ok());
+  for (const double confidence : {0.9, 0.95}) {
+    const AggregateEstimate c = count.Total(confidence).value();
+    EXPECT_TRUE(BitIdentical(c.estimate, ht_count));
+    EXPECT_TRUE(BitIdentical(c.std_error, std::sqrt(var)));
+    EXPECT_EQ(c.sample_rows, 1'000);
+    EXPECT_EQ(c, Fold(std::vector<double>(many.size(), 1.0), many)
+                     .Total(confidence)
+                     .value());
+  }
+  EXPECT_FALSE(Fold({1.0, 1.0}, {0.5, 0.0}).Total().ok());
+  EXPECT_FALSE(Fold({1.0}, {1.5}).Total().ok());
+  EXPECT_FALSE(Fold({1.0}, {0.5}).Total(1.0).ok());
 }
 
 TEST(HtEstimatorTest, CertainInclusionHasZeroVariance) {
-  const std::vector<double> values = {5.0, 7.0};
-  const std::vector<double> probs = {1.0, 1.0};
-  const AggregateEstimate est =
-      EstimateSumHorvitzThompson(values, probs).value();
+  const HtMoments ht = Fold({5.0, 7.0}, {1.0, 1.0});
+  const AggregateEstimate est = ht.Total().value();
   EXPECT_DOUBLE_EQ(est.estimate, 12.0);
   EXPECT_DOUBLE_EQ(est.std_error, 0.0);
+  EXPECT_DOUBLE_EQ(ht.Mean().value().estimate, 6.0);
+  EXPECT_DOUBLE_EQ(ht.Mean().value().std_error, 0.0);
 }
 
 TEST(HtEstimatorTest, MeanIsHajekRatio) {
-  const std::vector<double> values = {10.0, 20.0};
-  const std::vector<double> probs = {0.5, 0.25};
   // HT sum = 20 + 80 = 100; HT count = 2 + 4 = 6; ratio = 100/6.
-  const AggregateEstimate est =
-      EstimateMeanHorvitzThompson(values, probs).value();
+  const AggregateEstimate est = Fold({10.0, 20.0}, {0.5, 0.25}).Mean().value();
   EXPECT_NEAR(est.estimate, 100.0 / 6.0, 1e-12);
 }
 
 TEST(HtEstimatorTest, InputValidation) {
-  EXPECT_FALSE(EstimateSumHorvitzThompson({1.0}, {}).ok());
-  EXPECT_FALSE(EstimateSumHorvitzThompson({1.0}, {0.0}).ok());
-  EXPECT_FALSE(EstimateSumHorvitzThompson({1.0}, {-0.5}).ok());
-  EXPECT_FALSE(EstimateSumHorvitzThompson({1.0}, {1.5}).ok());
-  EXPECT_FALSE(EstimateMeanHorvitzThompson({}, {}).ok());
-  EXPECT_FALSE(EstimateSumHorvitzThompson({1.0}, {0.5}, 2.0).ok());
+  EXPECT_FALSE(Fold({1.0}, {0.0}).Total().ok());
+  EXPECT_FALSE(Fold({1.0}, {-0.5}).Total().ok());
+  EXPECT_FALSE(Fold({1.0}, {1.5}).Total().ok());
+  EXPECT_FALSE(Fold({1.0}, {0.0}).Mean().ok());
+  EXPECT_FALSE(Fold({1.0}, {std::nan("")}).Total().ok());
+  EXPECT_FALSE(Fold({}, {}).Mean().ok());
+  HtMoments totals_only;
+  totals_only.Add(1.0, 0.5);
+  EXPECT_FALSE(totals_only.Mean().ok());  // no population was folded
+  EXPECT_FALSE(Fold({1.0}, {0.5}).Total(2.0).ok());
+  EXPECT_FALSE(Fold({1.0}, {0.5}).Mean(0.0).ok());
+  // An invalid π poisons the merged state too.
+  HtMoments merged = Fold({1.0}, {0.5});
+  merged.Merge(Fold({1.0}, {1.5}));
+  EXPECT_FALSE(merged.Total().ok());
+}
+
+// The streamed mean and its interval match the two-pass formulas, and the
+// streamed sample variance matches the two-pass one, within 1e-9 relative.
+TEST(HtEstimatorTest, StreamedMeanMatchesTwoPassFormula) {
+  Rng rng(77);
+  std::vector<double> values;
+  std::vector<double> probs;
+  for (int trial = 0; trial < 20; ++trial) {
+    DrawSample(&rng, 1000, &values, &probs);
+    ASSERT_GE(values.size(), 2u);
+    const TwoPassMean ref = ReferenceMean(values, probs);
+    const AggregateEstimate est = Fold(values, probs).Mean().value();
+    EXPECT_NEAR(est.estimate, ref.ratio, 1e-9 * std::abs(ref.ratio));
+    EXPECT_NEAR(est.std_error, ref.std_error, 1e-9 * ref.std_error);
+    const double z = NormalQuantile(0.975);
+    EXPECT_NEAR(est.ci_hi - est.estimate, z * ref.std_error,
+                1e-9 * z * ref.std_error);
+
+    double mean = 0.0;
+    for (const double v : values) mean += v;
+    mean /= static_cast<double>(values.size());
+    double ss = 0.0;
+    for (const double v : values) ss += (v - mean) * (v - mean);
+    const double two_pass_var = ss / static_cast<double>(values.size() - 1);
+    RunningMoments streamed;
+    for (const double v : values) streamed.Add(v);
+    EXPECT_NEAR(streamed.variance(), two_pass_var, 1e-9 * two_pass_var);
+  }
+}
+
+// Merging partials (the morsel fold) agrees with one stream; merging into
+// an empty state copies the partial exactly.
+TEST(HtEstimatorTest, MergeMatchesOneStream) {
+  Rng rng(5);
+  std::vector<double> values;
+  std::vector<double> probs;
+  DrawSample(&rng, 3000, &values, &probs);
+  const HtMoments whole = Fold(values, probs);
+  HtMoments merged;
+  HtMoments empty;
+  merged.Merge(empty);
+  const size_t cut1 = values.size() / 3;
+  const size_t cut2 = 2 * values.size() / 3;
+  for (const auto& [b, e] : {std::pair{size_t{0}, cut1}, std::pair{cut1, cut2},
+                             std::pair{cut2, values.size()}}) {
+    HtMoments part;
+    for (size_t i = b; i < e; ++i) part.AddForMean(values[i], probs[i]);
+    merged.Merge(part);
+  }
+  EXPECT_EQ(merged.count(), whole.count());
+  const AggregateEstimate a = merged.Mean().value();
+  const AggregateEstimate b = whole.Mean().value();
+  EXPECT_NEAR(a.estimate, b.estimate, 1e-12 * std::abs(b.estimate));
+  EXPECT_NEAR(a.std_error, b.std_error, 1e-9 * b.std_error);
+  EXPECT_NEAR(merged.Total().value().std_error, whole.Total().value().std_error,
+              1e-9 * whole.Total().value().std_error);
+  HtMoments copy;
+  copy.Merge(whole);
+  EXPECT_EQ(copy.Mean().value(), whole.Mean().value());
+  EXPECT_EQ(copy.Total().value(), whole.Total().value());
 }
 
 // Simulation: HT is unbiased under unequal-probability (Poisson) sampling.
@@ -110,16 +243,12 @@ TEST(HtEstimatorTest, UnbiasednessSimulation) {
   const int kTrials = 600;
   double mean_est = 0.0;
   for (int t = 0; t < kTrials; ++t) {
-    std::vector<double> sv;
-    std::vector<double> sp;
+    HtMoments sample;
     for (int i = 0; i < kPopulation; ++i) {
-      if (rng.Bernoulli(pi[i])) {
-        sv.push_back(y[i]);
-        sp.push_back(pi[i]);
-      }
+      if (rng.Bernoulli(pi[i])) sample.Add(y[i], pi[i]);
     }
-    if (sv.empty()) continue;
-    mean_est += EstimateSumHorvitzThompson(sv, sp).value().estimate;
+    if (sample.count() == 0) continue;
+    mean_est += sample.Total().value().estimate;
   }
   mean_est /= kTrials;
   EXPECT_NEAR(mean_est, truth, truth * 0.05);
@@ -139,15 +268,11 @@ TEST(HtEstimatorTest, CoverageSimulation) {
   const int kTrials = 300;
   int covered = 0;
   for (int t = 0; t < kTrials; ++t) {
-    std::vector<double> sv;
-    std::vector<double> sp;
+    HtMoments sample;
     for (int i = 0; i < kPopulation; ++i) {
-      if (rng.Bernoulli(pi[i])) {
-        sv.push_back(y[i]);
-        sp.push_back(pi[i]);
-      }
+      if (rng.Bernoulli(pi[i])) sample.Add(y[i], pi[i]);
     }
-    const auto est = EstimateSumHorvitzThompson(sv, sp).value();
+    const auto est = sample.Total().value();
     if (truth >= est.ci_lo && truth <= est.ci_hi) ++covered;
   }
   EXPECT_GT(covered, kTrials * 0.88);

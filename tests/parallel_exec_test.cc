@@ -145,6 +145,27 @@ TEST_F(ParallelExecTest, EstimateOnBiasedImpressionMatchesSerial) {
   const auto parallel =
       EstimateOnImpression(builder.impression(), q, 0.95, pool_).value();
   ExpectIdenticalAnswers(serial, parallel);
+
+  // Grouped, every moment aggregate, and more matching rows than one morsel
+  // holds, so pooled partials of every cell kind merge.
+  AggregateQuery grouped;
+  grouped.aggregates = {{AggKind::kCount, ""},    {AggKind::kSum, "r"},
+                        {AggKind::kAvg, "redshift"}, {AggKind::kMin, "g"},
+                        {AggKind::kMax, "g"},     {AggKind::kVariance, "dec"}};
+  grouped.filter = Between("ra", 100.0, 250.0);
+  grouped.group_by = "obj_class";
+  const auto grouped_serial =
+      EstimateOnImpression(builder.impression(), grouped, 0.95).value();
+  const auto grouped_parallel =
+      EstimateOnImpression(builder.impression(), grouped, 0.95, pool_)
+          .value();
+  int64_t matching = 0;
+  for (const auto& row : grouped_serial.rows) matching += row.input_rows;
+  EXPECT_GT(matching, 2 * kDefaultMorselRows);
+  EXPECT_GT(grouped_serial.rows.size(), 1u);
+  ExpectIdenticalAnswers(grouped_serial, grouped_parallel);
+  EXPECT_TRUE(grouped_serial.rows == grouped_parallel.rows);
+  EXPECT_TRUE(grouped_serial.estimates == grouped_parallel.estimates);
 }
 
 TEST_F(ParallelExecTest, BoundedExecutorParallelMatchesSerial) {
