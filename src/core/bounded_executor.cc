@@ -33,49 +33,52 @@ AggregateEstimate Unbounded(double estimate, double ci_lo, double confidence,
 Result<AggregateEstimate> EstimateAggregate(const AggregateSpec& spec,
                                             const GroupRow& group, size_t s,
                                             double confidence) {
-  if (group.group_rows == 0) {
-    // No sampled row matched (only the ungrouped group can be empty). The
-    // point estimate is 0 but the sample carries no information about how
-    // large the true answer could be (a small sample easily misses a rare
-    // subpopulation entirely), so the interval is unbounded and an
-    // error-bounded query escalates to a larger layer.
+  // No sampled row gave the cell a value (none matched, or every matching
+  // measure is NULL). The estimate is 0, but a small sample easily misses a
+  // rare subpopulation entirely, so the interval is unbounded and an
+  // error-bounded query escalates to a larger layer.
+  const auto no_values = [&] {
     return Unbounded(0.0, spec.kind == AggKind::kCount ? 0.0 : -kInf,
                      confidence, 0);
-  }
-  const AggregateMoments& moments = group.moments[s];
+  };
   const HtMoments& ht = group.ht[s];
   switch (spec.kind) {
     case AggKind::kCount:
     case AggKind::kSum:
-      return ht.Total(confidence);
-    case AggKind::kAvg:
-      return ht.Mean(confidence);
+    case AggKind::kAvg: {
+      if (ht.count() == 0) return no_values();
+      if (spec.kind != AggKind::kAvg) return ht.Total(confidence);
+      SCIBORQ_ASSIGN_OR_RETURN(const AggregateEstimate mean,
+                               ht.Mean(confidence));
+      // One value says nothing about the spread (its residual is 0 by
+      // construction), so it claims no interval either.
+      if (ht.count() > 1) return mean;
+      return Unbounded(mean.estimate, -kInf, confidence, 1);
+    }
     case AggKind::kMin:
     case AggKind::kMax: {
       // Sample extremes carry no distribution-free error bound: an unseen
       // tuple can be arbitrarily more extreme.
-      SCIBORQ_ASSIGN_OR_RETURN(const double extreme, moments.Finish(spec.kind));
-      return Unbounded(extreme, -kInf, confidence, moments.moments.count());
+      const RunningExtremes& extremes = group.extremes[s];
+      if (extremes.count == 0) return no_values();
+      return Unbounded(
+          spec.kind == AggKind::kMin ? extremes.min : extremes.max, -kInf,
+          confidence, extremes.count);
     }
     case AggKind::kVariance: {
-      SCIBORQ_ASSIGN_OR_RETURN(const double var, moments.Finish(spec.kind));
+      const AggregateMoments& moments = group.moments[s];
       const int64_t m = moments.moments.count();
-      if (!ht.equal_probabilities()) {
+      if (m == 0) return no_values();
+      SCIBORQ_ASSIGN_OR_RETURN(const double var, moments.Finish(spec.kind));
+      if (!group.equal_probabilities) {
         // Unequal inclusion probabilities (a biased layer): the unweighted
         // sample variance is not a design-consistent estimate, so no error
         // bound is claimed, like MIN/MAX, and a bounded query escalates.
         return Unbounded(var, -kInf, confidence, m);
       }
       // Normal-theory standard error of s^2: s^2 * sqrt(2/(m-1)).
-      AggregateEstimate est;
-      est.estimate = var;
-      est.confidence = confidence;
-      est.sample_rows = m;
-      est.std_error = var * std::sqrt(2.0 / static_cast<double>(m - 1));
-      const double z = NormalQuantile(0.5 + confidence / 2.0);
-      est.ci_lo = var - z * est.std_error;
-      est.ci_hi = var + z * est.std_error;
-      return est;
+      const double se = var * std::sqrt(2.0 / static_cast<double>(m - 1));
+      return NormalEstimate(var, se, confidence, m);
     }
     case AggKind::kLast:
       return Status::InvalidArgument(

@@ -53,7 +53,9 @@ struct BoundedAnswer {
 /// report the sample extreme with an *infinite* relative error — extremes
 /// carry no CLT guarantee, so an error-bounded query falls through to the
 /// base data, which is the correct behaviour; so does VAR on a layer with
-/// unequal π. Each row's `population` is Σ 1/π over its matching rows.
+/// unequal π, AVG over a single value, and any cell the sample gave no
+/// value (estimate 0). Each row's `population` is Σ 1/π over its matching
+/// rows.
 /// With a pool, the filter and the fold run morsel-parallel; estimates are
 /// bit-identical to the serial path at any thread count.
 Result<BoundedAnswer> EstimateOnImpression(const Impression& impression,

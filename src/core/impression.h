@@ -6,7 +6,7 @@
 #include <vector>
 
 #include "column/table.h"
-#include "exec/aggregate.h"
+#include "stats/estimators.h"
 #include "util/check.h"
 #include "util/result.h"
 

@@ -89,16 +89,20 @@ double AggregateMoments::FinishLenient(AggKind kind) const {
 
 namespace {
 
-/// One (group, aggregate) cell of the fold.
+/// One (group, aggregate) cell of the fold: on the base it folds `moments`,
+/// on a sample only what its estimate reads (see GroupRow).
 struct Cell {
   AggregateMoments moments;
   HtMoments ht;
+  RunningExtremes extremes;
 };
 
-/// The rows one group took in: how many, and on a sample Σ 1/π over them.
+/// The rows one group took in: how many and, on a sample, their HT count
+/// (Σ 1/π: the group's population and its COUNT(*) state) and π range.
 struct GroupTally {
   int64_t rows = 0;
-  double population = 0.0;
+  HtMoments count;
+  RunningExtremes pi;
 };
 
 /// Hash aggregation state over one stream of selected rows: group keys in
@@ -141,22 +145,23 @@ struct GroupSet {
     return inserted ? AppendGroup(key) : it->second;
   }
 
-  /// Group of `row`, or -1 for a NULL key (SQL semantics: dropped). Boxing
-  /// the key into a Value is deferred to first appearance so the per-row
-  /// path costs one hash probe, not a string copy.
+  /// Group of `row`, or -1 for a NULL key (SQL semantics: dropped). A seen
+  /// key costs one hash probe: the map node, the key copy and the boxed
+  /// Value are made only at the key's first appearance.
   int64_t GroupIndexForRow(int64_t row) {
     if (key_col->IsNull(row)) return -1;
-    size_t g = 0;
     if (key_col->type() == DataType::kInt64) {
       const int64_t key = key_col->GetInt64(row);
-      const auto [it, inserted] = int_groups.emplace(key, keys.size());
-      g = inserted ? AppendGroup(Value(key)) : it->second;
-    } else {
-      const auto [it, inserted] =
-          str_groups.emplace(key_col->GetString(row), keys.size());
-      g = inserted ? AppendGroup(Value(it->first)) : it->second;
+      const auto it = int_groups.find(key);
+      if (it != int_groups.end()) return static_cast<int64_t>(it->second);
+      int_groups.emplace(key, keys.size());
+      return static_cast<int64_t>(AppendGroup(Value(key)));
     }
-    return static_cast<int64_t>(g);
+    const std::string& key = key_col->GetString(row);
+    const auto it = str_groups.find(key);
+    if (it != str_groups.end()) return static_cast<int64_t>(it->second);
+    str_groups.emplace(key, keys.size());
+    return static_cast<int64_t>(AppendGroup(Value(key)));
   }
 
   /// Calls fold(state, i) for every row i of the morsel with a group, where
@@ -197,40 +202,41 @@ struct GroupSet {
     ForEachGrouped(group_of, n, &tallies, 1, 0,
                    [sample, &pi, sel](GroupTally& tally, int64_t i) {
                      ++tally.rows;
-                     if (sample) tally.population += 1.0 / pi.at(sel[i]);
+                     if (!sample) return;
+                     const double p = pi.at(sel[i]);
+                     tally.count.Add(1.0, p);
+                     tally.pi.Add(p);
                    });
     const size_t num_specs = specs->size();
     for (size_t s = 0; s < num_specs; ++s) {
       const Column* in = (*inputs)[s];
+      if (in == nullptr) continue;  // COUNT(*) is read off the group's tally
+      // add(cell, v, row) for every non-null value, in row order.
+      const auto fold_values = [&](const auto& add) {
+        ForEachGrouped(group_of, n, &cells, num_specs, s,
+                       [&](Cell& cell, int64_t i) {
+                         const int64_t row = sel[i];
+                         if (in->IsNull(row)) return;
+                         add(cell, in->NumericAt(row), row);
+                       });
+      };
       const AggKind kind = (*specs)[s].kind;
-      // On a sample each aggregate folds only what its estimate reads: the
-      // HT sums for COUNT, SUM, AVG (with the mean's residual moments) and
-      // VAR (whether the rows' π differ), the moments for MIN, MAX and VAR.
-      const bool extreme = kind == AggKind::kMin || kind == AggKind::kMax;
-      const bool fold_moments =
-          !sample || extreme || kind == AggKind::kVariance;
-      const bool fold_ht = sample && !extreme;
-      ForEachGrouped(
-          group_of, n, &cells, num_specs, s,
-          [in, kind, fold_moments, fold_ht, &pi, sel](Cell& cell, int64_t i) {
-            const int64_t row = sel[i];
-            double v = 1.0;
-            if (in == nullptr) {
-              cell.moments.AddRowOnly();
-            } else if (in->IsNull(row)) {
-              return;
-            } else {
-              v = in->NumericAt(row);
-              if (fold_moments) cell.moments.Add(v);
-            }
-            if (!fold_ht) return;
-            if (kind == AggKind::kAvg) {
-              cell.ht.AddForMean(v, pi.at(row));
-            } else {
-              // COUNT expands a 1 per counted row; SUM the value.
-              cell.ht.Add(kind == AggKind::kCount ? 1.0 : v, pi.at(row));
-            }
-          });
+      if (!sample || kind == AggKind::kVariance) {
+        fold_values([](Cell& cell, double v, int64_t) { cell.moments.Add(v); });
+      } else if (kind == AggKind::kMin || kind == AggKind::kMax) {
+        fold_values(
+            [](Cell& cell, double v, int64_t) { cell.extremes.Add(v); });
+      } else if (kind == AggKind::kAvg) {
+        fold_values([&pi](Cell& cell, double v, int64_t row) {
+          cell.ht.AddForMean(v, pi.at(row));
+        });
+      } else {
+        // COUNT(col) expands a 1 per counted value; SUM the value.
+        const bool count = kind == AggKind::kCount;
+        fold_values([&pi, count](Cell& cell, double v, int64_t row) {
+          cell.ht.Add(count ? 1.0 : v, pi.at(row));
+        });
+      }
     }
   }
 
@@ -241,12 +247,14 @@ struct GroupSet {
     for (size_t pg = 0; pg < partial.keys.size(); ++pg) {
       const size_t g = GroupIndexForKey(partial.keys[pg]);
       tallies[g].rows += partial.tallies[pg].rows;
-      tallies[g].population += partial.tallies[pg].population;
+      tallies[g].count.Merge(partial.tallies[pg].count);
+      tallies[g].pi.Merge(partial.tallies[pg].pi);
       for (size_t s = 0; s < num_specs; ++s) {
         Cell& cell = cells[g * num_specs + s];
         const Cell& other = partial.cells[pg * num_specs + s];
         cell.moments.Merge(other.moments);
         cell.ht.Merge(other.ht);
+        cell.extremes.Merge(other.extremes);
       }
     }
   }
@@ -284,21 +292,33 @@ Result<std::vector<GroupRow>> ComputeGroupedAggregates(
       },
       [&global](GroupSet&& partial) { global.MergePartial(partial); });
 
+  const bool sample = probs != nullptr;
   const size_t num_specs = specs.size();
   std::vector<GroupRow> out(global.keys.size());
   for (size_t g = 0; g < out.size(); ++g) {
     GroupRow& group_row = out[g];
+    const GroupTally& tally = global.tallies[g];
     group_row.key = std::move(global.keys[g]);
-    group_row.group_rows = global.tallies[g].rows;
-    group_row.population = probs != nullptr
-                               ? global.tallies[g].population
-                               : static_cast<double>(global.tallies[g].rows);
+    group_row.group_rows = tally.rows;
+    group_row.population =
+        sample ? tally.count.total() : static_cast<double>(tally.rows);
+    group_row.equal_probabilities = tally.pi.min == tally.pi.max;
     group_row.moments.reserve(num_specs);
-    if (probs != nullptr) group_row.ht.reserve(num_specs);
+    if (sample) {
+      group_row.ht.reserve(num_specs);
+      group_row.extremes.reserve(num_specs);
+    }
     for (size_t s = 0; s < num_specs; ++s) {
       Cell& cell = global.cells[g * num_specs + s];
+      if (inputs[s] == nullptr) {  // COUNT(*): the group's tally
+        cell.moments.count_only = tally.rows;
+        cell.ht = tally.count;
+      }
       group_row.moments.push_back(cell.moments);
-      if (probs != nullptr) group_row.ht.push_back(cell.ht);
+      if (sample) {
+        group_row.ht.push_back(cell.ht);
+        group_row.extremes.push_back(cell.extremes);
+      }
     }
   }
   return out;

@@ -71,18 +71,6 @@ inline bool operator==(const AggregateMoments& a, const AggregateMoments& b) {
          BitIdentical(a.moments.max(), b.moments.max());
 }
 
-/// Where a sampled table's inclusion probabilities live: row r was drawn
-/// with probability π_r and stands for 1/π_r population rows. Either one π
-/// per row or one π shared by every row.
-struct InclusionProbabilities {
-  const double* per_row = nullptr;  ///< null = every row has `shared`
-  double shared = 1.0;
-
-  double at(int64_t row) const {
-    return per_row != nullptr ? per_row[row] : shared;
-  }
-};
-
 /// One output group of the aggregation fold: its key, the rows that fed it,
 /// and the unfinished, mergeable state of every aggregate.
 struct GroupRow {
@@ -90,23 +78,28 @@ struct GroupRow {
   int64_t group_rows = 0;  ///< selected rows in this group
   /// Σ 1/π over those rows; group_rows itself when no probabilities given.
   double population = 0.0;
-  /// One per spec, in input order. Over a sample only MIN, MAX and VAR fold
-  /// their moments (and COUNT(*) its row tally): the others read `ht`.
+  /// True when every row of the group had the same π (always on the base):
+  /// only then does a sample's VAR claim an interval.
+  bool equal_probabilities = true;
+  /// One state per spec, in input order, of which a cell fills only what its
+  /// answer reads. On the base every cell folds `moments`. Over a sample
+  /// COUNT and SUM fold the HT total in `ht`, AVG also the Hájek mean's
+  /// state, MIN and MAX their `extremes` and VAR its `moments`. `ht` and
+  /// `extremes` are empty when no probabilities are given.
   std::vector<AggregateMoments> moments;
-  /// One Horvitz–Thompson state per spec; empty when no probabilities given.
-  /// COUNT and SUM fold the HT total, AVG also the Hájek mean's state, VAR
-  /// the total for its equal-π check.
   std::vector<HtMoments> ht;
+  std::vector<RunningExtremes> extremes;
 };
 
 /// The one aggregation scan, behind base answers (RunExact) and impression
 /// estimates (EstimateOnImpression) alike. Folds the selected rows into one
 /// state per (group, aggregate): on the base the Welford moments of the
 /// non-null column values (COUNT(*) counts rows); given a sample's inclusion
-/// probabilities, the Horvitz–Thompson sums with 1/π as the row weight
-/// instead (COUNT adds 1 per counted row), and the population Σ 1/π per
-/// group. Every aggregate column must be numeric; COUNT(col) skips NULLs
-/// like the others.
+/// probabilities, only what each estimate reads (see GroupRow): the
+/// Horvitz–Thompson sums with 1/π as the row weight (COUNT adds 1 per
+/// counted row), the extremes or the moments, and per group the population
+/// Σ 1/π and whether the rows' π differ. Every aggregate column must be
+/// numeric; COUNT(col) skips NULLs like the others.
 ///
 /// `group_column` empty = ungrouped: exactly one output group, even over
 /// zero rows. Otherwise groups on an int64 or string column, drops NULL keys

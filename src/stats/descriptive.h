@@ -52,6 +52,25 @@ class RunningMoments {
   double max_ = 0.0;
 };
 
+/// The count and extremes of a stream of values: what MIN and MAX read of
+/// RunningMoments (compared the same way), without the mean's division.
+struct RunningExtremes {
+  int64_t count = 0;
+  double min = 0.0;
+  double max = 0.0;
+  void Add(double v) {
+    min = count == 0 || v < min ? v : min;
+    max = count == 0 || v > max ? v : max;
+    ++count;
+  }
+  void Merge(const RunningExtremes& other) {
+    if (other.count == 0) return;
+    min = count == 0 || other.min < min ? other.min : min;
+    max = count == 0 || other.max > max ? other.max : max;
+    count += other.count;
+  }
+};
+
 /// Linear-interpolation quantile of already-sorted data; q in [0, 1].
 /// Precondition: `sorted` non-empty and ascending.
 double QuantileSorted(const std::vector<double>& sorted, double q);

@@ -61,24 +61,29 @@ std::string AggregateEstimate::ToString() const {
                    static_cast<long long>(sample_rows));
 }
 
-namespace {
-
-AggregateEstimate MakeEstimate(double est, double std_error, double confidence,
-                               int64_t sample_rows) {
+AggregateEstimate NormalEstimate(double estimate, double std_error,
+                                 double confidence, int64_t sample_rows) {
   AggregateEstimate out;
-  out.estimate = est;
+  out.estimate = estimate;
   out.std_error = std_error;
   out.confidence = confidence;
   out.sample_rows = sample_rows;
   const double z = NormalQuantile(0.5 + confidence / 2.0);
-  out.ci_lo = est - z * std_error;
-  out.ci_hi = est + z * std_error;
+  out.ci_lo = estimate - z * std_error;
+  out.ci_hi = estimate + z * std_error;
   return out;
 }
 
-Status ValidateConfidence(double confidence) {
+namespace {
+
+/// What both HT finishes check: the confidence, and that every folded pi
+/// was in (0, 1].
+Status ValidateInputs(double confidence, bool probabilities_valid) {
   if (!(confidence > 0.0) || !(confidence < 1.0)) {
     return Status::InvalidArgument("confidence must be in (0, 1)");
+  }
+  if (!probabilities_valid) {
+    return Status::InvalidArgument("inclusion probabilities must be in (0, 1]");
   }
   return Status::OK();
 }
@@ -105,23 +110,15 @@ void HtMoments::Merge(const HtMoments& other) {
   }
   resid_weight_ = weight;
   valid_ = valid_ && other.valid_;
-  min_pi_ = other.min_pi_ < min_pi_ ? other.min_pi_ : min_pi_;
-  max_pi_ = other.max_pi_ > max_pi_ ? other.max_pi_ : max_pi_;
 }
 
 Result<AggregateEstimate> HtMoments::Total(double confidence) const {
-  SCIBORQ_RETURN_NOT_OK(ValidateConfidence(confidence));
-  if (!valid_) {
-    return Status::InvalidArgument("inclusion probabilities must be in (0, 1]");
-  }
-  return MakeEstimate(total_, std::sqrt(total_var_), confidence, count_);
+  SCIBORQ_RETURN_NOT_OK(ValidateInputs(confidence, valid_));
+  return NormalEstimate(total_, std::sqrt(total_var_), confidence, count_);
 }
 
 Result<AggregateEstimate> HtMoments::Mean(double confidence) const {
-  SCIBORQ_RETURN_NOT_OK(ValidateConfidence(confidence));
-  if (!valid_) {
-    return Status::InvalidArgument("inclusion probabilities must be in (0, 1]");
-  }
+  SCIBORQ_RETURN_NOT_OK(ValidateInputs(confidence, valid_));
   if (!(population_ > 0.0)) {
     return Status::InvalidArgument(
         "cannot estimate a mean from 0 sample rows (added with AddForMean)");
@@ -132,7 +129,7 @@ Result<AggregateEstimate> HtMoments::Mean(double confidence) const {
   const double shift = resid_mean_ - ratio;
   const double var = (resid_m2_ + resid_weight_ * shift * shift) /
                      (population_ * population_);
-  return MakeEstimate(ratio, std::sqrt(var), confidence, count_);
+  return NormalEstimate(ratio, std::sqrt(var), confidence, count_);
 }
 
 }  // namespace sciborq

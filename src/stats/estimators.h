@@ -2,7 +2,6 @@
 #define SCIBORQ_STATS_ESTIMATORS_H_
 
 #include <cstdint>
-#include <limits>
 #include <string>
 
 #include "column/types.h"
@@ -33,6 +32,11 @@ struct AggregateEstimate {
 
   std::string ToString() const;
 };
+
+/// An estimate with the normal-theory interval estimate ± z·std_error, z the
+/// two-sided standard normal quantile of `confidence`.
+AggregateEstimate NormalEstimate(double estimate, double std_error,
+                                 double confidence, int64_t sample_rows);
 
 /// Exact field-wise equality, doubles bit-for-bit (so NaN == NaN, matching
 /// the wire layer's bit-exact round-trip guarantee).
@@ -69,8 +73,6 @@ class HtMoments {
     total_ += expanded;
     total_var_ += (1.0 - pi) * expanded * expanded;
     valid_ = valid_ && pi > 0.0 && pi <= 1.0;
-    min_pi_ = pi < min_pi_ ? pi : min_pi_;
-    max_pi_ = pi > max_pi_ ? pi : max_pi_;
   }
 
   /// Add, plus what Mean reads: the population Σ 1/pi and the residual
@@ -94,8 +96,8 @@ class HtMoments {
 
   /// Rows added.
   int64_t count() const { return count_; }
-  /// True when every row added had the same inclusion probability.
-  bool equal_probabilities() const { return min_pi_ == max_pi_; }
+  /// The HT total Σ y/pi so far (Total's estimate, unchecked).
+  double total() const { return total_; }
 
   /// HT estimate of the population total Σ y/pi (COUNT and SUM).
   /// InvalidArgument when confidence is outside (0, 1) or a row's pi was
@@ -117,9 +119,19 @@ class HtMoments {
   double resid_weight_ = 0.0;  ///< Σ (1 − pi)/pi² (AddForMean)
   double resid_mean_ = 0.0;    ///< resid_weight-weighted mean of y
   double resid_m2_ = 0.0;      ///< Σ (1 − pi)/pi² (y − resid_mean)²
-  double min_pi_ = std::numeric_limits<double>::infinity();
-  double max_pi_ = -std::numeric_limits<double>::infinity();
   bool valid_ = true;          ///< every pi so far in (0, 1]
+};
+
+/// Where a sampled table's inclusion probabilities live: row r was drawn
+/// with probability π_r and stands for 1/π_r population rows. Either one π
+/// per row or one π shared by every row.
+struct InclusionProbabilities {
+  const double* per_row = nullptr;  ///< null = every row has `shared`
+  double shared = 1.0;
+
+  double at(int64_t row) const {
+    return per_row != nullptr ? per_row[row] : shared;
+  }
 };
 
 }  // namespace sciborq

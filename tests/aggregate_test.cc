@@ -152,7 +152,7 @@ TEST(AggregateTest, ProbabilitiesFoldHtSums) {
   EXPECT_DOUBLE_EQ(g2.ht[1].Total().value().estimate, 1.0 + 5.0);
   EXPECT_DOUBLE_EQ(g2.ht[2].Total().value().estimate, 10.0 + 100.0);
   EXPECT_EQ(g2.ht[1].count(), 2);
-  EXPECT_FALSE(g2.ht[2].equal_probabilities());
+  EXPECT_FALSE(g2.equal_probabilities);
   // A shared π: every row stands for 4.
   const InclusionProbabilities shared{nullptr, 0.25};
   const auto one = ComputeGroupedAggregates(t, AllRows(t), "",
@@ -160,7 +160,7 @@ TEST(AggregateTest, ProbabilitiesFoldHtSums) {
                                             &shared)
                        .value();
   EXPECT_DOUBLE_EQ(one[0].population, 24.0);
-  EXPECT_TRUE(one[0].ht[0].equal_probabilities());
+  EXPECT_TRUE(one[0].equal_probabilities);
 }
 
 TEST(GroupedAggregateTest, GroupByInt) {

@@ -287,11 +287,13 @@ TEST(EngineTest, EscalatedBaseAnswerBitIdenticalToExact) {
 }
 
 /// 200,000 rows on the default layers: k = row % 8, g NULL on every other
-/// row, s a string column.
+/// row, s a string column, `sparse` NULL but on every 10,000th row (20
+/// values, all with k = 1).
 void LoadNullableTable(Engine* engine) {
   const Schema schema({Field{"k", DataType::kInt64, false},
                        Field{"g", DataType::kDouble, true},
-                       Field{"s", DataType::kString, false}});
+                       Field{"s", DataType::kString, false},
+                       Field{"sparse", DataType::kDouble, true}});
   Table batch(schema);
   batch.Reserve(200'000);
   for (int64_t i = 0; i < 200'000; ++i) {
@@ -299,7 +301,10 @@ void LoadNullableTable(Engine* engine) {
                     .AppendRow({Value(i % 8),
                                 i % 2 == 0 ? Value(static_cast<double>(i % 97))
                                            : Value::Null(),
-                                Value("x")})
+                                Value("x"),
+                                i % 10'000 == 1
+                                    ? Value(1.0 + static_cast<double>(i % 7))
+                                    : Value::Null()})
                     .ok());
   }
   ASSERT_TRUE(engine->CreateTable("t", schema, TableOptions()).ok());
@@ -334,6 +339,29 @@ TEST(EngineTest, LayerCountOfAColumnSkipsNullsAndChecksItsColumn) {
     EXPECT_EQ(engine.Query(sql + " EXACT").status().code(), code) << column;
     EXPECT_EQ(engine.Query(sql + " ERROR 20%").status().code(), code)
         << column;
+  }
+}
+
+// A layer whose matching rows all have a NULL measure claims no interval:
+// a sample that missed every value of a sparse column escalates rather than
+// answer 0 as if it were exact.
+TEST(EngineTest, LayerWithoutMeasureValuesEscalates) {
+  Engine engine;
+  LoadNullableTable(&engine);
+  for (const std::string agg :
+       {"COUNT(sparse)", "SUM(sparse)", "AVG(sparse)"}) {
+    const std::string sql = "SELECT " + agg + " FROM t WHERE k = 1";
+    const QueryOutcome exact = engine.Query(sql + " EXACT").value();
+    const QueryOutcome bounded = engine.Query(sql + " ERROR 10%").value();
+    EXPECT_EQ(bounded.answered_by, "base") << agg;
+    for (const LayerAttempt& attempt : bounded.attempts) {
+      if (attempt.is_base) continue;
+      EXPECT_FALSE(attempt.met_error_bound) << agg << " " << attempt.layer_name;
+    }
+    ASSERT_EQ(exact.rows.size(), 1u);
+    ASSERT_EQ(bounded.rows.size(), 1u);
+    EXPECT_NE(exact.rows[0].values[0], 0.0) << agg;
+    EXPECT_TRUE(bounded.rows[0] == exact.rows[0]) << agg;
   }
 }
 
