@@ -13,14 +13,21 @@
 //                worst case and far above it when zone maps prune.
 //   pruning    — fraction of complete morsels skipped outright for a
 //                selective predicate (sciborq_morsels_skipped_total delta).
+//   layer      — a biased 64Ki-row impression over the 600k-row sky,
+//                clustered on its tracked ra/dec, under a stream of focal
+//                cones: the zone-map skip ratio and µs per cone (select +
+//                estimate) against the same rows scanned without zone maps.
 //
 // Exits non-zero if any encoded answer — selection or aggregate — differs
-// bit-for-bit from the scalar oracle, or if a footprint/throughput bar is
-// missed. BENCH_JSON lines are grep-able from CI logs.
+// bit-for-bit from the scalar oracle, if a pruned layer answer differs from
+// its unpruned scan, or if a footprint/throughput/skip bar is missed.
+// BENCH_JSON lines are grep-able from CI logs.
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <memory>
+#include <numeric>
 #include <string>
 #include <vector>
 
@@ -28,13 +35,18 @@
 #include "column/encoding/encoding.h"
 #include "column/serde.h"
 #include "column/table.h"
+#include "core/bounded_executor.h"
+#include "core/impression_builder.h"
 #include "exec/expr.h"
 #include "exec/query.h"
 #include "obs/metrics.h"
+#include "skyserver/catalog.h"
 #include "util/binio.h"
 #include "util/rng.h"
 #include "util/stopwatch.h"
 #include "util/thread_pool.h"
+#include "workload/generator.h"
+#include "workload/interest_tracker.h"
 
 using namespace sciborq;
 using sciborq::bench::Header;
@@ -145,6 +157,152 @@ bool BitIdenticalAggregates(const Table& plain, const Table& encoded,
   return true;
 }
 
+/// Least share of a clustered layer's zones the focal-cone stream must
+/// skip. The stream's cones (r≈6° around two focal points) skip about 0.85
+/// on the layer below; unclustered, the same layer skips none.
+constexpr double kMinLayerSkipRatio = 0.7;
+constexpr int kLayerCones = 300;
+
+/// The layer's rows, weights and π in the same physical order, without a
+/// cluster key and so without zone maps: the unpruned scan.
+Impression UnprunedTwin(const Impression& layer) {
+  SelectionVector all(static_cast<size_t>(layer.size()));
+  std::iota(all.begin(), all.end(), 0);
+  ImpressionState state;
+  state.name = layer.name();
+  state.capacity = layer.capacity();
+  state.policy = layer.policy();
+  state.rows = layer.rows().TakeRows(all);
+  state.weights = layer.row_weights();
+  state.source_ids = layer.source_ids();
+  for (int64_t row = 0; row < layer.size(); ++row) {
+    state.explicit_probs.push_back(layer.InclusionProbability(row));
+  }
+  state.population_seen = layer.population_seen();
+  state.population_weight = layer.population_weight();
+  return Unwrap(Impression::FromState(std::move(state)));
+}
+
+bool SameAnswer(const BoundedAnswer& a, const BoundedAnswer& b) {
+  if (a.rows.size() != b.rows.size()) return false;
+  for (size_t r = 0; r < a.rows.size(); ++r) {
+    if (a.rows[r].input_rows != b.rows[r].input_rows ||
+        !BitIdentical(a.rows[r].population, b.rows[r].population)) {
+      return false;
+    }
+    for (size_t s = 0; s < a.estimates[r].size(); ++s) {
+      const AggregateEstimate& x = a.estimates[r][s];
+      const AggregateEstimate& y = b.estimates[r][s];
+      if (!BitIdentical(x.estimate, y.estimate) ||
+          !BitIdentical(x.std_error, y.std_error)) {
+        return false;
+      }
+    }
+  }
+  return true;
+}
+
+/// Seconds to answer every query off `layer` (select + estimate).
+double StreamSeconds(const Impression& layer,
+                     const std::vector<AggregateQuery>& queries) {
+  Stopwatch watch;
+  for (const AggregateQuery& q : queries) {
+    if (Unwrap(EstimateOnImpression(layer, q, 0.95)).rows.empty()) {
+      std::abort();
+    }
+  }
+  return watch.ElapsedSeconds();
+}
+
+/// The layer case: returns the number of pruned-vs-unpruned mismatches and
+/// stores the skip ratio in `skip_ratio`.
+int LayerCase(double* skip_ratio) {
+  const Table sky =
+      Unwrap(GenerateSkyCatalog(SkyCatalogConfig(), 20110109)).photo_obj_all;
+  ConeWorkloadConfig focal;
+  focal.focal_points = {FocalPoint{150.0, 12.0, 0.55, 2.0},
+                        FocalPoint{215.0, 40.0, 0.45, 2.0}};
+  focal.radius_mean = 6.0;
+  focal.radius_sd = 0.5;
+  InterestTracker tracker = Unwrap(
+      InterestTracker::Make({{"ra", 120.0, 3.0, 40}, {"dec", 0.0, 1.5, 40}}));
+  ConeWorkloadGenerator training =
+      Unwrap(ConeWorkloadGenerator::Make(focal, 1));
+  for (int i = 0; i < 2000; ++i) tracker.ObserveQuery(training.Next());
+  ImpressionSpec spec;
+  spec.name = "l0";
+  spec.capacity = 64 * 1024;
+  spec.policy = SamplingPolicy::kBiased;
+  spec.seed = 1;
+  spec.tracker = &tracker;
+  ImpressionBuilder builder =
+      Unwrap(ImpressionBuilder::Make(sky.schema(), spec));
+  for (int64_t begin = 0; begin < sky.num_rows(); begin += spec.capacity) {
+    SelectionVector rows(static_cast<size_t>(
+        std::min(sky.num_rows(), begin + spec.capacity) - begin));
+    std::iota(rows.begin(), rows.end(), begin);
+    if (!builder.IngestBatch(sky.TakeRows(rows)).ok()) std::abort();
+  }
+  const Impression& layer = builder.impression();
+  const Impression twin = UnprunedTwin(layer);
+
+  ConeWorkloadGenerator stream = Unwrap(ConeWorkloadGenerator::Make(focal, 7));
+  std::vector<AggregateQuery> queries;
+  for (int i = 0; i < kLayerCones; ++i) queries.push_back(stream.Next());
+
+  obs::Counter* skipped = obs::DefaultRegistry()->GetCounter(
+      "sciborq_morsels_skipped_total",
+      "Scan morsels skipped entirely by zone-map pruning");
+  int mismatches = 0;
+  const int64_t before = skipped->Value();
+  for (const AggregateQuery& q : queries) {
+    if (Unwrap(SelectMatching(layer.rows(), q)) !=
+            Unwrap(SelectMatching(twin.rows(), q))) {
+      std::fprintf(stderr, "FAILED: pruned layer selection differs on %s\n",
+                   q.ToString().c_str());
+      ++mismatches;
+    }
+  }
+  // Only the clustered layer has zone maps: every skip counted is its own.
+  const int64_t zones = layer.size() / kLayerZoneRows * kLayerCones;
+  *skip_ratio = static_cast<double>(skipped->Value() - before) /
+                static_cast<double>(zones);
+  for (const AggregateQuery& q : queries) {
+    if (!SameAnswer(Unwrap(EstimateOnImpression(layer, q, 0.95)),
+                    Unwrap(EstimateOnImpression(twin, q, 0.95)))) {
+      std::fprintf(stderr, "FAILED: pruned layer estimate differs on %s\n",
+                   q.ToString().c_str());
+      ++mismatches;
+    }
+  }
+
+  double pruned_s = 1e100;
+  double unpruned_s = 1e100;
+  for (int rep = 0; rep < kScanReps; ++rep) {
+    pruned_s = std::min(pruned_s, StreamSeconds(layer, queries));
+    unpruned_s = std::min(unpruned_s, StreamSeconds(twin, queries));
+  }
+  const double pruned_us = pruned_s / kLayerCones * 1e6;
+  const double unpruned_us = unpruned_s / kLayerCones * 1e6;
+  std::printf("layer: %lld rows in %lld zones, %d focal cones: %.0f%% of "
+              "zones skipped, %.1f us/cone pruned vs %.1f us/cone unpruned "
+              "(%.2fx)\n",
+              static_cast<long long>(layer.size()),
+              static_cast<long long>(layer.size() / kLayerZoneRows),
+              kLayerCones, 100.0 * *skip_ratio, pruned_us, unpruned_us,
+              unpruned_us / pruned_us);
+  JsonLine("scan_layer_pruning")
+      .Int("layer_rows", layer.size())
+      .Int("zone_rows", kLayerZoneRows)
+      .Int("cones", kLayerCones)
+      .Num("skip_ratio", *skip_ratio)
+      .Num("pruned_us_per_cone", pruned_us)
+      .Num("unpruned_us_per_cone", unpruned_us)
+      .Flag("bit_identical", mismatches == 0)
+      .Emit();
+  return mismatches;
+}
+
 }  // namespace
 
 int main() {
@@ -248,9 +406,15 @@ int main() {
       .Flag("aggregates_bit_identical", aggregates_identical)
       .Emit();
 
+  // ---- clustered impression layer -----------------------------------------
+  double layer_skip_ratio = 0.0;
+  mismatches += LayerCase(&layer_skip_ratio);
+
   // ---- gates ---------------------------------------------------------------
   if (mismatches > 0) {
-    std::fprintf(stderr, "FAILED: %d encoded-vs-scalar mismatch(es)\n",
+    std::fprintf(stderr,
+                 "FAILED: %d mismatch(es) against the scalar or unpruned "
+                 "scan\n",
                  mismatches);
     return 1;
   }
@@ -268,6 +432,12 @@ int main() {
   }
   if (skip_ratio < 0.9) {
     std::fprintf(stderr, "FAILED: skip ratio %.2f below 0.9\n", skip_ratio);
+    return 1;
+  }
+  if (layer_skip_ratio < kMinLayerSkipRatio) {
+    std::fprintf(stderr,
+                 "FAILED: clustered layer skip ratio %.2f below %.2f\n",
+                 layer_skip_ratio, kMinLayerSkipRatio);
     return 1;
   }
   std::printf("scan bench OK\n");

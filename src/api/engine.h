@@ -228,7 +228,9 @@ class Engine : public Backend {
 
   /// A consistent deep copy of one impression layer's rows (0 = largest) —
   /// for diagnostics and offline analysis; the engine keeps ownership of the
-  /// live impression.
+  /// live impression. Rows come in the layer's physical order: on a table
+  /// that tracks attributes, clustered in Z-order of those attributes (ties
+  /// by sampler slot, see ClusterKey); otherwise in sampler-slot order.
   Result<Table> LayerSnapshot(const std::string& table, int layer) const;
 
   /// The bound-miss / slow-query ring: every query whose quality or time

@@ -202,6 +202,39 @@ Column Column::Take(const SelectionVector& rows) const {
   return out;
 }
 
+PermutationCycles PermutationCycles::Of(const SelectionVector& order) {
+  PermutationCycles cycles;
+  std::vector<uint8_t> seen(order.size(), 0);
+  for (size_t start = 0; start < order.size(); ++start) {
+    if (seen[start] != 0 || order[start] == static_cast<int64_t>(start)) {
+      continue;
+    }
+    for (auto row = static_cast<size_t>(start); seen[row] == 0;
+         row = static_cast<size_t>(order[row])) {
+      seen[row] = 1;
+      cycles.chain.push_back(static_cast<int64_t>(row));
+    }
+    cycles.ends.push_back(cycles.chain.size());
+  }
+  return cycles;
+}
+
+void Column::Permute(const PermutationCycles& cycles) {
+  InvalidateEncoding();
+  switch (type_) {
+    case DataType::kInt64:
+      cycles.Apply(&ints_);
+      break;
+    case DataType::kDouble:
+      cycles.Apply(&doubles_);
+      break;
+    case DataType::kString:
+      cycles.Apply(&strings_);
+      break;
+  }
+  if (!validity_.empty()) cycles.Apply(&validity_);
+}
+
 Column Column::FromInt64Vector(std::vector<int64_t> values) {
   Column col(DataType::kInt64);
   col.size_ = static_cast<int64_t>(values.size());
@@ -252,9 +285,12 @@ Result<double> Column::Max() const {
   return best;
 }
 
-void Column::BuildEncoding() {
-  if (encoded_ == nullptr) {
+void Column::BuildEncoding() { BuildEncoding(kEncodingMorselRows); }
+
+void Column::BuildEncoding(int64_t morsel_rows) {
+  if (encoded_ == nullptr || encoded_->morsel_rows != morsel_rows) {
     encoded_ = std::make_shared<EncodedColumn>();
+    encoded_->morsel_rows = morsel_rows;
   } else if (encoded_.use_count() > 1) {
     // Shared with another Column copy (checkpoint snapshot, impression
     // extraction): never mutate under a reader — clone, then extend.

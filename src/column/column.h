@@ -15,6 +15,32 @@ namespace sciborq {
 
 struct EncodedColumn;
 
+/// A permutation of row indices as its cycles, ready to apply in place:
+/// within each run [begin, end) of `chain`, element chain[k] takes the value
+/// of chain[k + 1] and the last takes the first's. Rows that stay put are
+/// left out. Applying it moves each element once and allocates nothing.
+struct PermutationCycles {
+  std::vector<int64_t> chain;
+  std::vector<size_t> ends;  ///< end of each cycle's run in `chain`
+
+  /// The cycles of `order`, where row i is to become old row order[i].
+  static PermutationCycles Of(const SelectionVector& order);
+
+  template <typename T>
+  void Apply(std::vector<T>* values) const {
+    size_t begin = 0;
+    for (const size_t end : ends) {
+      T first = std::move((*values)[static_cast<size_t>(chain[begin])]);
+      for (size_t k = begin; k + 1 < end; ++k) {
+        (*values)[static_cast<size_t>(chain[k])] =
+            std::move((*values)[static_cast<size_t>(chain[k + 1])]);
+      }
+      (*values)[static_cast<size_t>(chain[end - 1])] = std::move(first);
+      begin = end;
+    }
+  }
+};
+
 /// A typed, nullable, append-only column. Storage is a dense std::vector of
 /// the physical type plus a validity vector that is only allocated once the
 /// first null arrives (the common science-data case is null-free).
@@ -76,6 +102,10 @@ class Column {
   /// Gathers the given rows into a new column (impression extraction path).
   Column Take(const SelectionVector& rows) const;
 
+  /// Reorders the rows in place by `cycles` (PermutationCycles::Of of a
+  /// permutation of [0, size)). Drops the sidecar.
+  void Permute(const PermutationCycles& cycles);
+
   /// Bulk adoption of pre-built null-free storage — the deserialization fast
   /// path (column/serde.h decodes whole numeric columns with one memcpy
   /// instead of per-element appends).
@@ -100,10 +130,14 @@ class Column {
   const EncodedColumn* encoding() const { return encoded_.get(); }
 
   /// Builds (or incrementally extends) the sidecar over the complete morsels
-  /// appended since the last build. Copies-on-write when the sidecar is
-  /// shared with another Column copy (e.g. a checkpoint's table snapshot),
-  /// so concurrent readers of that copy never observe mutation.
+  /// appended since the last build, at kEncodingMorselRows granularity.
+  /// Copies-on-write when the sidecar is shared with another Column copy
+  /// (e.g. a checkpoint's table snapshot), so concurrent readers of that copy
+  /// never observe mutation.
   void BuildEncoding();
+  /// The same at `morsel_rows` granularity; a sidecar built at another
+  /// granularity is replaced by a fresh one.
+  void BuildEncoding(int64_t morsel_rows);
 
   /// Drops the sidecar. Called by in-place mutation (SetFrom) — appends
   /// don't invalidate, since the covered prefix is untouched.

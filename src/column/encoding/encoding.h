@@ -13,8 +13,8 @@ class Column;
 // ---------------------------------------------------------------------------
 // Lightweight per-morsel column compression + zone maps.
 //
-// Every complete 16k-row morsel of a column gets (a) a ZoneMap — min/max,
-// null count, NaN presence — that predicate evaluation consults to skip or
+// Every complete morsel of a column gets (a) a ZoneMap — min/max, null
+// count, NaN presence — that predicate evaluation consults to skip or
 // blanket-accept whole morsels before touching data, and (b) a compressed
 // payload chosen per morsel by a byte-count cost model: run-length or
 // frame-of-reference/bit-packing for int64, a dictionary for strings, plain
@@ -27,6 +27,13 @@ class Column;
 // decoding a payload reproduces the storage array bit-for-bit, and every
 // scan over encoded data is checked against the plain scan as its oracle
 // (tests/encoding_test.cc, bench/scan_bench.cc).
+//
+// A morsel is kEncodingMorselRows (16Ki) rows on base tables. An impression
+// clustered on its tracked attributes builds sidecars on those columns only,
+// at kLayerZoneRows (1Ki, core/impression.h): a 64Ki-row layer then has 64
+// zones rather than four. Scans cut their morsels at the table's sidecar
+// granularity (Table::morsel_rows), so each complete scan morsel is one
+// encoded morsel.
 // ---------------------------------------------------------------------------
 
 /// Physical layout of one encoded morsel.
@@ -39,9 +46,9 @@ enum class ColumnEncoding : uint8_t {
 
 std::string_view ColumnEncodingToString(ColumnEncoding e);
 
-/// Morsel granularity of the encoding sidecar and its zone maps. Matches the
-/// scan layer's kDefaultMorselRows (static_assert'd in exec/expr.cc) so a
-/// scan morsel maps 1:1 onto an encoded morsel.
+/// Default morsel granularity of the encoding sidecar and its zone maps, and
+/// the size of the serde v2 page chunks. SelectAll reads the granularity off
+/// the table's sidecars, so a scan morsel maps 1:1 onto an encoded morsel.
 inline constexpr int64_t kEncodingMorselRows = 16 * 1024;
 
 /// Distinct-value ceiling above which a string morsel stays plain.

@@ -1,5 +1,6 @@
 #include "column/table.h"
 
+#include "column/encoding/encoding.h"
 #include "util/check.h"
 #include "util/string_util.h"
 
@@ -87,6 +88,10 @@ Table Table::TakeRows(const SelectionVector& rows) const {
   return out;
 }
 
+void Table::PermuteRows(const PermutationCycles& cycles) {
+  for (Column& col : columns_) col.Permute(cycles);
+}
+
 Result<Table> Table::Project(const std::vector<std::string>& names) const {
   SCIBORQ_ASSIGN_OR_RETURN(Schema projected, schema_.Project(names));
   Table out(std::move(projected));
@@ -110,6 +115,13 @@ Result<Value> Table::GetCell(int64_t row, const std::string& column_name) const 
 
 void Table::BuildEncoding() {
   for (Column& col : columns_) col.BuildEncoding();
+}
+
+int64_t Table::morsel_rows() const {
+  for (const Column& col : columns_) {
+    if (col.encoding() != nullptr) return col.encoding()->morsel_rows;
+  }
+  return kEncodingMorselRows;
 }
 
 Status Table::Validate() const {

@@ -59,6 +59,9 @@ class Table {
   /// Gathers `rows` into a new table with the same schema.
   Table TakeRows(const SelectionVector& rows) const;
 
+  /// Reorders the rows of every column in place (Column::Permute).
+  void PermuteRows(const PermutationCycles& cycles);
+
   /// New table restricted to the named columns.
   Result<Table> Project(const std::vector<std::string>& names) const;
 
@@ -70,6 +73,12 @@ class Table {
   /// by the engine after ingest under its exclusive data lock; scans consult
   /// the sidecars through the Column::encoding() accessor.
   void BuildEncoding();
+
+  /// Row granularity of the table's zone maps: the morsel size of its
+  /// encoding sidecars (a table builds all of them at one size), or
+  /// kEncodingMorselRows when no column has one. Scans cut their morsels at
+  /// this size so every complete morsel meets its zone map.
+  int64_t morsel_rows() const;
 
   /// Checks internal consistency (all columns the declared length/type).
   Status Validate() const;

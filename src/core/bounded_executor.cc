@@ -110,7 +110,8 @@ double WorstRelativeError(const BoundedAnswer& answer) {
 Result<BoundedAnswer> EstimateOnImpression(const Impression& impression,
                                            const AggregateQuery& query,
                                            double confidence,
-                                           ThreadPool* pool) {
+                                           ThreadPool* pool,
+                                           int64_t* scanned_rows) {
   if (query.aggregates.empty()) {
     return Status::InvalidArgument("query has no aggregates");
   }
@@ -119,7 +120,7 @@ Result<BoundedAnswer> EstimateOnImpression(const Impression& impression,
   }
   const Table& sample = impression.rows();
   SCIBORQ_ASSIGN_OR_RETURN(const SelectionVector matching,
-                           SelectMatching(sample, query, pool));
+                           SelectMatching(sample, query, pool, scanned_rows));
   // Groups entirely unseen by the sample are (necessarily) absent — a
   // fundamental limitation of sampling shared by all AQP systems.
   const InclusionProbabilities probs = impression.inclusion_probabilities();
@@ -246,11 +247,14 @@ Result<BoundedAnswer> BoundedExecutor::Answer(const AggregateQuery& query,
       break;
     }
     Stopwatch layer_watch;
-    Result<BoundedAnswer> attempt =
-        EstimateOnImpression(*layer, query, bound.confidence, pool_);
+    int64_t scanned = 0;
+    Result<BoundedAnswer> attempt = EstimateOnImpression(
+        *layer, query, bound.confidence, pool_, &scanned);
     const double elapsed = layer_watch.ElapsedSeconds();
-    if (layer->size() > 0) {
-      const double per_row = elapsed / static_cast<double>(layer->size());
+    if (scanned > 0) {
+      // Per row scanned, not per row held: predictions multiply the rate by
+      // whole tables (a layer, the base) whose zones may not prune.
+      const double per_row = elapsed / static_cast<double>(scanned);
       est_seconds_per_row_ = est_seconds_per_row_ > 0.0
                                  ? 0.5 * (est_seconds_per_row_ + per_row)
                                  : per_row;

@@ -57,11 +57,13 @@ struct BoundedAnswer {
 /// value (estimate 0). Each row's `population` is Σ 1/π over its matching
 /// rows.
 /// With a pool, the filter and the fold run morsel-parallel; estimates are
-/// bit-identical to the serial path at any thread count.
+/// bit-identical to the serial path at any thread count. With
+/// `scanned_rows`, it receives the sampled rows zone maps did not skip.
 Result<BoundedAnswer> EstimateOnImpression(const Impression& impression,
                                            const AggregateQuery& query,
                                            double confidence,
-                                           ThreadPool* pool = nullptr);
+                                           ThreadPool* pool = nullptr,
+                                           int64_t* scanned_rows = nullptr);
 
 /// The answer of one complete scan: the single builder behind every answer
 /// that is not an impression estimate — the executor's base fallback, EXACT
@@ -98,12 +100,16 @@ class BoundedExecutor {
   Result<BoundedAnswer> Answer(const AggregateQuery& query,
                                const QualityBound& bound);
 
+  /// The rolling cost estimate admission predicts scans with: seconds per
+  /// row a layer attempt actually scanned (rows in zones its filter could
+  /// not skip), so a pruned layer does not make a full base scan look cheap.
+  /// 0 until an attempt has scanned a row.
+  double seconds_per_scanned_row() const { return est_seconds_per_row_; }
+
  private:
   const Table* base_;
   const ImpressionHierarchy* hierarchy_;
   ThreadPool* pool_;  ///< null = serial
-  /// Rolling per-row cost estimate (seconds/row) used to predict whether the
-  /// next layer fits the remaining budget.
   double est_seconds_per_row_ = 0.0;
 };
 

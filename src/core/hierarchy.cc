@@ -93,8 +93,10 @@ Result<ImpressionHierarchy> ImpressionHierarchy::Restore(
   hierarchy.derive_rng_ = Rng::FromState(state.derive_rng);
   hierarchy.derived_.reserve(state.derived.size());
   for (auto& layer : state.derived) {
-    SCIBORQ_ASSIGN_OR_RETURN(Impression restored,
-                             Impression::FromState(std::move(layer)));
+    SCIBORQ_ASSIGN_OR_RETURN(
+        Impression restored,
+        Impression::FromState(std::move(layer),
+                              hierarchy.top_impression().cluster_key()));
     hierarchy.derived_.push_back(std::move(restored));
   }
   return hierarchy;
@@ -109,7 +111,9 @@ Result<Impression> ImpressionHierarchy::DeriveLayer(const Impression& parent,
                                                     const LayerSpec& spec) {
   const int64_t parent_n = parent.size();
   const int64_t child_n = std::min(spec.capacity, parent_n);
-  // Partial Fisher-Yates over parent row ids: uniform without replacement.
+  // Partial Fisher-Yates over parent slots: uniform without replacement.
+  // Drawing slots, not physical rows, keeps the draw independent of how the
+  // parent is clustered.
   SelectionVector ids(static_cast<size_t>(parent_n));
   for (int64_t i = 0; i < parent_n; ++i) ids[static_cast<size_t>(i)] = i;
   for (int64_t i = 0; i < child_n; ++i) {
@@ -119,9 +123,11 @@ Result<Impression> ImpressionHierarchy::DeriveLayer(const Impression& parent,
     std::swap(ids[static_cast<size_t>(i)], ids[static_cast<size_t>(j)]);
   }
   ids.resize(static_cast<size_t>(child_n));
+  for (int64_t& id : ids) id = parent.RowOfSlot(id);
 
   // Gather the drawn rows column by column, with their per-row bookkeeping
-  // alongside, and build the child in one step.
+  // alongside, and build the child in one step: its slots are the draw
+  // order, and FromState clusters it like its parent.
   const double ratio = parent_n > 0
                            ? static_cast<double>(child_n) /
                                  static_cast<double>(parent_n)
@@ -143,7 +149,7 @@ Result<Impression> ImpressionHierarchy::DeriveLayer(const Impression& parent,
   }
   child.population_seen = parent.population_seen();
   child.population_weight = parent.population_weight();
-  return Impression::FromState(std::move(child));
+  return Impression::FromState(std::move(child), parent.cluster_key());
 }
 
 Status ImpressionHierarchy::RefreshDerivedLayers() {
@@ -154,7 +160,8 @@ Status ImpressionHierarchy::RefreshDerivedLayers() {
       // Nothing ingested yet: keep an empty placeholder so layer() is total.
       derived_.emplace_back(layer_specs_[i].name,
                             top_impression().rows().schema(),
-                            layer_specs_[i].capacity, parent->policy());
+                            layer_specs_[i].capacity, parent->policy(),
+                            parent->cluster_key());
     } else {
       SCIBORQ_ASSIGN_OR_RETURN(Impression child,
                                DeriveLayer(*parent, layer_specs_[i]));

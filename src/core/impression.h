@@ -21,6 +21,27 @@ enum class SamplingPolicy {
 
 std::string_view SamplingPolicyToString(SamplingPolicy policy);
 
+/// Zone-map granularity of a clustered impression: 64 zones on a 64Ki-row
+/// layer, so a focal cone reads the few zones it can reach.
+inline constexpr int64_t kLayerZoneRows = 1024;
+
+/// The physical order of a clustered impression: Z-order (a Morton code)
+/// over the table's tracked attributes, each quantised over its fixed
+/// histogram domain, ties broken by sampler slot. The queries that steer a
+/// biased sample are cones around the same focal points (§3.1, §4), so in
+/// this order each cone's matches sit in few zones and zone maps skip the
+/// rest. Empty: rows stay in slot (arrival) order without zone maps.
+struct ClusterKey {
+  struct Attribute {
+    int column = -1;  ///< numeric column of the impression's schema
+    double domain_min = 0.0;
+    double domain_max = 1.0;
+  };
+  std::vector<Attribute> attributes;
+
+  bool empty() const { return attributes.empty(); }
+};
+
 /// The complete value state of one Impression, as plain data — what
 /// persistent storage serializes (storage/snapshot.h) and what
 /// Impression::FromState rebuilds bit-identically. Field-for-field mirror of
@@ -54,17 +75,32 @@ struct ImpressionState {
 ///    call (FinishBatch) rather than per query. A derived impression pins
 ///    its π at derivation time instead, where the chain
 ///    π_child = π_parent · n_child / n_parent is fixed.
+///
+/// Rows have two orders. Samplers, derivation and SaveState address *slots*:
+/// the arrival order, in which ImpressionState travels. With a ClusterKey
+/// the physical rows are kept in that key's Z-order instead, re-sorted at
+/// the end of every ingest call (FinishBatch) and on FromState, and the
+/// key's columns carry zone maps every kLayerZoneRows rows; RowOfSlot maps
+/// one order onto the other. Every per-row vector follows the physical
+/// order.
 class Impression {
  public:
   Impression(std::string name, Schema schema, int64_t capacity,
-             SamplingPolicy policy);
+             SamplingPolicy policy, ClusterKey cluster_key = {});
 
   const std::string& name() const { return name_; }
   SamplingPolicy policy() const { return policy_; }
   int64_t capacity() const { return capacity_; }
+  const ClusterKey& cluster_key() const { return cluster_key_; }
 
+  /// The sampled rows in physical (clustered) order.
   const Table& rows() const { return rows_; }
   int64_t size() const { return rows_.num_rows(); }
+  /// Physical row of sampler slot `slot`.
+  int64_t RowOfSlot(int64_t slot) const {
+    SCIBORQ_DCHECK(slot >= 0 && slot < size());
+    return slot_rows_[static_cast<size_t>(slot)];
+  }
 
   /// Base tuples streamed past the sampler (cnt in the paper's figures).
   int64_t population_seen() const { return population_seen_; }
@@ -101,14 +137,16 @@ class Impression {
   /// Deep copy with a new name (layer derivation, snapshotting).
   Impression Clone(std::string new_name) const;
 
-  /// Deep copy of the full value state, for serialization.
+  /// Deep copy of the full value state, for serialization, rows in slot
+  /// order.
   ImpressionState SaveState() const;
 
-  /// Rebuilds an impression from captured (or deserialized) state.
-  /// InvalidArgument when the state is internally inconsistent (parallel
-  /// array lengths, capacity bounds) — the second line of defense behind the
-  /// storage layer's checksums.
-  static Result<Impression> FromState(ImpressionState state);
+  /// Rebuilds an impression from captured (or deserialized) state, then
+  /// clusters it on `cluster_key`. InvalidArgument when the state is
+  /// internally inconsistent (parallel array lengths, capacity bounds) — the
+  /// second line of defense behind the storage layer's checksums.
+  static Result<Impression> FromState(ImpressionState state,
+                                      ClusterKey cluster_key = {});
 
   /// Checks the parallel arrays and table agree.
   Status Validate() const;
@@ -120,7 +158,7 @@ class Impression {
   /// Appends `src_row` of `src` with the given weight/provenance.
   void AppendSampledRow(const Table& src, int64_t src_row, double weight,
                         int64_t source_id);
-  /// Overwrites slot `slot` (reservoir eviction).
+  /// Overwrites the row of slot `slot` (reservoir eviction).
   void ReplaceSampledRow(int64_t slot, const Table& src, int64_t src_row,
                          double weight, int64_t source_id);
   /// Last-seen ingest size D, needed for the effective-window semantics
@@ -131,9 +169,10 @@ class Impression {
   }
 
   /// Ends one ingest call: records the population streamed past the sampler
-  /// (cnt) and its total weight, then recomputes π. Builders call it once,
-  /// after their last AppendSampledRow/ReplaceSampledRow of the call, so a
-  /// reader never sees a stale π. Biased impressions also pass the sampler's
+  /// (cnt) and its total weight, re-clusters the rows, then recomputes π.
+  /// Builders call it once, after their last AppendSampledRow /
+  /// ReplaceSampledRow of the call, so a reader never sees a stale π or a
+  /// stale zone map. Biased impressions also pass the sampler's
   /// retention model A: its acceptance curve (cumulative post-fill
   /// acceptances every `curve_interval` offers) and the final total A(T).
   void FinishBatch(int64_t population_seen, double population_weight,
@@ -142,14 +181,17 @@ class Impression {
   bool has_acceptance_model() const { return curve_interval_ > 0; }
 
  private:
-  /// Adopts `rows` as-is, reserving nothing: FromState's constructor.
+  /// Adopts `rows` as-is, in slot order: FromState's constructor.
   Impression(std::string name, int64_t capacity, SamplingPolicy policy,
-             Table rows);
+             Table rows, ClusterKey cluster_key);
 
   std::string name_;
   int64_t capacity_;
   SamplingPolicy policy_;
+  ClusterKey cluster_key_;
   Table rows_;
+  /// Physical row of each sampler slot; the identity without a cluster key.
+  std::vector<int64_t> slot_rows_;
   std::vector<double> weights_;
   std::vector<int64_t> source_ids_;
   int64_t population_seen_ = 0;
@@ -166,6 +208,9 @@ class Impression {
   /// value recomputed from the model.
   bool probs_pinned_ = false;
 
+  /// Puts the rows (and every per-row vector) in cluster-key order and
+  /// builds the key columns' zone maps; no-op without a key.
+  void Cluster();
   /// Recomputes `probs_`/`common_prob_` from the model; no-op when pinned.
   void RefreshInclusionProbabilities();
   /// Interpolated cumulative post-fill acceptances after `position` offers.

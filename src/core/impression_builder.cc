@@ -49,6 +49,17 @@ Result<ImpressionBuilder> ImpressionBuilder::Make(const Schema& schema,
           BiasedReservoirSampler s,
           BiasedReservoirSampler::Make(spec.capacity, spec.seed));
       builder.biased_ = std::move(s);
+      // The queries that steer the bias filter on the tracked attributes,
+      // so the impression is clustered on them.
+      ClusterKey key;
+      for (size_t a = 0; a < bound.size(); ++a) {
+        const StreamingHistogram& hist =
+            spec.tracker->histogram(static_cast<int>(a));
+        key.attributes.push_back(
+            {bound[a], hist.domain_min(), hist.domain_max()});
+      }
+      builder.impression_ = Impression(spec.name, schema, spec.capacity,
+                                       spec.policy, std::move(key));
       break;
     }
   }
@@ -133,8 +144,10 @@ Status ImpressionBuilder::RestoreState(ImpressionBuilderState state) {
     return Status::InvalidArgument(
         "builder state: capacity does not match the builder spec");
   }
-  SCIBORQ_ASSIGN_OR_RETURN(Impression restored,
-                           Impression::FromState(std::move(state.impression)));
+  SCIBORQ_ASSIGN_OR_RETURN(
+      Impression restored,
+      Impression::FromState(std::move(state.impression),
+                            impression_.cluster_key()));
   switch (spec_.policy) {
     case SamplingPolicy::kUniform: {
       if (!state.uniform) {

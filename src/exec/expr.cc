@@ -1,5 +1,6 @@
 #include "exec/expr.h"
 
+#include <atomic>
 #include <cmath>
 #include <numeric>
 
@@ -10,11 +11,6 @@
 #include "util/string_util.h"
 
 namespace sciborq {
-
-// A scan morsel maps 1:1 onto an encoded morsel, so FindEncodedMorsel can
-// resolve every aligned scan range to its zone map.
-static_assert(kEncodingMorselRows == kDefaultMorselRows,
-              "scan morsels must align with the encoding sidecar");
 
 namespace {
 
@@ -36,22 +32,27 @@ void FillDense(int64_t begin, int64_t end, SelectionVector* out) {
 }  // namespace
 
 Result<SelectionVector> SelectAll(const Table& table, const Predicate& pred,
-                                  ThreadPool* pool) {
+                                  ThreadPool* pool, int64_t* scanned_rows) {
   SCIBORQ_RETURN_NOT_OK(pred.Validate(table.schema()));
   // Morsel-driven scan: each morsel filters its contiguous row range into a
   // private selection, and the partials concatenate in morsel order — the
   // result is the exact selection the one-shot serial scan produces,
-  // regardless of thread count. Zone maps rule first: a morsel whose verdict
-  // is decided never touches column data.
+  // regardless of thread count. Morsels are cut at the table's zone-map
+  // granularity, so each complete one maps 1:1 onto an encoded morsel and
+  // zone maps rule first: a morsel whose verdict is decided never touches
+  // column data.
   SelectionVector out;
   Status first_error = Status::OK();
+  std::atomic<int64_t> skipped_rows{0};
   ParallelMorselReduce<Result<SelectionVector>>(
-      pool, table.num_rows(), kDefaultMorselRows,
-      [&table, &pred](int64_t begin, int64_t end) -> Result<SelectionVector> {
+      pool, table.num_rows(), table.morsel_rows(),
+      [&table, &pred,
+       &skipped_rows](int64_t begin, int64_t end) -> Result<SelectionVector> {
         SelectionVector selected;
         switch (pred.TestMorsel(table, begin, end)) {
           case MorselVerdict::kSkipAll:
             MorselsSkippedCounter()->Inc();
+            skipped_rows.fetch_add(end - begin, std::memory_order_relaxed);
             return selected;
           case MorselVerdict::kMatchAll:
             FillDense(begin, end, &selected);
@@ -71,6 +72,7 @@ Result<SelectionVector> SelectAll(const Table& table, const Predicate& pred,
         out.insert(out.end(), selected.begin(), selected.end());
       });
   SCIBORQ_RETURN_NOT_OK(first_error);
+  if (scanned_rows != nullptr) *scanned_rows = table.num_rows() - skipped_rows;
   return out;
 }
 

@@ -100,9 +100,11 @@ using PredicatePtr = std::unique_ptr<Predicate>;
 /// identical to the serial scan. Each morsel first consults the predicate's
 /// zone-map verdict (TestMorsel): skipped morsels never touch data (counted
 /// in sciborq_morsels_skipped_total), blanket-matching morsels emit their
-/// dense row range, and only undecided morsels run SelectRange.
+/// dense row range, and only undecided morsels run SelectRange. With
+/// `scanned_rows`, it receives the rows of the morsels not skipped.
 Result<SelectionVector> SelectAll(const Table& table, const Predicate& pred,
-                                  ThreadPool* pool = nullptr);
+                                  ThreadPool* pool = nullptr,
+                                  int64_t* scanned_rows = nullptr);
 
 enum class CompareOp { kEq, kNe, kLt, kLe, kGt, kGe };
 std::string_view CompareOpToString(CompareOp op);

@@ -176,8 +176,10 @@ std::string AggregateQuery::ToString() const {
 
 Result<SelectionVector> SelectMatching(const Table& table,
                                        const AggregateQuery& query,
-                                       ThreadPool* pool) {
-  if (query.filter) return SelectAll(table, *query.filter, pool);
+                                       ThreadPool* pool,
+                                       int64_t* scanned_rows) {
+  if (query.filter) return SelectAll(table, *query.filter, pool, scanned_rows);
+  if (scanned_rows != nullptr) *scanned_rows = table.num_rows();
   SelectionVector rows(static_cast<size_t>(table.num_rows()));
   for (int64_t i = 0; i < table.num_rows(); ++i) {
     rows[static_cast<size_t>(i)] = i;

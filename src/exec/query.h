@@ -178,9 +178,11 @@ inline bool operator==(const QueryResultRow& a, const QueryResultRow& b) {
 
 /// The rows of `table` that `query`'s WHERE clause selects, ascending (every
 /// row without a WHERE clause): the first phase of every aggregate scan.
+/// With `scanned_rows`, it receives the rows zone maps did not skip.
 Result<SelectionVector> SelectMatching(const Table& table,
                                        const AggregateQuery& query,
-                                       ThreadPool* pool = nullptr);
+                                       ThreadPool* pool = nullptr,
+                                       int64_t* scanned_rows = nullptr);
 
 /// RunExact's shard-side knobs; the defaults are the single-node behaviour.
 struct ExactRunOptions {

@@ -90,6 +90,10 @@ class InterestTracker {
   const std::string& attribute_name(int i) const {
     return attrs_[static_cast<size_t>(i)].column;
   }
+  /// The predicate-set histogram of attribute i; its domain is fixed.
+  const StreamingHistogram& histogram(int i) const {
+    return attrs_[static_cast<size_t>(i)].hist;
+  }
 
   /// Deep copy of the complete resumable state, for serialization.
   InterestTrackerState SaveState() const;

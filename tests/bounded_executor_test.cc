@@ -327,6 +327,54 @@ TEST_F(BoundedExecutorTest, VarClaimsNoIntervalOnABiasedImpression) {
   EXPECT_LT(on_uniform.ci_lo, on_uniform.estimate);
 }
 
+TEST_F(BoundedExecutorTest, PrunedLayerKeepsThePredictedBaseCost) {
+  // A clustered biased layer answers a focal cone from a few of its zones.
+  // Admission multiplies the learned rate by whole tables, so the rate is
+  // per row the attempt scanned: per row the layer holds, it would fall by
+  // the pruning factor and make a full base scan look that much cheaper.
+  InterestTracker tracker =
+      InterestTracker::Make({{"ra", 120.0, 3.0, 40}, {"dec", 0.0, 1.5, 40}})
+          .value();
+  Rng rng(23);
+  for (int i = 0; i < 300; ++i) {
+    tracker.ObserveValue("ra", rng.Gaussian(150.0, 2.0));
+    tracker.ObserveValue("dec", rng.Gaussian(12.0, 1.5));
+  }
+  ImpressionSpec spec;
+  spec.policy = SamplingPolicy::kBiased;
+  spec.tracker = &tracker;
+  spec.seed = 23;
+  ImpressionHierarchy clustered =
+      ImpressionHierarchy::Make(catalog_->photo_obj_all.schema(),
+                                {{"B0", 16 * kLayerZoneRows}}, spec)
+          .value();
+  ASSERT_TRUE(clustered.IngestBatch(catalog_->photo_obj_all).ok());
+  const Impression& layer = clustered.layer(0);
+
+  AggregateQuery q;
+  q.aggregates = {{AggKind::kCount, ""}, {AggKind::kAvg, "r"}};
+  q.filter = Cone("ra", "dec", 150.0, 12.0, 2.0);
+  int64_t scanned = 0;
+  ASSERT_TRUE(SelectMatching(layer.rows(), q, nullptr, &scanned).ok());
+  ASSERT_GT(scanned, 0);
+  ASSERT_LT(2 * scanned, layer.size()) << "the cone should prune most zones";
+
+  BoundedExecutor exec(&catalog_->photo_obj_all, &clustered);
+  QualityBound bound;
+  bound.max_relative_error = 1e-9;  // the layer cannot meet it: base runs
+  const BoundedAnswer ans = exec.Answer(q, bound).value();
+  ASSERT_EQ(ans.attempts.size(), 2u);
+  EXPECT_EQ(ans.answered_by, "base");
+  const LayerAttempt& attempt = ans.attempts[0];
+  EXPECT_EQ(attempt.layer_rows, layer.size());
+  // The rate is the attempt's time over the rows it scanned, so the
+  // predicted base cost stays above twice what the layer's full size gives.
+  EXPECT_EQ(exec.seconds_per_scanned_row(),
+            attempt.elapsed_seconds / static_cast<double>(scanned));
+  EXPECT_GE(exec.seconds_per_scanned_row(),
+            2.0 * attempt.elapsed_seconds / static_cast<double>(layer.size()));
+}
+
 // The AVG interval is streamed from residual moments, never from Σ a·y²: a
 // measure shifted by 1e9 on a biased layer keeps its half-width.
 TEST(BoundedExecutorStabilityTest, ShiftedMeasureKeepsTheAvgInterval) {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstring>
 #include <set>
@@ -11,8 +12,11 @@
 #include "util/rng.h"
 
 #include "column/serde.h"
+#include "core/bounded_executor.h"
 #include "core/hierarchy.h"
+#include "sampling/biased_reservoir.h"
 #include "skyserver/catalog.h"
+#include "storage/snapshot.h"
 #include "workload/interest_tracker.h"
 
 namespace sciborq {
@@ -199,8 +203,9 @@ TEST(HierarchyTest, ToStringListsLayers) {
 // ----------------------------------------- column-wise derivation oracle --
 
 /// Row-at-a-time reference for one derived layer: the production partial
-/// Fisher-Yates draw, then one AppendSampledRow per drawn row, with the
-/// probabilities pinned afterwards through the state round trip.
+/// Fisher-Yates draw over the parent's slots, then one AppendSampledRow per
+/// drawn slot's row, with the probabilities pinned afterwards through the
+/// state round trip.
 Impression ReferenceDerive(const Impression& parent, const LayerSpec& spec,
                            Rng* rng) {
   const int64_t parent_n = parent.size();
@@ -218,7 +223,8 @@ Impression ReferenceDerive(const Impression& parent, const LayerSpec& spec,
   const double ratio =
       static_cast<double>(child_n) / static_cast<double>(parent_n);
   std::vector<double> probs;
-  for (const int64_t row : ids) {
+  for (const int64_t slot : ids) {
+    const int64_t row = parent.RowOfSlot(slot);
     child.AppendSampledRow(parent.rows(), row,
                            parent.row_weights()[static_cast<size_t>(row)],
                            parent.source_ids()[static_cast<size_t>(row)]);
@@ -231,13 +237,13 @@ Impression ReferenceDerive(const Impression& parent, const LayerSpec& spec,
   return Impression::FromState(std::move(state)).value();
 }
 
-/// The derived layers one refresh of `h` must produce from its current top
-/// layer, drawing from `rng`; empty parents yield empty placeholders.
-std::vector<Impression> ReferenceRefresh(const ImpressionHierarchy& h,
+/// The derived layers one refresh must produce from the top layer `top`,
+/// drawing from `rng`; empty parents yield empty placeholders.
+std::vector<Impression> ReferenceRefresh(const Impression& top,
                                          const std::vector<LayerSpec>& specs,
                                          Rng* rng) {
   std::vector<Impression> derived;
-  const Impression* parent = &h.layer(0);
+  const Impression* parent = &top;
   for (size_t i = 1; i < specs.size(); ++i) {
     if (parent->size() == 0) {
       derived.emplace_back(specs[i].name, parent->rows().schema(),
@@ -298,7 +304,8 @@ void ExpectDerivationMatchesReference(
     parts.reserve(calls[c].size());
     for (const Table& part : calls[c]) parts.push_back(&part);
     ASSERT_TRUE(h->IngestParts(parts).ok());
-    const std::vector<Impression> want = ReferenceRefresh(*h, specs, &rng);
+    const std::vector<Impression> want =
+        ReferenceRefresh(h->layer(0), specs, &rng);
     for (int layer = 1; layer < h->num_layers(); ++layer) {
       ExpectSameImpression(h->layer(layer),
                            want[static_cast<size_t>(layer - 1)]);
@@ -347,6 +354,184 @@ TEST(HierarchyDeriveOracleTest, ColumnWiseMatchesRowWiseOnBiasedParent) {
   auto h = ImpressionHierarchy::Make(stream.schema(), layers, spec).value();
   ExpectDerivationMatchesReference(
       &h, layers, OneBatchPerCall(&stream, {1'500, 10'000, 10'000}));
+}
+
+// ------------------------------------------------ clustered hierarchy --
+
+/// The builder's biased sampling loop replayed over an Impression without a
+/// cluster key: the top layer an unclustered hierarchy would hold.
+class UnclusteredBiasedTop {
+ public:
+  UnclusteredBiasedTop(const Schema& schema, const ImpressionSpec& spec)
+      : top_(spec.name, schema, spec.capacity, SamplingPolicy::kBiased),
+        sampler_(BiasedReservoirSampler::Make(spec.capacity, spec.seed)
+                     .value()),
+        tracker_(spec.tracker),
+        bound_(spec.tracker->BindColumns(schema)) {}
+
+  void Ingest(const Table& batch) {
+    int64_t source_id = top_.population_seen();
+    for (int64_t row = 0; row < batch.num_rows(); ++row, ++source_id) {
+      const double weight = tracker_->TupleWeight(batch, bound_, row);
+      const ReservoirDecision decision = sampler_.Offer(weight);
+      if (!decision.accepted) continue;
+      if (decision.slot < top_.size()) {
+        top_.ReplaceSampledRow(decision.slot, batch, row, weight, source_id);
+      } else {
+        top_.AppendSampledRow(batch, row, weight, source_id);
+      }
+    }
+    top_.FinishBatch(source_id, sampler_.total_weight(),
+                     sampler_.acceptance_curve(), sampler_.curve_interval(),
+                     sampler_.accepted_post_fill());
+  }
+
+  const Impression& impression() const { return top_; }
+
+ private:
+  Impression top_;
+  BiasedReservoirSampler sampler_;
+  const InterestTracker* tracker_;
+  std::vector<int> bound_;
+};
+
+std::vector<int64_t> SortedSources(const Impression& layer) {
+  std::vector<int64_t> ids = layer.source_ids();
+  std::sort(ids.begin(), ids.end());
+  return ids;
+}
+
+std::vector<QueryResultRow> ByGroupKey(std::vector<QueryResultRow> rows) {
+  std::sort(rows.begin(), rows.end(),
+            [](const QueryResultRow& a, const QueryResultRow& b) {
+              return a.group_key.ToString() < b.group_key.ToString();
+            });
+  return rows;
+}
+
+TEST(ClusteredHierarchyTest, HoldsAndAnswersWhatAnUnclusteredOneDoes) {
+  SkyStream stream(StreamConfig(), 41);
+  InterestTracker tracker =
+      InterestTracker::Make({{"ra", 120.0, 3.0, 40}, {"dec", 0.0, 1.5, 40}})
+          .value();
+  Rng focal(41);
+  for (int i = 0; i < 300; ++i) {
+    tracker.ObserveValue("ra", focal.Gaussian(150.0, 2.0));
+    tracker.ObserveValue("dec", focal.Gaussian(12.0, 1.5));
+  }
+  ImpressionSpec spec;
+  spec.policy = SamplingPolicy::kBiased;
+  spec.tracker = &tracker;
+  spec.seed = 41;
+  const std::vector<LayerSpec> layers = {
+      {"L0", 8'192}, {"L1", 2'048}, {"L2", 512}};
+  auto clustered = ImpressionHierarchy::Make(stream.schema(), layers, spec)
+                       .value();
+  spec.name = layers[0].name;
+  spec.capacity = layers[0].capacity;
+  UnclusteredBiasedTop top(stream.schema(), spec);
+  Rng derive = Rng::FromState(clustered.SaveState().derive_rng);
+
+  std::vector<AggregateQuery> queries;
+  for (const auto& [ra, dec, r] : std::vector<std::array<double, 3>>{
+           {150.0, 12.0, 3.0}, {151.0, 13.0, 6.0}, {200.0, 30.0, 25.0}}) {
+    AggregateQuery q;
+    q.aggregates = {{AggKind::kCount, ""},
+                    {AggKind::kSum, "r"},
+                    {AggKind::kAvg, "redshift"}};
+    q.filter = Cone("ra", "dec", ra, dec, r);
+    queries.push_back(std::move(q));
+  }
+  AggregateQuery grouped;
+  grouped.aggregates = {{AggKind::kCount, ""}, {AggKind::kAvg, "g"}};
+  grouped.group_by = "obj_class";
+  queries.push_back(std::move(grouped));
+
+  // Estimates sum the same terms in another order: they agree within this
+  // many ulps' worth of relative error, and sample counts agree exactly.
+  constexpr double kSummationOrderTolerance = 1e-10;
+  for (const int64_t rows : {6'000, 12'000, 12'000}) {
+    const Table batch = stream.NextBatch(rows);
+    ASSERT_TRUE(clustered.IngestBatch(batch).ok());
+    top.Ingest(batch);
+    const std::vector<Impression> derived =
+        ReferenceRefresh(top.impression(), layers, &derive);
+    for (int i = 0; i < clustered.num_layers(); ++i) {
+      const Impression& got = clustered.layer(i);
+      const Impression& want =
+          i == 0 ? top.impression() : derived[static_cast<size_t>(i - 1)];
+      const std::string where =
+          got.name() + " after " + std::to_string(rows) + " rows";
+      ASSERT_EQ(SortedSources(got), SortedSources(want)) << where;
+      if (i == 0) {
+        EXPECT_NE(got.source_ids(), want.source_ids()) << where;
+      }
+      for (const AggregateQuery& q : queries) {
+        // Groups come in order of first appearance, which is physical.
+        const std::vector<QueryResultRow> a =
+            ByGroupKey(EstimateOnImpression(got, q, 0.95).value().rows);
+        const std::vector<QueryResultRow> b =
+            ByGroupKey(EstimateOnImpression(want, q, 0.95).value().rows);
+        ASSERT_EQ(a.size(), b.size()) << where;
+        for (size_t r = 0; r < a.size(); ++r) {
+          EXPECT_EQ(a[r].group_key, b[r].group_key) << where;
+          EXPECT_EQ(a[r].input_rows, b[r].input_rows)
+              << where << ": " << q.ToString();
+          for (size_t s = 0; s < a[r].values.size(); ++s) {
+            const double x = a[r].values[s];
+            const double y = b[r].values[s];
+            EXPECT_LE(std::fabs(x - y),
+                      kSummationOrderTolerance * std::fabs(y))
+                << where << ": " << q.ToString() << ", aggregate " << s;
+          }
+        }
+      }
+    }
+  }
+}
+
+/// The snapshot codec's bytes of `state`.
+std::string HierarchyBytes(HierarchyState state, const Schema& schema) {
+  TableSnapshot snap;
+  snap.base = Table(schema);
+  snap.hierarchy = std::move(state);
+  BinaryWriter w;
+  EncodeTableSnapshot(snap, &w);
+  return w.Take();
+}
+
+TEST(ClusteredHierarchyTest, SaveRestoreSaveIsByteIdentical) {
+  SkyStream stream(StreamConfig(), 42);
+  InterestTracker tracker =
+      InterestTracker::Make({{"ra", 120.0, 3.0, 40}, {"dec", 0.0, 1.5, 40}})
+          .value();
+  Rng focal(42);
+  for (int i = 0; i < 300; ++i) {
+    tracker.ObserveValue("ra", focal.Gaussian(215.0, 2.0));
+    tracker.ObserveValue("dec", focal.Gaussian(40.0, 1.5));
+  }
+  ImpressionSpec spec;
+  spec.policy = SamplingPolicy::kBiased;
+  spec.tracker = &tracker;
+  spec.seed = 42;
+  const std::vector<LayerSpec> layers = {
+      {"L0", 4'096}, {"L1", 1'024}, {"L2", 256}};
+  auto h = ImpressionHierarchy::Make(stream.schema(), layers, spec).value();
+  for (const int64_t rows : {3'000, 10'000, 10'000}) {
+    ASSERT_TRUE(h.IngestBatch(stream.NextBatch(rows)).ok());
+    const ImpressionHierarchy restored =
+        ImpressionHierarchy::Restore(stream.schema(), spec, h.SaveState())
+            .value();
+    EXPECT_EQ(HierarchyBytes(restored.SaveState(), stream.schema()),
+              HierarchyBytes(h.SaveState(), stream.schema()));
+    // The restored layers are clustered into the live physical order.
+    for (int i = 0; i < h.num_layers(); ++i) {
+      EXPECT_EQ(TableBytes(restored.layer(i).rows()),
+                TableBytes(h.layer(i).rows()))
+          << h.layer(i).name();
+      EXPECT_EQ(restored.layer(i).source_ids(), h.layer(i).source_ids());
+    }
+  }
 }
 
 TEST(HierarchyTest, MultiPartIngestRefreshesOnce) {

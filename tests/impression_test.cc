@@ -1,12 +1,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <numeric>
 #include <string>
 #include <vector>
 
+#include "util/binio.h"
 #include "util/rng.h"
 
+#include "column/encoding/encoding.h"
+#include "column/serde.h"
+#include "core/bounded_executor.h"
 #include "core/hierarchy.h"
 #include "core/impression.h"
 #include "core/impression_builder.h"
@@ -300,10 +306,13 @@ double ModelProbability(const ImpressionState& s, int64_t row) {
 
 void ExpectProbabilitiesMatchModel(const Impression& imp,
                                    const std::string& where) {
+  // The state lists rows by slot; a clustered impression holds them in
+  // another physical order.
   const ImpressionState state = imp.SaveState();
-  for (int64_t row = 0; row < imp.size(); ++row) {
-    ASSERT_EQ(imp.InclusionProbability(row), ModelProbability(state, row))
-        << where << ", row " << row;
+  for (int64_t slot = 0; slot < imp.size(); ++slot) {
+    ASSERT_EQ(imp.InclusionProbability(imp.RowOfSlot(slot)),
+              ModelProbability(state, slot))
+        << where << ", slot " << slot;
   }
 }
 
@@ -418,6 +427,236 @@ TEST(InclusionProbabilitySyncTest, DerivedLayersKeepTheirPinnedProbabilities) {
               << where << ", row " << row;
         }
       }
+    }
+  }
+}
+
+// ----------------------------------------------- clustered impressions --
+
+std::string TableBytes(const Table& t) {
+  BinaryWriter w;
+  EncodeTable(t, &w);
+  return w.Take();
+}
+
+/// The same physical rows, weights and π as `layer`, but no cluster key and
+/// so no zone maps: the unpruned scan a pruned one must equal.
+Impression UnprunedTwin(const Impression& layer) {
+  SelectionVector all(static_cast<size_t>(layer.size()));
+  std::iota(all.begin(), all.end(), 0);
+  ImpressionState state;
+  state.name = layer.name();
+  state.capacity = layer.capacity();
+  state.policy = layer.policy();
+  state.rows = layer.rows().TakeRows(all);
+  state.weights = layer.row_weights();
+  state.source_ids = layer.source_ids();
+  for (int64_t row = 0; row < layer.size(); ++row) {
+    state.explicit_probs.push_back(layer.InclusionProbability(row));
+  }
+  state.population_seen = layer.population_seen();
+  state.population_weight = layer.population_weight();
+  return Impression::FromState(std::move(state)).value();
+}
+
+/// Cones on and off the focal point, a range, and no filter at all.
+std::vector<AggregateQuery> ScanQueries() {
+  std::vector<AggregateQuery> queries;
+  for (const auto& [ra, dec, r] : std::vector<std::array<double, 3>>{
+           {150.0, 12.0, 3.0}, {150.0, 12.0, 6.0}, {152.0, 10.0, 1.0},
+           {215.0, 40.0, 6.0}, {180.0, 30.0, 40.0}}) {
+    AggregateQuery q;
+    q.aggregates = {{AggKind::kCount, ""}, {AggKind::kSum, "r"},
+                    {AggKind::kAvg, "redshift"}, {AggKind::kMax, "g"}};
+    q.filter = Cone("ra", "dec", ra, dec, r);
+    queries.push_back(std::move(q));
+  }
+  AggregateQuery band;
+  band.aggregates = {{AggKind::kAvg, "r"}};
+  band.filter = Between("dec", 10.0, 14.0);
+  band.group_by = "obj_class";
+  queries.push_back(std::move(band));
+  AggregateQuery all;
+  all.aggregates = {{AggKind::kCount, ""}, {AggKind::kAvg, "r"}};
+  queries.push_back(std::move(all));
+  return queries;
+}
+
+void ExpectSameAnswer(const BoundedAnswer& a, const BoundedAnswer& b,
+                      const std::string& where) {
+  ASSERT_EQ(a.rows.size(), b.rows.size()) << where;
+  for (size_t r = 0; r < a.rows.size(); ++r) {
+    EXPECT_EQ(a.rows[r].group_key, b.rows[r].group_key) << where;
+    EXPECT_EQ(a.rows[r].input_rows, b.rows[r].input_rows) << where;
+    EXPECT_EQ(a.rows[r].population, b.rows[r].population) << where;
+    ASSERT_EQ(a.estimates[r].size(), b.estimates[r].size()) << where;
+    for (size_t s = 0; s < a.estimates[r].size(); ++s) {
+      EXPECT_EQ(a.estimates[r][s].estimate, b.estimates[r][s].estimate)
+          << where << ", aggregate " << s;
+      EXPECT_EQ(a.estimates[r][s].std_error, b.estimates[r][s].std_error)
+          << where << ", aggregate " << s;
+    }
+  }
+}
+
+int RaColumn() { return PhotoObjSchema().FieldIndex("ra").value(); }
+
+TEST(ClusteredImpressionTest, TrackedAttributesClusterTheLayer) {
+  InterestTracker tracker = FocalTracker(150.0, 12.0);
+  SkyStream stream(StreamConfig(), 31);
+  ImpressionSpec spec;
+  spec.capacity = 8 * kLayerZoneRows;
+  spec.policy = SamplingPolicy::kBiased;
+  spec.seed = 31;
+  spec.tracker = &tracker;
+  ImpressionBuilder builder =
+      ImpressionBuilder::Make(stream.schema(), spec).value();
+  ASSERT_TRUE(builder.IngestBatch(stream.NextBatch(30'000)).ok());
+  const Impression& layer = builder.impression();
+  ASSERT_EQ(layer.size(), spec.capacity);
+  ASSERT_EQ(layer.cluster_key().attributes.size(), 2u);
+  EXPECT_EQ(layer.cluster_key().attributes[0].domain_min, 120.0);
+  EXPECT_EQ(layer.cluster_key().attributes[0].domain_max, 240.0);
+
+  // RowOfSlot is a permutation, and SaveState lists the rows by slot.
+  std::vector<int64_t> rows;
+  for (int64_t slot = 0; slot < layer.size(); ++slot) {
+    rows.push_back(layer.RowOfSlot(slot));
+  }
+  const ImpressionState state = layer.SaveState();
+  EXPECT_EQ(TableBytes(state.rows), TableBytes(layer.rows().TakeRows(rows)));
+  std::sort(rows.begin(), rows.end());
+  for (int64_t row = 0; row < layer.size(); ++row) {
+    ASSERT_EQ(rows[static_cast<size_t>(row)], row);
+  }
+
+  // Only the key columns carry zone maps, one per kLayerZoneRows rows, and
+  // they are tighter than the same rows' zones in slot order.
+  const EncodedColumn* ra = layer.rows().column(RaColumn()).encoding();
+  ASSERT_NE(ra, nullptr);
+  EXPECT_EQ(ra->morsel_rows, kLayerZoneRows);
+  EXPECT_EQ(ra->covered_rows(), layer.size());
+  EXPECT_EQ(layer.rows().column(0).encoding(), nullptr);
+  const auto mean_span = [](const Column& col) {
+    double span = 0.0;
+    const int64_t zones = col.size() / kLayerZoneRows;
+    for (int64_t z = 0; z < zones; ++z) {
+      const EncodedMorsel m = EncodeMorsel(col, z * kLayerZoneRows,
+                                           (z + 1) * kLayerZoneRows);
+      span += m.zone.max - m.zone.min;
+    }
+    return span / static_cast<double>(zones);
+  };
+  EXPECT_LT(mean_span(layer.rows().column(RaColumn())),
+            0.5 * mean_span(state.rows.column(RaColumn())));
+}
+
+TEST(ClusteredImpressionTest, PrunedScanEqualsUnprunedScanAcrossIngests) {
+  InterestTracker tracker = FocalTracker(150.0, 12.0);
+  SkyStream stream(StreamConfig(), 32);
+  ImpressionSpec spec;
+  spec.capacity = 8 * kLayerZoneRows;
+  spec.policy = SamplingPolicy::kBiased;
+  spec.seed = 32;
+  spec.tracker = &tracker;
+  ImpressionBuilder builder =
+      ImpressionBuilder::Make(stream.schema(), spec).value();
+  std::vector<int64_t> previous_sources;
+  bool pruned = false;
+  // A partial fill, the fill, then calls that replace slots in place.
+  for (const int64_t rows : {5'000, 10'000, 12'000, 9'000}) {
+    ASSERT_TRUE(builder.IngestBatch(stream.NextBatch(rows)).ok());
+    const Impression& layer = builder.impression();
+    const Impression twin = UnprunedTwin(layer);
+    const std::string where = "after " + std::to_string(rows) + " rows";
+    for (const AggregateQuery& q : ScanQueries()) {
+      const std::string what = where + ": " + q.ToString();
+      int64_t scanned = -1;
+      int64_t twin_scanned = -1;
+      const SelectionVector sel =
+          SelectMatching(layer.rows(), q, nullptr, &scanned).value();
+      EXPECT_EQ(sel, SelectMatching(twin.rows(), q, nullptr, &twin_scanned)
+                         .value())
+          << what;
+      EXPECT_EQ(twin_scanned, layer.size()) << what;
+      EXPECT_LE(scanned, layer.size()) << what;
+      pruned = pruned || scanned < layer.size();
+      ExpectSameAnswer(EstimateOnImpression(layer, q, 0.95).value(),
+                       EstimateOnImpression(twin, q, 0.95).value(), what);
+    }
+    if (!previous_sources.empty()) {
+      std::vector<int64_t> now = layer.SaveState().source_ids;
+      EXPECT_NE(now, previous_sources) << where << ": no slot was replaced";
+    }
+    previous_sources = layer.SaveState().source_ids;
+  }
+  EXPECT_TRUE(pruned);
+}
+
+TEST(ClusteredImpressionTest, ReplacingARowDropsTheZoneMapsUntilTheCallEnds) {
+  SkyStream stream(StreamConfig(), 33);
+  const Table batch = stream.NextBatch(3 * kLayerZoneRows);
+  const int dec = PhotoObjSchema().FieldIndex("dec").value();
+  ClusterKey key;
+  key.attributes = {{RaColumn(), 120.0, 240.0}, {dec, 0.0, 60.0}};
+  const int64_t n = 2 * kLayerZoneRows;
+  Impression imp("t", PhotoObjSchema(), n, SamplingPolicy::kUniform, key);
+  for (int64_t row = 0; row < n; ++row) imp.AppendSampledRow(batch, row, 1.0, row);
+  imp.FinishBatch(n, 0.0);
+  ASSERT_NE(imp.rows().column(RaColumn()).encoding(), nullptr);
+
+  // Each replacement moves a row to wherever its new values fall; a cone
+  // around the new values must find it before and after the re-sort.
+  for (int64_t i = 0; i < 200; ++i) {
+    const int64_t slot = (i * 37) % n;
+    const int64_t src = n + i;
+    imp.ReplaceSampledRow(slot, batch, src, 1.0, src);
+    EXPECT_EQ(imp.rows().column(RaColumn()).encoding(), nullptr);
+    const double ra = batch.column(RaColumn()).GetDouble(src);
+    const double de = batch.column(dec).GetDouble(src);
+    const PredicatePtr cone = Cone("ra", "dec", ra, de, 1e-9);
+    const SelectionVector hit = SelectAll(imp.rows(), *cone).value();
+    EXPECT_NE(std::find(hit.begin(), hit.end(), imp.RowOfSlot(slot)),
+              hit.end());
+  }
+  imp.FinishBatch(n + 200, 0.0);
+  ASSERT_NE(imp.rows().column(RaColumn()).encoding(), nullptr);
+  for (int64_t i = 0; i < 200; ++i) {
+    const int64_t slot = (i * 37) % n;
+    const int64_t src = imp.SaveState().source_ids[static_cast<size_t>(slot)];
+    const PredicatePtr cone =
+        Cone("ra", "dec", batch.column(RaColumn()).GetDouble(src),
+             batch.column(dec).GetDouble(src), 1e-9);
+    const SelectionVector hit = SelectAll(imp.rows(), *cone).value();
+    EXPECT_NE(std::find(hit.begin(), hit.end(), imp.RowOfSlot(slot)),
+              hit.end());
+  }
+}
+
+TEST(ClusteredImpressionTest, OrderIsAFunctionOfTheSampleAlone) {
+  InterestTracker tracker = FocalTracker(215.0, 40.0);
+  SkyStream stream(StreamConfig(), 34);
+  ImpressionSpec spec;
+  spec.capacity = 3'000;
+  spec.policy = SamplingPolicy::kBiased;
+  spec.seed = 34;
+  spec.tracker = &tracker;
+  ImpressionBuilder builder =
+      ImpressionBuilder::Make(stream.schema(), spec).value();
+  for (const int64_t rows : {2'000, 8'000, 8'000}) {
+    ASSERT_TRUE(builder.IngestBatch(stream.NextBatch(rows)).ok());
+    const Impression& live = builder.impression();
+    // Clustered live across ingest calls, or clustered once from the saved
+    // slots: the same physical rows, and the same saved state again.
+    const Impression restored =
+        Impression::FromState(live.SaveState(), live.cluster_key()).value();
+    EXPECT_EQ(TableBytes(restored.rows()), TableBytes(live.rows()));
+    EXPECT_EQ(restored.source_ids(), live.source_ids());
+    EXPECT_EQ(TableBytes(restored.SaveState().rows),
+              TableBytes(live.SaveState().rows));
+    for (int64_t row = 0; row < live.size(); ++row) {
+      ASSERT_EQ(restored.InclusionProbability(row),
+                live.InclusionProbability(row));
     }
   }
 }
